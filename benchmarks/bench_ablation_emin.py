@@ -7,7 +7,7 @@ heuristics at evaluation scale.
 
 import numpy as np
 
-from repro.core import RandomizedDaemonExecutor, fresh_states
+from repro.core import RoundEngine, fresh_states
 from repro.core.examples import EXAMPLE_RADIO
 from repro.core.metrics import EnergyAwareMetric
 from repro.graph import (
@@ -34,9 +34,9 @@ def _gap_study():
     ratios = []
     for i, topo in enumerate(_small_graphs()):
         metric = EnergyAwareMetric(EXAMPLE_RADIO)
-        res = RandomizedDaemonExecutor(topo, metric, np.random.default_rng(i)).run(
-            fresh_states(topo, metric), max_rounds=300
-        )
+        res = RoundEngine(
+            topo, metric, daemon="randomized", rng=np.random.default_rng(i)
+        ).run(fresh_states(topo, metric), max_rounds=300)
         if not res.converged:
             continue
         cost = metric.tree_cost(topo, res.tree(topo))
@@ -65,9 +65,9 @@ def test_vs_heuristics(benchmark):
     metric = EnergyAwareMetric(EXAMPLE_RADIO)
 
     def _all():
-        res = RandomizedDaemonExecutor(topo, metric, np.random.default_rng(0)).run(
-            fresh_states(topo, metric), max_rounds=400
-        )
+        res = RoundEngine(
+            topo, metric, daemon="randomized", rng=np.random.default_rng(0)
+        ).run(fresh_states(topo, metric), max_rounds=400)
         ss = metric.tree_cost(topo, res.tree(topo)) if res.converged else float("inf")
         bip = metric.tree_cost(topo, bip_tree(topo, EXAMPLE_RADIO))
         _, ls = local_search_min_energy_tree(topo, metric)

@@ -8,8 +8,7 @@ measures SS-SPST-F's documented instability as its non-convergence rate.
 import numpy as np
 
 from repro.core import (
-    RandomizedDaemonExecutor,
-    SyncExecutor,
+    RoundEngine,
     fresh_states,
     metric_by_name,
 )
@@ -40,13 +39,15 @@ def _stabilize_all():
         rounds, failures = [], 0
         for i, topo in enumerate(topos):
             metric = metric_by_name(name, EXAMPLE_RADIO)
-            res = SyncExecutor(topo, metric).run(fresh_states(topo, metric))
+            res = RoundEngine(topo, metric, daemon="synchronous").run(
+                fresh_states(topo, metric)
+            )
             if not res.converged:
                 # The documented F-style oscillation: retry under the
                 # randomized daemon (jittered beacons).
                 failures += 1
-                res = RandomizedDaemonExecutor(
-                    topo, metric, np.random.default_rng(i)
+                res = RoundEngine(
+                    topo, metric, daemon="randomized", rng=np.random.default_rng(i)
                 ).run(fresh_states(topo, metric), max_rounds=400)
             if res.converged:
                 rounds.append(res.rounds)

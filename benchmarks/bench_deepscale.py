@@ -14,21 +14,10 @@ studies to 10^4-10^5.  This bench pins that claim:
   acceptance bar is "stabilizes in seconds": asserted with a generous
   ceiling so shared-runner noise cannot flake it, with the measured
   time recorded in the JSON artifact for trend tracking.
-* **speedup cell** — object vs array vs kernel (``REPRO_KERNEL=numba``,
-  skipped when numba is absent) on the same n = N tx workload,
+* **speedup cell** — object vs array on the same n = N tx workload,
   asserting bit-identical trajectories — including evaluation counts —
   (the contract that makes the speedup trustworthy) and recording the
-  ratios.
-* **legacy-apply gate** — the PR-6 apply path (per-move commits +
-  from-scratch snapshots, preserved behind ``legacy_apply=True``) must
-  cost >= 3x the incremental path on the deep E workload, measured on
-  the snapshot *stage* counter: that is the stage PR 6 rebuilt O(n)
-  every step and this PR re-prices per dirty subtree.  (E's *commit*
-  stage is per-move in both paths by bit-identity necessity — the
-  dirty closure needs per-move flag-flip reports — so it is recorded
-  in the profiles but not gated; the batched commit's own win shows in
-  the hop/tx cells.)  Stage ratios come from the same process, so
-  shared-runner noise largely cancels, and the ratio grows with n.
+  ratio.
 * **n = 10^5 cells** (``REPRO_BENCH_FULL=1``) — hop and tx under the
   synchronous daemon: feasibility at a scale where the dense topology
   cannot even be built (an (n, n) float64 matrix would be 80 GB), with
@@ -49,7 +38,6 @@ import os
 import time
 
 from repro.core import engine_for, fresh_states, is_legitimate, metric_by_name
-from repro.core import kernels
 from repro.core.examples import EXAMPLE_RADIO
 from repro.graph import SparseTopology
 
@@ -130,63 +118,27 @@ def _measure():
     # E under a snapshot schedule that converges: distributed-k chunks
     # (sync E limit-cycles at scale; serial daemons converge but waste
     # the batched evaluator on single-node steps).
-    energy = _cell(topo, "energy", "distributed", k=max(1, N // 20))
-    stats["cells"].append(energy)
-    # The PR-6 apply path (per-move commits, from-scratch snapshots) on
-    # the same deep E workload: the incremental path must beat it >= 3x
-    # on the stage it replaced (see module docstring).
-    legacy = _cell(
-        topo, "energy", "distributed", k=max(1, N // 20), legacy_apply=True
+    stats["cells"].append(
+        _cell(topo, "energy", "distributed", k=max(1, N // 20))
     )
-    stats["cells"].append(legacy)
-    new_snap = energy["profile"]["snapshot_s"]
-    old_snap = legacy["profile"]["snapshot_s"]
-    stats["legacy_apply_gate"] = {
-        "snapshot_s": new_snap,
-        "legacy_snapshot_s": old_snap,
-        "speedup": old_snap / new_snap if new_snap > 0 else float("inf"),
-        "commit_s": energy["profile"]["commit_s"],
-        "legacy_commit_s": legacy["profile"]["commit_s"],
-    }
 
-    # Object vs array vs kernel on the headline tx workload: identical
+    # Object vs array on the headline tx workload: identical
     # trajectories — evaluations included — (the point of the contract);
-    # the object/array speedup is recorded not asserted (wall clock on
-    # shared runners is noise; bit-identity is the gate).  The kernel
-    # run is skipped when numba is absent (the fallback would just
-    # re-measure numpy).
+    # the speedup is recorded not asserted (wall clock on shared runners
+    # is noise; bit-identity is the gate).
     obj, t_obj, _, _ = _run(topo, "tx", "synchronous", "object")
     arr, t_arr, _, _ = _run(topo, "tx", "synchronous", "array")
-    for a, b in ((obj, arr),):
-        assert a.states == b.states
-        assert a.rounds == b.rounds
-        assert a.converged == b.converged
-        assert a.cost_history == b.cost_history
-        assert a.moves == b.moves
-        assert a.evaluations == b.evaluations
-    speedup = {
+    assert obj.states == arr.states
+    assert obj.rounds == arr.rounds
+    assert obj.converged == arr.converged
+    assert obj.cost_history == arr.cost_history
+    assert obj.moves == arr.moves
+    assert obj.evaluations == arr.evaluations
+    stats["speedup_tx_sync"] = {
         "t_object": t_obj,
         "t_array": t_arr,
         "speedup": t_obj / t_arr if t_arr > 0 else float("inf"),
-        "kernel": None,
     }
-    if kernels.numba_available():
-        before = kernels.active_kernel()
-        kernels.set_kernel("numba")
-        try:
-            ker, t_ker, _, _ = _run(topo, "tx", "synchronous", "array")
-        finally:
-            kernels.set_kernel(before)
-        assert ker.states == arr.states
-        assert ker.rounds == arr.rounds
-        assert ker.cost_history == arr.cost_history
-        assert ker.moves == arr.moves
-        assert ker.evaluations == arr.evaluations
-        speedup["kernel"] = {
-            "t_kernel": t_ker,
-            "speedup_vs_object": t_obj / t_ker if t_ker > 0 else float("inf"),
-        }
-    stats["speedup_tx_sync"] = speedup
 
     stats["store"] = _store_cell()
 
@@ -277,7 +229,6 @@ def test_deepscale(benchmark):
     stats = benchmark.pedantic(_measure, rounds=1, iterations=1)
     print()
     for c in stats["cells"]:
-        tag = " legacy" if c.get("legacy_apply") else ""
         prof = c.get("profile") or {}
         stages = " ".join(
             f"{k.rstrip('_s')}={prof[k]:.2f}"
@@ -287,24 +238,12 @@ def test_deepscale(benchmark):
         print(
             f"n={c['n']:>6d} {c['metric']:7s} {c['daemon']:12s}"
             f" {c['t']:7.2f}s rounds={c['rounds']:4d} moves={c['moves']}"
-            f"{tag}  [{stages}]"
+            f"  [{stages}]"
         )
     sp = stats["speedup_tx_sync"]
     print(
         f"object vs array (n={N} tx sync): {sp['t_object']:.2f}s vs "
         f"{sp['t_array']:.2f}s -> {sp['speedup']:.1f}x"
-        + (
-            f"; numba {sp['kernel']['t_kernel']:.2f}s "
-            f"({sp['kernel']['speedup_vs_object']:.1f}x)"
-            if sp["kernel"]
-            else "; numba absent"
-        )
-    )
-    gate = stats["legacy_apply_gate"]
-    print(
-        f"legacy apply path (deep E snapshot stage): "
-        f"{gate['legacy_snapshot_s']:.2f}s vs "
-        f"{gate['snapshot_s']:.2f}s -> {gate['speedup']:.1f}x"
     )
     st = stats["store"]
     for label in ("json", "sqlite"):
@@ -317,14 +256,9 @@ def test_deepscale(benchmark):
     _emit_json(stats)
     # The headline acceptance: deep-scale stabilization in seconds.
     for c in stats["cells"]:
-        if c["n"] != N or c.get("legacy_apply"):
+        if c["n"] != N:
             continue
         bound = ENERGY_MAX_SECONDS if c["metric"] == "energy" else MAX_SECONDS
         assert c["t"] <= bound, (
             f"{c['metric']}/{c['daemon']} took {c['t']:.1f}s at n={N}"
         )
-    # The incremental path must beat the PR-6 apply path >= 3x on the
-    # stage it replaced (scratch snapshots are O(n) per step,
-    # incremental re-pricing is O(dirty subtree) — the ratio grows
-    # with n, ~7x at the CI quick scale N = 2000).
-    assert gate["speedup"] >= 3.0, gate

@@ -6,7 +6,7 @@ thousands of events, so regressions here multiply across the whole suite.
 
 import numpy as np
 
-from repro.core import GlobalView, SyncExecutor, fresh_states, metric_by_name
+from repro.core import GlobalView, RoundEngine, fresh_states, metric_by_name
 from repro.core.examples import EXAMPLE_RADIO
 from repro.graph import Topology
 from repro.mobility import RandomWaypoint
@@ -86,9 +86,9 @@ def test_round_executor_energy_metric(benchmark):
     def stabilize():
         # Randomized daemon: the sync daemon can 2-cycle under E (see
         # bench_ablation_rounds), which would poison the timing.
-        from repro.core import RandomizedDaemonExecutor
-
-        ex = RandomizedDaemonExecutor(topo, metric, np.random.default_rng(42))
+        ex = RoundEngine(
+            topo, metric, daemon="randomized", rng=np.random.default_rng(42)
+        )
         return ex.run(fresh_states(topo, metric), max_rounds=300)
 
     res = benchmark(stabilize)
@@ -103,7 +103,9 @@ def test_join_cost_evaluation(benchmark):
         if topo.is_connected():
             break
     metric = metric_by_name("energy", EXAMPLE_RADIO)
-    res = SyncExecutor(topo, metric).run(fresh_states(topo, metric))
+    res = RoundEngine(topo, metric, daemon="synchronous").run(
+        fresh_states(topo, metric)
+    )
     view = GlobalView(topo, res.states)
     v = 17
     u = topo.neighbors(v)[0]

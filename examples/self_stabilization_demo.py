@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from repro.core import (
-    RandomizedDaemonExecutor,
+    RoundEngine,
     arbitrary_states,
     check_closure,
     check_loop_freedom,
@@ -43,7 +43,9 @@ def main() -> None:
     rng = np.random.default_rng(seed)
     topo = make_topology(rng)
     metric = metric_by_name("energy", EXAMPLE_RADIO)
-    executor = RandomizedDaemonExecutor(topo, metric, np.random.default_rng(seed + 1))
+    executor = RoundEngine(
+        topo, metric, daemon="randomized", rng=np.random.default_rng(seed + 1)
+    )
 
     print(f"topology: {topo.n} nodes, members {sorted(topo.members)}")
     corrupted = arbitrary_states(topo, metric, rng)
@@ -65,7 +67,9 @@ def main() -> None:
     dist2 = topo.dist.copy()
     dist2[edge[0], edge[1]] = dist2[edge[1], edge[0]] = np.inf
     topo2 = Topology(dist2, topo.source, topo.members)
-    executor2 = RandomizedDaemonExecutor(topo2, metric, np.random.default_rng(seed + 2))
+    executor2 = RoundEngine(
+        topo2, metric, daemon="randomized", rng=np.random.default_rng(seed + 2)
+    )
     result2 = executor2.run(list(result.states), max_rounds=300)
     print(f"re-stabilized in {result2.rounds} rounds; "
           f"legitimate={is_legitimate(topo2, metric, result2.states)}")

@@ -11,7 +11,7 @@ Usage::
     python examples/worked_example.py
 """
 
-from repro.core import SyncExecutor, fresh_states, metric_by_name
+from repro.core import RoundEngine, fresh_states, metric_by_name
 from repro.core.examples import EXAMPLE_RADIO, figure1_topology
 from repro.core.metrics import METRIC_NAMES, PROTOCOL_LABELS, EnergyAwareMetric
 from repro.experiments.paper_examples import format_examples_report
@@ -44,7 +44,9 @@ def main() -> None:
     e_metric = EnergyAwareMetric(EXAMPLE_RADIO)
     for name in METRIC_NAMES:
         metric = metric_by_name(name, EXAMPLE_RADIO)
-        res = SyncExecutor(topo, metric).run(fresh_states(topo, metric))
+        res = RoundEngine(topo, metric, daemon="synchronous").run(
+            fresh_states(topo, metric)
+        )
         tree = res.tree(topo)
         print(f"--- {PROTOCOL_LABELS[name]} "
               f"(stabilized in {res.rounds} rounds)")

@@ -28,8 +28,7 @@ Contents:
   full or incremental (dirty-set) mode; the two modes are bit-identical
   for *all four* metrics and every daemon — SS-SPST-E's chain coupling is
   localized through the flag-flip reports (subtree seeding) — and expose
-  ``run_perturbed`` for warm-start fault recovery from a settled state
-  (the pre-decomposition executor names remain as deprecation shims);
+  ``run_perturbed`` for warm-start fault recovery from a settled state;
 * :mod:`repro.core.legitimacy` — the legitimate-state predicate;
 * :mod:`repro.core.convergence` — Lemma 1-3 checkers (convergence,
   closure, loop-freedom);
@@ -57,11 +56,6 @@ from repro.core.daemons import (
 )
 from repro.core.rounds import (
     RoundEngine,
-    SyncExecutor,
-    CentralDaemonExecutor,
-    RandomizedDaemonExecutor,
-    IncrementalSyncExecutor,
-    IncrementalCentralDaemonExecutor,
     StabilizationResult,
     fresh_states,
     arbitrary_states,
@@ -103,11 +97,6 @@ __all__ = [
     "ColumnarView",
     "ENGINE_NAMES",
     "engine_for",
-    "SyncExecutor",
-    "CentralDaemonExecutor",
-    "RandomizedDaemonExecutor",
-    "IncrementalSyncExecutor",
-    "IncrementalCentralDaemonExecutor",
     "StabilizationResult",
     "fresh_states",
     "arbitrary_states",

@@ -27,7 +27,7 @@ semantics operation for operation:
   mirroring the top-down accumulation of
   :meth:`~repro.core.views.GlobalView.path_price`.
 
-Three layers keep the hot path free of per-move Python
+Two layers keep the hot path free of per-move Python
 (``docs/array_engine.md`` walks through each):
 
 * **batched move commits** — for the locally-coupled metrics (hop, tx,
@@ -41,11 +41,7 @@ Three layers keep the hot path free of per-move Python
 * **incremental snapshots** — per-step derived arrays (child top-2
   radii, link marginals, chain prices, Euler intervals) are no longer
   rebuilt from scratch: every apply reports which rows went stale and
-  the next snapshot re-scans only the dirty subtrees;
-* **kernels** — the remaining tight loops (in-range counting, the
-  candidate fold, fused pair pricing, the forest scan) dispatch through
-  :mod:`repro.core.kernels`: pure-numpy formulations by default, numba
-  JIT versions under ``REPRO_KERNEL=numba``, bit-identical either way.
+  the next snapshot re-scans only the dirty subtrees.
 
 Where exact vectorization is not sound, the engine *narrows* instead of
 approximating: evaluators whose detachment is visible to chain reads
@@ -68,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.daemons import Daemon
 from repro.core.metrics import (
     CostMetric,
@@ -179,13 +174,6 @@ class EdgeCsr:
         entries of row ``u`` with ``d <= key`` are exactly those with
         ``rank < searchsorted(uvals, key, "right")``.
         """
-        if kernels.use_numba():
-            return kernels.get("count_within")(
-                self.indptr,
-                self.sdist,
-                np.ascontiguousarray(U, dtype=np.int64),
-                np.ascontiguousarray(radius, dtype=np.float64),
-            )
         if self._rank_aug is None:
             self._uvals = np.unique(self.sdist)
             self._rank_K = np.int64(self._uvals.size + 1)
@@ -549,10 +537,6 @@ class ArrayRoundEngine(RoundEngine):
     and are usually better served by the object engine — see the
     README's engine-selection notes.
 
-    ``legacy_apply=True`` restores the pre-kernelized hot path (per-move
-    object applies, from-scratch snapshots) — kept as the benchmark
-    baseline for the batched/incremental speedup gate.
-
     :attr:`profile` accumulates per-stage wall-clock counters
     (``commit_s`` / ``snapshot_s`` / ``evaluate_s`` / ``fold_s`` /
     ``scalar_s``) and step/snapshot tallies across runs until
@@ -567,7 +551,6 @@ class ArrayRoundEngine(RoundEngine):
         *,
         incremental: bool = False,
         rng: Optional[np.random.Generator] = None,
-        legacy_apply: bool = False,
         **daemon_options: object,
     ) -> None:
         super().__init__(
@@ -590,7 +573,6 @@ class ArrayRoundEngine(RoundEngine):
             self._kind = "farthest"
         else:
             self._kind = None  # unknown metric subclass: scalar evaluation
-        self._legacy = bool(legacy_apply)
         self._snap_view: Optional[ColumnarView] = None
         self._snap_ver = -1
         self._snap: Optional[_Snapshot] = None
@@ -631,8 +613,7 @@ class ArrayRoundEngine(RoundEngine):
         t0 = time.perf_counter()
         try:
             if (
-                not self._legacy
-                and todo
+                todo
                 and self._kind in ("hop", "tx", "farthest")
                 and isinstance(view, ColumnarView)
             ):
@@ -769,7 +750,7 @@ class ArrayRoundEngine(RoundEngine):
         n = self.topo.n
         prev = self._snap if self._snap_view is view else None
         s: Optional[_Snapshot] = None
-        if prev is not None and not self._legacy:
+        if prev is not None:
             # Incremental update: cheaper than a rebuild while the dirty
             # rows are a small fraction of the columns (either path is
             # exact; the threshold is pure heuristic).
@@ -798,16 +779,7 @@ class ArrayRoundEngine(RoundEngine):
                     n, kids, par, view.pdist_raw, view.pe_etx_raw
                 )
             elif kind == "energy":
-                if self._legacy:
-                    flags = np.fromiter(view._flags, dtype=bool, count=n)
-                    s.flags = flags
-                    kids = np.flatnonzero((par >= 0) & flags)
-                    s.ft1, s.ft1c, s.ft2, s.ft1e, s.ft2e = _top2(
-                        n, kids, par, view.pdist_raw, view.pe_etx_raw
-                    )
-                    self._build_prices(view, s)
-                else:
-                    self._build_energy_full(view, s)
+                self._build_energy_full(view, s)
             self.profile["snapshots_full"] += 1
         else:
             self.profile["snapshots_incremental"] += 1
@@ -967,15 +939,9 @@ class ArrayRoundEngine(RoundEngine):
             self._ml_fill(view, s, att)
         self._build_forest(view, s)
         s.forest_ver = view._forest_ver
-        if kernels.use_numba():
-            s.Pd, s.Pc, s.tin, s.tout = kernels.get("forest_scan")(
-                s.kptr, s.kcnt, s.kbuf, s.roots, self.topo.source,
-                flags, s.ML, view.costa,
-            )
-        else:
-            levels = self._forest_levels(s)
-            self._scan_prices(view, s, levels)
-            self._forest_intervals(view, s, levels)
+        levels = self._forest_levels(s)
+        self._scan_prices(view, s, levels)
+        self._forest_intervals(view, s, levels)
 
     def _ml_fill(self, view: ColumnarView, s: _Snapshot, att: np.ndarray) -> None:
         """The link-marginal block over ``att`` (attached, non-source)
@@ -1082,92 +1048,6 @@ class ArrayRoundEngine(RoundEngine):
             tin[kids] = tin[pk] + 1 + (gc - base)
         s.tin = tin
         s.tout = tin + sz
-
-    # -- legacy full price build (the PR-6 baseline) -------------------
-    def _build_prices(self, view: ColumnarView, s: _Snapshot) -> None:
-        """Live-world chain prices as a root-to-leaf prefix scan.
-
-        Kept verbatim as the ``legacy_apply`` snapshot path (per-step
-        from-scratch rebuild, Python DFS for the Euler intervals) — the
-        baseline the deep-scale bench gates the incremental path
-        against.
-        """
-        topo, metric, csr = self.topo, self.metric, self.csr
-        n = topo.n
-        par = view.par
-        flags = s.flags
-        src = topo.source
-        ids = np.arange(n, dtype=np.int64)
-
-        ML = np.zeros(n, dtype=np.float64)
-        att = np.flatnonzero((par >= 0) & (ids != src))
-        if att.size:
-            p = par[att]
-            d = view.pdist_edge[att]
-            de = view.pe_etx_edge[att]
-            r_wo = np.where(s.ft1c[p] == att, s.ft2[p], s.ft1[p])
-            r_e = np.where(s.ft1c[p] == att, s.ft2e[p], s.ft1e[p])
-            cnt_d = csr.count_within(p, d)
-            cnt_r = csr.count_within(p, r_wo)
-            e_rx = metric.e_rx
-            with np.errstate(invalid="ignore"):
-                ncar_d = de + cnt_d * e_rx
-                ncar_r = np.where(r_wo > 0.0, r_e + cnt_r * e_rx, 0.0)
-                ML[att] = np.where(d <= r_wo, 0.0, ncar_d - ncar_r)
-        s.ML = ML
-
-        # Parent forest with the chain-walk's source cut (the walk stops
-        # at the source before reading its parent pointer).
-        par_eff = par.copy()
-        par_eff[src] = -1
-        att_all = np.flatnonzero(par_eff >= 0)
-        cnt = np.bincount(par_eff[att_all], minlength=n).astype(np.int64)
-        fptr = np.concatenate(([0], np.cumsum(cnt))).astype(np.int64)
-        forder = att_all[np.argsort(par_eff[att_all], kind="stable")]
-
-        Pd = np.zeros(n, dtype=np.float64)
-        Pc = np.zeros(n, dtype=np.float64)
-        roots = np.flatnonzero(par_eff < 0)
-        base = np.where(roots == src, 0.0, view.costa[roots])
-        Pd[roots] = base
-        Pc[roots] = base
-        frontier = roots
-        while True:
-            lens = cnt[frontier]
-            tot = int(lens.sum())
-            if tot == 0:
-                break
-            offs = np.repeat(fptr[frontier], lens) + (
-                np.arange(tot, dtype=np.int64)
-                - np.repeat(_excl_cumsum(lens), lens)
-            )
-            kids = forder[offs]
-            pk = par[kids]
-            Pd[kids] = Pd[pk]
-            Pc[kids] = np.where(flags[pk], Pd[pk], Pc[pk]) + ML[kids]
-            frontier = kids
-        s.Pd = Pd
-        s.Pc = Pc
-
-        # Euler intervals over the same forest: subtree membership tests
-        # (loop candidates, correction zones) become interval checks.
-        tin = np.zeros(n, dtype=np.int64)
-        tout = np.zeros(n, dtype=np.int64)
-        t = 0
-        for root in roots.tolist():
-            stack = [(root, False)]
-            while stack:
-                w, done = stack.pop()
-                if done:
-                    tout[w] = t
-                    continue
-                tin[w] = t
-                t += 1
-                stack.append((w, True))
-                for c in forder[fptr[w]:fptr[w + 1]].tolist():
-                    stack.append((c, False))
-        s.tin = tin
-        s.tout = tout
 
     # ------------------------------------------------------------------
     def _evaluate_batch(
@@ -1279,33 +1159,23 @@ class ArrayRoundEngine(RoundEngine):
         inf = metric.infinity(self.topo)
         etx_d = csr.etx()[offs]
         e_rx = metric.e_rx
-        if kernels.use_numba():
-            oc = kernels.get("energy_pair_costs")(
-                V_pair, U_pair, D_pair, etx_d, flags,
-                tin, tout, s.Pd, s.Pc,
-                s.ft1, s.ft1c, s.ft2, s.ft1e, s.ft2e,
-                csr.indptr, csr.sdist, e_rx, inf,
+        with np.errstate(invalid="ignore"):
+            vfl = flags[V_pair]
+            in_desc = (tin[V_pair] <= tin[U_pair]) & (
+                tin[U_pair] < tout[V_pair]
             )
-        else:
-            with np.errstate(invalid="ignore"):
-                vfl = flags[V_pair]
-                in_desc = (tin[V_pair] <= tin[U_pair]) & (
-                    tin[U_pair] < tout[V_pair]
-                )
-                price = np.where(
-                    vfl & ~flags[U_pair], s.Pc[U_pair], s.Pd[U_pair]
-                )
-                price = np.where(in_desc, inf, price)
-                excl = s.ft1c[U_pair] == V_pair
-                r_wo = np.where(excl, s.ft2[U_pair], s.ft1[U_pair])
-                r_e = np.where(excl, s.ft2e[U_pair], s.ft1e[U_pair])
-                cnt_d = csr.count_within(U_pair, D_pair)
-                cnt_r = csr.count_within(U_pair, r_wo)
-                ncar_d = etx_d + cnt_d * e_rx
-                ncar_r = np.where(r_wo > 0.0, r_e + cnt_r * e_rx, 0.0)
-                marg = np.where(D_pair <= r_wo, 0.0, ncar_d - ncar_r)
-                delta = np.where(vfl, marg, 0.0)
-                oc = price + delta
+            price = np.where(vfl & ~flags[U_pair], s.Pc[U_pair], s.Pd[U_pair])
+            price = np.where(in_desc, inf, price)
+            excl = s.ft1c[U_pair] == V_pair
+            r_wo = np.where(excl, s.ft2[U_pair], s.ft1[U_pair])
+            r_e = np.where(excl, s.ft2e[U_pair], s.ft1e[U_pair])
+            cnt_d = csr.count_within(U_pair, D_pair)
+            cnt_r = csr.count_within(U_pair, r_wo)
+            ncar_d = etx_d + cnt_d * e_rx
+            ncar_r = np.where(r_wo > 0.0, r_e + cnt_r * e_rx, 0.0)
+            marg = np.where(D_pair <= r_wo, 0.0, ncar_d - ncar_r)
+            delta = np.where(vfl, marg, 0.0)
+            oc = price + delta
 
         # Correction zones: a flagged attached evaluator's detachment is
         # visible to chain reads below the first ancestor that keeps its
@@ -1357,19 +1227,10 @@ class ArrayRoundEngine(RoundEngine):
         U_pair: np.ndarray,
         counts: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The sequential candidate fold of ``compute_update_local`` —
-        numba: one compiled row-major loop; numpy: one masked pass per
-        candidate slot in neighbor order."""
+        """The sequential candidate fold of ``compute_update_local``: one
+        masked pass per candidate slot in neighbor order."""
         t0 = time.perf_counter()
         try:
-            if kernels.use_numba():
-                return kernels.get("fold")(
-                    _excl_cumsum(counts), counts,
-                    np.ascontiguousarray(valid),
-                    np.ascontiguousarray(eff, dtype=np.float64),
-                    np.ascontiguousarray(oc, dtype=np.float64),
-                    inc_pair, hopU, D_pair, U_pair, COST_TOL,
-                )
             b_eff = np.zeros(n_rows, dtype=np.float64)
             b_oc = np.zeros(n_rows, dtype=np.float64)
             b_inc = np.zeros(n_rows, dtype=np.int64)

@@ -88,10 +88,6 @@ def engine_for(
     return executor
 
 
-#: backwards-compatible alias (pre-backend-split private name)
-_as_engine = engine_for
-
-
 @dataclass
 class LemmaReport:
     """Outcome of one lemma check."""

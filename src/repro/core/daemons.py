@@ -69,8 +69,8 @@ class Daemon(abc.ABC):
     #: from the step-start view, then applied together)
     parallel: bool = False
     #: parallel-step write policy: also apply updates that differ from the
-    #: current state only below the move tolerance (historic
-    #: ``SyncExecutor`` semantics; silent rewrites propagate but do not
+    #: current state only below the move tolerance (the semantics of
+    #: ``daemon="synchronous"``; silent rewrites propagate but do not
     #: count as moves)
     overwrite: bool = False
     #: True when the schedule reads the live view (the engine then drives

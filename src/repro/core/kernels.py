@@ -1,47 +1,20 @@
-"""Optional compiled kernels over the columnar engine state.
+"""Kernel fingerprint for benchmark results.
 
-The array engine's hot loops — per-row in-range counting, the sequential
-candidate fold, SS-SPST-E's fused pair pricing and the forest prefix
-scan — exist in two interchangeable implementations:
-
-* ``numpy`` (default) — the pure-numpy formulations in
-  :mod:`repro.core.array_engine`; no dependencies beyond numpy.
-* ``numba`` — JIT-compiled scalar loops over the same columnar arrays,
-  selected with ``REPRO_KERNEL=numba`` (or :func:`set_kernel`).  When
-  numba is not importable the selection *falls back* to numpy with a
-  warning, so the same command line works on machines without it.
-
-The contract is **bit-identical results**: every numba kernel mirrors
-its numpy counterpart operation for operation (same float64 expressions,
-same comparison semantics including NaN propagation and the
-``radius + 1e-12`` bisection key), so trajectories are identical under
-either value — pinned by the parity properties in
-``tests/test_kernels.py``.
-
-Kernels are compiled lazily on first use; selecting numba costs one JIT
-compilation per kernel on the first engine step that needs it.
+The array engine runs one implementation of its hot loops: the
+pure-numpy formulations in :mod:`repro.core.array_engine`.  This module
+only reports that fact, plus whether numba happens to be importable, so
+machine fingerprints recorded beside benchmark results keep their shape.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-#: recognized values of ``REPRO_KERNEL`` / :func:`set_kernel`
-KERNEL_NAMES = ("numpy", "numba")
-
-ENV_VAR = "REPRO_KERNEL"
-
-_active: Optional[str] = None
 _numba_ok: Optional[bool] = None
-_compiled: Dict[str, Callable] = {}
 
 
 def numba_available() -> bool:
-    """Whether the numba JIT layer is importable (cached)."""
+    """Whether numba is importable (cached)."""
     global _numba_ok
     if _numba_ok is None:
         try:
@@ -53,548 +26,6 @@ def numba_available() -> bool:
     return _numba_ok
 
 
-def _resolve(name: str) -> str:
-    if name not in KERNEL_NAMES:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}"
-        )
-    if name == "numba" and not numba_available():
-        warnings.warn(
-            "REPRO_KERNEL=numba requested but numba is not importable; "
-            "falling back to the pure-numpy kernels (results are identical, "
-            "only slower)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "numpy"
-    return name
-
-
 def active_kernel() -> str:
-    """The resolved kernel name (reads ``REPRO_KERNEL`` on first call)."""
-    global _active
-    if _active is None:
-        _active = _resolve(os.environ.get(ENV_VAR, "numpy") or "numpy")
-    return _active
-
-
-def set_kernel(name: str) -> str:
-    """Select a kernel programmatically; returns the *resolved* name
-    (``numpy`` when numba was requested but is unavailable)."""
-    global _active
-    _active = _resolve(name)
-    return _active
-
-
-def use_numba() -> bool:
-    return active_kernel() == "numba"
-
-
-def get(name: str) -> Callable:
-    """A kernel by name (``count_within`` / ``fold`` /
-    ``energy_pair_costs`` / ``forest_scan``).  Returns the compiled
-    numba kernel when numba is importable (compiling all on first use),
-    otherwise the same-signature numpy twin from :data:`NUMPY_TWINS` —
-    so ``get`` is callable on every machine and the two implementations
-    stay drop-in interchangeable."""
-    if name not in NUMPY_TWINS:
-        raise KeyError(
-            f"unknown kernel {name!r}; expected one of {sorted(NUMPY_TWINS)}"
-        )
-    if not numba_available():
-        return NUMPY_TWINS[name]
-    if not _compiled:
-        _build()
-    return _compiled[name]
-
-
-# ---------------------------------------------------------------------------
-# Numpy reference twins.
-#
-# One twin per njit kernel, with an *identical* parameter list and
-# bit-identical results (same float64 expressions, same NaN and
-# ``+ 1e-12`` bisection semantics).  They serve three roles: the
-# :func:`get` fallback when numba is absent, the oracle side of the
-# parity properties in ``tests/test_kernels.py``, and the statically
-# checkable half of the K4xx lint contract (every ``_compiled`` kernel
-# must appear in ``NUMPY_TWINS`` with a matching signature).
-# ---------------------------------------------------------------------------
-
-
-def numpy_count_within(
-    indptr: np.ndarray,
-    sdist: np.ndarray,
-    U: np.ndarray,
-    radius: np.ndarray,
-) -> np.ndarray:
-    out = np.empty(U.size, dtype=np.int64)
-    for i in range(U.size):
-        u = int(U[i])
-        lo = int(indptr[u])
-        hi = int(indptr[u + 1])
-        out[i] = np.searchsorted(sdist[lo:hi], radius[i] + 1e-12, side="right")
-    return out
-
-
-def numpy_fold(
-    starts: np.ndarray,
-    counts: np.ndarray,
-    valid: np.ndarray,
-    eff: np.ndarray,
-    oc: np.ndarray,
-    inc: np.ndarray,
-    hopU: np.ndarray,
-    D: np.ndarray,
-    U: np.ndarray,
-    tol: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n_rows = starts.size
-    has = np.zeros(n_rows, dtype=np.bool_)
-    b_id = np.zeros(n_rows, dtype=np.int64)
-    b_oc = np.zeros(n_rows, dtype=np.float64)
-    b_hop = np.zeros(n_rows, dtype=np.int64)
-    for r in range(n_rows):
-        h = False
-        beff = 0.0
-        boc = 0.0
-        binc = 0
-        bhop = 0
-        bd = 0.0
-        bid = 0
-        for j in range(int(starts[r]), int(starts[r]) + int(counts[r])):
-            if not valid[j]:
-                continue
-            ca = float(eff[j])
-            if not h:
-                take = True
-            else:
-                aa = abs(ca)
-                ab = abs(beff)
-                if aa != aa:
-                    m = aa
-                elif ab != ab:
-                    m = ab
-                elif aa > ab:
-                    m = aa
-                else:
-                    m = ab
-                band = tol * m
-                if ca < beff - band:
-                    take = True
-                elif ca > beff + band:
-                    take = False
-                else:
-                    ainc = int(inc[j])
-                    ahop = int(hopU[j])
-                    ad = float(D[j])
-                    au = int(U[j])
-                    take = (ainc < binc) or (
-                        ainc == binc
-                        and (
-                            ahop < bhop
-                            or (
-                                ahop == bhop
-                                and (ad < bd or (ad == bd and au < bid))
-                            )
-                        )
-                    )
-            if take:
-                h = True
-                beff = ca
-                boc = float(oc[j])
-                binc = int(inc[j])
-                bhop = int(hopU[j])
-                bd = float(D[j])
-                bid = int(U[j])
-        has[r] = h
-        b_id[r] = bid
-        b_oc[r] = boc
-        b_hop[r] = bhop
-    return has, b_id, b_oc, b_hop
-
-
-def numpy_energy_pair_costs(
-    V: np.ndarray,
-    U: np.ndarray,
-    D: np.ndarray,
-    etx_d: np.ndarray,
-    flags: np.ndarray,
-    tin: np.ndarray,
-    tout: np.ndarray,
-    Pd: np.ndarray,
-    Pc: np.ndarray,
-    ft1: np.ndarray,
-    ft1c: np.ndarray,
-    ft2: np.ndarray,
-    ft1e: np.ndarray,
-    ft2e: np.ndarray,
-    indptr: np.ndarray,
-    sdist: np.ndarray,
-    e_rx: float,
-    inf: float,
-) -> np.ndarray:
-    P = V.size
-    oc = np.empty(P, dtype=np.float64)
-    for i in range(P):
-        v = int(V[i])
-        u = int(U[i])
-        vfl = bool(flags[v])
-        if tin[v] <= tin[u] and tin[u] < tout[v]:
-            price = inf
-        elif vfl and not flags[u]:
-            price = float(Pc[u])
-        else:
-            price = float(Pd[u])
-        delta = 0.0
-        if vfl:
-            if ft1c[u] == v:
-                r_wo = float(ft2[u])
-                r_e = float(ft2e[u])
-            else:
-                r_wo = float(ft1[u])
-                r_e = float(ft1e[u])
-            d = float(D[i])
-            if not (d <= r_wo):
-                lo = int(indptr[u])
-                hi = int(indptr[u + 1])
-                cnt_d = np.searchsorted(sdist[lo:hi], d + 1e-12, side="right")
-                ncar_d = float(etx_d[i]) + cnt_d * e_rx
-                if r_wo > 0.0:
-                    cnt_r = np.searchsorted(
-                        sdist[lo:hi], r_wo + 1e-12, side="right"
-                    )
-                    ncar_r = r_e + cnt_r * e_rx
-                else:
-                    ncar_r = 0.0
-                delta = ncar_d - ncar_r
-        oc[i] = price + delta
-    return oc
-
-
-def numpy_forest_scan(
-    kptr: np.ndarray,
-    kcnt: np.ndarray,
-    kbuf: np.ndarray,
-    roots: np.ndarray,
-    src: int,
-    flags: np.ndarray,
-    ML: np.ndarray,
-    costa: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = kptr.size
-    Pd = np.zeros(n, dtype=np.float64)
-    Pc = np.zeros(n, dtype=np.float64)
-    tin = np.zeros(n, dtype=np.int64)
-    tout = np.zeros(n, dtype=np.int64)
-    stack = np.empty(n + 1, dtype=np.int64)
-    curs = np.empty(n + 1, dtype=np.int64)
-    t = 0
-    for ri in range(roots.size):
-        root = int(roots[ri])
-        base = 0.0 if root == src else float(costa[root])
-        Pd[root] = base
-        Pc[root] = base
-        top = 0
-        stack[0] = root
-        curs[0] = 0
-        tin[root] = t
-        t += 1
-        while top >= 0:
-            w = int(stack[top])
-            k = int(curs[top])
-            nxt = -1
-            while k < kcnt[w]:
-                c = int(kbuf[kptr[w] + k])
-                k += 1
-                if c != src:
-                    nxt = c
-                    break
-            curs[top] = k
-            if nxt >= 0:
-                Pd[nxt] = Pd[w]
-                if flags[w]:
-                    Pc[nxt] = Pd[w] + ML[nxt]
-                else:
-                    Pc[nxt] = Pc[w] + ML[nxt]
-                tin[nxt] = t
-                t += 1
-                top += 1
-                stack[top] = nxt
-                curs[top] = 0
-            else:
-                tout[w] = t
-                top -= 1
-    return Pd, Pc, tin, tout
-
-
-#: kernel-parity contract: compiled kernel name -> numpy reference twin
-#: (same parameter list; checked statically by lint rules K401/K402 and
-#: dynamically by ``tests/test_kernels.py``).
-NUMPY_TWINS: Dict[str, Callable] = {
-    "count_within": numpy_count_within,
-    "fold": numpy_fold,
-    "energy_pair_costs": numpy_energy_pair_costs,
-    "forest_scan": numpy_forest_scan,
-}
-
-
-def _build() -> None:
-    import numba
-
-    njit = numba.njit(cache=False, fastmath=False)
-
-    # Every kernel mirrors its numpy counterpart in array_engine.py
-    # expression for expression; see that module for the semantics.
-
-    @njit
-    def count_within(
-        indptr: np.ndarray,
-        sdist: np.ndarray,
-        U: np.ndarray,
-        radius: np.ndarray,
-    ) -> np.ndarray:
-        # EdgeCsr.count_within: per-row bisect_right over the
-        # distance-sorted slice, same ``radius + 1e-12`` key.
-        out = np.empty(U.size, dtype=np.int64)
-        for i in range(U.size):
-            u = U[i]
-            key = radius[i] + 1e-12
-            lo = indptr[u]
-            hi = indptr[u + 1]
-            base = lo
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if sdist[mid] <= key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out[i] = lo - base
-        return out
-
-    @njit
-    def fold(
-        starts: np.ndarray,
-        counts: np.ndarray,
-        valid: np.ndarray,
-        eff: np.ndarray,
-        oc: np.ndarray,
-        inc: np.ndarray,
-        hopU: np.ndarray,
-        D: np.ndarray,
-        U: np.ndarray,
-        tol: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # ArrayRoundEngine._fold: the sequential incumbent/hop/id
-        # tie-break of rules._better, one row at a time in slot order.
-        n_rows = starts.size
-        has = np.zeros(n_rows, dtype=np.bool_)
-        b_id = np.zeros(n_rows, dtype=np.int64)
-        b_oc = np.zeros(n_rows, dtype=np.float64)
-        b_hop = np.zeros(n_rows, dtype=np.int64)
-        for r in range(n_rows):
-            h = False
-            beff = 0.0
-            boc = 0.0
-            binc = np.int64(0)
-            bhop = np.int64(0)
-            bd = 0.0
-            bid = np.int64(0)
-            for j in range(starts[r], starts[r] + counts[r]):
-                if not valid[j]:
-                    continue
-                ca = eff[j]
-                if not h:
-                    take = True
-                else:
-                    # band = tol * np.maximum(|ca|, |cb|): NaN propagates
-                    aa = abs(ca)
-                    ab = abs(beff)
-                    if aa != aa:
-                        m = aa
-                    elif ab != ab:
-                        m = ab
-                    elif aa > ab:
-                        m = aa
-                    else:
-                        m = ab
-                    band = tol * m
-                    if ca < beff - band:
-                        take = True
-                    elif ca > beff + band:
-                        take = False
-                    else:
-                        ainc = inc[j]
-                        ahop = hopU[j]
-                        ad = D[j]
-                        au = U[j]
-                        take = (ainc < binc) or (
-                            ainc == binc
-                            and (
-                                ahop < bhop
-                                or (
-                                    ahop == bhop
-                                    and (
-                                        ad < bd
-                                        or (ad == bd and au < bid)
-                                    )
-                                )
-                            )
-                        )
-                if take:
-                    h = True
-                    beff = ca
-                    boc = oc[j]
-                    binc = inc[j]
-                    bhop = hopU[j]
-                    bd = D[j]
-                    bid = U[j]
-            has[r] = h
-            b_id[r] = bid
-            b_oc[r] = boc
-            b_hop[r] = bhop
-        return has, b_id, b_oc, b_hop
-
-    @njit
-    def energy_pair_costs(
-        V: np.ndarray,
-        U: np.ndarray,
-        D: np.ndarray,
-        etx_d: np.ndarray,
-        flags: np.ndarray,
-        tin: np.ndarray,
-        tout: np.ndarray,
-        Pd: np.ndarray,
-        Pc: np.ndarray,
-        ft1: np.ndarray,
-        ft1c: np.ndarray,
-        ft2: np.ndarray,
-        ft1e: np.ndarray,
-        ft2e: np.ndarray,
-        indptr: np.ndarray,
-        sdist: np.ndarray,
-        e_rx: float,
-        inf: float,
-    ) -> np.ndarray:
-        # ArrayRoundEngine._pair_costs, energy branch: fused price +
-        # marginal per candidate pair (before correction zones, which
-        # stay in the shared Python path).
-        P = V.size
-        oc = np.empty(P, dtype=np.float64)
-        for i in range(P):
-            v = V[i]
-            u = U[i]
-            vfl = flags[v]
-            if tin[v] <= tin[u] and tin[u] < tout[v]:
-                price = inf
-            elif vfl and not flags[u]:
-                price = Pc[u]
-            else:
-                price = Pd[u]
-            delta = 0.0
-            if vfl:
-                if ft1c[u] == v:
-                    r_wo = ft2[u]
-                    r_e = ft2e[u]
-                else:
-                    r_wo = ft1[u]
-                    r_e = ft1e[u]
-                d = D[i]
-                if not (d <= r_wo):
-                    key = d + 1e-12
-                    lo = indptr[u]
-                    hi = indptr[u + 1]
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if sdist[mid] <= key:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    cnt_d = lo - indptr[u]
-                    ncar_d = etx_d[i] + cnt_d * e_rx
-                    if r_wo > 0.0:
-                        key = r_wo + 1e-12
-                        lo = indptr[u]
-                        hi = indptr[u + 1]
-                        while lo < hi:
-                            mid = (lo + hi) >> 1
-                            if sdist[mid] <= key:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        cnt_r = lo - indptr[u]
-                        ncar_r = r_e + cnt_r * e_rx
-                    else:
-                        ncar_r = 0.0
-                    delta = ncar_d - ncar_r
-            oc[i] = price + delta
-        return oc
-
-    @njit
-    def forest_scan(
-        kptr: np.ndarray,
-        kcnt: np.ndarray,
-        kbuf: np.ndarray,
-        roots: np.ndarray,
-        src: int,
-        flags: np.ndarray,
-        ML: np.ndarray,
-        costa: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # ArrayRoundEngine's chain-price prefix scan + Euler intervals,
-        # as one iterative DFS over the child CSR (source cut applied by
-        # skipping the source as a child).  The interval *numbering*
-        # differs from the numpy level sweep — only interval membership
-        # is ever observed, and any consistent DFS numbering yields the
-        # same verdicts; the Pd/Pc float expressions are identical.
-        n = kptr.size
-        Pd = np.zeros(n, dtype=np.float64)
-        Pc = np.zeros(n, dtype=np.float64)
-        tin = np.zeros(n, dtype=np.int64)
-        tout = np.zeros(n, dtype=np.int64)
-        stack = np.empty(n + 1, dtype=np.int64)
-        curs = np.empty(n + 1, dtype=np.int64)
-        t = np.int64(0)
-        for ri in range(roots.size):
-            root = roots[ri]
-            if root == src:
-                base = 0.0
-            else:
-                base = costa[root]
-            Pd[root] = base
-            Pc[root] = base
-            top = 0
-            stack[0] = root
-            curs[0] = 0
-            tin[root] = t
-            t += 1
-            while top >= 0:
-                w = stack[top]
-                k = curs[top]
-                nxt = np.int64(-1)
-                while k < kcnt[w]:
-                    c = kbuf[kptr[w] + k]
-                    k += 1
-                    if c != src:
-                        nxt = c
-                        break
-                curs[top] = k
-                if nxt >= 0:
-                    Pd[nxt] = Pd[w]
-                    if flags[w]:
-                        Pc[nxt] = Pd[w] + ML[nxt]
-                    else:
-                        Pc[nxt] = Pc[w] + ML[nxt]
-                    tin[nxt] = t
-                    t += 1
-                    top += 1
-                    stack[top] = nxt
-                    curs[top] = 0
-                else:
-                    tout[w] = t
-                    top -= 1
-        return Pd, Pc, tin, tout
-
-    _compiled["count_within"] = count_within
-    _compiled["fold"] = fold
-    _compiled["energy_pair_costs"] = energy_pair_costs
-    _compiled["forest_scan"] = forest_scan
+    """The kernel the array engine runs: always ``"numpy"``."""
+    return "numpy"

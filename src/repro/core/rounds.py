@@ -27,13 +27,6 @@ For every daemon the two modes produce **bit-identical trajectories**
 (states, rounds, cost history, moves): a node outside the dirty set
 recomputes exactly the state it already holds, so skipping it cannot
 alter any round's outcome.
-
-The pre-decomposition executor names (``SyncExecutor``,
-``CentralDaemonExecutor``, ``RandomizedDaemonExecutor``,
-``IncrementalSyncExecutor``, ``IncrementalCentralDaemonExecutor``)
-remain importable as thin shims over ``RoundEngine`` so existing callers
-keep working; new code should say
-``RoundEngine(topo, metric, daemon="central", incremental=True)``.
 """
 
 from __future__ import annotations
@@ -517,47 +510,3 @@ class RoundEngine:
             out |= nxt
             frontier = nxt
         return out
-
-
-#: backwards-compatible alias (pre-decomposition private base class name)
-_ExecutorBase = RoundEngine
-
-
-# ----------------------------------------------------------------------
-# Deprecated executor shims
-# ----------------------------------------------------------------------
-class SyncExecutor(RoundEngine):
-    """Deprecated: ``RoundEngine(topo, metric, daemon="synchronous")``."""
-
-    def __init__(self, topo: Topology, metric: CostMetric) -> None:
-        super().__init__(topo, metric, daemon="synchronous")
-
-
-class CentralDaemonExecutor(RoundEngine):
-    """Deprecated: ``RoundEngine(topo, metric, daemon="central")``."""
-
-    def __init__(self, topo: Topology, metric: CostMetric) -> None:
-        super().__init__(topo, metric, daemon="central")
-
-
-class RandomizedDaemonExecutor(RoundEngine):
-    """Deprecated: ``RoundEngine(topo, metric, daemon="randomized", rng=rng)``."""
-
-    def __init__(
-        self, topo: Topology, metric: CostMetric, rng: np.random.Generator
-    ) -> None:
-        super().__init__(topo, metric, daemon="randomized", rng=rng)
-
-
-class IncrementalSyncExecutor(RoundEngine):
-    """Deprecated: ``RoundEngine(..., daemon="synchronous", incremental=True)``."""
-
-    def __init__(self, topo: Topology, metric: CostMetric) -> None:
-        super().__init__(topo, metric, daemon="synchronous", incremental=True)
-
-
-class IncrementalCentralDaemonExecutor(RoundEngine):
-    """Deprecated: ``RoundEngine(..., daemon="central", incremental=True)``."""
-
-    def __init__(self, topo: Topology, metric: CostMetric) -> None:
-        super().__init__(topo, metric, daemon="central", incremental=True)

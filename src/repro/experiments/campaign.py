@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.backends import (
-    DesBackend,
     backend_by_name,
     default_metrics,
     metric_extractor,
@@ -98,12 +97,6 @@ from repro.experiments.aggregation import (
     StreamingAggregate,
     campaign_status,
 )
-
-#: RunResult diagnostics persisted alongside the summary
-#: (kept as a module name for backwards compatibility; the DES backend
-#: owns the authoritative list)
-_DIAGNOSTIC_FIELDS = DesBackend.DIAGNOSTIC_FIELDS
-
 
 # ----------------------------------------------------------------------
 # Campaign spec
@@ -294,26 +287,6 @@ def cell_label(point_items: Iterable[Tuple[str, object]]) -> str:
     """Human-readable grid-point label (``k=v,...`` or ``-``), shared by
     the aggregate table and the JSON campaign record."""
     return ",".join(f"{k}={v}" for k, v in point_items) or "-"
-
-
-def _summary_extractor(name: str) -> Callable[[RunResult], float]:
-    """Deprecated: DES-only metric pull by name.
-
-    A thin alias over the ``des`` backend's typed
-    :class:`~repro.experiments.backends.MetricSpec` registry — the one
-    source of truth for metric extraction.  Use
-    ``metric_extractor(name, spec.backends())`` or
-    ``CampaignResult.extractor(name)``, which dispatch per backend (see
-    the README migration note).
-    """
-    specs = backend_by_name("des").metrics()
-    if name not in specs:
-        raise ValueError(
-            f"unknown summary metric {name!r}: not in the 'des' backend's "
-            f"MetricSpec registry; choose from {sorted(specs)}"
-        )
-    spec = specs[name]
-    return lambda r: float(spec.extract(r))
 
 
 def _resolve_store(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core import SyncExecutor, fresh_states, metric_by_name
+from repro.core import RoundEngine, fresh_states, metric_by_name
 from repro.core.examples import EXAMPLE_RADIO, figure1_topology, figure5_topology
 from repro.core.metrics import METRIC_NAMES, PROTOCOL_LABELS, EnergyAwareMetric
 from repro.graph import exhaustive_min_energy_tree
@@ -39,7 +39,9 @@ def run_figure1_examples() -> Dict[str, ExampleOutcome]:
     out: Dict[str, ExampleOutcome] = {}
     for name in METRIC_NAMES:
         metric = metric_by_name(name, EXAMPLE_RADIO)
-        res = SyncExecutor(topo, metric).run(fresh_states(topo, metric))
+        res = RoundEngine(topo, metric, daemon="synchronous").run(
+            fresh_states(topo, metric)
+        )
         tree = res.tree(topo)
         out[name] = ExampleOutcome(
             metric=name,
@@ -60,7 +62,9 @@ def run_figure5_example() -> Dict[str, Optional[int]]:
     parents: Dict[str, Optional[int]] = {}
     for name in METRIC_NAMES:
         metric = metric_by_name(name, EXAMPLE_RADIO)
-        res = SyncExecutor(topo, metric).run(fresh_states(topo, metric))
+        res = RoundEngine(topo, metric, daemon="synchronous").run(
+            fresh_states(topo, metric)
+        )
         parents[name] = res.states[3].parent
     return parents
 
@@ -73,7 +77,9 @@ def optimality_gap() -> Dict[str, float]:
     """
     topo = figure1_topology()
     metric = EnergyAwareMetric(EXAMPLE_RADIO)
-    res = SyncExecutor(topo, metric).run(fresh_states(topo, metric))
+    res = RoundEngine(topo, metric, daemon="synchronous").run(
+        fresh_states(topo, metric)
+    )
     tree_cost = metric.tree_cost(topo, res.tree(topo))
     _, best_cost = exhaustive_min_energy_tree(topo, metric)
     return {

@@ -1,6 +1,6 @@
 """Contract-aware static analysis for the reproduction (``repro.lint``).
 
-Four repo-specific rule families keep the guarantees of PRs 4-8 from
+Three repo-specific rule families keep the guarantees of PRs 4-8 from
 regressing as the codebase grows (see ``docs/static_analysis.md`` for
 the full catalogue and suppression syntax):
 
@@ -12,10 +12,7 @@ the full catalogue and suppression syntax):
   hash contract;
 * **registry consistency** (``R3xx``, :mod:`repro.lint.registries`) —
   every registered daemon/metric/model/backend/engine name documented,
-  tested and CLI-reachable;
-* **kernel parity** (``K4xx``, :mod:`repro.lint.kernel_parity`) — every
-  ``@njit`` kernel mirrored by a same-signature numpy twin with a
-  parity test.
+  tested and CLI-reachable.
 
 Run it with ``python -m repro.lint src/repro`` (see
 :mod:`repro.lint.cli`).  The linter is pure stdlib and never imports

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.lint.base import Baseline, Finding, Project, rule_enabled
 from repro.lint.determinism import check_determinism
 from repro.lint.hashes import check_hash_participation
-from repro.lint.kernel_parity import check_kernel_parity
 from repro.lint.registries import check_registries
 
 __all__ = ["run_lint", "main"]
@@ -37,7 +36,6 @@ CHECKERS = (
     ("determinism", check_determinism),
     ("hash-participation", check_hash_participation),
     ("registry", check_registries),
-    ("kernel-parity", check_kernel_parity),
 )
 
 
@@ -87,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.lint",
         description=(
             "Contract-aware static analysis: determinism, "
-            "hash-participation, registry and kernel-parity checkers."
+            "hash-participation and registry checkers."
         ),
     )
     parser.add_argument(

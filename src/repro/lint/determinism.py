@@ -21,9 +21,9 @@ ambient state leaks in:
     explicitly seeded generator) are allowed in the core.
 
 ``D103`` environment reads
-    ``os.environ`` / ``os.getenv`` outside the sanctioned shims
-    (``core/kernels.py`` — the kernel selector; the experiments layer is
-    outside the core scope altogether).  An env-dependent branch in the
+    ``os.environ`` / ``os.getenv`` outside the files listed in
+    :data:`ENV_SHIM_FILES` (the experiments layer is outside the core
+    scope altogether).  An env-dependent branch in the
     core silently forks trajectories between machines.
 
 ``D104`` order-sensitive iteration over sets
@@ -54,8 +54,8 @@ __all__ = ["check_determinism", "CORE_PACKAGES", "ENV_SHIM_FILES"]
 #: package-root-relative directories making up the deterministic core
 CORE_PACKAGES = ("core", "graph", "protocols", "sim", "energy", "net")
 
-#: package-root-relative files allowed to read the environment (the
-#: kernel selector shim; everything under experiments/ is out of scope)
+#: package-root-relative files allowed to read the environment
+#: (everything under experiments/ is out of scope)
 ENV_SHIM_FILES = ("core/kernels.py",)
 
 #: normalized dotted callables that read the wall clock

@@ -1,3 +1,3 @@
-# Fixture "tests" corpus: deliberately references no registry or
-# kernel names, so R303 and K402 fire.
+# Fixture "tests" corpus: deliberately references no registry names,
+# so R303 fires.
 NOTHING = ()

@@ -1,25 +1,4 @@
 import os
 
-import numpy as np
-
-_compiled = {}
-
 ENV_VAR = "FIXTURE_KERNEL"  # env reads are sanctioned in core/kernels.py
 _selected = os.environ.get(ENV_VAR, "numpy")
-
-
-def numpy_widget(values, scale):
-    return values * scale
-
-
-NUMPY_TWINS = {"widget": numpy_widget}
-
-
-def _build():
-    def widget(values, scale):
-        out = np.empty_like(values)
-        for i in range(values.size):
-            out[i] = values[i] * scale
-        return out
-
-    _compiled["widget"] = widget

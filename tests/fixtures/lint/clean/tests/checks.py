@@ -1,5 +1,4 @@
 # Fixture "tests" corpus (data, not collected by pytest): quoted
-# registry and kernel names satisfy rules R303 and K402.
+# registry names satisfy rule R303.
 
 REGISTRY_REFS = ("alpha-router",)
-KERNEL_REFS = ("widget",)

@@ -55,15 +55,15 @@ def random_connected_topology(seed, n_min=5, n_max=12):
     pytest.skip("could not sample a connected topology")
 
 
-def pair(topo, metric, daemon, incremental, seed=9):
+def pair(topo, metric, daemon, incremental, seed=9, **daemon_options):
     """Matched (object, array) engines with identical daemon rng streams."""
     obj = RoundEngine(
         topo, metric, daemon=daemon, incremental=incremental,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(seed), **daemon_options,
     )
     arr = ArrayRoundEngine(
         topo, metric, daemon=daemon, incremental=incremental,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(seed), **daemon_options,
     )
     return obj, arr
 
@@ -137,29 +137,21 @@ def test_array_engine_bit_identical_warm_start(daemon, metric_name, seed):
     )
 
 
-@settings(**SETTINGS)
-@given(seed=st.integers(0, 100_000), metric_name=st.sampled_from(METRIC_NAMES))
-@pytest.mark.parametrize("daemon", ["synchronous", "distributed", "central"])
-def test_legacy_apply_path_bit_identical(daemon, metric_name, seed):
-    """The preserved PR-6 apply path (per-move commits + from-scratch
-    snapshots, ``legacy_apply=True``) replays the same trajectories as
-    the batched/incremental default — it exists as the bench baseline
-    and must stay a pure performance fork."""
-    topo = random_connected_topology(seed)
+@pytest.mark.parametrize("metric_name", METRIC_NAMES)
+def test_array_engine_bit_identical_at_moderate_scale(metric_name):
+    """A few hundred nodes under a wide distributed daemon: large enough
+    for the batched commits and incremental snapshot patching to engage
+    (the small random topologies above mostly rebuild snapshots in
+    full), still checked against the object engine."""
+    sp = SparseTopology.random_geometric(400, side=600.0, radius=80.0, seed=2)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
-    init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
-    new = ArrayRoundEngine(
-        topo, m, daemon=daemon, incremental=True,
-        rng=np.random.default_rng(9),
-    )
-    old = ArrayRoundEngine(
-        topo, m, daemon=daemon, incremental=True,
-        rng=np.random.default_rng(9), legacy_apply=True,
-    )
+    obj, arr = pair(sp, m, "distributed", True, seed=4, k=40)
     assert_same_trajectory(
-        new.run(list(init), max_rounds=MAX_ROUNDS),
-        old.run(list(init), max_rounds=MAX_ROUNDS),
+        obj.run(fresh_states(sp, m), max_rounds=400),
+        arr.run(fresh_states(sp, m), max_rounds=400),
     )
+    if metric_name in ("farthest", "energy"):
+        assert arr.profile["snapshots_incremental"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +192,56 @@ class TestColumnarView:
         got = csr.count_within(U, radii)
         want = [topo.count_within(int(u), float(r)) for u, r in zip(U, radii)]
         assert got.tolist() == want
+
+
+# ----------------------------------------------------------------------
+# Scalar fallback: the energy batch gate
+# ----------------------------------------------------------------------
+class TestScalarFallback:
+    """SS-SPST-E's batched evaluator refuses states its snapshot cannot
+    price (parent cycles anywhere, a rooted source) and falls back to
+    the scalar per-node path; the fallback must engage *and* stay
+    bit-identical to the object engine."""
+
+    def _run_pair(self, topo, m, init):
+        obj = RoundEngine(
+            topo, m, daemon="central", incremental=True,
+            rng=np.random.default_rng(9),
+        ).run(list(init), max_rounds=MAX_ROUNDS)
+        arr_eng = ArrayRoundEngine(
+            topo, m, daemon="central", incremental=True,
+            rng=np.random.default_rng(9),
+        )
+        arr = arr_eng.run(list(init), max_rounds=MAX_ROUNDS)
+        assert_same_trajectory(obj, arr)
+        return arr_eng
+
+    def test_parent_cycle_start(self):
+        topo = random_connected_topology(31, n_min=8, n_max=12)
+        m = metric_by_name("energy", EXAMPLE_RADIO)
+        init = list(fresh_states(topo, m))
+        # a 2-cycle between two adjacent non-source nodes
+        v = next(
+            u for u in range(topo.n)
+            if u != topo.source
+            and any(w != topo.source for w in topo.neighbors(u))
+        )
+        w = next(u for u in topo.neighbors(v) if u != topo.source)
+        init[v] = NodeState(parent=w, cost=1.0, hop=1)
+        init[w] = NodeState(parent=v, cost=1.0, hop=1)
+        eng = self._run_pair(topo, m, init)
+        assert eng.profile["scalar_steps"] > 0
+
+    def test_rooted_source_start(self):
+        topo = random_connected_topology(32, n_min=8, n_max=12)
+        m = metric_by_name("energy", EXAMPLE_RADIO)
+        init = list(fresh_states(topo, m))
+        src = topo.source
+        init[src] = NodeState(
+            parent=topo.neighbors(src)[0], cost=2.5, hop=3
+        )
+        eng = self._run_pair(topo, m, init)
+        assert eng.profile["scalar_steps"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ their qualitative claims rather than an edge-for-edge match.
 import pytest
 
 from repro.core import (
-    SyncExecutor,
+    RoundEngine,
     fresh_states,
     is_legitimate,
     metric_by_name,
@@ -36,7 +36,7 @@ def results(topo):
     out = {}
     for name in METRIC_NAMES:
         m = metric_by_name(name, EXAMPLE_RADIO)
-        res = SyncExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="synchronous").run(fresh_states(topo, m))
         out[name] = (m, res)
     return out
 
@@ -147,7 +147,9 @@ class TestFigure5:
         parents = {}
         for name in METRIC_NAMES:
             m = metric_by_name(name, EXAMPLE_RADIO)
-            res = SyncExecutor(topo5, m).run(fresh_states(topo5, m))
+            res = RoundEngine(topo5, m, daemon="synchronous").run(
+                fresh_states(topo5, m)
+            )
             assert res.converged
             parents[name] = res.states[3].parent
         # X (node 3) equidistant from 1 and 2; only E sees the three
@@ -160,6 +162,6 @@ class TestFigure5:
     def test_non_group_nodes_attach_somewhere(self):
         topo5 = figure5_topology()
         m = metric_by_name("energy", EXAMPLE_RADIO)
-        res = SyncExecutor(topo5, m).run(fresh_states(topo5, m))
+        res = RoundEngine(topo5, m, daemon="synchronous").run(fresh_states(topo5, m))
         tree = res.tree(topo5)
         assert tree.spans_all()  # NG nodes join the spanning tree too

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CentralDaemonExecutor,
+    RoundEngine,
     fresh_states,
     is_legitimate,
     metric_by_name,
@@ -20,7 +20,7 @@ def topo():
 
 def hop_executor_factory(topo):
     m = metric_by_name("hop", EXAMPLE_RADIO)
-    return CentralDaemonExecutor(topo, m)
+    return RoundEngine(topo, m, daemon="central")
 
 
 class TestEdgeFault:
@@ -86,7 +86,7 @@ class TestRunWithFaults:
         m = metric_by_name("tx", EXAMPLE_RADIO)
 
         def factory(t):
-            return CentralDaemonExecutor(t, m)
+            return RoundEngine(t, m, daemon="central")
 
         result = run_with_faults(
             topo,

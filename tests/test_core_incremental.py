@@ -15,12 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    CentralDaemonExecutor,
     GlobalView,
-    IncrementalCentralDaemonExecutor,
-    IncrementalSyncExecutor,
     NodeState,
-    SyncExecutor,
+    RoundEngine,
     arbitrary_states,
     derive_children,
     derive_flags,
@@ -63,10 +60,8 @@ def assert_same_trajectory(a, b):
     assert a.moves == b.moves
 
 
-PAIRS = (
-    (SyncExecutor, IncrementalSyncExecutor),
-    (CentralDaemonExecutor, IncrementalCentralDaemonExecutor),
-)
+#: daemons whose full and incremental engines are compared
+DAEMONS = ("synchronous", "central")
 
 
 @settings(**SETTINGS)
@@ -77,9 +72,13 @@ def test_incremental_matches_baseline_from_arbitrary_state(metric_name, seed):
     topo = random_connected_topology(seed)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
-    for base_cls, inc_cls in PAIRS:
-        base = base_cls(topo, m).run(list(init), max_rounds=MAX_ROUNDS)
-        inc = inc_cls(topo, m).run(list(init), max_rounds=MAX_ROUNDS)
+    for daemon in DAEMONS:
+        base = RoundEngine(topo, m, daemon=daemon).run(
+            list(init), max_rounds=MAX_ROUNDS
+        )
+        inc = RoundEngine(topo, m, daemon=daemon, incremental=True).run(
+            list(init), max_rounds=MAX_ROUNDS
+        )
         assert_same_trajectory(base, inc)
 
 
@@ -91,9 +90,13 @@ def test_incremental_matches_baseline_from_fresh_state(metric_name, seed):
     topo = random_connected_topology(seed)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = fresh_states(topo, m)
-    for base_cls, inc_cls in PAIRS:
-        base = base_cls(topo, m).run(list(init), max_rounds=MAX_ROUNDS)
-        inc = inc_cls(topo, m).run(list(init), max_rounds=MAX_ROUNDS)
+    for daemon in DAEMONS:
+        base = RoundEngine(topo, m, daemon=daemon).run(
+            list(init), max_rounds=MAX_ROUNDS
+        )
+        inc = RoundEngine(topo, m, daemon=daemon, incremental=True).run(
+            list(init), max_rounds=MAX_ROUNDS
+        )
         assert_same_trajectory(base, inc)
         if base.converged:
             assert is_legitimate(topo, m, inc.states)
@@ -255,7 +258,9 @@ class TestApplyHardening:
     def test_externally_mutated_parent_raises_clear_error(self):
         topo = random_connected_topology(11)
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = IncrementalCentralDaemonExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="central", incremental=True).run(
+            fresh_states(topo, m)
+        )
         view = GlobalView(topo, res.states)
         v = next(
             u for u in range(topo.n) if view.states[u].parent is not None
@@ -271,7 +276,9 @@ class TestApplyHardening:
     def test_consistent_apply_still_works(self):
         topo = random_connected_topology(11)
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = IncrementalCentralDaemonExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="central", incremental=True).run(
+            fresh_states(topo, m)
+        )
         view = GlobalView(topo, res.states)
         v = next(u for u in range(topo.n) if view.states[u].parent is not None)
         ns = NodeState(parent=view.states[v].parent, cost=5.0, hop=3)
@@ -289,12 +296,12 @@ def test_run_perturbed_matches_baseline(metric_name, seed):
     Only the central-daemon pair is checked: the settled vector is a
     *tolerance* fixpoint of the central daemon, which is exactly the
     fixpoint notion the central daemon itself uses (it never writes
-    approx-equal states), but SyncExecutor silently rewrites every node
-    every round, so sub-tolerance float drift on clean nodes could make
-    an exact-equality comparison flake for the sync pair."""
+    approx-equal states), but the synchronous daemon silently rewrites
+    every node every round, so sub-tolerance float drift on clean nodes
+    could make an exact-equality comparison flake for the sync pair."""
     topo = random_connected_topology(seed)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
-    settled = IncrementalCentralDaemonExecutor(topo, m).run(
+    settled = RoundEngine(topo, m, daemon="central", incremental=True).run(
         fresh_states(topo, m), max_rounds=MAX_ROUNDS
     )
     if not settled.converged:  # F/E fixed-order limit cycles: not in scope
@@ -318,8 +325,10 @@ def test_run_perturbed_matches_baseline(metric_name, seed):
             continue
         perturbed[v] = ns
         applied.append((v, ns))
-    base = CentralDaemonExecutor(topo, m).run(list(perturbed), max_rounds=MAX_ROUNDS)
-    inc = IncrementalCentralDaemonExecutor(topo, m).run_perturbed(
+    base = RoundEngine(topo, m, daemon="central").run(
+        list(perturbed), max_rounds=MAX_ROUNDS
+    )
+    inc = RoundEngine(topo, m, daemon="central", incremental=True).run_perturbed(
         list(settled.states), applied, max_rounds=MAX_ROUNDS
     )
     assert_same_trajectory(base, inc)
@@ -344,9 +353,11 @@ class TestPlantedCycle:
         states[3] = NodeState(4, 3.0, 3)
         states[4] = NodeState(5, 3.0, 3)
         states[5] = NodeState(3, 3.0, 3)
-        for base_cls, inc_cls in PAIRS:
-            base = base_cls(topo, m).run(list(states))
-            inc = inc_cls(topo, m).run(list(states))
+        for daemon in DAEMONS:
+            base = RoundEngine(topo, m, daemon=daemon).run(list(states))
+            inc = RoundEngine(topo, m, daemon=daemon, incremental=True).run(
+                list(states)
+            )
             assert base.converged
             assert_same_trajectory(base, inc)
 
@@ -361,9 +372,13 @@ class TestDirtySetActuallyShrinks:
         # fixed-order daemons — a documented instability, not a target).
         topo = random_connected_topology(3)
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = IncrementalCentralDaemonExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="central", incremental=True).run(
+            fresh_states(topo, m)
+        )
         assert res.converged
-        again = IncrementalSyncExecutor(topo, m).run(list(res.states))
+        again = RoundEngine(topo, m, daemon="synchronous", incremental=True).run(
+            list(res.states)
+        )
         assert again.converged and again.rounds == 0 and again.moves == 0
 
     def test_local_fault_stays_local_for_local_metrics(self):
@@ -371,14 +386,16 @@ class TestDirtySetActuallyShrinks:
         edges = {(i, i + 1): 100.0 for i in range(n - 1)}
         topo = Topology.from_edges(n, edges, source=0, members=range(n))
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = IncrementalSyncExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="synchronous", incremental=True).run(
+            fresh_states(topo, m)
+        )
         assert res.converged
         # Perturb one mid-line node; recovery must be 1 round / 1 move,
         # i.e. the executor did not treat the whole line as dirty.
         states = list(res.states)
         states[15] = NodeState(parent=16, cost=states[15].cost, hop=states[15].hop)
-        rec = IncrementalSyncExecutor(topo, m).run(states)
+        rec = RoundEngine(topo, m, daemon="synchronous", incremental=True).run(states)
         assert rec.converged
         assert rec.states == res.states
-        baseline = SyncExecutor(topo, m).run(list(states))
+        baseline = RoundEngine(topo, m, daemon="synchronous").run(list(states))
         assert_same_trajectory(baseline, rec)

@@ -12,9 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    CentralDaemonExecutor,
-    RandomizedDaemonExecutor,
-    SyncExecutor,
+    RoundEngine,
     arbitrary_states,
     check_loop_freedom,
     extract_tree,
@@ -52,8 +50,8 @@ def test_hop_converges_from_arbitrary_state(seed):
     topo = random_connected_topology(seed)
     m = metric_by_name("hop", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
-    for ex in (SyncExecutor(topo, m), CentralDaemonExecutor(topo, m)):
-        res = ex.run(list(init))
+    for daemon in ("synchronous", "central"):
+        res = RoundEngine(topo, m, daemon=daemon).run(list(init))
         assert res.converged
         assert is_legitimate(topo, m, res.states)
         tree = extract_tree(topo, res.states)
@@ -66,7 +64,7 @@ def test_tx_converges_from_arbitrary_state(seed):
     topo = random_connected_topology(seed)
     m = metric_by_name("tx", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 2))
-    res = CentralDaemonExecutor(topo, m).run(init)
+    res = RoundEngine(topo, m, daemon="central").run(init)
     assert res.converged
     assert is_legitimate(topo, m, res.states)
 
@@ -80,9 +78,9 @@ def test_energy_converges_under_randomized_daemon(seed):
     topo = random_connected_topology(seed)
     m = metric_by_name("energy", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 3))
-    res = RandomizedDaemonExecutor(topo, m, np.random.default_rng(seed + 4)).run(
-        init, max_rounds=300
-    )
+    res = RoundEngine(
+        topo, m, daemon="randomized", rng=np.random.default_rng(seed + 4)
+    ).run(init, max_rounds=300)
     assert res.converged
     assert is_legitimate(topo, m, res.states)
     tree = extract_tree(topo, res.states)
@@ -96,9 +94,9 @@ def test_loop_freedom_at_fixpoint(seed):
     topo = random_connected_topology(seed)
     for name in ("hop", "tx", "energy"):
         m = metric_by_name(name, EXAMPLE_RADIO)
-        res = RandomizedDaemonExecutor(topo, m, np.random.default_rng(seed)).run(
-            fresh_states(topo, m), max_rounds=300
-        )
+        res = RoundEngine(
+            topo, m, daemon="randomized", rng=np.random.default_rng(seed)
+        ).run(fresh_states(topo, m), max_rounds=300)
         if not res.converged:  # F-style oscillation is documented behaviour
             continue
         report = check_loop_freedom(topo, res.states)
@@ -111,12 +109,12 @@ def test_closure_at_fixpoint(seed):
     """Lemma 2: legitimate states are fixpoints of further rounds."""
     topo = random_connected_topology(seed)
     m = metric_by_name("energy", EXAMPLE_RADIO)
-    res = RandomizedDaemonExecutor(topo, m, np.random.default_rng(seed)).run(
-        fresh_states(topo, m), max_rounds=300
-    )
+    res = RoundEngine(
+        topo, m, daemon="randomized", rng=np.random.default_rng(seed)
+    ).run(fresh_states(topo, m), max_rounds=300)
     if not res.converged:
         return
-    again = CentralDaemonExecutor(topo, m).run(list(res.states), max_rounds=5)
+    again = RoundEngine(topo, m, daemon="central").run(list(res.states), max_rounds=5)
     assert again.rounds == 0
 
 
@@ -126,7 +124,7 @@ def test_hop_tree_is_bfs_optimal(seed):
     """The hop fixpoint gives every node its BFS-minimal depth."""
     topo = random_connected_topology(seed)
     m = metric_by_name("hop", EXAMPLE_RADIO)
-    res = CentralDaemonExecutor(topo, m).run(fresh_states(topo, m))
+    res = RoundEngine(topo, m, daemon="central").run(fresh_states(topo, m))
     assert res.converged
     bfs = topo.bfs_hops()
     for v, s in enumerate(res.states):
@@ -141,7 +139,7 @@ def test_fault_recovery_after_edge_removal(seed):
     legitimate state of the *new* topology (the MANET adaptation story)."""
     topo = random_connected_topology(seed)
     m = metric_by_name("hop", EXAMPLE_RADIO)
-    res = CentralDaemonExecutor(topo, m).run(fresh_states(topo, m))
+    res = RoundEngine(topo, m, daemon="central").run(fresh_states(topo, m))
     assert res.converged
     tree = res.tree(topo)
     edges = tree.edges()
@@ -156,7 +154,7 @@ def test_fault_recovery_after_edge_removal(seed):
     carried = list(res.states)
     if carried[v].parent == p:
         pass  # the broken parent pointer is exactly the planted fault
-    res2 = CentralDaemonExecutor(topo2, m).run(carried)
+    res2 = RoundEngine(topo2, m, daemon="central").run(carried)
     assert res2.converged
     assert is_legitimate(topo2, m, res2.states)
 
@@ -180,11 +178,11 @@ def test_metric_scale_invariance(seed, scale):
     )
     m1 = metric_by_name("energy", r1)
     m2 = metric_by_name("energy", r2)
-    res1 = RandomizedDaemonExecutor(topo, m1, np.random.default_rng(seed)).run(
-        fresh_states(topo, m1), max_rounds=300
-    )
-    res2 = RandomizedDaemonExecutor(topo, m2, np.random.default_rng(seed)).run(
-        fresh_states(topo, m2), max_rounds=300
-    )
+    res1 = RoundEngine(
+        topo, m1, daemon="randomized", rng=np.random.default_rng(seed)
+    ).run(fresh_states(topo, m1), max_rounds=300)
+    res2 = RoundEngine(
+        topo, m2, daemon="randomized", rng=np.random.default_rng(seed)
+    ).run(fresh_states(topo, m2), max_rounds=300)
     if res1.converged and res2.converged:
         assert [s.parent for s in res1.states] == [s.parent for s in res2.states]

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CentralDaemonExecutor,
     GlobalView,
     NodeState,
-    RandomizedDaemonExecutor,
-    SyncExecutor,
+    RoundEngine,
     arbitrary_states,
     check_closure,
     check_convergence,
@@ -87,10 +85,10 @@ class TestRule:
 
 class TestExecutors:
     @pytest.mark.parametrize("name", ["hop", "tx"])
-    @pytest.mark.parametrize("executor_cls", [SyncExecutor, CentralDaemonExecutor])
-    def test_convergence_fresh(self, topo, name, executor_cls):
+    @pytest.mark.parametrize("daemon", ["synchronous", "central"])
+    def test_convergence_fresh(self, topo, name, daemon):
         m = metric_by_name(name, EXAMPLE_RADIO)
-        res = executor_cls(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon=daemon).run(fresh_states(topo, m))
         assert res.converged
         assert is_legitimate(topo, m, res.states)
         assert res.tree(topo).spans_all()
@@ -102,19 +100,19 @@ class TestExecutors:
         for n in (3, 5, 8):
             t = line(n)
             m = metric_by_name("hop", EXAMPLE_RADIO)
-            res = SyncExecutor(t, m).run(fresh_states(t, m))
+            res = RoundEngine(t, m, daemon="synchronous").run(fresh_states(t, m))
             assert res.converged
             assert res.rounds == n - 1
 
     def test_moves_counted(self, topo):
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = SyncExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="synchronous").run(fresh_states(topo, m))
         assert res.moves >= topo.n - 1  # every non-root moved at least once
 
     def test_disconnected_component_goes_to_infinity(self):
         t = Topology.from_edges(4, {(0, 1): 50.0, (2, 3): 50.0}, source=0, members=[1, 3])
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = CentralDaemonExecutor(t, m).run(fresh_states(t, m))
+        res = RoundEngine(t, m, daemon="central").run(fresh_states(t, m))
         assert res.converged
         assert res.states[1].parent == 0
         assert res.states[2].parent is None and res.states[2].cost == m.infinity(t)
@@ -122,12 +120,12 @@ class TestExecutors:
 
     def test_randomized_daemon_deterministic_given_rng(self, topo):
         m = metric_by_name("energy", EXAMPLE_RADIO)
-        r1 = RandomizedDaemonExecutor(topo, m, np.random.default_rng(5)).run(
-            fresh_states(topo, m)
-        )
-        r2 = RandomizedDaemonExecutor(topo, m, np.random.default_rng(5)).run(
-            fresh_states(topo, m)
-        )
+        r1 = RoundEngine(
+            topo, m, daemon="randomized", rng=np.random.default_rng(5)
+        ).run(fresh_states(topo, m))
+        r2 = RoundEngine(
+            topo, m, daemon="randomized", rng=np.random.default_rng(5)
+        ).run(fresh_states(topo, m))
         assert [s.parent for s in r1.states] == [s.parent for s in r2.states]
 
 
@@ -135,17 +133,19 @@ class TestLemmas:
     @pytest.mark.parametrize("name", METRIC_NAMES)
     def test_lemma1_convergence_fresh(self, topo, name):
         m = metric_by_name(name, EXAMPLE_RADIO)
-        executor = RandomizedDaemonExecutor(topo, m, np.random.default_rng(1))
+        executor = RoundEngine(
+            topo, m, daemon="randomized", rng=np.random.default_rng(1)
+        )
         report = check_convergence(topo, m, executor, fresh_states(topo, m))
         assert report.holds, report.detail
 
     @pytest.mark.parametrize("name", METRIC_NAMES)
     def test_lemma2_closure(self, topo, name):
         m = metric_by_name(name, EXAMPLE_RADIO)
-        executor = CentralDaemonExecutor(topo, m)
-        res = RandomizedDaemonExecutor(topo, m, np.random.default_rng(2)).run(
-            fresh_states(topo, m)
-        )
+        executor = RoundEngine(topo, m, daemon="central")
+        res = RoundEngine(
+            topo, m, daemon="randomized", rng=np.random.default_rng(2)
+        ).run(fresh_states(topo, m))
         assert res.converged
         report = check_closure(topo, m, executor, res.states)
         assert report.holds, report.detail
@@ -153,9 +153,9 @@ class TestLemmas:
     @pytest.mark.parametrize("name", METRIC_NAMES)
     def test_lemma3_loop_freedom(self, topo, name):
         m = metric_by_name(name, EXAMPLE_RADIO)
-        res = RandomizedDaemonExecutor(topo, m, np.random.default_rng(3)).run(
-            fresh_states(topo, m)
-        )
+        res = RoundEngine(
+            topo, m, daemon="randomized", rng=np.random.default_rng(3)
+        ).run(fresh_states(topo, m))
         report = check_loop_freedom(topo, res.states)
         assert report.holds, report.detail
 
@@ -167,7 +167,7 @@ class TestLemmas:
         states[4] = NodeState(3, 2.0, 2)
         states[3] = NodeState(7, 2.0, 2)
         states[7] = NodeState(4, 2.0, 2)
-        executor = CentralDaemonExecutor(topo, m)
+        executor = RoundEngine(topo, m, daemon="central")
         res = executor.run(states)
         assert res.converged
         assert extract_tree(topo, res.states) is not None
@@ -175,10 +175,11 @@ class TestLemmas:
 
     def test_cost_monotone_for_hop(self, topo):
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = SyncExecutor(topo, m).run(fresh_states(topo, m))
+        res = RoundEngine(topo, m, daemon="synchronous").run(fresh_states(topo, m))
         assert cost_monotone_after_join(res)
 
     def test_closure_rejects_illegitimate_input(self, topo):
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        report = check_closure(topo, m, CentralDaemonExecutor(topo, m), fresh_states(topo, m))
+        executor = RoundEngine(topo, m, daemon="central")
+        report = check_closure(topo, m, executor, fresh_states(topo, m))
         assert not report.holds

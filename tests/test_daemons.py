@@ -5,7 +5,7 @@ these tests pin the decomposition's core contract — every daemon runs
 under both engine modes with **bit-identical** trajectories — plus the
 daemon-specific semantics: quiescence certification for the partial
 (weakly-fair) daemon, the adversarial daemon's ability to drive the F/E
-limit cycles the randomized daemon escapes, registry/shim behavior, and
+limit cycles the randomized daemon escapes, registry behavior, and
 the evaluations-accounting fix (the converged-check pass is not work).
 
 ``REPRO_TEST_DAEMON`` (see ``conftest.py``) selects the daemon for the
@@ -22,13 +22,8 @@ from hypothesis import strategies as st
 from repro.core import (
     DAEMON_NAMES,
     DES_DAEMON_NAMES,
-    CentralDaemonExecutor,
-    IncrementalCentralDaemonExecutor,
-    IncrementalSyncExecutor,
     NodeState,
-    RandomizedDaemonExecutor,
     RoundEngine,
-    SyncExecutor,
     arbitrary_states,
     check_closure,
     check_convergence,
@@ -358,32 +353,3 @@ class TestRegistryAndShims:
         assert full.converged
         assert is_legitimate(topo, m, full.states)
         assert_same_trajectory(full, inc)
-
-    def test_deprecated_executors_still_importable_and_equivalent(self):
-        from repro.core import rounds
-
-        topo = random_connected_topology(47)
-        m = metric_by_name("hop", EXAMPLE_RADIO)
-        pairs = [
-            (SyncExecutor(topo, m), RoundEngine(topo, m, daemon="synchronous")),
-            (CentralDaemonExecutor(topo, m), RoundEngine(topo, m, daemon="central")),
-            (
-                RandomizedDaemonExecutor(topo, m, np.random.default_rng(3)),
-                RoundEngine(topo, m, daemon="randomized", rng=np.random.default_rng(3)),
-            ),
-            (
-                IncrementalSyncExecutor(topo, m),
-                RoundEngine(topo, m, daemon="synchronous", incremental=True),
-            ),
-            (
-                IncrementalCentralDaemonExecutor(topo, m),
-                RoundEngine(topo, m, daemon="central", incremental=True),
-            ),
-        ]
-        for shim, engine_ in pairs:
-            assert isinstance(shim, RoundEngine)
-            assert_same_trajectory(
-                shim.run(fresh_states(topo, m)), engine_.run(fresh_states(topo, m))
-            )
-        # the pre-decomposition private base name stays importable too
-        assert rounds._ExecutorBase is RoundEngine

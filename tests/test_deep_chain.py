@@ -15,8 +15,8 @@ import sys
 import pytest
 
 from repro.core import (
-    IncrementalCentralDaemonExecutor,
     NodeState,
+    RoundEngine,
     fresh_states,
     is_legitimate,
     metric_by_name,
@@ -37,7 +37,7 @@ def _line(n, members):
 def line_result():
     topo = _line(N_LINE, members=[1, N_LINE // 2, N_LINE - 1])
     metric = metric_by_name("energy", EXAMPLE_RADIO)
-    result = IncrementalCentralDaemonExecutor(topo, metric).run(
+    result = RoundEngine(topo, metric, daemon="central", incremental=True).run(
         fresh_states(topo, metric)
     )
     return topo, metric, result
