@@ -276,7 +276,9 @@ class DesBackend(ExperimentBackend):
             MetricSpec("data_bytes_tx", "data bytes put on the air", "B"),
             MetricSpec("duplicates_suppressed", "duplicate deliveries discarded"),
             MetricSpec("parent_changes", "SS-SPST family parent switches (churn)"),
-            MetricSpec("events_executed", "DES kernel events executed"),
+            MetricSpec(
+                "events_executed", "DES events executed (one per frame reception)"
+            ),
             MetricSpec("frames_sent", "MAC frames transmitted"),
             MetricSpec("frames_collided", "MAC frames lost to collisions"),
             MetricSpec(

@@ -539,7 +539,7 @@ class SqliteStore(ResultStore):
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(path, timeout=timeout_s)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal(timeout_s)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._conn:  # one transaction for the schema
             self._conn.execute(
@@ -574,6 +574,27 @@ class SqliteStore(ResultStore):
                    )"""
             )
         self._pending: List[Tuple[str, dict]] = []
+
+    def _enable_wal(self, timeout_s: float) -> None:
+        """Switch the file to WAL, retrying while another opener holds it.
+
+        Switching a file to WAL needs an exclusive lock, and SQLite fails
+        that switch at once with ``database is locked`` instead of
+        waiting in the busy handler.  Workers that open one fresh store
+        together therefore race here; the loser retries with backoff
+        for up to the connect timeout.
+        """
+        deadline = time.monotonic() + timeout_s
+        delay = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     # -- records -------------------------------------------------------
     @staticmethod
@@ -681,7 +702,12 @@ class SqliteStore(ResultStore):
     ) -> bool:
         now = time.time()
         try:
-            with self._conn:  # IMMEDIATE-equivalent: one writer at a time
+            with self._conn:
+                # Take the write lock before reading, so the check and the
+                # claim are one atomic step: the module's implicit BEGIN
+                # would only come at the INSERT, after the SELECT, and let
+                # two workers both see the key free and both claim it.
+                self._conn.execute("BEGIN IMMEDIATE")
                 row = self._conn.execute(
                     "SELECT worker, since_s FROM claims WHERE key = ?", (key,)
                 ).fetchone()

@@ -13,11 +13,19 @@ node's own transmission — half duplex) overlaps it in time.  Corrupted
 frames still cost full reception energy (the radio listened) and are filed
 as discard energy.  An optional i.i.d. loss probability models residual
 channel error beyond collisions.
+
+Each frame costs the event kernel one completion event at the end of its
+airtime, however many nodes hear it: :meth:`WirelessMedium.broadcast`
+builds the frame's receptions in receiver-index order, and
+``_complete_frame`` completes them in that order.  That is the order
+one event per receiver would fire in (contiguous insertion numbers at
+one timestamp), so the event order and every output are unchanged.
+The kernel's ``events_executed`` still counts one event per reception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -41,14 +49,18 @@ class Transmission:
     packet: Packet
 
 
-@dataclass
 class _Reception:
     """One receiver's view of an in-flight frame."""
 
-    tx: Transmission
-    receiver: NodeId
-    rx_power: float = 0.0  # relative received power (capture comparisons)
-    corrupted: bool = False
+    __slots__ = ("tx", "receiver", "rx_power", "corrupted")
+
+    def __init__(
+        self, tx: Transmission, receiver: NodeId, rx_power: float, corrupted: bool
+    ) -> None:
+        self.tx = tx
+        self.receiver = receiver
+        self.rx_power = rx_power  # relative received power (capture comparisons)
+        self.corrupted = corrupted
 
 
 class MediumStats:
@@ -146,8 +158,9 @@ class WirelessMedium:
         """Put a frame on the air with power reaching ``tx_range``.
 
         Charges the sender, computes the receiver set from current
-        positions, applies the collision/loss model, and schedules per-
-        receiver delivery at the end of the airtime.
+        positions, applies the collision/loss model, and schedules one
+        completion event for the whole frame at the end of its airtime
+        (none when no live node is in range).
         """
         net = self.network
         sim = net.sim
@@ -157,11 +170,14 @@ class WirelessMedium:
             raise ValueError("tx_range must be positive")
         tx_range = min(tx_range, radio.max_range)
 
-        sender_node = net.nodes[sender]
+        nodes = net.nodes
+        sender_node = nodes[sender]
         if not sender_node.alive:
             raise RuntimeError(f"dead node {sender} cannot transmit")
 
-        positions = net.positions().copy()  # freeze positions at tx start
+        # The cached array is not mutated within an instant; only the
+        # sender position outlives it (carrier sense reads it later).
+        positions = net.positions()
         duration = self.airtime(packet)
         tx = Transmission(
             sender=sender,
@@ -186,64 +202,78 @@ class WirelessMedium:
         dists = np.hypot(deltas[:, 0], deltas[:, 1])
         in_range = np.nonzero((dists <= tx_range) & (dists > 0.0))[0]
 
-        for rid in in_range:
-            rid = int(rid)
-            node = net.nodes[rid]
+        receptions = self._receptions
+        cp = self.capture_threshold
+        loss_prob = self.loss_prob
+        batch: List[_Reception] = []
+        for rid, d in zip(in_range.tolist(), dists[in_range].tolist()):
+            node = nodes[rid]
             if not node.alive:
                 continue
-            d = max(float(dists[rid]), 1.0)
             # Relative received power: transmit power scales with the
             # power-controlled range^alpha, path loss with distance^alpha.
-            rec = _Reception(tx=tx, receiver=rid, rx_power=(tx_range / d) ** 2)
+            power = (tx_range / (d if d > 1.0 else 1.0)) ** 2
             # Half duplex: receiver currently transmitting -> corrupted.
-            if net.nodes[rid].tx_busy_until > now:
-                rec.corrupted = True
+            corrupted = node.tx_busy_until > now
             # Collisions with other in-flight receptions at this node,
             # subject to power capture (ns-2 CPThresh semantics).
-            ongoing = self._receptions.setdefault(rid, [])
-            cp = self.capture_threshold
+            ongoing = receptions.get(rid)
+            if ongoing is None:
+                ongoing = receptions[rid] = []
             for other in ongoing:
                 if other.tx.t_end > now:  # overlap in time
-                    if rec.rx_power >= other.rx_power * cp:
+                    if power >= other.rx_power * cp:
                         other.corrupted = True  # we capture the receiver
-                    elif other.rx_power >= rec.rx_power * cp:
-                        rec.corrupted = True  # the ongoing frame dominates
+                    elif other.rx_power >= power * cp:
+                        corrupted = True  # the ongoing frame dominates
                     else:
                         other.corrupted = True
-                        rec.corrupted = True
-            ongoing.append(rec)
+                        corrupted = True
             # Residual random loss.
-            if not rec.corrupted and self.loss_prob > 0.0:
-                if float(self.rng.random()) < self.loss_prob:
-                    rec.corrupted = True
+            if not corrupted and loss_prob > 0.0:
+                if float(self.rng.random()) < loss_prob:
+                    corrupted = True
                     self.stats.frames_lost_random += 1
-            sim.schedule(duration, self._complete_reception, rec)
+            rec = _Reception(tx, rid, power, corrupted)
+            ongoing.append(rec)
+            batch.append(rec)
+        if batch:
+            sim.schedule(duration, self._complete_frame, batch)
 
-        net.nodes[sender].tx_busy_until = max(
-            net.nodes[sender].tx_busy_until, tx.t_end
-        )
+        sender_node.tx_busy_until = max(sender_node.tx_busy_until, tx.t_end)
         return tx
 
     # ------------------------------------------------------------------
-    def _complete_reception(self, rec: _Reception) -> None:
+    def _complete_frame(self, batch: List[_Reception]) -> None:
+        """End of airtime: complete every reception of one frame, in order.
+
+        Charges, reclassifications and deliveries go node by node in the
+        order ``broadcast`` built the batch, so every float sum and every
+        event a handler schedules come out as with one event per
+        receiver.  The kernel counted this callback once; the other
+        receptions are credited to ``events_executed`` here.
+        """
         net = self.network
-        node = net.nodes[rec.receiver]
-        lst = self._receptions.get(rec.receiver)
-        if lst is not None:
-            try:
-                lst.remove(rec)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        if not node.alive:
-            return
-        packet = rec.tx.packet
-        self.stats.receptions_total += 1
+        net.sim.events_executed += len(batch) - 1
+        nodes = net.nodes
+        receptions = self._receptions
+        stats = self.stats
+        packet = batch[0].tx.packet
         # The radio listened for the full frame either way.
         joules = net.radio.rx_energy(packet.bits)
-        node.charge_rx(joules, packet)
-        if rec.corrupted:
-            self.stats.frames_collided += 1
-            node.reclassify_discard(joules, packet)
-            return
-        self.stats.frames_delivered += 1
-        node.deliver(packet, joules)
+        traffic_class = packet.traffic_class
+        for rec in batch:
+            rid = rec.receiver
+            receptions[rid].remove(rec)
+            node = nodes[rid]
+            if not node.alive:
+                continue
+            stats.receptions_total += 1
+            node.ledger.charge("rx", traffic_class, joules)
+            node.battery.draw(joules)
+            if rec.corrupted:
+                stats.frames_collided += 1
+                node.ledger.reclassify_rx_as_discard(traffic_class, joules)
+                continue
+            stats.frames_delivered += 1
+            node.deliver(packet, joules)

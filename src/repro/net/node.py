@@ -113,21 +113,11 @@ class Node:
         self.ledger.charge("tx", packet.traffic_class, joules)
         self.battery.draw(joules)
 
-    def charge_rx(self, joules: float, packet: Packet) -> None:
-        self.ledger.charge("rx", packet.traffic_class, joules)
-        self.battery.draw(joules)
-
-    def reclassify_discard(self, joules: float, packet: Packet) -> None:
-        self.ledger.reclassify_rx_as_discard(packet.traffic_class, joules)
-
     def deliver(self, packet: Packet, rx_joules: float) -> None:
         """Deliver a clean frame to the agent; refile energy if discarded."""
-        if self.agent is None:
-            self.reclassify_discard(rx_joules, packet)
-            return
-        useful = self.agent.handle_packet(packet)
-        if not useful:
-            self.reclassify_discard(rx_joules, packet)
+        agent = self.agent
+        if agent is None or not agent.handle_packet(packet):
+            self.ledger.reclassify_rx_as_discard(packet.traffic_class, rx_joules)
 
     # ------------------------------------------------------------------
     def _die(self) -> None:

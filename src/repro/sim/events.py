@@ -1,9 +1,10 @@
 """Event objects for the simulation kernel.
 
-An :class:`Event` is a scheduled callback.  Ordering is by ``(time,
-priority, seq)`` where ``seq`` is a global insertion counter, so events at
-the same timestamp with the same priority fire in FIFO order — this makes
-simulations bit-for-bit deterministic for a given seed.
+An :class:`Event` is a scheduled callback.  The kernel orders its heap by
+``(time, priority, seq)`` tuples built beside each event, where ``seq`` is
+a global insertion counter, so events at the same timestamp with the same
+priority fire in FIFO order — this makes simulations bit-for-bit
+deterministic for a given seed.  Events themselves define no ordering.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Any, Callable, Tuple
 
 
 class Event:
-    """A scheduled callback; compare by ``(time, priority, seq)``.
+    """A scheduled callback, fired in ``(time, priority, seq)`` order.
 
     Do not construct directly — use :meth:`repro.sim.kernel.Simulator.schedule`.
     """
@@ -37,13 +38,6 @@ class Event:
     def cancel(self) -> None:
         """Mark the event cancelled; the kernel will skip it when popped."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"

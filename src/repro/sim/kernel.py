@@ -12,12 +12,16 @@ The kernel guarantees:
 * events at equal time fire in (priority, insertion) order,
 * ``run(until=T)`` executes every event with ``time <= T`` and leaves
   ``now == T``.
+
+The heap holds ``(time, priority, seq, event)`` tuples, so C tuple
+comparison orders it (``seq`` is unique, so the event itself is never
+compared).  This is the queue layout SimPy uses.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event
 
@@ -27,11 +31,21 @@ class SimulationError(RuntimeError):
 
 
 class Simulator:
-    """Discrete-event simulation environment."""
+    """Discrete-event simulation environment.
+
+    Attributes
+    ----------
+    events_executed:
+        DES events executed.  Every kernel callback counts one; a
+        callback that stands for several logical events credits the
+        rest itself.  The medium completes a whole frame in one
+        callback and credits one event per frame reception, so the
+        count (persisted in every DES record) is one per reception.
+    """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -72,9 +86,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        ev = Event(float(time), priority, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        time = float(time)
+        seq = self._seq
+        ev = Event(time, priority, seq, callback, args)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
@@ -83,14 +99,14 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if none remain."""
         self._drop_cancelled()
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)
+        ev = heapq.heappop(self._heap)[3]
         self._now = ev.time
         self.events_executed += 1
         ev.callback(*ev.args)
@@ -100,23 +116,30 @@ class Simulator:
         """Run until the heap drains, ``until`` is reached, or ``stop()``.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run,
-        and the clock is advanced to ``until`` on return.
+        and the clock is advanced to ``until`` on return.  ``max_events``
+        counts kernel callbacks, not :attr:`events_executed`: a medium
+        frame completion is one callback however many receptions it
+        credits.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        heappop = heapq.heappop
+        horizon = float("inf") if until is None else until
         executed = 0
         try:
-            while not self._stopped:
-                self._drop_cancelled()
-                if not self._heap:
+            while not self._stopped and heap:
+                entry = heap[0]
+                ev = entry[3]
+                if ev.cancelled:
+                    heappop(heap)
+                    continue
+                if entry[0] > horizon:
                     break
-                nxt = self._heap[0].time
-                if until is not None and nxt > until:
-                    break
-                ev = heapq.heappop(self._heap)
-                self._now = ev.time
+                heappop(heap)
+                self._now = entry[0]
                 self.events_executed += 1
                 executed += 1
                 ev.callback(*ev.args)
@@ -134,12 +157,12 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of non-cancelled events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     # ------------------------------------------------------------------
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -217,6 +217,29 @@ class TestWorkStealing:
             # the claimant died (its claim went stale): takeover allowed
             assert store.claim("k2", "worker-b", ttl_s=0.02) is True
 
+    def test_sqlite_claim_checks_and_writes_atomically(self, tmp_path):
+        """A claim that starts while another worker's claim is being
+        written must see that claim once it commits, not overwrite it."""
+        import sqlite3
+        import threading
+
+        path = tmp_path / "claims.sqlite"
+        with open_store(f"sqlite:{path}") as store:
+            rival = sqlite3.connect(str(path), check_same_thread=False)
+            rival.execute("BEGIN IMMEDIATE")
+            rival.execute(
+                "INSERT INTO claims (key, worker, since_s) VALUES (?, ?, ?)",
+                ("k", "worker-b", time.time()),
+            )
+            committer = threading.Timer(0.3, rival.commit)
+            committer.start()
+            try:
+                assert store.claim("k", "worker-a") is False
+            finally:
+                committer.join()
+                rival.close()
+            assert store.claim("k", "worker-b") is True  # still b's
+
     def test_storing_a_record_releases_its_claim(self, store_spec):
         cfg = rounds_base(seed=41, protocol="ss-spst")
         from repro.experiments.campaign import _execute, config_key

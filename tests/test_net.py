@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.energy import FirstOrderRadioModel
+from repro.energy.battery import Battery
 from repro.mobility import StaticPlacement
 from repro.net import (
     CsmaMac,
@@ -198,6 +199,115 @@ class TestMediumCollisions:
         # Node 1 is in range of 0 only at 150m? 0->1 = 150, 3->1 = ~150.0;
         # both reach it, so it collides.
         assert len(net.nodes[1].agent.received) == 0
+
+
+class TestMediumCapture:
+    """Power capture (ns-2 CPThresh): receiver 0 hears a near sender 1 at
+    20 m and a far sender 2 at 190 m (too far apart to hear each other);
+    at range 200 the powers are
+    (200/20)^2 = 100 and (200/190)^2 ~ 1.1, a ratio far above 10."""
+
+    POSITIONS = [[200, 0], [220, 0], [10, 0]]
+
+    def test_near_frame_survives_far_interferer(self):
+        sim, net = make_network(self.POSITIONS)
+        net.medium.broadcast(1, data_packet(1), tx_range=200.0)
+        net.medium.broadcast(2, data_packet(2), tx_range=200.0)
+        sim.run()
+        assert [p.origin for _, p in net.nodes[0].agent.received] == [1]
+        assert net.medium.stats.frames_collided == 1
+
+    def test_strong_late_frame_corrupts_the_earlier_one(self):
+        sim, net = make_network(self.POSITIONS)
+        net.medium.broadcast(2, data_packet(2), tx_range=200.0)
+        net.medium.broadcast(1, data_packet(1), tx_range=200.0)
+        sim.run()
+        assert [p.origin for _, p in net.nodes[0].agent.received] == [1]
+        assert net.medium.stats.frames_collided == 1
+
+    def test_comparable_powers_corrupt_both(self):
+        sim, net = make_network([[200, 0], [300, 0], [80, 0]])
+        net.medium.broadcast(1, data_packet(1), tx_range=200.0)
+        net.medium.broadcast(2, data_packet(2), tx_range=200.0)
+        sim.run()
+        assert net.nodes[0].agent.received == []
+        assert net.medium.stats.frames_collided == 2
+
+
+class TestMediumFrameCompletion:
+    """One kernel event completes all receptions of a frame, in
+    receiver order, exactly as one event per receiver would."""
+
+    def test_handler_event_fires_after_whole_frame(self):
+        sim, net = make_network([[0, 0], [50, 0], [100, 0], [150, 0]])
+        seen_at_zero_delay = []
+
+        def received_by():
+            return [v for v in (1, 2, 3) if net.nodes[v].agent.received]
+
+        first = net.nodes[1].agent
+        handle = first.handle_packet
+
+        def handle_and_schedule(packet):
+            sim.schedule(0.0, lambda: seen_at_zero_delay.append(received_by()))
+            return handle(packet)
+
+        first.handle_packet = handle_and_schedule
+        net.medium.broadcast(0, data_packet(0), tx_range=200.0)
+        sim.run()
+        assert seen_at_zero_delay == [[1, 2, 3]]
+
+    def test_events_executed_counts_one_per_reception(self):
+        sim, net = make_network([[0, 0], [50, 0], [100, 0], [150, 0], [900, 0]])
+        net.medium.broadcast(0, data_packet(0), tx_range=200.0)
+        assert sim.pending == 1  # one completion event for three receivers
+        sim.run(max_events=1)  # max_events counts kernel callbacks
+        assert sim.events_executed == 3
+        assert net.medium.stats.receptions_total == 3
+
+    def test_receiver_dead_at_completion_is_skipped_but_counted(self):
+        sim, net = make_network([[0, 0], [50, 0], [100, 0]])
+        net.medium.broadcast(0, data_packet(0), tx_range=200.0)
+        net.nodes[1].alive = False
+        sim.run()
+        assert sim.events_executed == 2
+        assert net.medium.stats.receptions_total == 1
+        assert net.nodes[1].ledger.total == 0.0
+        assert len(net.nodes[2].agent.received) == 1
+
+    def test_frame_without_live_receiver_schedules_nothing(self):
+        sim, net = make_network([[0, 0], [100, 0], [900, 0]])
+        net.nodes[1].alive = False
+        net.medium.broadcast(0, data_packet(0), tx_range=150.0)
+        assert sim.pending == 0 and sim.peek() is None
+        sim.run()
+        assert sim.events_executed == 0
+        assert net.medium.stats.frames_sent == 1
+        assert net.medium.stats.receptions_total == 0
+
+    def test_battery_depleted_by_batched_rx_charge(self):
+        sim, net = make_network([[0, 0], [50, 0], [100, 0]])
+        pkt = data_packet(0)
+        rx_j = net.radio.rx_energy(pkt.bits)
+        dying = net.nodes[1]
+        deaths = []
+        dying.agent.on_node_death = lambda: deaths.append(sim.now)
+        dying.battery = Battery(rx_j / 2, on_depleted=dying._die)
+        net.medium.broadcast(0, pkt, tx_range=200.0)
+        sim.run()
+        # Charged in full, dies on that charge, and -- as the radio had
+        # already heard the whole frame -- still gets the frame.
+        assert deaths == [pytest.approx(net.medium.airtime(pkt))]
+        assert not dying.alive
+        assert dying.ledger.snapshot().rx_data == rx_j
+        assert len(dying.agent.received) == 1
+        assert len(net.nodes[2].agent.received) == 1
+        # A dead node hears nothing further.
+        net.medium.broadcast(0, data_packet(0, seq=1), tx_range=200.0)
+        sim.run()
+        assert len(dying.agent.received) == 1
+        assert len(net.nodes[2].agent.received) == 2
+        assert net.medium.stats.receptions_total == 3
 
 
 class TestMediumLoss:

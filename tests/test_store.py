@@ -337,6 +337,15 @@ def _race_child(args) -> int:
     return result.executed
 
 
+def _open_and_claim_child(args) -> list:
+    """Child-process body: open one shared fresh SQLite store at an
+    agreed instant, then try to claim every key; returns the keys won."""
+    path, keys, worker, start_at = args
+    time.sleep(max(0.0, start_at - time.time()))
+    with open_store(f"sqlite:{path}") as store:
+        return [key for key in keys if store.claim(key, worker)]
+
+
 class TestConcurrentAccess:
     def _race(self, store_spec, shards):
         spec = rounds_spec(seeds=(1, 2, 3))
@@ -362,6 +371,23 @@ class TestConcurrentAccess:
         for metric in ("rounds", "moves"):
             extract = serial.extractor(metric)
             assert assembled.aggregate(extract) == serial.aggregate(extract)
+
+    def test_sqlite_open_and_claim_stress(self, tmp_path):
+        """More workers than cores open one fresh store together and
+        claim the same keys: every open succeeds (the WAL switch waits
+        for the exclusive lock) and every key has exactly one owner."""
+        workers = 6  # more than the cores of a laptop or CI runner
+        keys = [f"k{i}" for i in range(40)]
+        path = tmp_path / "claims.sqlite"
+        start_at = time.time() + 3.0
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(workers) as pool:
+            won = pool.map_async(
+                _open_and_claim_child,
+                [(path, keys, f"w{i}", start_at) for i in range(workers)],
+            ).get(timeout=120)
+        owners = [key for keys_won in won for key in keys_won]
+        assert sorted(owners) == sorted(keys)
 
     def test_racing_full_overlap(self, store_spec):
         """Worst case: two unsharded invocations of the whole campaign.
