@@ -14,15 +14,14 @@ Usage::
 
 ``--workers N`` fans the figure's grid out over a process pool and
 ``--store`` persists every run (a directory for the JSON record layout,
-a ``.sqlite`` path for the columnar store; ``--cache-dir DIR`` remains
-as JSON-dir shorthand), so re-rendering a figure (or another figure over
-the same scenarios) costs nothing — both are provided by the campaign
-engine (``repro.experiments.campaign``; see docs/campaigns.md).
+a ``.sqlite`` path for the columnar store), so re-rendering a figure
+(or another figure over the same scenarios) costs nothing — both are
+provided by the campaign engine (``repro.experiments.campaign``; see
+docs/campaigns.md).
 """
 
 import sys
 
-from repro.analysis import ascii_plot, shape_report
 from repro.experiments.figures import FIGURES
 
 
@@ -42,7 +41,7 @@ def main() -> None:
             print(f"{fid}: {fig.title}")
         if not args:
             print("\nusage: energy_sweep.py <fig_id> [--full] "
-                  "[--workers N] [--store SPEC | --cache-dir DIR]")
+                  "[--workers N] [--store SPEC]")
         return
 
     fig_id = args[0]
@@ -50,21 +49,12 @@ def main() -> None:
         raise SystemExit(f"unknown figure {fig_id!r}; try --list")
     quick = "--full" not in args
     workers = int(_flag_value(args, "--workers", "1"))
-    cache_dir = _flag_value(args, "--cache-dir", None)
     store = _flag_value(args, "--store", None)
-    if store and cache_dir:
-        raise SystemExit("--store and --cache-dir both given; drop one")
     fig = FIGURES[fig_id]
     print(f"{fig.title} — {'quick' if quick else 'paper'} scale")
-    result = fig.run(
-        quick=quick, workers=workers, cache_dir=cache_dir, store=store
-    )
+    result = fig.run(quick=quick, workers=workers, store=store)
     print()
-    print(result.format_table(fig.fig_id))
-    print(ascii_plot(result.x_values, result.series, y_label=fig.y_name, x_label=fig.x_name))
-    print(shape_report(fig.check(result)))
-    if fig.notes:
-        print(f"\nnote: {fig.notes}")
+    print(fig.report(result))
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ _LAZY_EXPORTS = {
     "collect_campaign": "campaign",
     # store layer
     "ResultStore": "store",
-    "ResultCache": "store",
     "JsonDirStore": "store",
     "SqliteStore": "store",
     "open_store": "store",
@@ -70,8 +69,6 @@ _LAZY_EXPORTS = {
     "StreamingAggregate": "aggregation",
     "CampaignStatus": "aggregation",
     "campaign_status": "aggregation",
-    # service surface
-    "CampaignService": "service",
 }
 
 

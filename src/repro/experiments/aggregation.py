@@ -232,19 +232,14 @@ def campaign_status(
 
     Every run already persisted feeds the per-cell accumulators; runs
     still pending (or executing elsewhere) simply have not landed yet.
-    Read-only: safe to call while schedulers are writing.
+    Read-only: safe to call while schedulers are writing.  The store
+    read is :func:`~repro.experiments.campaign.collect_campaign`'s.
     """
-    from repro.experiments.backends import default_metrics
-    from repro.experiments.store import open_store, result_from_record
+    from repro.experiments.campaign import collect_campaign
+    from repro.experiments.store import open_store
 
     store = open_store(store)
-    if metrics is None:
-        metrics = list(default_metrics(spec.backends()))
-    agg = StreamingAggregate(spec, metrics)
-    for i, cfg in enumerate(spec.configs()):
-        record = store.load(cfg)
-        if record is not None:
-            agg.update(i, result_from_record(record))
+    agg = collect_campaign(spec, store, stream_metrics=metrics).stream
     return CampaignStatus(
         spec=spec,
         done=agg.done,

@@ -161,7 +161,7 @@ class DesBackend(ExperimentBackend):
 
     Wraps today's runner unchanged: identical results, identical cache
     records (the ``backend`` field is hash-neutral at ``"des"``), so
-    every pre-existing ``--cache-dir`` entry keeps hitting.
+    every pre-existing ``<config_key>.json`` record keeps hitting.
     """
 
     name = "des"

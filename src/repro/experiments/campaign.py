@@ -6,9 +6,9 @@ such a grid once; :func:`run_campaign` executes it through three
 pluggable layers (see ``docs/campaigns.md`` for the architecture and
 operations guide):
 
-* a **result store** (:mod:`repro.experiments.store`) — the JSON record
-  dir (the historical ``--cache-dir``) or the SQLite columnar store —
-  keyed by a stable hash of the full
+* a **result store** (:mod:`repro.experiments.store`) — a JSON record
+  dir (one ``<config_key>.json`` file per run) or the SQLite columnar
+  store — keyed by a stable hash of the full
   :class:`~repro.experiments.config.ScenarioConfig`, so re-running a
   campaign (or a different campaign sharing cells) only executes the
   missing runs and an interrupted campaign resumes where it stopped;
@@ -63,24 +63,12 @@ from repro.experiments.backends import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import RunResult
-
-# Run identity and record persistence live in the store layer; the names
-# are re-exported here because this module defined them for five PRs and
-# tests/notebooks import them from both places.
-from repro.experiments.store import (  # noqa: F401  (re-exports)
+from repro.experiments.store import (
     CACHE_SCHEMA,
-    COMPATIBLE_SCHEMAS,
-    HASH_SCHEMA,
-    _HASH_NEUTRAL_DEFAULTS,
-    JsonDirStore,
-    ResultCache,
-    ResultStore,
-    SqliteStore,
     config_key,
     migrate_json_dir,
     open_store,
     probe_store,
-    record_from_result,
     result_from_record,
     shard_of,
     store_location,
@@ -289,28 +277,10 @@ def cell_label(point_items: Iterable[Tuple[str, object]]) -> str:
     return ",".join(f"{k}={v}" for k, v in point_items) or "-"
 
 
-def _resolve_store(
-    store, cache_dir: Optional[str]
-) -> Optional[ResultStore]:
-    """One store from the modern ``store=`` and legacy ``cache_dir=``
-    arguments (``cache_dir`` is shorthand for a JSON dir store)."""
-    if store is not None and cache_dir is not None:
-        raise ValueError(
-            "pass store= or cache_dir=, not both "
-            "(cache_dir=DIR is shorthand for store='json:DIR')"
-        )
-    if store is not None:
-        return open_store(store)
-    if cache_dir is not None:
-        return JsonDirStore(cache_dir)
-    return None
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
     workers: int = 1,
-    cache_dir: Optional[str] = None,
     memo: Optional[Dict[ScenarioConfig, RunResult]] = None,
     progress: Optional[Callable[[str], None]] = None,
     shard: Optional[Tuple[int, int]] = None,
@@ -330,8 +300,8 @@ def run_campaign(
     loses at most the in-flight runs.
 
     ``store`` is a :class:`~repro.experiments.store.ResultStore` or a
-    spec string (``json:DIR``, ``sqlite:PATH``, or a bare path);
-    ``cache_dir`` remains as shorthand for a JSON dir store.
+    spec string (``json:DIR``, ``sqlite:PATH``, or a bare path — a
+    ``.sqlite``/``.db`` file or else a JSON record dir).
 
     ``shard=(i, k)`` distributes one campaign over ``k`` machines
     sharing a store: runs are partitioned deterministically by config
@@ -364,7 +334,7 @@ def run_campaign(
             )
     t0 = time.perf_counter()
     configs = spec.configs()
-    result_store = _resolve_store(store, cache_dir)
+    result_store = open_store(store) if store is not None else None
     stream = StreamingAggregate(
         spec,
         stream_metrics
@@ -463,19 +433,26 @@ def collect_campaign(
     spec: CampaignSpec,
     store,
     memo: Optional[Dict[ScenarioConfig, RunResult]] = None,
+    stream_metrics: Optional[Sequence[str]] = None,
 ) -> CampaignResult:
     """Assemble a campaign from a store without executing anything.
 
     The read-only counterpart of :func:`run_campaign` (the ``results``
-    service verb): every stored run loads into its slot, missing runs
-    count as ``skipped``.  Aggregation and tables work over whatever is
-    present.
+    verb, and the store read behind ``status``): every stored run loads
+    into its slot, missing runs count as ``skipped``.  Aggregation and
+    tables work over whatever is present; ``result.stream`` aggregates
+    ``stream_metrics`` (default: the backends' default metrics).
     """
     t0 = time.perf_counter()
     result_store = open_store(store)
     configs = spec.configs()
     results: List[Optional[RunResult]] = [None] * len(configs)
-    stream = StreamingAggregate(spec, default_metrics(spec.backends()))
+    stream = StreamingAggregate(
+        spec,
+        stream_metrics
+        if stream_metrics is not None
+        else default_metrics(spec.backends()),
+    )
     cache_hits = 0
     for i, cfg in enumerate(configs):
         record = result_store.load(cfg)
@@ -627,20 +604,14 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_args(parser: argparse.ArgumentParser, group=None) -> None:
-    target = group if group is not None else parser
+def _add_store_arg(target) -> None:
     target.add_argument(
         "--store",
         default=None,
         metavar="SPEC",
-        help="result store: a directory (JSON record dir, the historical "
-        "cache layout), a *.sqlite/*.db path (SQLite columnar store), or "
-        "an explicit json:DIR / sqlite:PATH spec",
-    )
-    target.add_argument(
-        "--cache-dir",
-        default=None,
-        help="legacy shorthand for --store json:DIR",
+        help="result store: a directory (JSON record dir, one "
+        "<config_key>.json per run), a *.sqlite/*.db path (SQLite columnar "
+        "store), or an explicit json:DIR / sqlite:PATH spec",
     )
 
 
@@ -663,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(parser)
     how = parser.add_argument_group("how to run")
     how.add_argument("--workers", type=int, default=1, help="pool size")
-    _add_store_args(parser, how)
+    _add_store_arg(how)
     how.add_argument(
         "--scheduler",
         default=None,
@@ -845,20 +816,6 @@ def spec_from_args(args) -> CampaignSpec:
     )
 
 
-def _store_spec_from_args(args) -> Optional[str]:
-    """Resolve ``--store``/``--cache-dir`` into one store spec string."""
-    if args.store and args.cache_dir:
-        raise SystemExit(
-            "--store and --cache-dir both given; --cache-dir DIR is "
-            "shorthand for --store json:DIR — drop one of them"
-        )
-    if args.store:
-        return args.store
-    if args.cache_dir:
-        return f"json:{args.cache_dir}"
-    return None
-
-
 def _metrics_from_args(args, spec: CampaignSpec) -> List[str]:
     if args.metrics:
         return [m for m in args.metrics.split(",") if m]
@@ -877,16 +834,15 @@ def _build_view_parser(verb: str, description: str) -> argparse.ArgumentParser:
         description=description,
     )
     _add_spec_args(parser)
-    _add_store_args(parser)
+    _add_store_arg(parser)
     _add_metrics_arg(parser)
     return parser
 
 
 def _require_store(args) -> str:
-    store_spec = _store_spec_from_args(args)
-    if store_spec is None:
-        raise SystemExit("this subcommand needs --store (or --cache-dir)")
-    return store_spec
+    if not args.store:
+        raise SystemExit("this subcommand needs --store")
+    return args.store
 
 
 def _main_status(argv: Sequence[str]) -> int:
@@ -1005,13 +961,12 @@ def _main_flat(argv: Sequence[str]) -> int:
     except ValueError as exc:  # spec/config validation -> clean CLI error
         raise SystemExit(str(exc)) from None
     shard = _parse_shard(args.shard)
-    store_spec = _store_spec_from_args(args)
     if args.dry_run:
         # The full plan without executing anything: per-run identity and
         # shard/store status, then the campaign shape.  The store is only
         # probed when its location already exists (opening would create
         # it), so a dry run is always side-effect free.
-        store = probe_store(store_spec) if store_spec else None
+        store = probe_store(args.store) if args.store else None
         from repro.experiments.scenario_models import (
             non_default_axes,
             plan_lines,
@@ -1062,10 +1017,8 @@ def _main_flat(argv: Sequence[str]) -> int:
             )
         if store is not None:
             print(f"# warm cache hits: {warm}/{spec.size()}")
-        elif store_spec:
-            # historical wording when the legacy flag named the store
-            what = "cache dir" if args.cache_dir else "store"
-            print(f"# warm cache hits: 0/{spec.size()} ({what} absent)")
+        elif args.store:
+            print(f"# warm cache hits: 0/{spec.size()} (store absent)")
         return 0
 
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
@@ -1077,7 +1030,7 @@ def _main_flat(argv: Sequence[str]) -> int:
     campaign = run_campaign(
         spec,
         workers=args.workers,
-        store=store_spec,
+        store=args.store,
         progress=progress,
         shard=shard,
         scheduler=scheduler,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
+from repro.analysis import ascii_plot, shape_report
 from repro.core.daemons import DAEMON_NAMES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.sweeps import Sweep, SweepResult
@@ -126,14 +127,12 @@ class FigureDef:
         seeds: Sequence[int] = (1, 2, 3),
         cache: Dict = None,
         workers: int = 1,
-        cache_dir: str = None,
         store=None,
         scheduler=None,
     ) -> SweepResult:
         return self.sweep(quick=quick, seeds=seeds).run(
             cache=cache,
             workers=workers,
-            cache_dir=cache_dir,
             store=store,
             scheduler=scheduler,
         )
@@ -141,6 +140,23 @@ class FigureDef:
     def check(self, result: SweepResult) -> Dict[str, bool]:
         """Evaluate every shape check; returns {description: holds}."""
         return {desc: bool(fn(result)) for desc, fn in self.checks}
+
+    def report(self, result: SweepResult) -> str:
+        """The figure as text: series table, ASCII chart, shape-check
+        verdicts and notes."""
+        parts = [
+            result.format_table(f"{self.fig_id}: {self.title}"),
+            ascii_plot(
+                result.x_values,
+                result.series,
+                y_label=self.y_name,
+                x_label=self.x_name,
+            ),
+            shape_report(self.check(result)),
+        ]
+        if self.notes:
+            parts.append(f"  note: {self.notes}")
+        return "\n".join(parts)
 
 
 def _quick(**kw) -> ScenarioConfig:

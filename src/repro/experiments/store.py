@@ -361,10 +361,10 @@ class ResultStore(abc.ABC):
 class JsonDirStore(ResultStore):
     """Directory of ``<config_key>.json`` run records.
 
-    Byte-for-byte the historical ``--cache-dir`` layout: every record a
-    pre-refactor campaign wrote keeps hitting, and every record this
-    store writes is loadable by pre-refactor code.  Writes are
-    crash-safe: the record lands in a tempfile that is fsynced and then
+    One key-sorted JSON file per run, named by its config hash, in a
+    flat directory: every record a pre-refactor campaign wrote keeps
+    hitting, and every record this store writes is loadable by
+    pre-refactor code.  Writes are crash-safe: the record lands in a tempfile that is fsynced and then
     atomically renamed into place, so a killed campaign can leave
     debris ``*.tmp.*`` files (swept on the next open) but never a
     truncated record that would silently demote to a cache miss.
@@ -489,10 +489,6 @@ class JsonDirStore(ResultStore):
             os.unlink(os.path.join(claims, f"{key}.claim"))
         except OSError:
             pass
-
-
-class ResultCache(JsonDirStore):
-    """Pre-refactor name of :class:`JsonDirStore` (kept for imports)."""
 
 
 # ----------------------------------------------------------------------
@@ -740,7 +736,7 @@ def open_store(spec: Union[str, ResultStore]) -> ResultStore:
     ``spec`` may already be a :class:`ResultStore` (returned as is), or a
     string: ``json:DIR`` / ``sqlite:PATH`` explicit forms, a path ending
     in ``.sqlite``/``.sqlite3``/``.db`` (SQLite), or any other path (a
-    JSON record dir — the historical ``--cache-dir`` meaning).
+    JSON record dir of ``<config_key>.json`` files).
     """
     if isinstance(spec, ResultStore):
         return spec

@@ -7,8 +7,8 @@ average value to plot the graphs").
 
 Execution goes through the campaign engine
 (:mod:`repro.experiments.campaign`): a sweep is a single-axis campaign,
-so it inherits the worker pool (``workers=``), the persistent JSON result
-cache (``cache_dir=``) and resumability for free.  The in-process ``cache``
+so it inherits the worker pool (``workers=``), the persistent result
+store (``store=``) and resumability for free.  The in-process ``cache``
 dict keeps its historical role of sharing simulations between sweeps that
 extract different metrics from the same runs (Figures 7/8/9).
 """
@@ -85,7 +85,6 @@ class Sweep:
         progress: Optional[Callable[[str], None]] = None,
         cache: Optional[Dict] = None,
         workers: int = 1,
-        cache_dir: Optional[str] = None,
         store=None,
         scheduler=None,
     ) -> SweepResult:
@@ -95,9 +94,9 @@ class Sweep:
         sweeps: figures that differ only in the metric they extract
         (e.g. Figures 7/8/9) reuse the same simulations.  ``workers``
         runs the grid on a process pool (or any explicit ``scheduler``);
-        ``store`` — a result-store spec or instance, with ``cache_dir``
-        kept as JSON-dir shorthand — additionally persists every run so
-        later invocations (or other campaigns sharing cells) skip it.
+        ``store`` — a result-store spec or instance — additionally
+        persists every run so later invocations (or other campaigns
+        sharing cells) skip it.
         """
         # Imported here: campaign imports this module's types for reuse.
         from repro.experiments.campaign import CampaignSpec, run_campaign
@@ -112,7 +111,6 @@ class Sweep:
         campaign = run_campaign(
             spec,
             workers=workers,
-            cache_dir=cache_dir,
             store=store,
             scheduler=scheduler,
             memo=cache,

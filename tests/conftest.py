@@ -87,8 +87,8 @@ def test_store(tmp_path) -> str:
 
     The CI store leg sets ``REPRO_TEST_STORE=sqlite`` so the campaign /
     backend / scenario-model tests persist through the SQLite columnar
-    store instead of the JSON record dir; the default keeps the
-    historical ``--cache-dir`` layout.  Both resolve through
+    store; the default is a JSON record dir (one ``<config_key>.json``
+    file per run).  Both resolve through
     :func:`repro.experiments.store.open_store`.
     """
     if os.environ.get("REPRO_TEST_STORE", "json") == "sqlite":

@@ -30,18 +30,16 @@ from repro.experiments.backends import (
     default_metrics,
     metric_extractor,
 )
-from repro.experiments.campaign import (
-    CACHE_SCHEMA,
-    CampaignSpec,
-    ResultCache,
-    config_key,
-    main,
-    record_from_result,
-    result_from_record,
-    run_campaign,
-)
+from repro.experiments.campaign import CampaignSpec, main, run_campaign
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
+from repro.experiments.store import (
+    CACHE_SCHEMA,
+    JsonDirStore,
+    config_key,
+    record_from_result,
+    result_from_record,
+)
 from repro.util.rng import RngStreams
 
 FAST_DES = dict(sim_time=12.0, n_nodes=16, group_size=4)
@@ -236,7 +234,7 @@ class TestRecordCompat:
         record = json.loads(V1_RECORD_JSON)
         cfg = ScenarioConfig(**record["config"])
         assert cfg.daemon == "distributed" and cfg.backend == "des"
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         with open(cache.path(cfg), "w", encoding="utf-8") as fh:
             fh.write(V1_RECORD_JSON)
         loaded = cache.load(cfg)
@@ -274,7 +272,7 @@ class TestRecordCompat:
         des_cfg = des_base(protocol="ss-spst-e")
         rounds_cfg = des_cfg.replace(backend="rounds")
         assert config_key(des_cfg) != config_key(rounds_cfg)
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         record = backend_by_name("rounds").record_from(
             backend_by_name("rounds").run(rounds_cfg)
         )
@@ -385,7 +383,7 @@ class TestCliBackend:
             "--grid", "daemon=central,adversarial-max-cost",
             "--seeds", "1,2",
             "--set", "n_nodes=16", "--set", "group_size=4",
-            "--cache-dir", str(tmp_path), "--quiet",
+            "--store", str(tmp_path), "--quiet",
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -404,7 +402,7 @@ class TestCliBackend:
             "--grid", "daemon=central,synchronous",
             "--seeds", "1,2",
             "--set", "n_nodes=16", "--set", "group_size=4",
-            "--cache-dir", str(tmp_path), "--quiet",
+            "--store", str(tmp_path), "--quiet",
         ]
         # warm one shard's worth of cache, then plan with shard + cache
         assert main(args + ["--shard", "0/2"]) == 0
@@ -450,16 +448,16 @@ class TestCliBackend:
         assert "rounds" in cell and "mean" in cell["rounds"]
         assert cell["rounds"]["half_width"] is None  # one seed -> ±inf
 
-    def test_dry_run_does_not_create_cache_dir(self, tmp_path, capsys):
+    def test_dry_run_does_not_create_store_dir(self, tmp_path, capsys):
         absent = tmp_path / "never-created"
         assert main(
             ["--backend", "rounds", "--protocols", "ss-spst", "--seeds", "1",
              "--set", "n_nodes=16", "--set", "group_size=4",
-             "--cache-dir", str(absent), "--dry-run"]
+             "--store", str(absent), "--dry-run"]
         ) == 0
         out = capsys.readouterr().out
         assert not absent.exists()
-        assert "cache dir absent" in out
+        assert "(store absent)" in out
 
     def test_backend_flag_conflicts_rejected(self):
         with pytest.raises(SystemExit, match="already a grid axis"):
@@ -489,7 +487,7 @@ class TestBackendSmoke:
             args = ["--protocols", "flooding,ss-spst", "--set", "sim_time=12"]
         args += [
             "--seeds", "1,2", "--set", "n_nodes=16", "--set", "group_size=4",
-            "--cache-dir", str(tmp_path), "--workers", "2", "--quiet",
+            "--store", str(tmp_path), "--workers", "2", "--quiet",
         ]
         expected = 8 if test_backend == "rounds" else 4
         assert main(args) == 0

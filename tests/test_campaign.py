@@ -13,21 +13,19 @@ import pickle
 
 import pytest
 
-from repro.experiments.campaign import (
+from repro.experiments.campaign import CampaignSpec, main, run_campaign
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import RunResult, run_scenario
+from repro.experiments.store import (
     CACHE_SCHEMA,
     COMPATIBLE_SCHEMAS,
     HASH_SCHEMA,
-    CampaignSpec,
-    ResultCache,
+    JsonDirStore,
     config_key,
-    main,
     record_from_result,
     result_from_record,
-    run_campaign,
     shard_of,
 )
-from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import RunResult, run_scenario
 
 FAST = dict(sim_time=12.0, n_nodes=16, group_size=4)
 
@@ -71,7 +69,7 @@ class TestConfigKey:
         original ``v1`` prefix).  Byte-exact pre-redesign hashes are
         additionally pinned in tests/test_scenario_models.py's golden
         fixture."""
-        from repro.experiments.campaign import _HASH_NEUTRAL_DEFAULTS
+        from repro.experiments.store import _HASH_NEUTRAL_DEFAULTS
 
         base = fast_base()
         for name, default in _HASH_NEUTRAL_DEFAULTS.items():
@@ -97,7 +95,7 @@ class TestConfigKey:
         """A record written before the daemon field existed (no 'daemon'
         key in its config dict) must hit for a default-daemon config."""
         cfg = fast_base(protocol="flooding")
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         record = record_from_result(run_scenario(cfg))
         del record["config"]["daemon"]  # simulate an old-era record
         cache.store(cfg, record)
@@ -178,10 +176,12 @@ class TestRunResultAttrPassthrough:
 
 
 class TestResultCache:
+    """Lookups through the JSON record dir (:class:`JsonDirStore`)."""
+
     def test_store_load_roundtrip(self, tmp_path):
         cfg = fast_base(protocol="flooding")
         result = run_scenario(cfg)
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         path = cache.store(cfg, record_from_result(result, elapsed_s=0.5))
         assert os.path.exists(path)
         record = cache.load(cfg)
@@ -191,18 +191,18 @@ class TestResultCache:
         assert rebuilt.frames_sent == result.frames_sent
 
     def test_miss_on_unknown_config(self, tmp_path):
-        assert ResultCache(str(tmp_path)).load(fast_base(seed=42)) is None
+        assert JsonDirStore(str(tmp_path)).load(fast_base(seed=42)) is None
 
     def test_miss_on_corrupt_file(self, tmp_path):
         cfg = fast_base()
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         with open(cache.path(cfg), "w") as fh:
             fh.write("{not json")
         assert cache.load(cfg) is None
 
     def test_miss_on_schema_bump(self, tmp_path):
         cfg = fast_base(protocol="flooding")
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         record = record_from_result(run_scenario(cfg))
         record["schema"] = CACHE_SCHEMA + 1
         cache.store(cfg, record)
@@ -212,7 +212,7 @@ class TestResultCache:
         """A hand-moved file must not impersonate another config."""
         cfg = fast_base(protocol="flooding")
         other = cfg.replace(seed=1234)
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         record = record_from_result(run_scenario(cfg))
         with open(cache.path(other), "w") as fh:
             json.dump(record, fh)
@@ -222,14 +222,14 @@ class TestResultCache:
 class TestRunCampaign:
     def test_pool_executes_and_caches(self, tmp_path):
         spec = fast_spec(seeds=(1, 2))
-        campaign = run_campaign(spec, workers=2, cache_dir=str(tmp_path))
+        campaign = run_campaign(spec, workers=2, store=str(tmp_path))
         assert campaign.executed == spec.size() == 8
         assert campaign.cache_hits == 0
         files = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
         assert len(files) == 8
         assert all(r is not None for r in campaign.results)
 
-        again = run_campaign(spec, workers=2, cache_dir=str(tmp_path))
+        again = run_campaign(spec, workers=2, store=str(tmp_path))
         assert again.executed == 0
         assert again.cache_hits == 8
         assert [r.summary for r in again.results] == [
@@ -412,7 +412,7 @@ class TestCli:
     ]
 
     def test_campaign_runs_and_recovers_from_cache(self, tmp_path, capsys):
-        args = self.ARGS + ["--cache-dir", str(tmp_path)]
+        args = self.ARGS + ["--store", str(tmp_path)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "12 runs (executed=12 cached=0" in out
@@ -430,7 +430,7 @@ class TestCli:
         assert "12 runs (executed=0 cached=12" in out
 
     def test_dry_run_lists_without_executing(self, tmp_path, capsys):
-        args = self.ARGS + ["--cache-dir", str(tmp_path), "--dry-run"]
+        args = self.ARGS + ["--store", str(tmp_path), "--dry-run"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "# 12 runs" in out
@@ -499,7 +499,7 @@ class TestSweepIntegration:
             base=base,
             seeds=(1, 2),
         )
-        parallel = Sweep(**kw).run(workers=2, cache_dir=str(tmp_path))
+        parallel = Sweep(**kw).run(workers=2, store=str(tmp_path))
         serial = Sweep(**kw).run()
         assert parallel.series == serial.series
         assert parallel.x_values == serial.x_values

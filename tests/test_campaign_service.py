@@ -1,4 +1,4 @@
-"""Scheduler layer, streaming aggregation, and the campaign service.
+"""Scheduler layer, streaming aggregation, and the campaign verbs.
 
 Pins the contracts of the refactor's upper layers (docs/campaigns.md):
 
@@ -14,8 +14,9 @@ Pins the contracts of the refactor's upper layers (docs/campaigns.md):
   in any arrival order (hypothesis property), because ``mean_ci`` *is*
   the Welford fold;
 * the ``submit`` / ``status`` / ``results`` / ``migrate`` CLI
-  subcommands and the importable :class:`CampaignService` drive the
-  same layers end to end.
+  subcommands and the functions behind them (``run_campaign``,
+  ``campaign_status``, ``collect_campaign``, ``migrate_json_dir``)
+  drive the same layers end to end.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.experiments.aggregation import (
 )
 from repro.experiments.campaign import (
     CampaignSpec,
+    collect_campaign,
     main,
     run_campaign,
 )
@@ -46,8 +48,7 @@ from repro.experiments.scheduler import (
     SerialScheduler,
     scheduler_by_name,
 )
-from repro.experiments.service import CampaignService
-from repro.experiments.store import open_store
+from repro.experiments.store import migrate_json_dir, open_store
 
 FAST_ROUNDS = dict(backend="rounds", n_nodes=16, group_size=4)
 
@@ -152,10 +153,20 @@ class TestCancelResume:
         assert partial.stream.done == partial.executed
 
         # the status view streams whatever has landed, mid-campaign
-        status = campaign_status(spec, store)
+        metrics = ["rounds", "moves"]
+        status = campaign_status(spec, store, metrics=metrics)
         assert status.done == partial.executed
         assert not status.complete
         assert 0 < sum(status.counts.values()) < spec.size()
+        # ... and reports exactly what the read-only assembly sees
+        collected = collect_campaign(spec, store)
+        assert status.counts == {
+            key: len(runs) for key, runs in collected.by_cell().items()
+        }
+        for metric in metrics:
+            assert status.aggregates[metric] == collected.aggregate(
+                collected.extractor(metric)
+            )
         table = status.format_table()
         assert "/2" in table  # n/total landed-count column
         assert any(status.aggregates[m] for m in status.metrics)
@@ -302,39 +313,42 @@ class TestStreamingAggregation:
 
 
 # ----------------------------------------------------------------------
-# The importable service
+# The service verbs as plain calls over one open store
 # ----------------------------------------------------------------------
 class TestCampaignService:
+    """The submit/status/results/migrate verbs as direct calls of
+    ``run_campaign`` / ``campaign_status`` / ``collect_campaign`` /
+    ``migrate_json_dir``."""
+
     def test_submit_status_results_roundtrip(self, store_spec):
         spec = rounds_spec()
-        with CampaignService.open(store_spec, scheduler="serial") as svc:
-            submitted = svc.submit(spec)
+        with open_store(store_spec) as store:
+            submitted = run_campaign(spec, store=store, scheduler="serial")
             assert submitted.executed == spec.size()
 
-            status = svc.status(spec)
+            status = campaign_status(spec, store)
             assert status.complete
             assert status.done == spec.size()
 
-            assembled = svc.results(spec)
+            assembled = collect_campaign(spec, store)
             assert assembled.executed == 0
             assert assembled.cache_hits == spec.size()
             assert assembled.format_table(("rounds",)) == (
                 submitted.format_table(("rounds",))
             )
 
-            resubmitted = svc.submit(spec)  # warm: nothing to execute
+            # warm: nothing to execute
+            resubmitted = run_campaign(spec, store=store, scheduler="serial")
             assert resubmitted.executed == 0
 
     def test_migrate_from_json_cache(self, tmp_path):
         spec = rounds_spec()
         json_root = str(tmp_path / "legacy-cache")
-        run_campaign(spec, cache_dir=json_root)
-        with CampaignService.open(
-            f"sqlite:{tmp_path / 'svc.sqlite'}"
-        ) as svc:
-            migrated, skipped = svc.migrate_from(json_root)
+        run_campaign(spec, store=json_root)
+        with open_store(f"sqlite:{tmp_path / 'svc.sqlite'}") as store:
+            migrated, skipped = migrate_json_dir(json_root, store)
             assert (migrated, skipped) == (spec.size(), 0)
-            assert svc.submit(spec).cache_hits == spec.size()
+            assert run_campaign(spec, store=store).cache_hits == spec.size()
 
 
 # ----------------------------------------------------------------------
@@ -407,8 +421,10 @@ class TestCli:
     def test_migrate_subcommand_end_to_end(self, tmp_path, capsys):
         json_root = str(tmp_path / "legacy")
         sqlite_spec = str(tmp_path / "migrated.sqlite")
-        # 1. build a JSON cache dir the pre-refactor way
-        assert main(SPEC_ARGS + ["--cache-dir", json_root, "--quiet"]) == 0
+        # 1. build a JSON record dir
+        assert main(
+            SPEC_ARGS + ["--store", f"json:{json_root}", "--quiet"]
+        ) == 0
         # 2. migrate it into SQLite
         assert main(["migrate", json_root, sqlite_spec, "--quiet"]) == 0
         out = capsys.readouterr().out
@@ -429,11 +445,3 @@ class TestCli:
         assert "executed=4" in out  # own share + stolen leftovers
         assert "skipped=0" in out
         assert "stolen=" in out
-
-    def test_store_and_cache_dir_conflict(self, tmp_path):
-        argv = SPEC_ARGS + [
-            "--store", str(tmp_path / "a"),
-            "--cache-dir", str(tmp_path / "b"),
-        ]
-        with pytest.raises(SystemExit):
-            main(argv)

@@ -33,11 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.backends import backend_by_name, build_round_scenario
-from repro.experiments.campaign import config_key, main
+from repro.experiments.campaign import main
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario_models import build_scenario_space
+from repro.experiments.store import config_key
 from repro.graph.io import (
     SCENARIO_SCHEMA,
     ScenarioDocument,
@@ -548,7 +549,7 @@ class TestCampaignCli:
             "--set", "sim_time=12",
             "--set", "n_nodes=24",
             "--set", "group_size=4",
-            "--cache-dir", str(tmp_path),
+            "--store", str(tmp_path),
             "--quiet",
         ]
         assert main(args) == 0

@@ -31,14 +31,7 @@ from repro.experiments.backends import (
     build_round_scenario,
     metric_extractor,
 )
-from repro.experiments.campaign import (
-    CampaignSpec,
-    ResultCache,
-    config_key,
-    main,
-    record_from_result,
-    result_from_record,
-)
+from repro.experiments.campaign import CampaignSpec, main
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import build_network, run_scenario
@@ -51,6 +44,12 @@ from repro.experiments.scenario_models import (
     model_by_name,
     non_default_axes,
     resolved_models,
+)
+from repro.experiments.store import (
+    JsonDirStore,
+    config_key,
+    record_from_result,
+    result_from_record,
 )
 from repro.util.geometry import pairwise_distances
 from repro.util.rng import RngStreams
@@ -622,7 +621,7 @@ class TestSatelliteKnobs:
             "partition_fraction",
         ):
             del record["diagnostics"][f]
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         cache.store(cfg, record)
         loaded = result_from_record(cache.load(cfg))
         assert loaded.link_breaks_per_s != loaded.link_breaks_per_s  # nan
@@ -643,7 +642,7 @@ class TestSatelliteKnobs:
             "density_ref_n",
         ):
             del record["config"][name]
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         cache.store(cfg, record)
         loaded = cache.load(cfg)
         assert loaded is not None
@@ -656,7 +655,7 @@ class TestSatelliteKnobs:
             model_params={"gm_alpha": 0.5},
         )
         record = record_from_result(run_scenario(cfg))
-        cache = ResultCache(str(tmp_path))
+        cache = JsonDirStore(str(tmp_path))
         cache.store(cfg, record)
         loaded = cache.load(cfg)  # JSON turned the params into [[...]]
         assert loaded is not None

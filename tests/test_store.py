@@ -4,7 +4,7 @@ The contracts pinned here (see docs/campaigns.md):
 
 * ``open_store`` dispatch and side-effect-free probing;
 * :class:`JsonDirStore` stays byte-compatible with the pre-refactor
-  ``ResultCache`` layout (same filenames, same file contents), with the
+  JSON record dir (same filenames, same file contents), with the
   crash-safety discipline (fsync + atomic replace, stale-tmp sweeping);
 * :class:`SqliteStore` holds the same records behind the same
   load/store semantics (WAL journaling, schema-versioned rows, batched
@@ -34,7 +34,6 @@ from repro.experiments.campaign import (
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.store import (
     JsonDirStore,
-    ResultCache,
     SqliteStore,
     config_key,
     migrate_json_dir,
@@ -119,13 +118,8 @@ class TestOpenStore:
 # JSON dir store: the historical layout, hardened
 # ----------------------------------------------------------------------
 class TestJsonDirStore:
-    def test_resultcache_is_the_json_store(self, tmp_path):
-        # the historical name keeps working (tests/notebooks import it)
-        cache = ResultCache(str(tmp_path))
-        assert isinstance(cache, JsonDirStore)
-
     def test_layout_matches_pre_refactor_bytes(self, tmp_path):
-        """A stored record is the exact file the old ResultCache wrote:
+        """A stored record is the exact file pre-refactor code wrote:
         ``<config_key>.json`` holding sorted-keys JSON."""
         cfg = rounds_base(seed=7, protocol="ss-spst")
         record = _record_for(cfg)
