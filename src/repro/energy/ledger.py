@@ -15,10 +15,12 @@ six buckets) divided by delivered data packets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 _DIRECTIONS = ("tx", "rx", "discard")
 _CLASSES = ("data", "control")
+#: traffic class -> its ``(rx, discard)`` bucket keys
+_RX_BUCKETS = {c: (f"rx_{c}", f"discard_{c}") for c in _CLASSES}
 
 
 @dataclass
@@ -75,6 +77,35 @@ class EnergyLedger:
             raise ValueError(f"unknown energy bucket {key!r}")
         self._j[key] += joules
 
+    @staticmethod
+    def rx_buckets(traffic_class: str) -> Tuple[str, str]:
+        """The ``(rx, discard)`` bucket keys of ``traffic_class``.
+
+        Raises ``charge``'s unknown-bucket error for an unknown class, so
+        a caller that files many receptions of one frame checks its keys
+        once.
+        """
+        buckets = _RX_BUCKETS.get(traffic_class)
+        if buckets is None:
+            key = f"rx_{traffic_class}"
+            raise ValueError(f"unknown energy bucket {key!r}")
+        return buckets
+
+    def receive(
+        self, buckets: Tuple[str, str], joules: float, discard: bool = False
+    ) -> None:
+        """Charge one reception to ``buckets`` (from :meth:`rx_buckets`).
+
+        The energy goes to the rx bucket; with ``discard`` (a corrupted
+        frame) it is re-filed as discard energy straight away, exactly as
+        :meth:`charge` followed by :meth:`reclassify_rx_as_discard`.
+        """
+        if joules < 0:
+            raise ValueError("cannot charge negative energy")
+        self._j[buckets[0]] += joules
+        if discard:
+            self._refile(buckets, joules)
+
     def reclassify_rx_as_discard(self, traffic_class: str, joules: float) -> None:
         """Move energy from the rx bucket to the discard bucket.
 
@@ -82,12 +113,15 @@ class EnergyLedger:
         decides the packet is useless (overheard / duplicate), the charge is
         re-filed as discard energy.
         """
-        key_rx = f"rx_{traffic_class}"
-        key_dis = f"discard_{traffic_class}"
-        if joules < 0 or self._j[key_rx] - joules < -1e-12:
+        self._refile(self.rx_buckets(traffic_class), joules)
+
+    def _refile(self, buckets: Tuple[str, str], joules: float) -> None:
+        j = self._j
+        key_rx, key_dis = buckets
+        if joules < 0 or j[key_rx] - joules < -1e-12:
             raise ValueError("reclassify amount exceeds rx balance")
-        self._j[key_rx] -= joules
-        self._j[key_dis] += joules
+        j[key_rx] -= joules
+        j[key_dis] += joules
 
     def snapshot(self) -> EnergyBreakdown:
         """Return an immutable copy of the current balances."""

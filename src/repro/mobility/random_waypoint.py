@@ -10,7 +10,8 @@ prevents the long-run average speed from decaying toward zero.
 The implementation is leg-based and vectorized: per node we store the
 current leg ``(t0, t1, src, dst)``; legs are regenerated lazily for exactly
 the nodes whose legs expired, and position interpolation across all nodes is
-a single broadcasting expression.
+a single broadcasting expression.  Each leg's ``dst - src`` and span are
+cached and recomputed only once the earliest leg end has passed.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ class RandomWaypoint(MobilityModel):
         self._dst = pos.copy()
         self._paused = np.zeros(n, dtype=bool)
         self._pos_buf = pos.copy()
+        # Per-leg terms of the interpolation, valid until the earliest leg
+        # end ``_next_end`` has passed (-inf: not computed yet).
+        self._delta = np.zeros((n, 2))
+        self._safe_span = np.ones(n)
+        self._next_end = -np.inf
+        self._frac = np.zeros(n)
 
     # ------------------------------------------------------------------
     def _new_leg(self, i: int, t: float) -> None:
@@ -104,17 +111,25 @@ class RandomWaypoint(MobilityModel):
         self._dst[i] = target
 
     def _positions_at(self, t: float) -> np.ndarray:
-        expired = np.nonzero(self._t1 < t)[0]
-        # A node may burn through several short legs before t; loop until
-        # every node's current leg covers t.
-        while expired.size:
-            for i in expired:
-                self._new_leg(int(i), float(self._t1[i]))
+        if t > self._next_end:
             expired = np.nonzero(self._t1 < t)[0]
-        span = self._t1 - self._t0
-        safe_span = np.where(span > 0.0, span, 1.0)  # zero-span legs have src == dst
-        frac = np.clip((t - self._t0) / safe_span, 0.0, 1.0)
-        np.multiply(self._dst - self._src, frac[:, None], out=self._pos_buf)
+            # A node may burn through several short legs before t; loop
+            # until every node's current leg covers t.
+            while expired.size:
+                for i in expired:
+                    self._new_leg(int(i), float(self._t1[i]))
+                expired = np.nonzero(self._t1 < t)[0]
+            np.subtract(self._dst, self._src, out=self._delta)
+            span = self._t1 - self._t0
+            # zero-span legs have src == dst
+            self._safe_span = np.where(span > 0.0, span, 1.0)
+            self._next_end = float(self._t1.min())
+        frac = self._frac
+        np.subtract(t, self._t0, out=frac)
+        np.divide(frac, self._safe_span, out=frac)
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, 1.0, out=frac)
+        np.multiply(self._delta, frac[:, None], out=self._pos_buf)
         self._pos_buf += self._src
         return self._pos_buf
 

@@ -15,21 +15,32 @@ as discard energy.  An optional i.i.d. loss probability models residual
 channel error beyond collisions.
 
 Each frame costs the event kernel one completion event at the end of its
-airtime, however many nodes hear it: :meth:`WirelessMedium.broadcast`
-builds the frame's receptions in receiver-index order, and
-``_complete_frame`` completes them in that order.  That is the order
-one event per receiver would fire in (contiguous insertion numbers at
-one timestamp), so the event order and every output are unchanged.
-The kernel's ``events_executed`` still counts one event per reception.
+airtime, however many nodes hear it.  There is no per-receiver object:
+:meth:`WirelessMedium.broadcast` keeps a frame's receivers (in
+receiver-index order), their received powers and their corrupted flags as
+three plain lists on its :class:`Transmission`, and ``_complete_frame``
+completes them in that order.  That is the order one event per receiver
+would fire in (contiguous insertion numbers at one timestamp), so the
+event order and every output are unchanged.  The kernel's
+``events_executed`` still counts one event per reception.
+
+Overlaps are found without per-node reception lists.  Each node has a
+"receiving until" horizon, the latest end of a frame it was listed to
+hear; only a receiver whose horizon is still ahead of ``now`` is checked,
+against the in-flight frames in broadcast order.  Random loss is drawn
+after the receiver set is known: one ``rng.random(k)`` call over the
+frame's k receivers that are still clean, in receiver order — the same
+stream as one draw per clean receiver inside the loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.energy.ledger import EnergyLedger
 from repro.net.packet import Packet
 from repro.util.ids import NodeId
 
@@ -39,7 +50,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class Transmission:
-    """An in-flight frame on the air."""
+    """An in-flight frame on the air.
+
+    ``receivers`` lists the nodes that hear the frame, in receiver-index
+    order; ``powers[i]`` and ``corrupted[i]`` are receiver ``i``'s relative
+    received power and whether its copy is lost (collision, half duplex
+    or random loss).  Later overlapping frames may still set
+    ``corrupted[i]`` before the frame completes.
+    """
 
     sender: NodeId
     sender_pos: np.ndarray
@@ -47,20 +65,9 @@ class Transmission:
     t_start: float
     t_end: float
     packet: Packet
-
-
-class _Reception:
-    """One receiver's view of an in-flight frame."""
-
-    __slots__ = ("tx", "receiver", "rx_power", "corrupted")
-
-    def __init__(
-        self, tx: Transmission, receiver: NodeId, rx_power: float, corrupted: bool
-    ) -> None:
-        self.tx = tx
-        self.receiver = receiver
-        self.rx_power = rx_power  # relative received power (capture comparisons)
-        self.corrupted = corrupted
+    receivers: List[NodeId] = field(default_factory=list)
+    powers: List[float] = field(default_factory=list)
+    corrupted: List[bool] = field(default_factory=list)
 
 
 class MediumStats:
@@ -126,7 +133,9 @@ class WirelessMedium:
         self.capture_threshold = float(capture_threshold)
         self.stats = MediumStats()
         self._active: List[Transmission] = []
-        self._receptions: Dict[NodeId, List[_Reception]] = {}
+        # per node: the latest end of a frame it was listed to hear; only
+        # a node whose horizon is still ahead can have overlapping frames
+        self._rx_until: List[float] = [0.0] * network.mobility.n
 
     # ------------------------------------------------------------------
     def airtime(self, packet: Packet) -> float:
@@ -202,10 +211,13 @@ class WirelessMedium:
         dists = np.hypot(deltas[:, 0], deltas[:, 1])
         in_range = np.nonzero((dists <= tx_range) & (dists > 0.0))[0]
 
-        receptions = self._receptions
+        t_end = tx.t_end
+        rx_until = self._rx_until
         cp = self.capture_threshold
-        loss_prob = self.loss_prob
-        batch: List[_Reception] = []
+        overlapping: Optional[List[Transmission]] = None
+        receivers = tx.receivers
+        powers = tx.powers
+        corrupted = tx.corrupted
         for rid, d in zip(in_range.tolist(), dists[in_range].tolist()):
             node = nodes[rid]
             if not node.alive:
@@ -214,66 +226,80 @@ class WirelessMedium:
             # power-controlled range^alpha, path loss with distance^alpha.
             power = (tx_range / (d if d > 1.0 else 1.0)) ** 2
             # Half duplex: receiver currently transmitting -> corrupted.
-            corrupted = node.tx_busy_until > now
-            # Collisions with other in-flight receptions at this node,
-            # subject to power capture (ns-2 CPThresh semantics).
-            ongoing = receptions.get(rid)
-            if ongoing is None:
-                ongoing = receptions[rid] = []
-            for other in ongoing:
-                if other.tx.t_end > now:  # overlap in time
-                    if power >= other.rx_power * cp:
-                        other.corrupted = True  # we capture the receiver
-                    elif other.rx_power >= power * cp:
-                        corrupted = True  # the ongoing frame dominates
+            bad = node.tx_busy_until > now
+            if rx_until[rid] > now:
+                # Collisions with the frames this node already hears,
+                # subject to power capture (ns-2 CPThresh semantics).
+                if overlapping is None:
+                    overlapping = [o for o in self._active if o is not tx]
+                for other in overlapping:
+                    others = other.receivers
+                    if rid not in others:
+                        continue
+                    i = others.index(rid)
+                    other_power = other.powers[i]
+                    if power >= other_power * cp:
+                        other.corrupted[i] = True  # we capture the receiver
+                    elif other_power >= power * cp:
+                        bad = True  # the ongoing frame dominates
                     else:
-                        other.corrupted = True
-                        corrupted = True
-            # Residual random loss.
-            if not corrupted and loss_prob > 0.0:
-                if float(self.rng.random()) < loss_prob:
-                    corrupted = True
-                    self.stats.frames_lost_random += 1
-            rec = _Reception(tx, rid, power, corrupted)
-            ongoing.append(rec)
-            batch.append(rec)
-        if batch:
-            sim.schedule(duration, self._complete_frame, batch)
+                        other.corrupted[i] = True
+                        bad = True
+                if t_end > rx_until[rid]:
+                    rx_until[rid] = t_end
+            else:
+                rx_until[rid] = t_end
+            receivers.append(rid)
+            powers.append(power)
+            corrupted.append(bad)
+        if receivers:
+            loss_prob = self.loss_prob
+            if loss_prob > 0.0:
+                # Residual random loss: one draw per receiver still clean,
+                # in receiver order.
+                clean = [i for i, bad in enumerate(corrupted) if not bad]
+                if clean:
+                    draws = self.rng.random(len(clean)).tolist()
+                    for i, u in zip(clean, draws):
+                        if u < loss_prob:
+                            corrupted[i] = True
+                            self.stats.frames_lost_random += 1
+            sim.schedule_at(t_end, self._complete_frame, tx)
 
         sender_node.tx_busy_until = max(sender_node.tx_busy_until, tx.t_end)
         return tx
 
     # ------------------------------------------------------------------
-    def _complete_frame(self, batch: List[_Reception]) -> None:
+    def _complete_frame(self, tx: Transmission) -> None:
         """End of airtime: complete every reception of one frame, in order.
 
-        Charges, reclassifications and deliveries go node by node in the
-        order ``broadcast`` built the batch, so every float sum and every
-        event a handler schedules come out as with one event per
-        receiver.  The kernel counted this callback once; the other
-        receptions are credited to ``events_executed`` here.
+        Charges, reclassifications and deliveries go node by node in
+        receiver order, so every float sum and every event a handler
+        schedules come out as with one event per receiver.  The kernel
+        counted this callback once; the other receptions are credited to
+        ``events_executed`` here.
         """
         net = self.network
-        net.sim.events_executed += len(batch) - 1
+        receivers = tx.receivers
+        net.sim.events_executed += len(receivers) - 1
         nodes = net.nodes
-        receptions = self._receptions
-        stats = self.stats
-        packet = batch[0].tx.packet
+        packet = tx.packet
         # The radio listened for the full frame either way.
         joules = net.radio.rx_energy(packet.bits)
-        traffic_class = packet.traffic_class
-        for rec in batch:
-            rid = rec.receiver
-            receptions[rid].remove(rec)
+        buckets = EnergyLedger.rx_buckets(packet.traffic_class)
+        received = collided = 0
+        for rid, bad in zip(receivers, tx.corrupted):
             node = nodes[rid]
             if not node.alive:
                 continue
-            stats.receptions_total += 1
-            node.ledger.charge("rx", traffic_class, joules)
+            received += 1
+            node.ledger.receive(buckets, joules, bad)
             node.battery.draw(joules)
-            if rec.corrupted:
-                stats.frames_collided += 1
-                node.ledger.reclassify_rx_as_discard(traffic_class, joules)
-                continue
-            stats.frames_delivered += 1
-            node.deliver(packet, joules)
+            if bad:
+                collided += 1
+            else:
+                node.deliver(packet, joules)
+        stats = self.stats
+        stats.receptions_total += received
+        stats.frames_collided += collided
+        stats.frames_delivered += received - collided

@@ -33,6 +33,10 @@ class PacketKind(enum.Enum):
 
 CONTROL_KINDS = frozenset(k for k in PacketKind if k is not PacketKind.DATA)
 
+#: int code of each kind in ``Packet.flow_key``: an int hashes in C, a
+#: ``PacketKind`` member through ``Enum.__hash__`` on every dict probe
+KIND_CODES = {kind: code for code, kind in enumerate(PacketKind)}
+
 _uid_counter = itertools.count()
 
 
@@ -68,6 +72,12 @@ class Packet:
         ignore frames tagged for other groups.
     uid:
         Unique per-frame id (fresh for every transmission).
+    traffic_class:
+        Energy-ledger class, ``"data"`` or ``"control"`` (derived).
+    flow_key:
+        End-to-end identity ``(origin, seq, kind code, group)``, stable
+        across relays; the kind enters as its int code in
+        :data:`KIND_CODES` (derived).
     """
 
     kind: PacketKind
@@ -83,6 +93,9 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("packets must have positive size")
+        # Derived once per packet: a packet's fields are never reassigned.
+        self.traffic_class = "data" if self.kind is PacketKind.DATA else "control"
+        self.flow_key = (self.origin, self.seq, KIND_CODES[self.kind], self.group)
 
     @property
     def bits(self) -> int:
@@ -93,17 +106,6 @@ class Packet:
     def is_control(self) -> bool:
         """True for every frame type except DATA."""
         return self.kind is not PacketKind.DATA
-
-    @property
-    def traffic_class(self) -> str:
-        """Energy-ledger class: 'data' or 'control'."""
-        return "control" if self.is_control else "data"
-
-    @property
-    def flow_key(self) -> tuple:
-        """End-to-end identity ``(origin, seq, kind, group)`` stable
-        across relays."""
-        return (self.origin, self.seq, self.kind, self.group)
 
     def relay(self, new_src: NodeId, extra_payload: Optional[Dict[str, Any]] = None) -> "Packet":
         """Clone this packet for retransmission by ``new_src``.

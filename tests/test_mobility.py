@@ -191,3 +191,65 @@ def test_rwp_property_positions_bounded(seed, vmax):
     m = RandomWaypoint(8, arena, v_min=1.0, v_max=vmax, rng=np.random.default_rng(seed))
     for t in (0.0, 3.7, 50.1, 222.2, 1000.0):
         assert arena.contains(m.positions(t)).all()
+
+
+class _UncachedWaypoint(RandomWaypoint):
+    """Oracle: the interpolation recomputing every leg term per query."""
+
+    def _positions_at(self, t):
+        expired = np.nonzero(self._t1 < t)[0]
+        while expired.size:
+            for i in expired:
+                self._new_leg(int(i), float(self._t1[i]))
+            expired = np.nonzero(self._t1 < t)[0]
+        span = self._t1 - self._t0
+        safe_span = np.where(span > 0.0, span, 1.0)
+        frac = np.clip((t - self._t0) / safe_span, 0.0, 1.0)
+        np.multiply(self._dst - self._src, frac[:, None], out=self._pos_buf)
+        self._pos_buf += self._src
+        return self._pos_buf
+
+
+#: a query step: advance by a multiple of the arena crossing time, jump
+#: exactly to one node's leg end, or to (just past) the earliest leg end
+_RWP_STEP = st.one_of(
+    st.tuples(st.just("dt"), st.floats(0.0, 3.0)),
+    st.tuples(st.just("leg_end"), st.integers(0, 7)),
+    st.tuples(st.just("next_end"), st.booleans()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 8),
+    # 1e-10 m legs are shorter than the 1e-9 s minimum leg duration
+    side=st.sampled_from([300.0, 1e-10]),
+    pause=st.sampled_from([0.0, 0.5, 2.0]),
+    vmax=st.floats(1.0, 25.0),
+    steps=st.lists(_RWP_STEP, min_size=1, max_size=25),
+)
+def test_rwp_cached_legs_match_uncached_formula(seed, n, side, pause, vmax, steps):
+    """Property: the per-leg cached interpolation returns the uncached
+    formula's positions bit for bit and leaves the same RNG state, at
+    leg ends, through pauses and through legs of minimum duration."""
+    crossing = side  # seconds to cross the arena at v_min = 1 m/s
+    arena = Arena(side, side)
+    models = [
+        cls(n, arena, 1.0, vmax, pause_time=pause * crossing,
+            rng=np.random.default_rng(seed))
+        for cls in (_UncachedWaypoint, RandomWaypoint)
+    ]
+    ref, cached = models
+    t = 0.0  # the first query sees the zero-span start legs
+    for kind, arg in [("dt", 0.0)] + steps:
+        if kind == "dt":
+            t += arg * crossing
+        elif kind == "leg_end":
+            t = float(ref._t1[arg % n])
+        else:
+            end = float(ref._t1.min())
+            t = float(np.nextafter(end, np.inf)) if arg else end
+        expected = ref.positions(t).copy()
+        assert cached.positions(t).tobytes() == expected.tobytes()
+        assert cached.rng.bit_generator.state == ref.rng.bit_generator.state

@@ -14,6 +14,8 @@ from repro.net import (
     Packet,
     PacketKind,
     ProtocolAgent,
+    Transmission,
+    WirelessMedium,
 )
 from repro.sim import Simulator
 from repro.util.geometry import Arena
@@ -322,6 +324,148 @@ class TestMediumLoss:
     def test_loss_prob_validation(self):
         with pytest.raises(ValueError):
             make_network([[0, 0]], loss_prob=1.5)
+
+
+class _Rec:
+    __slots__ = ("tx", "receiver", "power", "corrupted")
+
+    def __init__(self, tx, receiver, power, corrupted):
+        self.tx, self.receiver = tx, receiver
+        self.power, self.corrupted = power, corrupted
+
+
+class ReferenceMedium(WirelessMedium):
+    """Oracle: the medium as one object per receiver, kept in per-node
+    lists of ongoing receptions, with one loss draw per clean receiver
+    inside the receiver loop.  ``seen`` counts the cases a scenario hit."""
+
+    def __init__(self, net):
+        super().__init__(net, loss_prob=net.medium.loss_prob, rng=net.medium.rng)
+        self.ongoing = {}
+        self.seen = {"overlap>=3": 0, "half_duplex": 0, "dead_at_end": 0}
+
+    def broadcast(self, sender, packet, tx_range):
+        net, now = self.network, self.network.sim.now
+        tx_range = min(tx_range, net.radio.max_range)
+        positions, duration = net.positions(), self.airtime(packet)
+        tx = Transmission(sender, positions[sender].copy(), float(tx_range),
+                          now, now + duration, packet)
+        self._prune(now)
+        self._active.append(tx)
+        self.stats.frames_sent += 1
+        net.nodes[sender].charge_tx(net.radio.tx_energy(packet.bits, tx_range), packet)
+        dists = np.hypot(*(positions - tx.sender_pos).T)
+        batch = []
+        for rid in np.nonzero((dists <= tx_range) & (dists > 0.0))[0].tolist():
+            node = net.nodes[rid]
+            if not node.alive:
+                continue
+            power = (tx_range / max(float(dists[rid]), 1.0)) ** 2
+            corrupted = node.tx_busy_until > now
+            self.seen["half_duplex"] += corrupted
+            live = [o for o in self.ongoing.setdefault(rid, []) if o.tx.t_end > now]
+            self.seen["overlap>=3"] += len(live) >= 2
+            for other in live:
+                if power >= other.power * self.capture_threshold:
+                    other.corrupted = True
+                elif other.power >= power * self.capture_threshold:
+                    corrupted = True
+                else:
+                    other.corrupted = corrupted = True
+            if not corrupted and self.loss_prob > 0.0:
+                if self.rng.random() < self.loss_prob:
+                    corrupted = True
+                    self.stats.frames_lost_random += 1
+            batch.append(_Rec(tx, rid, power, corrupted))
+            self.ongoing[rid].append(batch[-1])
+        if batch:
+            net.sim.schedule(duration, self._complete_frame, batch)
+        net.nodes[sender].tx_busy_until = max(net.nodes[sender].tx_busy_until, tx.t_end)
+        return tx
+
+    def _complete_frame(self, batch):
+        net, packet = self.network, batch[0].tx.packet
+        net.sim.events_executed += len(batch) - 1
+        joules = net.radio.rx_energy(packet.bits)
+        for rec in batch:
+            self.ongoing[rec.receiver].remove(rec)
+            node = net.nodes[rec.receiver]
+            if not node.alive:
+                self.seen["dead_at_end"] += 1
+                continue
+            self.stats.receptions_total += 1
+            node.ledger.charge("rx", packet.traffic_class, joules)
+            node.battery.draw(joules)
+            if rec.corrupted:
+                self.stats.frames_collided += 1
+                node.ledger.reclassify_rx_as_discard(packet.traffic_class, joules)
+            else:
+                self.stats.frames_delivered += 1
+                node.deliver(packet, joules)
+
+
+def _run_medium_scenario(seed, loss_prob, reference):
+    """Bursts of overlapping frames on a dense 10-node field, with nodes
+    killed mid-run and small batteries that run out inside frames."""
+    rng = np.random.default_rng(seed)
+    sim, net = make_network(rng.uniform(0, 300, size=(10, 2)).tolist(), loss_prob=loss_prob)
+    if reference:
+        net.medium = ReferenceMedium(net)
+    for node in net.nodes:
+        node.agent.useful = node.id % 3 != 0  # some clean frames are discards
+    rx_j = net.radio.rx_energy(512 * 8)
+    for v in rng.choice(10, size=3, replace=False).tolist():
+        node = net.nodes[v]
+        node.battery = Battery(float(rng.uniform(3, 12)) * rx_j, on_depleted=node._die)
+
+    def send(v, seq, size, tx_range):
+        if net.nodes[v].alive:
+            net.medium.broadcast(v, data_packet(v, seq=seq, size=size), tx_range)
+
+    def kill(v):
+        net.nodes[v].alive = False
+
+    seq = 0
+    for t0 in np.sort(rng.uniform(0.0, 0.2, size=25)).tolist():
+        for dt in np.sort(rng.uniform(0.0, 0.0015, size=int(rng.integers(2, 6)))).tolist():
+            sim.schedule_at(t0 + dt, send, int(rng.integers(10)), seq,
+                            int(rng.choice([64, 256, 512, 1024])),
+                            float(rng.uniform(40.0, 300.0)))
+            seq += 1
+    for v in rng.choice(10, size=2, replace=False).tolist():
+        sim.schedule_at(float(rng.uniform(0.0, 0.2)), kill, v)
+    sim.run()
+    outcome = {
+        "received": [[(t, p.origin, p.seq) for t, p in nd.agent.received] for nd in net.nodes],
+        "ledgers": [nd.ledger.snapshot() for nd in net.nodes],
+        "batteries": [nd.battery.remaining_j for nd in net.nodes],
+        "alive": [nd.alive for nd in net.nodes],
+        "stats": {k: getattr(net.medium.stats, k) for k in type(net.medium.stats).__slots__},
+        "events": sim.events_executed,
+        "rng": None if net.medium.rng is None else net.medium.rng.bit_generator.state,
+    }
+    return outcome, getattr(net.medium, "seen", None)
+
+
+class TestMediumMatchesReferenceModel:
+    """Per-frame receiver lists, the overlap horizon and the batched loss
+    draws give exactly the per-receiver outcomes, stats, ledger buckets
+    and RNG state of the per-receiver reference loop."""
+
+    @pytest.mark.parametrize("loss_prob", [0.0, 0.25])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_outcomes(self, seed, loss_prob):
+        expected, seen = _run_medium_scenario(seed, loss_prob, reference=True)
+        actual, _ = _run_medium_scenario(seed, loss_prob, reference=False)
+        assert actual == expected
+        # the scenario reached capture chains and half-duplex losses
+        assert seen["overlap>=3"] > 0 and seen["half_duplex"] > 0
+        assert expected["stats"]["frames_collided"] > 0
+        assert expected["stats"]["frames_lost_random"] > 0 or loss_prob == 0.0
+
+    def test_scenarios_reach_dead_receivers(self):
+        seen = [_run_medium_scenario(s, 0.25, reference=True)[1] for s in range(6)]
+        assert sum(s["dead_at_end"] for s in seen) > 0
 
 
 class TestCarrierSense:

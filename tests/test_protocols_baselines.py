@@ -7,6 +7,7 @@ from repro.energy import FirstOrderRadioModel
 from repro.metrics.hub import MetricsHub
 from repro.mobility import StaticPlacement, TraceMobility
 from repro.net import MacConfig, Network, Packet, PacketKind
+from repro.protocols.base import DuplicateCache
 from repro.protocols.maodv import MaodvAgent, MaodvConfig
 from repro.protocols.odmrp import OdmrpAgent, OdmrpConfig
 from repro.protocols.registry import PROTOCOL_NAMES, make_agent_factory
@@ -184,3 +185,48 @@ class TestCrossProtocolInvariants:
         net.nodes[0].battery.remaining_j = 1e-12
         net.nodes[0].battery.draw(1.0)  # deplete
         assert not net.nodes[0].alive
+
+
+class TestDuplicateSuppression:
+    """``flow_key`` (with its int kind code) as the duplicate-cache key."""
+
+    def test_kinds_sharing_origin_seq_group_stay_distinct(self):
+        packets = [Packet(kind, 1, 4, 9, 64, group=2) for kind in PacketKind]
+        assert len({p.flow_key for p in packets}) == len(PacketKind)
+        cache = DuplicateCache()
+        assert [cache.seen_before(p.flow_key) for p in packets] == [False] * len(packets)
+        assert all(cache.seen_before(p.flow_key) for p in packets)
+
+    @pytest.mark.parametrize("kind", list(PacketKind))
+    def test_relay_preserves_flow_key(self, kind):
+        p = Packet(kind, 0, 0, 7, 64, group=3)
+        hop2 = p.relay(5).relay(6, extra_payload={"hops": 2})
+        assert hop2.flow_key == p.flow_key
+        assert hop2.uid != p.uid
+
+    def test_lru_eviction_order_over_capacity_plus_one(self):
+        cache = DuplicateCache(capacity=3)
+        keys = [Packet(PacketKind.DATA, 0, 0, seq, 64).flow_key for seq in range(4)]
+        for k in keys[:3]:
+            cache.seen_before(k)
+        assert cache.seen_before(keys[0])  # touch: keys[1] is now oldest
+        assert not cache.seen_before(keys[3])  # capacity + 1 -> evict keys[1]
+        assert [k in cache for k in keys] == [True, False, True, True]
+        assert not cache.seen_before(keys[1])  # evicted: accepted again
+
+    def test_lru_matches_a_reference_list(self):
+        rng = np.random.default_rng(5)
+        kinds = list(PacketKind)
+        cache, order = DuplicateCache(capacity=8), []
+        for _ in range(500):
+            key = Packet(kinds[int(rng.integers(3))], 0, int(rng.integers(3)),
+                         int(rng.integers(6)), 64).flow_key
+            hit = key in order
+            if hit:
+                order.remove(key)
+            order.append(key)
+            if len(order) > 8:
+                order.pop(0)
+            assert cache.seen_before(key) == hit
+        assert len(cache) == len(order) and all(k in cache for k in order)
+
