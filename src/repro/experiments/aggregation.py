@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.stats import CiSummary, t_quantile
+
 __all__ = [
     "Welford",
     "StreamingAggregate",
@@ -70,10 +72,8 @@ class Welford:
             return float("nan")
         return self._m2 / (self.n - 1)
 
-    def ci(self, confidence: float = 0.95):
+    def ci(self, confidence: float = 0.95) -> CiSummary:
         """The running Student-t :class:`~repro.analysis.stats.CiSummary`."""
-        from repro.analysis.stats import CiSummary, t_quantile
-
         if self.n == 0:
             return CiSummary(float("nan"), float("nan"), 0)
         if self.n == 1:
