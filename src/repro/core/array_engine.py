@@ -19,8 +19,11 @@ semantics operation for operation:
   scalar radio model, then gathered — never recomputed with vector
   transcendentals, whose last-ulp behaviour may differ);
 * the sequential incumbent/hop/id tie-break fold of ``rules._better`` is
-  reproduced as masked passes over candidate *slots* in neighbor order,
-  preserving the fold's non-commutative tolerant-comparison semantics;
+  a per-row minimum cost plus one lexsort per batch of the pairs tied at
+  it, exact whenever no other cost lies within the tie band of the
+  minimum; rows with such a near-tie or a non-finite cost are re-folded
+  by masked passes over candidate *slots* in neighbor order, which keep
+  the fold's non-commutative tolerant-comparison semantics;
 * SS-SPST-E's chain pricing becomes a prefix scan over the parent forest:
   two per-node price columns (``Pd`` — carried flag dead, ``Pc`` —
   carried flag alive) are propagated root-to-leaf per snapshot, exactly
@@ -526,6 +529,165 @@ def _top2(
     return r1, c1, r2, e1, e2
 
 
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
+def _fold_sequential(
+    n_rows: int,
+    row_pair: np.ndarray,
+    slot: np.ndarray,
+    valid: np.ndarray,
+    eff: np.ndarray,
+    oc: np.ndarray,
+    inc_pair: np.ndarray,
+    hopU: np.ndarray,
+    D_pair: np.ndarray,
+    U_pair: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sequential candidate fold of ``compute_update_local``: one
+    masked pass per candidate slot in neighbor order.
+
+    Exact on every input (it replays ``rules._better`` pair by pair);
+    :func:`_fold` routes the rows it cannot decide exactly through here.
+    """
+    b_eff = np.zeros(n_rows, dtype=np.float64)
+    b_oc = np.zeros(n_rows, dtype=np.float64)
+    b_inc = np.zeros(n_rows, dtype=np.int64)
+    b_hop = np.zeros(n_rows, dtype=np.int64)
+    b_d = np.zeros(n_rows, dtype=np.float64)
+    b_id = np.zeros(n_rows, dtype=np.int64)
+    has = np.zeros(n_rows, dtype=bool)
+    n_slots = int(slot[valid].max()) + 1 if valid.any() else 0
+    with np.errstate(invalid="ignore"):
+        for j in range(n_slots):
+            sel = np.flatnonzero((slot == j) & valid)
+            if not sel.size:
+                continue
+            rw = row_pair[sel]
+            ca = eff[sel]
+            cb = b_eff[rw]
+            band = COST_TOL * np.maximum(np.abs(ca), np.abs(cb))
+            lt = ca < cb - band
+            gt = ca > cb + band
+            tie = ~(lt | gt)
+            ainc = inc_pair[sel]
+            binc = b_inc[rw]
+            ahop = hopU[sel]
+            bhop = b_hop[rw]
+            ad = D_pair[sel]
+            bd = b_d[rw]
+            au = U_pair[sel]
+            bu = b_id[rw]
+            lex = (ainc < binc) | (
+                (ainc == binc)
+                & (
+                    (ahop < bhop)
+                    | (
+                        (ahop == bhop)
+                        & ((ad < bd) | ((ad == bd) & (au < bu)))
+                    )
+                )
+            )
+            take = np.flatnonzero(~has[rw] | lt | (tie & lex))
+            if take.size:
+                rr = rw[take]
+                ss = sel[take]
+                b_eff[rr] = eff[ss]
+                b_oc[rr] = oc[ss]
+                b_inc[rr] = inc_pair[ss]
+                b_hop[rr] = hopU[ss]
+                b_d[rr] = D_pair[ss]
+                b_id[rr] = U_pair[ss]
+                has[rr] = True
+    return has, b_id, b_oc, b_hop
+
+
+def _fold(
+    n_rows: int,
+    row_pair: np.ndarray,
+    slot: np.ndarray,
+    valid: np.ndarray,
+    eff: np.ndarray,
+    oc: np.ndarray,
+    inc_pair: np.ndarray,
+    hopU: np.ndarray,
+    D_pair: np.ndarray,
+    U_pair: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The candidate fold as a per-row minimum plus one lexsort.
+
+    Same result as :func:`_fold_sequential`, plus the number of rows
+    that went through it; pairs must come grouped by row (ascending
+    ``row_pair``).  Each row keeps the valid pairs at its minimum
+    ``eff``, and one lexsort of those by ``(row, incumbent, hop, dist,
+    id)`` picks the winner.  That is exact when the row's costs are
+    finite and its next distinct cost exceeds the minimum by more than
+    ``2 * COST_TOL * max|eff|`` of the row: every tolerant comparison
+    against a minimum-cost pair then agrees with the plain one (the
+    factor 2 absorbs the rounding of ``cb - band``), so the fold's best
+    is a minimum-cost pair from the first one on, and the tie-breaks
+    order those strictly (ids are unique within a row).  Rows with a
+    near-tie at the minimum, an inf or a NaN are re-folded
+    sequentially, restricted to their own pairs.
+    """
+    has = np.zeros(n_rows, dtype=bool)
+    b_id = np.zeros(n_rows, dtype=np.int64)
+    b_oc = np.zeros(n_rows, dtype=np.float64)
+    b_hop = np.zeros(n_rows, dtype=np.int64)
+    sel = np.flatnonzero(valid)
+    if not sel.size:
+        return has, b_id, b_oc, b_hop, 0
+    rs = row_pair[sel]
+    head = _run_heads(rs)
+    starts = np.flatnonzero(head)
+    seg = np.cumsum(head) - 1
+    e = eff[sel]
+    with np.errstate(invalid="ignore"):
+        lo = np.minimum.reduceat(e, starts)
+        at_lo = e == lo[seg]
+        nxt = np.minimum.reduceat(np.where(at_lo, np.inf, e), starts)
+        thr = (2.0 * COST_TOL) * np.maximum.reduceat(np.abs(e), starts)
+        bad = ~np.isfinite(thr) | (nxt - lo <= thr)
+
+    c = sel[at_lo]  # still grouped by row
+    cs = seg[at_lo]
+    if (cs[1:] == cs[:-1]).any():  # exact ties at the minimum
+        order = np.lexsort((U_pair[c], D_pair[c], hopU[c], inc_pair[c], cs))
+        c = c[order]
+        cs = cs[order]
+        first = _run_heads(cs)
+        c = c[first]
+        cs = cs[first]
+    win = c[~bad[cs]]
+    rows = row_pair[win]
+    has[rows] = True
+    b_id[rows] = U_pair[win]
+    b_oc[rows] = oc[win]
+    b_hop[rows] = hopU[win]
+    if not bad.any():
+        return has, b_id, b_oc, b_hop, 0
+
+    redo = rs[starts[bad]]
+    local = np.full(n_rows, -1, dtype=np.int64)
+    local[redo] = np.arange(redo.size, dtype=np.int64)
+    sub = sel[local[rs] >= 0]  # ascending: neighbor order is kept
+    r_has, r_id, r_oc, r_hop = _fold_sequential(
+        redo.size, local[row_pair[sub]], slot[sub],
+        np.ones(sub.size, dtype=bool), eff[sub], oc[sub],
+        inc_pair[sub], hopU[sub], D_pair[sub], U_pair[sub],
+    )
+    has[redo] = r_has
+    b_id[redo] = r_id
+    b_oc[redo] = r_oc
+    b_hop[redo] = r_hop
+    return has, b_id, b_oc, b_hop, int(redo.size)
+
+
 class ArrayRoundEngine(RoundEngine):
     """Round engine with batched columnar rule evaluation.
 
@@ -539,8 +701,8 @@ class ArrayRoundEngine(RoundEngine):
 
     :attr:`profile` accumulates per-stage wall-clock counters
     (``commit_s`` / ``snapshot_s`` / ``evaluate_s`` / ``fold_s`` /
-    ``scalar_s``) and step/snapshot tallies across runs until
-    :meth:`reset_profile`.
+    ``scalar_s``), step/snapshot tallies and ``fold_fallback_rows``
+    across runs until :meth:`reset_profile`.
     """
 
     def __init__(
@@ -590,6 +752,7 @@ class ArrayRoundEngine(RoundEngine):
             "snapshots_incremental": 0,
             "batch_steps": 0,
             "scalar_steps": 0,
+            "fold_fallback_rows": 0,
         }
 
     # ------------------------------------------------------------------
@@ -1097,25 +1260,24 @@ class ArrayRoundEngine(RoundEngine):
                 eff = np.where(inc_b, oc, oc * (1.0 + hyst))
             inc_pair = np.where(inc_b, 0, 1).astype(np.int64)
 
-            has, b_id, b_oc, b_hop = self._fold(
+            t_fold = time.perf_counter()
+            has, b_id, b_oc, b_hop, n_redo = _fold(
                 n_rows, row_pair, slot, valid,
-                eff, oc, inc_pair, hopU, D_pair, U_pair, counts,
+                eff, oc, inc_pair, hopU, D_pair, U_pair,
             )
+            prof["fold_s"] += time.perf_counter() - t_fold
+            prof["fold_fallback_rows"] += n_redo
 
-        row = 0
+        rows = zip(has.tolist(), b_id.tolist(), b_oc.tolist(), b_hop.tolist())
         for i, v in enumerate(todo):
             if v == src:
                 results[i] = NodeState(parent=None, cost=0.0, hop=0)
                 continue
-            if has[row]:
-                results[i] = NodeState(
-                    parent=int(b_id[row]),
-                    cost=float(b_oc[row]),
-                    hop=int(b_hop[row]) + 1,
-                )
+            h, p, c, hp = next(rows)
+            if h:
+                results[i] = NodeState(parent=p, cost=c, hop=hp + 1)
             else:
                 results[i] = NodeState(parent=None, cost=oc_max, hop=h_max)
-            row += 1
         prof["evaluate_s"] += (
             (time.perf_counter() - t_start)
             - (prof["snapshot_s"] - snap0)
@@ -1211,74 +1373,3 @@ class ArrayRoundEngine(RoundEngine):
             for i in np.flatnonzero(in_zone & valid).tolist():
                 oc[i] = metric.join_cost(view, int(V_pair[i]), int(U_pair[i]))
         return oc
-
-    # ------------------------------------------------------------------
-    def _fold(
-        self,
-        n_rows: int,
-        row_pair: np.ndarray,
-        slot: np.ndarray,
-        valid: np.ndarray,
-        eff: np.ndarray,
-        oc: np.ndarray,
-        inc_pair: np.ndarray,
-        hopU: np.ndarray,
-        D_pair: np.ndarray,
-        U_pair: np.ndarray,
-        counts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The sequential candidate fold of ``compute_update_local``: one
-        masked pass per candidate slot in neighbor order."""
-        t0 = time.perf_counter()
-        try:
-            b_eff = np.zeros(n_rows, dtype=np.float64)
-            b_oc = np.zeros(n_rows, dtype=np.float64)
-            b_inc = np.zeros(n_rows, dtype=np.int64)
-            b_hop = np.zeros(n_rows, dtype=np.int64)
-            b_d = np.zeros(n_rows, dtype=np.float64)
-            b_id = np.zeros(n_rows, dtype=np.int64)
-            has = np.zeros(n_rows, dtype=bool)
-            for j in range(int(counts.max())):
-                sel = np.flatnonzero((slot == j) & valid)
-                if not sel.size:
-                    continue
-                rw = row_pair[sel]
-                ca = eff[sel]
-                cb = b_eff[rw]
-                with np.errstate(invalid="ignore"):
-                    band = COST_TOL * np.maximum(np.abs(ca), np.abs(cb))
-                    lt = ca < cb - band
-                    gt = ca > cb + band
-                tie = ~(lt | gt)
-                ainc = inc_pair[sel]
-                binc = b_inc[rw]
-                ahop = hopU[sel]
-                bhop = b_hop[rw]
-                ad = D_pair[sel]
-                bd = b_d[rw]
-                au = U_pair[sel]
-                bu = b_id[rw]
-                lex = (ainc < binc) | (
-                    (ainc == binc)
-                    & (
-                        (ahop < bhop)
-                        | (
-                            (ahop == bhop)
-                            & ((ad < bd) | ((ad == bd) & (au < bu)))
-                        )
-                    )
-                )
-                take = np.flatnonzero(~has[rw] | lt | (tie & lex))
-                if take.size:
-                    rr = rw[take]
-                    ss = sel[take]
-                    b_eff[rr] = eff[ss]
-                    b_oc[rr] = oc[ss]
-                    b_inc[rr] = inc_pair[ss]
-                    b_hop[rr] = hopU[ss]
-                    b_d[rr] = D_pair[ss]
-                    b_id[rr] = U_pair[ss]
-                    has[rr] = True
-            return has, b_id, b_oc, b_hop
-        finally:
-            self.profile["fold_s"] += time.perf_counter() - t0

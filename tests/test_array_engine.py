@@ -13,6 +13,8 @@ semantics, see ``docs/convergence.md``), the sparse topology's
 equivalence to the dense one, and the ``engine=`` plumbing.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,8 +31,10 @@ from repro.core import (
     is_legitimate,
     metric_by_name,
 )
+from repro.core.array_engine import _fold, _fold_sequential
 from repro.core.examples import EXAMPLE_RADIO
 from repro.core.metrics import METRIC_NAMES
+from repro.core.rules import COST_TOL
 from repro.energy.radio import FirstOrderRadioModel
 from repro.graph import SparseTopology, Topology
 
@@ -146,12 +150,113 @@ def test_array_engine_bit_identical_at_moderate_scale(metric_name):
     sp = SparseTopology.random_geometric(400, side=600.0, radius=80.0, seed=2)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     obj, arr = pair(sp, m, "distributed", True, seed=4, k=40)
-    assert_same_trajectory(
-        obj.run(fresh_states(sp, m), max_rounds=400),
-        arr.run(fresh_states(sp, m), max_rounds=400),
-    )
+    res = arr.run(fresh_states(sp, m), max_rounds=400)
+    assert_same_trajectory(obj.run(fresh_states(sp, m), max_rounds=400), res)
     if metric_name in ("farthest", "energy"):
         assert arr.profile["snapshots_incremental"] > 0
+    # the sequential fallback re-folds a subset of the evaluated rows
+    assert arr.profile["fold_fallback_rows"] <= res.evaluations
+
+
+# ----------------------------------------------------------------------
+# The candidate fold: per-row minimum + tie lexsort vs the slot-pass fold
+# ----------------------------------------------------------------------
+FOLD_BASES = (0.0, 1.0, 2.0, 3.0, 7.0, 2.5e-6, 3.1e-6, 4.2e-4)
+
+
+@st.composite
+def fold_costs(draw, bases):
+    """A candidate cost around one of the row's ``bases``: exact (integer
+    or shared) ties, near-ties at 0.5-10 x COST_TOL relative, signed
+    zeros and non-finite values."""
+    base = draw(st.sampled_from(bases))
+    kind = draw(st.sampled_from(("exact", "exact", "near", "near", "odd")))
+    if kind == "exact":
+        return base
+    if kind == "near":
+        f = draw(st.one_of(st.sampled_from((0.5, 0.9, 1.1)), st.floats(0.5, 10.0)))
+        f *= draw(st.sampled_from((-1.0, 1.0)))
+        return base * (1.0 + f * COST_TOL) if base else f * COST_TOL
+    return draw(st.sampled_from((-0.0, math.inf, -math.inf, math.nan)))
+
+
+@st.composite
+def fold_inputs(draw):
+    """Raw ``_fold`` arguments: rows of 0-8 candidates in neighbor order
+    (unique ids per row), an invalid mask and hysteresis-scaled ``eff``."""
+    hyst = draw(st.sampled_from((0.0, 0.0, 0.05, 3.0 * COST_TOL)))
+    cols = {k: [] for k in ("row", "slot", "valid", "oc", "inc", "hop", "d", "u")}
+    n_rows = draw(st.integers(1, 6))
+    for r in range(n_rows):
+        k = draw(st.integers(0, 8))
+        ids = draw(st.permutations(range(12)))[:k]
+        incumbent = draw(st.integers(-1, k - 1)) if k else -1
+        # few cost levels per row, so that ties and near-ties collide
+        bases = draw(st.lists(st.sampled_from(FOLD_BASES), min_size=1, max_size=2))
+        for j, u in enumerate(ids):
+            cols["row"].append(r)
+            cols["slot"].append(j)
+            cols["valid"].append(draw(st.integers(0, 5)) > 0)
+            cols["oc"].append(draw(fold_costs(bases)))
+            cols["inc"].append(0 if j == incumbent else 1)
+            cols["hop"].append(draw(st.integers(0, 3)))
+            cols["d"].append(draw(st.sampled_from((10.0, 20.0, 35.5))))
+            cols["u"].append(u)
+    a = {k: np.array(v) for k, v in cols.items()}
+    oc = a["oc"].astype(np.float64)
+    inc = a["inc"].astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        eff = np.where(inc == 0, oc, oc * (1.0 + hyst))
+    return (
+        n_rows, a["row"].astype(np.int64), a["slot"].astype(np.int64),
+        a["valid"].astype(bool), eff, oc, inc, a["hop"].astype(np.int64),
+        a["d"].astype(np.float64), a["u"].astype(np.int64),
+    )
+
+
+def assert_same_fold(got, want):
+    """Equal ``has``/``b_id``/``b_hop``, and ``b_oc`` equal bit for bit
+    (the sign of zero and NaN payloads included)."""
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        if a.dtype == np.float64:
+            a, b = a.view(np.int64), b.view(np.int64)
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=fold_inputs())
+def test_fold_matches_sequential_fold(args):
+    *got, n_redo = _fold(*args)
+    assert_same_fold(got, _fold_sequential(*args))
+    assert 0 <= n_redo <= args[0]
+
+
+def test_fold_hands_near_ties_to_the_sequential_fold():
+    """Costs 0.5 x COST_TOL apart tie under ``rules._better``, so the
+    hop tie-break picks the dearer candidate; the per-row minimum alone
+    would pick the cheaper one.  The second row (exact integer ties)
+    stays on the fast path."""
+    lo, hi = 1.0, 1.0 + 0.5 * COST_TOL
+    args = (
+        2,
+        np.array([0, 0, 1, 1], dtype=np.int64),            # row
+        np.array([0, 1, 0, 1], dtype=np.int64),            # slot
+        np.ones(4, dtype=bool),                            # valid
+        np.array([lo, hi, 3.0, 3.0]),                      # eff
+        np.array([lo, hi, 3.0, 3.0]),                      # oc
+        np.ones(4, dtype=np.int64),                        # incumbent
+        np.array([2, 1, 1, 1], dtype=np.int64),            # hop
+        np.full(4, 10.0),                                  # dist
+        np.array([4, 7, 9, 5], dtype=np.int64),            # id
+    )
+    *got, n_redo = _fold(*args)
+    assert n_redo == 1
+    assert_same_fold(got, _fold_sequential(*args))
+    has, b_id, b_oc, b_hop = got
+    assert has.tolist() == [True, True]
+    assert b_id.tolist() == [7, 5]
+    assert b_oc.tolist() == [hi, 3.0]
 
 
 # ----------------------------------------------------------------------
