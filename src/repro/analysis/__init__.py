@@ -1,8 +1,9 @@
 """Result presentation: ASCII plots and report tables.
 
 Matplotlib-free by design (the execution environment is offline); the
-benches print gnuplot-style numeric series — the same rows the paper's
-figures plot — plus a quick ASCII rendering for eyeballing trends.
+figure reports print gnuplot-style numeric series — the same rows the
+paper's figures plot — plus a quick ASCII rendering for eyeballing
+trends.
 """
 
 from repro.analysis.ascii_plot import ascii_plot

@@ -6,7 +6,7 @@ member flags and flagged-children counters — and evaluates each activation
 step's whole dirty frontier as batched array operations instead of one
 Python rule evaluation per node.  It exists for scale: the object engine
 tops out around 10^3 nodes per study, the array engine takes the daemon
-studies to 10^4–10^5 (see ``benchmarks/bench_deepscale.py``).
+studies to 10^4–10^5 (perfbench's ``rounds-deep`` workload times it).
 
 The contract is **bit-identical trajectories** with the object engine —
 states, rounds, convergence verdict, cost history, move counts and

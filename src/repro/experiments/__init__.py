@@ -35,7 +35,7 @@ from repro.experiments.scenario_models import (
     effective_arena,
     model_by_name,
 )
-from repro.experiments.sweeps import Sweep, SweepResult, run_sweep
+from repro.experiments.sweeps import Sweep, SweepResult
 from repro.experiments.lifetime import LifetimeResult, compare_lifetimes, run_lifetime
 from repro.groups.models import GROUP_MODEL_NAMES, group_model_by_name
 
@@ -102,7 +102,6 @@ __all__ = [
     "group_model_by_name",
     "Sweep",
     "SweepResult",
-    "run_sweep",
     "LifetimeResult",
     "compare_lifetimes",
     "run_lifetime",

@@ -25,8 +25,8 @@ simulator — or ``rounds`` — the round-model stabilization engine, orders
 of magnitude faster per run.  ``backend`` is an ordinary config field,
 so it sweeps like any grid axis.
 
-Command line (the flat form; ``submit``/``status``/``results``/
-``migrate`` subcommands cover the service workflow)::
+Command line (``submit``/``status``/``results``/``migrate`` verbs; an
+argv without a verb is an alias of ``submit``)::
 
     PYTHONPATH=src python -m repro.experiments.campaign \
         --protocols ss-spst,ss-spst-e --grid v_max=1,5,10 \
@@ -196,7 +196,6 @@ class CampaignResult:
     results: List[Optional[RunResult]]  # aligned with spec.configs()
     executed: int = 0
     cache_hits: int = 0  # store hits
-    memo_hits: int = 0  # in-memory memo hits
     skipped: int = 0  # out-of-shard runs left to other machines
     stolen: int = 0  # foreign-shard runs claimed and executed here
     cancelled: bool = False  # a CancelCampaign stopped dispatch early
@@ -281,7 +280,6 @@ def run_campaign(
     spec: CampaignSpec,
     *,
     workers: int = 1,
-    memo: Optional[Dict[ScenarioConfig, RunResult]] = None,
     progress: Optional[Callable[[str], None]] = None,
     shard: Optional[Tuple[int, int]] = None,
     store=None,
@@ -292,12 +290,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign, reusing every result that is already known.
 
-    Lookup order per run: ``memo`` (an in-memory dict shared across
-    campaigns in one process — the sweep/figure cache) → the result
-    store → execute.  Pending runs go to the ``scheduler`` (default: the
-    multiprocessing pool when ``workers > 1``); each finished record is
-    written to the store as it arrives, so interrupting the campaign
-    loses at most the in-flight runs.
+    Lookup order per run: the result store → execute.  Pending runs go
+    to the ``scheduler`` (default: the multiprocessing pool when
+    ``workers > 1``); each finished record is written to the store as it
+    arrives, so interrupting the campaign loses at most the in-flight
+    runs.
 
     ``store`` is a :class:`~repro.experiments.store.ResultStore` or a
     spec string (``json:DIR``, ``sqlite:PATH``, or a bare path — a
@@ -345,21 +342,14 @@ def run_campaign(
     results: List[Optional[RunResult]] = [None] * len(configs)
     pending: List[Tuple[int, ScenarioConfig]] = []
     stolen_jobs: List[Tuple[int, ScenarioConfig]] = []
-    memo_hits = cache_hits = skipped = 0
+    cache_hits = skipped = 0
     me = worker_id()
 
     for i, cfg in enumerate(configs):
-        if memo is not None and cfg in memo:
-            results[i] = memo[cfg]
-            memo_hits += 1
-            stream.update(i, results[i])
-            continue
         record = result_store.load(cfg) if result_store is not None else None
         if record is not None:
             results[i] = result_from_record(record)
             cache_hits += 1
-            if memo is not None:
-                memo[cfg] = results[i]
             stream.update(i, results[i])
             continue
         if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
@@ -384,8 +374,6 @@ def run_campaign(
         executed += 1
         if result_store is not None:
             result_store.store(cfg, record)
-        if memo is not None:
-            memo[cfg] = results[i]
         stream.update(i, results[i])
         if progress:
             progress(
@@ -420,7 +408,6 @@ def run_campaign(
         results=list(results),
         executed=executed,
         cache_hits=cache_hits,
-        memo_hits=memo_hits,
         skipped=skipped,
         stolen=sum(1 for i, _ in stolen_jobs if results[i] is not None),
         cancelled=cancelled,
@@ -432,7 +419,6 @@ def run_campaign(
 def collect_campaign(
     spec: CampaignSpec,
     store,
-    memo: Optional[Dict[ScenarioConfig, RunResult]] = None,
     stream_metrics: Optional[Sequence[str]] = None,
 ) -> CampaignResult:
     """Assemble a campaign from a store without executing anything.
@@ -460,8 +446,6 @@ def collect_campaign(
             continue
         results[i] = result_from_record(record)
         cache_hits += 1
-        if memo is not None:
-            memo[cfg] = results[i]
         stream.update(i, results[i])
     return CampaignResult(
         spec=spec,
@@ -536,7 +520,7 @@ def _parse_grid(specs: List[str]) -> Dict[str, Tuple]:
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    """The campaign-shape flags shared by the flat CLI and every
+    """The campaign-shape flags shared by ``submit`` and every
     subcommand (``submit``/``status``/``results`` must name the same
     campaign to talk about the same runs)."""
     what = parser.add_argument_group("what to run")
@@ -825,9 +809,6 @@ def _metrics_from_args(args, spec: CampaignSpec) -> List[str]:
 # ----------------------------------------------------------------------
 # Service subcommands
 # ----------------------------------------------------------------------
-SUBCOMMANDS = ("submit", "status", "results", "migrate")
-
-
 def _build_view_parser(verb: str, description: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=f"python -m repro.experiments.campaign {verb}",
@@ -931,22 +912,7 @@ def _main_migrate(argv: Sequence[str]) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        verb, rest = argv[0], argv[1:]
-        if verb == "status":
-            return _main_status(rest)
-        if verb == "results":
-            return _main_results(rest)
-        if verb == "migrate":
-            return _main_migrate(rest)
-        # "submit" is the flat CLI under its service name
-        argv = rest
-    return _main_flat(argv)
-
-
-def _main_flat(argv: Sequence[str]) -> int:
+def _main_submit(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
     if args.list_figures:
         from repro.experiments.figures import FIGURES
@@ -1047,8 +1013,8 @@ def _main_flat(argv: Sequence[str]) -> int:
     cancel_note = " CANCELLED" if campaign.cancelled else ""
     print(
         f"# campaign {spec.name}: {spec.size()} runs "
-        f"(executed={campaign.executed} cached={campaign.cache_hits} "
-        f"memo={campaign.memo_hits}{shard_note}{steal_note}) "
+        f"(executed={campaign.executed} cached={campaign.cache_hits}"
+        f"{shard_note}{steal_note}) "
         f"in {campaign.elapsed_s:.1f}s{cancel_note}"
     )
     print(campaign.format_table(metrics))
@@ -1098,6 +1064,21 @@ def _write_json_record(
         os.makedirs(out_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
+
+
+#: verb -> handler; an argv without a verb is an alias of ``submit``
+VERBS: Dict[str, Callable[[Sequence[str]], int]] = {
+    "submit": _main_submit,
+    "status": _main_status,
+    "results": _main_results,
+    "migrate": _main_migrate,
+}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    verb = argv.pop(0) if argv and argv[0] in VERBS else "submit"
+    return VERBS[verb](argv)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ group, one CBR source at 64 kbps, 2 s beacon interval, 1800 s of
 simulated time.
 
 ``quick()`` produces a scaled-down variant (shorter run, lower data rate)
-with the same *structure*, used by the benches so the whole figure suite
+with the same *structure*, used by the figure checks so the whole suite
 regenerates in minutes on a laptop; pass ``quick=False`` to the figure
 definitions (or ``--paper`` to the campaign CLI) for paper-scale runs.
 """

@@ -125,13 +125,11 @@ class FigureDef:
         self,
         quick: bool = True,
         seeds: Sequence[int] = (1, 2, 3),
-        cache: Dict = None,
         workers: int = 1,
         store=None,
         scheduler=None,
     ) -> SweepResult:
         return self.sweep(quick=quick, seeds=seeds).run(
-            cache=cache,
             workers=workers,
             store=store,
             scheduler=scheduler,

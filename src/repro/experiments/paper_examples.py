@@ -3,7 +3,7 @@
 Executes the round model on the reconstructed Figure-1 topology for all
 four metrics and on the Figure-5 discard example, and reports stabilized
 trees, round counts, per-metric tree costs and the comparison against the
-exhaustive optimum — the static-analysis counterpart of the DES benches.
+exhaustive optimum — the static-analysis counterpart of the DES figures.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ average value to plot the graphs").
 Execution goes through the campaign engine
 (:mod:`repro.experiments.campaign`): a sweep is a single-axis campaign,
 so it inherits the worker pool (``workers=``), the persistent result
-store (``store=``) and resumability for free.  The in-process ``cache``
-dict keeps its historical role of sharing simulations between sweeps that
-extract different metrics from the same runs (Figures 7/8/9).
+store (``store=``) and resumability for free.  The store is also how
+sweeps that extract different metrics from the same runs (Figures 7/8/9)
+share their simulations.
 """
 
 from __future__ import annotations
@@ -83,20 +83,17 @@ class Sweep:
     def run(
         self,
         progress: Optional[Callable[[str], None]] = None,
-        cache: Optional[Dict] = None,
         workers: int = 1,
         store=None,
         scheduler=None,
     ) -> SweepResult:
         """Run the grid through the campaign engine.
 
-        ``cache`` maps ScenarioConfig -> RunResult and is shared across
-        sweeps: figures that differ only in the metric they extract
-        (e.g. Figures 7/8/9) reuse the same simulations.  ``workers``
-        runs the grid on a process pool (or any explicit ``scheduler``);
-        ``store`` — a result-store spec or instance — additionally
+        ``workers`` runs the grid on a process pool (or any explicit
+        ``scheduler``); ``store`` — a result-store spec or instance —
         persists every run so later invocations (or other campaigns
-        sharing cells) skip it.
+        sharing cells, e.g. Figures 7/8/9, which differ only in the
+        metric they extract) skip it.
         """
         # Imported here: campaign imports this module's types for reuse.
         from repro.experiments.campaign import CampaignSpec, run_campaign
@@ -113,7 +110,6 @@ class Sweep:
             workers=workers,
             store=store,
             scheduler=scheduler,
-            memo=cache,
             progress=progress,
         )
 
@@ -144,8 +140,3 @@ class Sweep:
             series=series,
             raw=raw,
         )
-
-
-def run_sweep(sweep: Sweep, **kwargs) -> SweepResult:
-    """Convenience wrapper."""
-    return sweep.run(**kwargs)

@@ -2,7 +2,7 @@
 
 The paper cites BIP/MIP as the classical centralized heuristics for
 energy-efficient broadcast/multicast trees; we implement them as a
-reference point for the ablation benches (how close does distributed,
+reference point for the paper-claim tests (how close does distributed,
 self-stabilizing SS-SPST-E come to a centralized construction?).
 
 * **BIP** (Broadcast Incremental Power): grow a broadcast tree from the

@@ -141,17 +141,30 @@ def test_array_engine_bit_identical_warm_start(daemon, metric_name, seed):
     )
 
 
-@pytest.mark.parametrize("metric_name", METRIC_NAMES)
-def test_array_engine_bit_identical_at_moderate_scale(metric_name):
+@pytest.mark.parametrize(
+    "metric_name,n,daemon,k,max_rounds",
+    [pytest.param(m, 400, "distributed", 40, 400, id=m) for m in METRIC_NAMES]
+    + [pytest.param("tx", 2000, "synchronous", None, 600, id="tx-synchronous-2000")],
+)
+def test_array_engine_bit_identical_at_moderate_scale(
+    metric_name, n, daemon, k, max_rounds
+):
     """A few hundred nodes under a wide distributed daemon: large enough
     for the batched commits and incremental snapshot patching to engage
     (the small random topologies above mostly rebuild snapshots in
-    full), still checked against the object engine."""
-    sp = SparseTopology.random_geometric(400, side=600.0, radius=80.0, seed=2)
+    full), still checked against the object engine.  The n = 2000
+    synchronous tx case is the deep-scale headline schedule (one n-node
+    batch per round) at a size the object engine still runs in seconds.
+    The deployment side grows with sqrt(n), so the mean degree (~20)
+    does not depend on n."""
+    sp = SparseTopology.random_geometric(
+        n, side=30.0 * n ** 0.5, radius=80.0, seed=2
+    )
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
-    obj, arr = pair(sp, m, "distributed", True, seed=4, k=40)
-    res = arr.run(fresh_states(sp, m), max_rounds=400)
-    assert_same_trajectory(obj.run(fresh_states(sp, m), max_rounds=400), res)
+    options = {} if k is None else {"k": k}
+    obj, arr = pair(sp, m, daemon, True, seed=4, **options)
+    res = arr.run(fresh_states(sp, m), max_rounds=max_rounds)
+    assert_same_trajectory(obj.run(fresh_states(sp, m), max_rounds=max_rounds), res)
     if metric_name in ("farthest", "energy"):
         assert arr.profile["snapshots_incremental"] > 0
     # the sequential fallback re-folds a subset of the evaluated rows

@@ -274,15 +274,6 @@ class TestRunCampaign:
         (ci,) = agg.values()
         assert ci.n == 2
 
-    def test_memo_dict_shared_across_campaigns(self):
-        memo = {}
-        spec = fast_spec(protocols=("flooding",), seeds=(1,), grid={})
-        first = run_campaign(spec, memo=memo)
-        assert first.executed == 1 and len(memo) == 1
-        second = run_campaign(spec, memo=memo)
-        assert second.executed == 0 and second.memo_hits == 1
-        assert second.results[0] is first.results[0]
-
     def test_progress_reports_executed_runs(self, test_store):
         seen = []
         spec = fast_spec(protocols=("flooding",), seeds=(1, 2), grid={})

@@ -24,6 +24,7 @@ from repro.core.examples import (
     figure5_topology,
 )
 from repro.core.metrics import METRIC_NAMES, EnergyAwareMetric
+from repro.experiments.paper_examples import optimality_gap
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,13 @@ class TestExample5SSspstE:
         r = {k: res.rounds for k, (_, res) in results.items()}
         assert r["hop"] <= r["tx"] <= r["farthest"]
         assert r["energy"] >= r["tx"]
+
+    def test_e_min_gap(self):
+        """The distributed fixpoint must be within 25% of the global
+        optimum on the worked example (it is exactly optimal in our
+        reconstruction)."""
+        gap = optimality_gap()
+        assert gap["ratio"] <= 1.25
 
 
 class TestFigure5:

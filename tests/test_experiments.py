@@ -100,20 +100,6 @@ class TestSweeps:
         assert result.x_values == [1.0, 10.0]
         assert len(result.series["flooding"]) == 2
 
-    def test_sweep_cache_reuse(self):
-        base = ScenarioConfig.quick(sim_time=20.0, group_size=6)
-        cache = {}
-        kw = dict(
-            x_name="v_max", x_values=[1.0], protocols=["flooding"], base=base, seeds=(1,)
-        )
-        Sweep(y_name="pdr", extract=lambda r: r.summary.pdr, **kw).run(cache=cache)
-        assert len(cache) == 1
-        before = dict(cache)
-        Sweep(y_name="epp", extract=lambda r: r.summary.energy_per_packet_mj, **kw).run(
-            cache=cache
-        )
-        assert cache == before  # second sweep hit the cache entirely
-
     def test_format_table(self):
         result = SweepResult(
             x_name="v", x_values=[1.0, 2.0], y_name="pdr",
@@ -171,3 +157,57 @@ class TestFigureRegistry:
         )
         checks = fig.check(synthetic)
         assert all(checks.values()), checks
+
+
+def _load_energy_sweep():
+    """``examples/energy_sweep.py`` as a module (examples are scripts)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "examples" / "energy_sweep.py"
+    spec = importlib.util.spec_from_file_location("energy_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEnergySweepCommand:
+    """The figure-check command must fail loudly: bad flags are usage
+    errors and a failed shape check is a non-zero exit."""
+
+    @pytest.fixture
+    def tiny_figure(self, monkeypatch):
+        def install(holds):
+            base = ScenarioConfig.quick(backend="rounds", n_nodes=16, group_size=4)
+            fig = FigureDef(
+                fig_id="figtest", title="tiny rounds figure", x_name="n_nodes",
+                y_name="rounds", extract="rounds", protocols=("ss-spst",),
+                x_quick=(12, 16), x_full=(12, 16), base_quick=base, base_full=base,
+                checks=[("the check holds", lambda result: holds)],
+            )
+            monkeypatch.setitem(FIGURES, "figtest", fig)
+
+        return install
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig07", "--workers", "x"],
+            ["fig07", "--worker", "4"],
+            ["fig07", "--seeds", "1,two"],
+            ["fig99"],
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _load_energy_sweep().main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("holds,code", [(True, 0), (False, 1)])
+    def test_exit_code_follows_shape_checks(self, tiny_figure, holds, code, capsys):
+        tiny_figure(holds)
+        assert _load_energy_sweep().main(["figtest", "--seeds", "1,2"]) == code
+        out = capsys.readouterr().out
+        assert "seeds=1,2" in out
+        assert ("[PASS]" if holds else "[FAIL]") in out

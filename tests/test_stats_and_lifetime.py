@@ -303,3 +303,27 @@ class TestLifetime:
         t_ss = ss.first_death_t if ss.first_death_t is not None else float("inf")
         t_fl = fl.first_death_t if fl.first_death_t is not None else float("inf")
         assert t_ss >= t_fl
+
+    def test_energy_awareness_extends_lifetime_at_scale(self):
+        """The same claim on 50 nodes with 1 J batteries, averaged over
+        two seeds and checked against the hop-metric tree as well."""
+        base = ScenarioConfig.quick(
+            sim_time=120.0, group_size=20, v_max=2.0, n_nodes=50
+        )
+        results = compare_lifetimes(
+            ["ss-spst-e", "ss-spst", "flooding"],
+            battery_j=1.0,
+            base=base,
+            seeds=(1, 2),
+        )
+        first_death = {}
+        for protocol, runs in results.items():
+            ts = [
+                r.first_death_t if r.first_death_t is not None else float("inf")
+                for r in runs
+            ]
+            first_death[protocol] = sum(ts) / len(ts)
+        # Energy-oblivious flooding loses its first node no later than
+        # either tree protocol.
+        assert first_death["flooding"] <= first_death["ss-spst"]
+        assert first_death["ss-spst-e"] >= first_death["flooding"]
