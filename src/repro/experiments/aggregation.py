@@ -238,8 +238,13 @@ def campaign_status(
     from repro.experiments.campaign import collect_campaign
     from repro.experiments.store import open_store
 
-    store = open_store(store)
-    agg = collect_campaign(spec, store, stream_metrics=metrics).stream
+    result_store = open_store(store)
+    try:
+        agg = collect_campaign(spec, result_store, stream_metrics=metrics).stream
+        workers = result_store.heartbeats()
+    finally:
+        if result_store is not store:
+            result_store.close()  # opened here from a spec string
     return CampaignStatus(
         spec=spec,
         done=agg.done,
@@ -247,5 +252,5 @@ def campaign_status(
         metrics=agg.metrics,
         aggregates=agg.snapshot(),
         counts=agg.cell_counts(),
-        workers=store.heartbeats(),
+        workers=workers,
     )

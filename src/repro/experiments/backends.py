@@ -42,6 +42,11 @@ from repro.core.daemons import DAEMON_NAMES, require_des_daemon
 from repro.core.metrics import PROTOCOL_LABELS
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import validate_models
+from repro.experiments.store import (
+    CACHE_SCHEMA,
+    CONFIG_FIELD_NAMES,
+    config_fields,
+)
 
 #: protocol name -> round-model metric name (the SS-SPST family; the
 #: on-demand baselines have no round-model realization)
@@ -114,12 +119,17 @@ class ExperimentBackend(abc.ABC):
         """JSON-safe cache record of one finished run."""
 
     @abc.abstractmethod
-    def result_from_record(self, record: dict):
+    def result_from_record(
+        self, record: dict, config: Optional[ScenarioConfig] = None
+    ):
         """Rebuild the result a record was made from.
 
         Must tolerate records written by *older* code: missing
         newly-added summary/diagnostic fields default rather than error
         (the cache schema is forward-grown, never rewritten in place).
+        ``config`` is the config the record was already validated
+        against (see :func:`~repro.experiments.store.checked_record`);
+        without it the config is rebuilt from the record.
         """
 
 def _tolerant_kwargs(
@@ -149,8 +159,9 @@ def config_from_record(config_dict: dict) -> ScenarioConfig:
     default — behavior-neutral by the hash-neutrality rule — applies);
     keys a future version might add are dropped.
     """
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    return ScenarioConfig(**{k: v for k, v in config_dict.items() if k in known})
+    return ScenarioConfig(
+        **{k: v for k, v in config_dict.items() if k in CONFIG_FIELD_NAMES}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -222,11 +233,9 @@ class DesBackend(ExperimentBackend):
         return run_scenario(config)
 
     def record_from(self, result, elapsed_s: float = 0.0) -> dict:
-        from repro.experiments.store import CACHE_SCHEMA
-
         return {
             "schema": CACHE_SCHEMA,
-            "config": dataclasses.asdict(result.config),
+            "config": config_fields(result.config),
             "summary": result.summary.as_dict(),
             "diagnostics": {
                 f: getattr(result, f) for f in self.DIAGNOSTIC_FIELDS
@@ -234,7 +243,9 @@ class DesBackend(ExperimentBackend):
             "elapsed_s": elapsed_s,
         }
 
-    def result_from_record(self, record: dict):
+    def result_from_record(
+        self, record: dict, config: Optional[ScenarioConfig] = None
+    ):
         from repro.experiments.runner import RunResult
         from repro.metrics.hub import RunSummary
 
@@ -245,7 +256,9 @@ class DesBackend(ExperimentBackend):
                     dataclasses.fields(RunSummary), record["summary"]
                 )
             ),
-            config=config_from_record(record["config"]),
+            config=config
+            if config is not None
+            else config_from_record(record["config"]),
             **{
                 f: diagnostics.get(f, self.DIAGNOSTIC_DEFAULTS.get(f, 0))
                 for f in self.DIAGNOSTIC_FIELDS
@@ -356,6 +369,10 @@ class RoundSummary:
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self.__dict__)
+
+
+#: read once: ``dataclasses.fields`` is not free on the per-record path
+_ROUND_SUMMARY_FIELDS = dataclasses.fields(RoundSummary)
 
 
 @dataclass
@@ -518,25 +535,25 @@ class RoundsBackend(ExperimentBackend):
         return RoundRunResult(summary=summary, config=config)
 
     def record_from(self, result: RoundRunResult, elapsed_s: float = 0.0) -> dict:
-        from repro.experiments.store import CACHE_SCHEMA
-
         return {
             "schema": CACHE_SCHEMA,
             "backend": self.name,
-            "config": dataclasses.asdict(result.config),
+            "config": config_fields(result.config),
             "summary": result.summary.as_dict(),
             "diagnostics": {},
             "elapsed_s": elapsed_s,
         }
 
-    def result_from_record(self, record: dict) -> RoundRunResult:
+    def result_from_record(
+        self, record: dict, config: Optional[ScenarioConfig] = None
+    ) -> RoundRunResult:
         return RoundRunResult(
             summary=RoundSummary(
-                **_tolerant_kwargs(
-                    dataclasses.fields(RoundSummary), record["summary"]
-                )
+                **_tolerant_kwargs(_ROUND_SUMMARY_FIELDS, record["summary"])
             ),
-            config=config_from_record(record["config"]),
+            config=config
+            if config is not None
+            else config_from_record(record["config"]),
         )
 
     def metrics(self) -> Dict[str, MetricSpec]:

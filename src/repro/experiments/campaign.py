@@ -61,6 +61,7 @@ from repro.experiments.backends import (
     default_metrics,
     metric_extractor,
 )
+from repro.experiments import store as stores
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import RunResult
 from repro.experiments.store import (
@@ -331,7 +332,6 @@ def run_campaign(
             )
     t0 = time.perf_counter()
     configs = spec.configs()
-    result_store = open_store(store) if store is not None else None
     stream = StreamingAggregate(
         spec,
         stream_metrics
@@ -342,38 +342,19 @@ def run_campaign(
     results: List[Optional[RunResult]] = [None] * len(configs)
     pending: List[Tuple[int, ScenarioConfig]] = []
     stolen_jobs: List[Tuple[int, ScenarioConfig]] = []
-    cache_hits = skipped = 0
-    me = worker_id()
-
-    for i, cfg in enumerate(configs):
-        record = result_store.load(cfg) if result_store is not None else None
-        if record is not None:
-            results[i] = result_from_record(record)
-            cache_hits += 1
-            stream.update(i, results[i])
-            continue
-        if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
-            if (
-                steal
-                and result_store is not None
-                and result_store.claim(config_key(cfg), me)
-            ):
-                stolen_jobs.append((i, cfg))
-            else:
-                skipped += 1
-            continue
-        pending.append((i, cfg))
-
-    executed = 0
+    # config hash of each run left to execute, computed once at load
+    keys: Dict[int, str] = {}
+    cache_hits = skipped = executed = 0
     cancelled = False
+    me = worker_id()
 
     def _finish(i: int, record: dict) -> None:
         nonlocal executed
         cfg = configs_by_index[i]
-        results[i] = result_from_record(record)
+        results[i] = result_from_record(record, cfg)
         executed += 1
         if result_store is not None:
-            result_store.store(cfg, record)
+            result_store.put(keys[i], record)
         stream.update(i, results[i])
         if progress:
             progress(
@@ -383,25 +364,55 @@ def run_campaign(
         if on_update is not None:
             on_update(stream)  # may raise CancelCampaign
 
-    # own-shard runs first; stolen leftovers only once our share is in
-    jobs = pending + stolen_jobs
-    configs_by_index = dict(jobs)
-    engine = scheduler if scheduler is not None else PoolScheduler(workers)
-    if isinstance(engine, str):
-        engine = scheduler_by_name(engine, workers)
+    result_store = open_store(store) if store is not None else None
     try:
-        if jobs:
-            engine.execute(_execute, jobs, _finish, store=result_store)
-    except CancelCampaign:
-        cancelled = True
+        for i, cfg in enumerate(configs):
+            if result_store is not None:
+                # through the module, so a wrapper on store.config_key
+                # sees every key
+                key = stores.config_key(cfg)
+                record = result_store.load(cfg, key)
+                if record is not None:
+                    # the record matched cfg: no config rebuilt from it
+                    results[i] = result_from_record(record, cfg)
+                    cache_hits += 1
+                    stream.update(i, results[i])
+                    continue
+                keys[i] = key
+            if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
+                if (
+                    steal
+                    and result_store is not None
+                    and result_store.claim(keys[i], me)
+                ):
+                    stolen_jobs.append((i, cfg))
+                else:
+                    skipped += 1
+                continue
+            pending.append((i, cfg))
+
+        # own-shard runs first; stolen leftovers only once our share is in
+        jobs = pending + stolen_jobs
+        configs_by_index = dict(jobs)
+        engine = scheduler if scheduler is not None else PoolScheduler(workers)
+        if isinstance(engine, str):
+            engine = scheduler_by_name(engine, workers)
+        try:
+            if jobs:
+                engine.execute(_execute, jobs, _finish, store=result_store)
+        except CancelCampaign:
+            cancelled = True
+        finally:
+            if result_store is not None:
+                # claims for stolen runs we never got to: hand them back
+                # now rather than letting the TTL expire them
+                for i, cfg in stolen_jobs:
+                    if results[i] is None:
+                        result_store.release(keys[i])
+                result_store.flush()
     finally:
-        if result_store is not None:
-            # claims for stolen runs we never got to: hand them back now
-            # rather than letting the TTL expire them
-            for i, cfg in stolen_jobs:
-                if results[i] is None:
-                    result_store.release(config_key(cfg))
-            result_store.flush()
+        if result_store is not None and result_store is not store:
+            result_store.close()  # opened here from a spec string
 
     return CampaignResult(
         spec=spec,
@@ -440,13 +451,17 @@ def collect_campaign(
         else default_metrics(spec.backends()),
     )
     cache_hits = 0
-    for i, cfg in enumerate(configs):
-        record = result_store.load(cfg)
-        if record is None:
-            continue
-        results[i] = result_from_record(record)
-        cache_hits += 1
-        stream.update(i, results[i])
+    try:
+        for i, cfg in enumerate(configs):
+            record = result_store.load(cfg)
+            if record is None:
+                continue
+            results[i] = result_from_record(record, cfg)
+            cache_hits += 1
+            stream.update(i, results[i])
+    finally:
+        if result_store is not store:
+            result_store.close()  # opened from a spec string here
     return CampaignResult(
         spec=spec,
         results=results,
@@ -842,9 +857,12 @@ def _main_status(argv: Sequence[str]) -> int:
     if store is None:
         print(f"# campaign {spec.name}: 0/{spec.size()} runs (store absent)")
         return 0
-    status = campaign_status(
-        spec, store, metrics=_metrics_from_args(args, spec) if args.metrics else None
-    )
+    with store:
+        status = campaign_status(
+            spec,
+            store,
+            metrics=_metrics_from_args(args, spec) if args.metrics else None,
+        )
     print(
         f"# campaign {spec.name}: {status.done}/{status.total} runs complete"
         f"{' [complete]' if status.complete else ''}"
@@ -939,25 +957,31 @@ def _main_submit(argv: Sequence[str]) -> int:
         )
 
         warm = mine_count = 0
-        for cfg in configs:
-            marker = ""
-            if shard is not None:
-                mine = shard_of(cfg, shard[1]) == shard[0]
-                mine_count += mine
-                marker = "  [mine]" if mine else "  [other shard]"
-            if store is not None and store.load(cfg) is not None:
-                warm += 1
-                marker += "  [cached]"
-            # Non-default scenario models ride on the run line so sharded
-            # operators can audit exactly what a grid cell will build.
-            models = "".join(
-                f" {axis}={value}"
-                for axis, value in non_default_axes(cfg).items()
-            )
-            print(
-                f"{config_key(cfg)} {cfg.backend:>6s} {cfg.protocol} "
-                f"daemon={cfg.daemon} seed={cfg.seed}{models}{marker}"
-            )
+        try:
+            for cfg in configs:
+                marker = ""
+                if shard is not None:
+                    mine = shard_of(cfg, shard[1]) == shard[0]
+                    mine_count += mine
+                    marker = "  [mine]" if mine else "  [other shard]"
+                key = config_key(cfg)
+                if store is not None and store.load(cfg, key) is not None:
+                    warm += 1
+                    marker += "  [cached]"
+                # Non-default scenario models ride on the run line so
+                # sharded operators can audit exactly what a grid cell
+                # will build.
+                models = "".join(
+                    f" {axis}={value}"
+                    for axis, value in non_default_axes(cfg).items()
+                )
+                print(
+                    f"{key} {cfg.backend:>6s} {cfg.protocol} "
+                    f"daemon={cfg.daemon} seed={cfg.seed}{models}{marker}"
+                )
+        finally:
+            if store is not None:
+                store.close()
         print(
             f"# {spec.size()} runs = {len(spec.cells())} cells "
             f"x {len(spec.seeds)} seeds"

@@ -30,12 +30,13 @@ import abc
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import sqlite3
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.experiments.config import ScenarioConfig
+from repro.experiments.config import ScenarioConfig, _normalize_model_params
 
 #: record-layout version written to new cache files.  v2 added the
 #: optional ``backend`` key (absent = "des"); loading still accepts every
@@ -135,6 +136,14 @@ _HASH_NEUTRAL_DEFAULTS: Dict[str, object] = {
 }
 
 
+#: every ScenarioConfig field name, in declaration order
+CONFIG_FIELD_NAMES: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(ScenarioConfig)
+)
+
+_config_values = operator.attrgetter(*CONFIG_FIELD_NAMES)
+
+
 def hash_participation() -> Tuple[Tuple[str, ...], Dict[str, object]]:
     """The hash contract as ``(hashed fields, neutral field -> default)``.
 
@@ -144,12 +153,12 @@ def hash_participation() -> Tuple[Tuple[str, ...], Dict[str, object]]:
     drift, so a runtime consumer (the campaign ``--dry-run`` plan) can
     never show a different participation picture than the linter.
     """
-    field_names = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
     hashed = tuple(
-        name for name in field_names if name not in _HASH_NEUTRAL_DEFAULTS
+        name for name in CONFIG_FIELD_NAMES
+        if name not in _HASH_NEUTRAL_DEFAULTS
     )
     if set(hashed) != set(CORE_HASH_FIELDS) or any(
-        name not in field_names for name in _HASH_NEUTRAL_DEFAULTS
+        name not in CONFIG_FIELD_NAMES for name in _HASH_NEUTRAL_DEFAULTS
     ):
         raise RuntimeError(
             "hash contract drift: CORE_HASH_FIELDS/_HASH_NEUTRAL_DEFAULTS "
@@ -159,11 +168,25 @@ def hash_participation() -> Tuple[Tuple[str, ...], Dict[str, object]]:
     return hashed, dict(_HASH_NEUTRAL_DEFAULTS)
 
 
+def config_fields(config: ScenarioConfig) -> Dict[str, object]:
+    """Every field of ``config`` by name, in declaration order.
+
+    A plain read of the frozen config: every value is an immutable
+    scalar or, for ``model_params``, a tuple of scalar pairs, so this is
+    ``dataclasses.asdict`` without its recursive deep copy — equal to
+    it, and with byte-identical JSON.  It is the payload behind both the
+    config hash and the ``config`` section of a run record.
+    """
+    return dict(zip(CONFIG_FIELD_NAMES, _config_values(config)))
+
+
 def _hash_payload(config: ScenarioConfig) -> Dict[str, object]:
-    payload = dataclasses.asdict(config)
-    for name, default in _HASH_NEUTRAL_DEFAULTS.items():
-        if payload.get(name) == default:
-            del payload[name]
+    payload = {
+        name: value
+        for name, value in config_fields(config).items()
+        if name not in _HASH_NEUTRAL_DEFAULTS
+        or value != _HASH_NEUTRAL_DEFAULTS[name]
+    }
     # External scenario inputs (the trace file) join the identity by
     # *content*: editing the file must fork the cache key, not serve
     # stale results computed from the old trajectories.
@@ -215,19 +238,58 @@ def record_from_result(result: object, elapsed_s: float = 0.0) -> dict:
     return backend.record_from(result, elapsed_s=elapsed_s)
 
 
-def result_from_record(record: dict) -> object:
+def result_from_record(
+    record: dict, config: Optional[ScenarioConfig] = None
+) -> object:
     """Rebuild the result a record was made from (any backend, any era).
 
     Dispatches on the record's ``backend`` key (absent in v1 records,
     meaning DES) and tolerates records that lack later-added summary or
     diagnostic fields — a v1 cache written before those fields existed
-    keeps loading unchanged.
+    keeps loading unchanged.  ``config``, when given, is the validated
+    config the record was checked against; the result carries it instead
+    of a config rebuilt from the record.
     """
     from repro.experiments.backends import backend_by_name
 
     return backend_by_name(record.get("backend", "des")).result_from_record(
-        record
+        record, config
     )
+
+
+def _canonical_config(
+    stored: Dict[str, object], live: Dict[str, object]
+) -> Optional[Dict[str, object]]:
+    """``stored`` in canonical form when it is type-for-type ``live``.
+
+    ``stored`` is a record's config section with the hash-neutral
+    defaults filled in; ``live`` is :func:`config_fields` of the config
+    it claims to describe.  Every field must be present, equal and of
+    the same type (``model_params`` after normalization, so the JSON
+    ``[]`` compares as the ``()`` default), which means rebuilding a
+    config from ``stored`` would succeed and compare equal.  Returns the
+    stored values in field order with ``model_params`` normalized (what
+    that rebuild's field read would give), or ``None`` when only the
+    rebuild can decide: a missing or int-for-float field, a NaN, a
+    malformed ``model_params``.
+    """
+    try:
+        canonical = {name: stored[name] for name in live}
+        canonical["model_params"] = _normalize_model_params(
+            canonical["model_params"]
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    if canonical != live or list(map(type, canonical.values())) != list(
+        map(type, live.values())
+    ):
+        return None
+    params = live["model_params"]
+    if params and [type(v) for _, v in canonical["model_params"]] != [
+        type(v) for _, v in params
+    ]:
+        return None
+    return canonical
 
 
 def checked_record(record: dict, config: ScenarioConfig) -> Optional[dict]:
@@ -238,6 +300,11 @@ def checked_record(record: dict, config: ScenarioConfig) -> Optional[dict]:
     otherwise.  This is the single identity gate both store backends
     apply on load, so a hand-moved file or a hash collision can never
     impersonate another run.
+
+    A record this code wrote matches the live config type for type and
+    is accepted without building a config (see :func:`_canonical_config`).
+    Anything else — a hand-edited or older-era record — goes through the
+    rebuild-and-compare gate, which alone decides.
     """
     if record.get("schema") not in COMPATIBLE_SCHEMAS:
         return None
@@ -246,21 +313,24 @@ def checked_record(record: dict, config: ScenarioConfig) -> Optional[dict]:
     stored = record.get("config")
     if not isinstance(stored, dict):
         return None
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    if not set(stored) <= known:
+    if stored.keys() - CONFIG_FIELD_NAMES:
         return None  # a future era's record cannot impersonate
     # Records written before a hash-neutral field existed lack it; they
-    # describe the default behavior by construction.  Rebuilding the
-    # config normalizes JSON artifacts (model_params round-trips as
-    # lists of lists) before the identity comparison.
+    # describe the default behavior by construction.
     stored = {**_HASH_NEUTRAL_DEFAULTS, **stored}
+    canonical = _canonical_config(stored, config_fields(config))
+    if canonical is not None:
+        record["config"] = canonical
+        return record
+    # Rebuilding the config normalizes JSON artifacts (model_params
+    # round-trips as lists of lists) before the identity comparison.
     try:
         rebuilt = ScenarioConfig(**stored)
     except (TypeError, ValueError):
         return None  # unconstructible record (hand-edited file)
     if rebuilt != config:
         return None  # hash collision or hand-edited file
-    record["config"] = dataclasses.asdict(rebuilt)
+    record["config"] = config_fields(rebuilt)
     return record
 
 
@@ -274,7 +344,9 @@ class ResultStore(abc.ABC):
     explicit key (idempotent: a concurrent duplicate write of the same
     run resolves to one record, which is what makes racing shards safe).
     :meth:`store`/:meth:`load` are the config-addressed convenience
-    layer every campaign consumer uses.
+    layer on top; a campaign, which has each run's key from its lookup,
+    passes it to :meth:`load` and writes the finished run with
+    :meth:`put` under the same key.
     """
 
     name: str = "?"
@@ -292,14 +364,17 @@ class ResultStore(abc.ABC):
         """Persist a finished run's record, keyed by its config hash."""
         return self.put(config_key(config), record)
 
-    def load(self, config: ScenarioConfig) -> Optional[dict]:
+    def load(
+        self, config: ScenarioConfig, key: Optional[str] = None
+    ) -> Optional[dict]:
         """The cached record for ``config``, or None.
 
+        ``key`` is ``config_key(config)`` when the caller already has it.
         Unreadable/stale/foreign records are misses: the run is simply
         redone (and the record rewritten), so a corrupt store can never
         fail a campaign.
         """
-        record = self.get(config_key(config))
+        record = self.get(config_key(config) if key is None else key)
         if record is None:
             return None
         return checked_record(record, config)

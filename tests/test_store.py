@@ -9,6 +9,11 @@ The contracts pinned here (see docs/campaigns.md):
 * :class:`SqliteStore` holds the same records behind the same
   load/store semantics (WAL journaling, schema-versioned rows, batched
   writes, reopen persistence, miss-never-error validation);
+* the identity gate (``checked_record``) gives the verdict and the
+  record of the rebuild-and-compare gate it short-cuts, kept here as an
+  oracle, and a warm campaign builds one config per run and copies none;
+* a campaign closes a store it opened from a spec string and leaves a
+  caller's store open;
 * ``migrate`` ingests a v1/v2 JSON cache dir losslessly: the migrated
   store resumes the campaign with 100% hits and identical aggregates;
 * two campaign invocations racing on one store — same shard or split
@@ -18,13 +23,17 @@ The contracts pinned here (see docs/campaigns.md):
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import multiprocessing
 import os
 import time
+from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.experiments.aggregation import campaign_status
 from repro.experiments.campaign import (
     CampaignSpec,
     collect_campaign,
@@ -33,8 +42,11 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.store import (
+    COMPATIBLE_SCHEMAS,
+    _HASH_NEUTRAL_DEFAULTS,
     JsonDirStore,
     SqliteStore,
+    checked_record,
     config_key,
     migrate_json_dir,
     open_store,
@@ -266,6 +278,284 @@ class TestCampaignParity:
         )
         extract = via_json.extractor("rounds")
         assert via_json.aggregate(extract) == via_sql.aggregate(extract)
+
+
+# ----------------------------------------------------------------------
+# The identity gate
+# ----------------------------------------------------------------------
+def _rebuild_gate(record: dict, config: ScenarioConfig):
+    """The rebuild-and-compare identity gate applied to every record:
+    ``checked_record``'s fallback, kept whole as the oracle its
+    canonical fast path must agree with."""
+    if record.get("schema") not in COMPATIBLE_SCHEMAS:
+        return None
+    if record.get("backend", "des") != config.backend:
+        return None
+    stored = record.get("config")
+    if not isinstance(stored, dict):
+        return None
+    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    if not set(stored) <= known:
+        return None
+    stored = {**_HASH_NEUTRAL_DEFAULTS, **stored}
+    try:
+        rebuilt = ScenarioConfig(**stored)
+    except (TypeError, ValueError):
+        return None
+    if rebuilt != config:
+        return None
+    record["config"] = dataclasses.asdict(rebuilt)
+    return record
+
+
+def _verdict(gate, record: dict, config: ScenarioConfig) -> str:
+    """A gate's outcome on a private copy of ``record``, as text: the
+    repr tells int from float from bool, tuple from list and -0.0 from
+    0.0, and an exception counts as an outcome too."""
+    try:
+        return repr(gate(copy.deepcopy(record), config))
+    except Exception as exc:  # the oracle's own failures must match too
+        return f"raised {type(exc).__name__}"
+
+
+def _gate_bases(tmp_path) -> Dict[str, Tuple[ScenarioConfig, dict]]:
+    """Records written by ``record_from`` across backends and axes, each
+    with the config it was made from."""
+    trace = tmp_path / "scen.json"
+    trace.write_text(
+        json.dumps([[[0.0, 30.0 * i + 10.0, 40.0]] for i in range(16)])
+    )
+    des = dict(protocol="flooding", n_nodes=8, group_size=3, sim_time=12.0)
+    configs = {
+        "des": ScenarioConfig.quick(**des),
+        "des-model-params": ScenarioConfig.quick(
+            mobility="gauss-markov",
+            model_params={"gm_alpha": 0.7, "gm_sigma_speed": 1.0},
+            **des,
+        ),
+        "rounds": rounds_base(protocol="ss-spst"),
+        "rounds-trace": rounds_base(
+            protocol="ss-spst",
+            mobility="trace",
+            model_params={"trace_file": str(trace)},
+        ),
+        "rounds-groups": rounds_base(protocol="ss-spst", group_count=2),
+        "rounds-array": rounds_base(protocol="ss-spst-e", engine="array"),
+        "rounds-sparse": rounds_base(protocol="ss-spst-t", topology="sparse"),
+    }
+    return {name: (cfg, _record_for(cfg)) for name, cfg in configs.items()}
+
+
+def _edited(record: dict, **config_edits) -> dict:
+    edited = copy.deepcopy(record)
+    edited["config"].update(config_edits)
+    return edited
+
+
+def _v1_era(record: dict) -> dict:
+    """The record as a writer that predates every hash-neutral field
+    (and the ``backend`` key) would have stored it."""
+    old = copy.deepcopy(record)
+    old.pop("backend", None)
+    for name in _HASH_NEUTRAL_DEFAULTS:
+        old["config"].pop(name)
+    return old
+
+
+def _gate_cases(bases) -> List[Tuple[str, ScenarioConfig, dict]]:
+    cases = []
+    for name, (cfg, record) in bases.items():
+        stored = json.loads(json.dumps(record))  # what a store hands back
+        foreign = "rounds" if cfg.backend == "des" else "des"
+        cases += [(name, cfg, record), (f"{name}/json", cfg, stored)]
+        cases += [
+            (f"{name}/schema-3", cfg, dict(stored, schema=3)),
+            (f"{name}/no-schema", cfg,
+             {k: v for k, v in stored.items() if k != "schema"}),
+            (f"{name}/foreign", cfg, dict(stored, backend=foreign)),
+            (f"{name}/future-field", cfg, _edited(stored, future_knob=1)),
+            (f"{name}/collision", cfg, _edited(stored, seed=999)),
+            (f"{name}/v1-era", cfg, _v1_era(stored)),
+            (f"{name}/int-for-float", cfg, _edited(stored, arena_w=750)),
+            (f"{name}/bool-for-int", cfg, _edited(stored, seed=True)),
+            (f"{name}/negative-zero", cfg, _edited(stored, pause_time=-0.0)),
+            (f"{name}/nan", cfg, _edited(stored, v_max=float("nan"))),
+            (f"{name}/config-not-dict", cfg, dict(stored, config=[])),
+        ]
+        missing = copy.deepcopy(stored)
+        del missing["config"]["alpha"]  # a core field, at its default
+        cases.append((f"{name}/missing-core-field", cfg, missing))
+    cfg, record = bases["des-model-params"]
+    stored = json.loads(json.dumps(record))
+    params = stored["config"]["model_params"]
+    cases += [
+        ("params/reordered", cfg,
+         _edited(stored, model_params=params[::-1])),
+        ("params/tuples", cfg,
+         _edited(stored, model_params=[tuple(p) for p in params])),
+        ("params/mapping", cfg, _edited(stored, model_params=dict(params))),
+        ("params/int-for-float", cfg, _edited(
+            stored, model_params=[["gm_alpha", 0.7], ["gm_sigma_speed", 1]]
+        )),
+        ("params/duplicate", cfg,
+         _edited(stored, model_params=params + params[:1])),
+        ("params/non-scalar", cfg,
+         _edited(stored, model_params=[["gm_alpha", [1]]])),
+        ("params/not-pairs", cfg, _edited(stored, model_params="gm")),
+        ("params/not-iterable", cfg, _edited(stored, model_params=5)),
+        ("params/dropped", cfg, _edited(stored, model_params=[])),
+    ]
+    return cases
+
+
+class TestIdentityGate:
+    def test_matches_the_rebuild_gate(self, tmp_path):
+        """Same verdict and same returned record as the rebuild oracle,
+        on records from every backend and axis and on hand edits."""
+        cases = _gate_cases(_gate_bases(tmp_path))
+        accepted = 0
+        for name, cfg, record in cases:
+            expected = _verdict(_rebuild_gate, record, cfg)
+            assert _verdict(checked_record, record, cfg) == expected, name
+            accepted += expected != "None"
+        assert 0 < accepted < len(cases)
+
+    def test_matches_the_rebuild_gate_field_by_field(self, tmp_path):
+        """Every field of every base record replaced in turn by values
+        of every JSON type (and ints for floats, floats for ints)."""
+        pool = [
+            0, 1, 4, 16, True, False, 0.0, -0.0, 1.0, 750.0, float("nan"),
+            "", "des", "rounds", "dense", None, [], [["gm_alpha", 0.7]], {},
+        ]
+        for name, (cfg, record) in _gate_bases(tmp_path).items():
+            stored = json.loads(json.dumps(record))
+            for field, value in stored["config"].items():
+                swaps = pool + [
+                    float(value) if type(value) is int else value,
+                    int(value)
+                    if type(value) is float and value.is_integer()
+                    else value,
+                ]
+                for other in swaps:
+                    edited = _edited(stored, **{field: other})
+                    assert _verdict(checked_record, edited, cfg) == _verdict(
+                        _rebuild_gate, edited, cfg
+                    ), (name, field, other)
+
+    def test_own_records_take_the_fast_path(self, tmp_path, monkeypatch):
+        """A stored record this code wrote is accepted without building
+        a ScenarioConfig, including non-default axes and model params."""
+        bases = _gate_bases(tmp_path)
+        built = _count_calls(monkeypatch, ScenarioConfig, "__post_init__")
+        for name, (cfg, record) in bases.items():
+            stored = json.loads(json.dumps(record))
+            checked = checked_record(stored, cfg)
+            assert checked["config"] == record["config"], name
+        assert built() == 0
+
+    def test_hand_edits_fall_through_to_the_rebuild(
+        self, tmp_path, monkeypatch
+    ):
+        """An int for a float is no canonical match: the rebuild gate
+        decides (and, as before, accepts it)."""
+        cfg, record = _gate_bases(tmp_path)["rounds"]
+        edited = _edited(json.loads(json.dumps(record)), arena_w=750)
+        built = _count_calls(monkeypatch, ScenarioConfig, "__post_init__")
+        checked = checked_record(edited, cfg)
+        assert repr(checked["config"]["arena_w"]) == "750"
+        assert built() == 1
+
+
+# ----------------------------------------------------------------------
+# The warm read path
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, owner, name: str):
+    """Wrap ``owner.name`` so calls are counted; returns the counter."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return lambda: len(calls)
+
+
+class TestWarmReadPath:
+    def test_one_config_and_no_asdict_per_stored_run(
+        self, store_spec, monkeypatch
+    ):
+        """A warm campaign builds each config once (the spec grid's) and
+        never deep-copies one: the record check and the rebuilt result
+        both reuse the grid's config."""
+        import repro.experiments.store as store_module
+
+        spec = CampaignSpec.from_mapping(
+            name="warm-guard",
+            base=rounds_base(),
+            protocols=("ss-spst", "ss-spst-e"),
+            seeds=(1, 2),
+            grid={"n_nodes": (12, 16), "daemon": ("central", "distributed")},
+        )
+        cold = run_campaign(spec, store=store_spec)
+        assert cold.executed == spec.size()
+
+        built = _count_calls(monkeypatch, ScenarioConfig, "__post_init__")
+        copied = _count_calls(monkeypatch, dataclasses, "asdict")
+        hashed = _count_calls(monkeypatch, store_module, "config_key")
+        warm = run_campaign(spec, store=store_spec)
+        assert (warm.executed, warm.cache_hits) == (0, spec.size())
+        assert (built(), copied(), hashed()) == (spec.size(), 0, spec.size())
+        collected = collect_campaign(spec, store_spec)
+        assert collected.cache_hits == spec.size()
+        assert (built(), copied(), hashed()) == (
+            2 * spec.size(), 0, 2 * spec.size()
+        )
+        for runs in (warm.results, collected.results):
+            assert [r.config for r in runs] == spec.configs()
+            for a, b in zip(cold.results, runs):
+                assert a.summary == b.summary
+
+    def test_cold_campaign_hashes_each_config_once(
+        self, store_spec, monkeypatch
+    ):
+        import repro.experiments.store as store_module
+
+        spec = rounds_spec()
+        hashed = _count_calls(monkeypatch, store_module, "config_key")
+        cold = run_campaign(spec, store=store_spec)
+        assert cold.executed == spec.size()
+        assert hashed() == spec.size()
+        with open_store(store_spec) as store:
+            assert sorted(store.keys()) == sorted(
+                config_key(cfg) for cfg in spec.configs()
+            )
+
+
+# ----------------------------------------------------------------------
+# Store ownership
+# ----------------------------------------------------------------------
+class TestStoreOwnership:
+    @pytest.mark.parametrize(
+        "entry", [run_campaign, collect_campaign, campaign_status]
+    )
+    def test_spec_strings_are_closed_and_objects_left_open(
+        self, tmp_path, monkeypatch, entry
+    ):
+        spec = rounds_spec()
+        path = tmp_path / "results.sqlite"
+        run_campaign(spec, store=f"sqlite:{path}")
+        closed = _count_calls(monkeypatch, SqliteStore, "close")
+
+        entry(spec, store=f"sqlite:{path}")
+        assert closed() == 1  # opened from the spec string, closed after
+
+        owned = SqliteStore(str(path))
+        entry(spec, store=owned)
+        assert closed() == 1  # the caller's store stays open ...
+        assert owned.run_count() == spec.size()  # ... and usable
+        owned.close()
 
 
 # ----------------------------------------------------------------------
