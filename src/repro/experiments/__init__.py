@@ -61,9 +61,7 @@ _LAZY_EXPORTS = {
     "Scheduler": "scheduler",
     "SerialScheduler": "scheduler",
     "PoolScheduler": "scheduler",
-    "AsyncScheduler": "scheduler",
     "CancelCampaign": "scheduler",
-    "scheduler_by_name": "scheduler",
     # aggregation layer
     "Welford": "aggregation",
     "StreamingAggregate": "aggregation",

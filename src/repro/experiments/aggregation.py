@@ -172,7 +172,6 @@ class CampaignStatus:
     metrics: Tuple[str, ...]
     aggregates: Dict[str, Dict[CellKey, object]]  # metric -> cell -> CI
     counts: Dict[CellKey, int] = field(default_factory=dict)
-    workers: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -210,20 +209,6 @@ class CampaignStatus:
             rows.append(row)
         return "\n".join(rows)
 
-    def format_workers(self, now: Optional[float] = None) -> str:
-        """One line per known worker with heartbeat age and state."""
-        import time as _time
-
-        if not self.workers:
-            return "# workers: none seen"
-        now = _time.time() if now is None else now
-        parts = [
-            f"{name} ({max(0.0, now - info.get('seen_s', now)):.1f}s ago, "
-            f"{info.get('state', '?')})"
-            for name, info in sorted(self.workers.items())
-        ]
-        return f"# workers: {', '.join(parts)}"
-
 
 def campaign_status(
     spec, store, metrics: Optional[Sequence[str]] = None
@@ -232,19 +217,13 @@ def campaign_status(
 
     Every run already persisted feeds the per-cell accumulators; runs
     still pending (or executing elsewhere) simply have not landed yet.
-    Read-only: safe to call while schedulers are writing.  The store
-    read is :func:`~repro.experiments.campaign.collect_campaign`'s.
+    Read-only: safe to call while campaigns are writing.  The store read
+    is :func:`~repro.experiments.campaign.collect_campaign`'s, which also
+    opens and closes a store given as a spec string.
     """
     from repro.experiments.campaign import collect_campaign
-    from repro.experiments.store import open_store
 
-    result_store = open_store(store)
-    try:
-        agg = collect_campaign(spec, result_store, stream_metrics=metrics).stream
-        workers = result_store.heartbeats()
-    finally:
-        if result_store is not store:
-            result_store.close()  # opened here from a spec string
+    agg = collect_campaign(spec, store, stream_metrics=metrics).stream
     return CampaignStatus(
         spec=spec,
         done=agg.done,
@@ -252,5 +231,4 @@ def campaign_status(
         metrics=agg.metrics,
         aggregates=agg.snapshot(),
         counts=agg.cell_counts(),
-        workers=workers,
     )

@@ -12,9 +12,8 @@ operations guide):
   :class:`~repro.experiments.config.ScenarioConfig`, so re-running a
   campaign (or a different campaign sharing cells) only executes the
   missing runs and an interrupted campaign resumes where it stopped;
-* a **scheduler** (:mod:`repro.experiments.scheduler`) — serial, the
-  multiprocessing pool, or the asyncio work-stealing queue with worker
-  heartbeats and graceful cancel;
+* a **scheduler** (:mod:`repro.experiments.scheduler`) — serial, or the
+  multiprocessing pool when ``workers > 1``;
 * **streaming aggregation** (:mod:`repro.experiments.aggregation`) —
   per-cell running mean ± Student-t CI (Welford) updated as records
   land, so ``status`` renders tables for campaigns still in flight.
@@ -38,9 +37,8 @@ argv without a verb is an alias of ``submit``)::
 Distributed campaigns: ``--shard I/K`` executes only a deterministic
 config-hash partition of the runs, so K machines sharing a store split
 one campaign without coordination (see
-:func:`~repro.experiments.store.shard_of`); ``--steal`` additionally
-claims and runs other shards' leftovers once the own share is in.  A
-final un-sharded invocation assembles everything from the store.
+:func:`~repro.experiments.store.shard_of`).  A final un-sharded
+invocation assembles everything from the store.
 """
 
 from __future__ import annotations
@@ -75,12 +73,9 @@ from repro.experiments.store import (
     store_location,
 )
 from repro.experiments.scheduler import (
-    SCHEDULER_NAMES,
     CancelCampaign,
     PoolScheduler,
     Scheduler,
-    scheduler_by_name,
-    worker_id,
 )
 from repro.experiments.aggregation import (
     StreamingAggregate,
@@ -90,6 +85,11 @@ from repro.experiments.aggregation import (
 # ----------------------------------------------------------------------
 # Campaign spec
 # ----------------------------------------------------------------------
+#: ScenarioConfig fields every campaign sweeps through its own argument
+#: (field -> argument): never a grid axis, never a base-config override
+SPEC_AXES = {"protocol": "protocols", "seed": "seeds"}
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """A declarative protocol/parameter grid with seed replications.
@@ -113,6 +113,11 @@ class CampaignSpec:
         for name, values in self.grid:
             if name not in ScenarioConfig.__dataclass_fields__:
                 raise ValueError(f"unknown ScenarioConfig field {name!r}")
+            if name in SPEC_AXES:
+                raise ValueError(
+                    f"{name!r} cannot be a grid axis: a campaign sweeps it "
+                    f"through its {SPEC_AXES[name]!r} argument"
+                )
             if not values:
                 raise ValueError(f"grid axis {name!r} has no values")
 
@@ -198,7 +203,6 @@ class CampaignResult:
     executed: int = 0
     cache_hits: int = 0  # store hits
     skipped: int = 0  # out-of-shard runs left to other machines
-    stolen: int = 0  # foreign-shard runs claimed and executed here
     cancelled: bool = False  # a CancelCampaign stopped dispatch early
     elapsed_s: float = 0.0
     stream: Optional[StreamingAggregate] = None  # live per-cell mean/CI
@@ -285,7 +289,6 @@ def run_campaign(
     shard: Optional[Tuple[int, int]] = None,
     store=None,
     scheduler: Optional[Scheduler] = None,
-    steal: bool = False,
     stream_metrics: Optional[Sequence[str]] = None,
     on_update: Optional[Callable[[StreamingAggregate], None]] = None,
 ) -> CampaignResult:
@@ -307,19 +310,17 @@ def run_campaign(
     ``i``'s share is *executed* here — foreign-shard runs are still
     served from the store when available (so overlapping or repeated
     shard invocations resume cleanly), and are otherwise reported as
-    ``skipped``.  With ``steal=True`` this invocation instead *claims*
-    foreign leftovers through the store and runs them after its own
-    share (claims expire if the claimant dies; records are idempotent
-    per key, so a duplicate run can never double-count).  After every
-    shard has run, a final un-sharded invocation against the shared
-    store assembles the full campaign without executing anything.
+    ``skipped``.  Records are idempotent per key, so overlapping shards
+    can never double-count a run.  After every shard has run, a final
+    un-sharded invocation against the shared store assembles the full
+    campaign without executing anything.
 
     Streaming aggregation runs alongside: ``result.stream`` holds the
     per-cell running mean/CI over every landed run, and ``on_update``
     (called after each executed record) may watch it — or raise
     :class:`~repro.experiments.scheduler.CancelCampaign` to stop the
-    campaign gracefully, which returns the partial result marked
-    ``cancelled`` with everything so far persisted.
+    campaign, which returns the partial result marked ``cancelled`` with
+    every delivered run persisted.
     """
     if shard is not None:
         index, count = shard
@@ -341,12 +342,10 @@ def run_campaign(
 
     results: List[Optional[RunResult]] = [None] * len(configs)
     pending: List[Tuple[int, ScenarioConfig]] = []
-    stolen_jobs: List[Tuple[int, ScenarioConfig]] = []
     # config hash of each run left to execute, computed once at load
     keys: Dict[int, str] = {}
     cache_hits = skipped = executed = 0
     cancelled = False
-    me = worker_id()
 
     def _finish(i: int, record: dict) -> None:
         nonlocal executed
@@ -380,35 +379,19 @@ def run_campaign(
                     continue
                 keys[i] = key
             if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
-                if (
-                    steal
-                    and result_store is not None
-                    and result_store.claim(keys[i], me)
-                ):
-                    stolen_jobs.append((i, cfg))
-                else:
-                    skipped += 1
+                skipped += 1
                 continue
             pending.append((i, cfg))
 
-        # own-shard runs first; stolen leftovers only once our share is in
-        jobs = pending + stolen_jobs
-        configs_by_index = dict(jobs)
+        configs_by_index = dict(pending)
         engine = scheduler if scheduler is not None else PoolScheduler(workers)
-        if isinstance(engine, str):
-            engine = scheduler_by_name(engine, workers)
         try:
-            if jobs:
-                engine.execute(_execute, jobs, _finish, store=result_store)
+            if pending:
+                engine.execute(_execute, pending, _finish)
         except CancelCampaign:
             cancelled = True
         finally:
             if result_store is not None:
-                # claims for stolen runs we never got to: hand them back
-                # now rather than letting the TTL expire them
-                for i, cfg in stolen_jobs:
-                    if results[i] is None:
-                        result_store.release(keys[i])
                 result_store.flush()
     finally:
         if result_store is not None and result_store is not store:
@@ -420,7 +403,6 @@ def run_campaign(
         executed=executed,
         cache_hits=cache_hits,
         skipped=skipped,
-        stolen=sum(1 for i, _ in stolen_jobs if results[i] is not None),
         cancelled=cancelled,
         elapsed_s=time.perf_counter() - t0,
         stream=stream,
@@ -632,16 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_args(parser)
     how = parser.add_argument_group("how to run")
-    how.add_argument("--workers", type=int, default=1, help="pool size")
-    _add_store_arg(how)
     how.add_argument(
-        "--scheduler",
-        default=None,
-        choices=SCHEDULER_NAMES,
-        help="execution engine: 'serial', 'pool' (multiprocessing, the "
-        "default for --workers > 1), or 'async' (asyncio job queue with "
-        "work stealing, heartbeats and graceful cancel)",
+        "--workers", type=int, default=1, help="pool size (1 runs serially)"
     )
+    _add_store_arg(how)
     how.add_argument(
         "--shard",
         default=None,
@@ -650,13 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         "partition); K machines pointing different shards at one shared "
         "store split the campaign, and a final un-sharded run assembles "
         "it from the store",
-    )
-    how.add_argument(
-        "--steal",
-        action="store_true",
-        help="with --shard: after executing the own share, claim and run "
-        "other shards' still-missing runs through the store (claims "
-        "expire if the claimant dies; records stay exactly-once per key)",
     )
     _add_metrics_arg(how)
     how.add_argument(
@@ -714,15 +683,22 @@ def _reject_grid_collisions(
 ) -> None:
     """``--set`` values on a grid axis would be silently clobbered by the
     grid's values (every cell re-assigns the axis field on top of the
-    base config) — that is never what the caller meant, so fail loudly."""
-    clash = sorted(set(overrides) & set(axes))
+    base config) — that is never what the caller meant, so fail loudly.
+    ``protocol`` and ``seed`` (:data:`SPEC_AXES`) are axes of every
+    campaign."""
+    clash = sorted(set(overrides) & {*axes, *SPEC_AXES})
     if clash:
         fields = ", ".join(clash)
+        pin = (
+            f"--{SPEC_AXES[clash[0]]} ..."
+            if clash[0] in SPEC_AXES
+            else f"--grid {clash[0]}=..."
+        )
         raise SystemExit(
             f"--set {fields}: field{'s' if len(clash) > 1 else ''} "
             f"{fields} {'are' if len(clash) > 1 else 'is'} a grid axis of "
             f"{context}; the grid values would overwrite the override. "
-            f"Drop the --set, or use --grid {clash[0]}=... to pin the axis."
+            f"Drop the --set, or use {pin} to pin the axis."
         )
 
 
@@ -845,8 +821,8 @@ def _main_status(argv: Sequence[str]) -> int:
     parser = _build_view_parser(
         "status",
         "Streaming view of a campaign's store: per-cell running mean/CI "
-        "over whatever has landed so far, plus worker heartbeats.  "
-        "Read-only; safe while schedulers are writing.",
+        "over whatever has landed so far.  Read-only; safe while "
+        "campaigns are writing.",
     )
     args = parser.parse_args(argv)
     try:
@@ -868,7 +844,6 @@ def _main_status(argv: Sequence[str]) -> int:
         f"{' [complete]' if status.complete else ''}"
     )
     print(status.format_table())
-    print(status.format_workers())
     return 0
 
 
@@ -1012,19 +987,12 @@ def _main_submit(argv: Sequence[str]) -> int:
         return 0
 
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
-    scheduler = (
-        scheduler_by_name(args.scheduler, args.workers)
-        if args.scheduler
-        else None
-    )
     campaign = run_campaign(
         spec,
         workers=args.workers,
         store=args.store,
         progress=progress,
         shard=shard,
-        scheduler=scheduler,
-        steal=args.steal,
     )
     metrics = _metrics_from_args(args, spec)
     print()
@@ -1033,12 +1001,11 @@ def _main_submit(argv: Sequence[str]) -> int:
         if shard is not None
         else ""
     )
-    steal_note = f" stolen={campaign.stolen}" if args.steal else ""
     cancel_note = " CANCELLED" if campaign.cancelled else ""
     print(
         f"# campaign {spec.name}: {spec.size()} runs "
         f"(executed={campaign.executed} cached={campaign.cache_hits}"
-        f"{shard_note}{steal_note}) "
+        f"{shard_note}) "
         f"in {campaign.elapsed_s:.1f}s{cancel_note}"
     )
     print(campaign.format_table(metrics))

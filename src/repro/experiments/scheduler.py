@@ -4,45 +4,34 @@ This is the **scheduler layer** of the campaign service (see
 ``docs/campaigns.md``).  A :class:`Scheduler` takes a list of indexed
 jobs and a worker function and delivers ``(index, result)`` pairs to a
 callback in completion order; everything else — cache lookups, sharding,
-persistence, aggregation — stays in the layers around it.  Three
-engines:
+persistence, aggregation — stays in the layers around it.  Two engines:
 
 * :class:`SerialScheduler` — in-process loop (deterministic, zero
   overhead; what ``workers=1`` always meant).
 * :class:`PoolScheduler` — ``multiprocessing.Pool.imap_unordered``,
-  byte-for-byte the historical ``workers=N`` behavior.
-* :class:`AsyncScheduler` — an asyncio job queue over a process-pool
-  executor: workers *steal* from one shared deque (a slow run never
-  idles the other workers), publish heartbeats through the result
-  store, and cancel gracefully — a :class:`CancelCampaign` raised by
-  the result callback stops dispatch, lets in-flight runs finish and
-  deliver, then re-raises.  Combined with per-record persistence this
-  makes any campaign killable and resumable at run granularity.
+  byte-for-byte the historical ``workers=N`` behavior.  Its chunksize
+  of 1 hands out one job at a time, so a slow run never idles the
+  other workers.
 
-Workers are separate processes in both parallel engines, so the worker
-function and job payloads must be picklable top-level callables.
+A :class:`CancelCampaign` raised by the result callback stops either
+engine; combined with per-record persistence this makes any campaign
+killable and resumable at run granularity.
+
+Pool workers are separate processes, so the worker function and job
+payloads must be picklable top-level callables.
 """
 
 from __future__ import annotations
 
 import abc
-import asyncio
-import collections
-import concurrent.futures
 import multiprocessing
-import os
-import socket
-import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 __all__ = [
     "CancelCampaign",
     "Scheduler",
     "SerialScheduler",
     "PoolScheduler",
-    "AsyncScheduler",
-    "SCHEDULER_NAMES",
-    "scheduler_by_name",
 ]
 
 #: payload of one schedulable run: (slot index, worker-function argument)
@@ -55,16 +44,10 @@ class CancelCampaign(Exception):
     """Raised *by a result callback* to stop a campaign gracefully.
 
     Schedulers treat it as a cancellation signal, not an error: dispatch
-    stops, in-flight runs are drained (delivered where the engine can),
-    and the exception propagates to the caller, which keeps every result
-    delivered so far.  :func:`repro.experiments.campaign.run_campaign`
+    stops, the pool terminates any in-flight runs, and the exception
+    propagates to the caller, which keeps every result delivered so far.  :func:`repro.experiments.campaign.run_campaign`
     turns it into a partial :class:`CampaignResult` marked ``cancelled``.
     """
-
-
-def worker_id(slot: int = 0) -> str:
-    """A heartbeat identity unique per host / process / worker slot."""
-    return f"{socket.gethostname()}-{os.getpid()}-w{slot}"
 
 
 class Scheduler(abc.ABC):
@@ -78,16 +61,13 @@ class Scheduler(abc.ABC):
         fn: Callable[[object], object],
         jobs: Sequence[Job],
         on_result: OnResult,
-        store=None,
     ) -> None:
         """Run ``fn(payload)`` for every ``(index, payload)`` job.
 
         ``on_result(index, result)`` fires in completion order, in the
-        caller's process/thread.  ``store`` (a
-        :class:`~repro.experiments.store.ResultStore`) is the heartbeat
-        channel for engines that publish liveness; others ignore it.
-        A :class:`CancelCampaign` from ``on_result`` stops dispatching
-        and re-raises after the engine has wound down.
+        caller's process/thread.  A :class:`CancelCampaign` from
+        ``on_result`` stops dispatching and re-raises after the engine
+        has wound down.
         """
 
 
@@ -96,7 +76,7 @@ class SerialScheduler(Scheduler):
 
     name = "serial"
 
-    def execute(self, fn, jobs, on_result, store=None) -> None:
+    def execute(self, fn, jobs, on_result) -> None:
         for i, payload in jobs:
             on_result(i, fn(payload))
 
@@ -112,9 +92,9 @@ class PoolScheduler(Scheduler):
     """``multiprocessing.Pool`` fan-out — the historical parallel path.
 
     Falls back to serial when the batch (or ``workers``) is 1, exactly
-    like the pre-refactor campaign loop.  Cancellation is abrupt here
-    (the pool context terminates in-flight workers); use
-    :class:`AsyncScheduler` when graceful draining matters.
+    like the pre-refactor campaign loop.  Cancellation is abrupt: the
+    pool context terminates in-flight workers, and a resumed campaign
+    re-runs them (nothing they computed was stored).
     """
 
     name = "pool"
@@ -122,107 +102,12 @@ class PoolScheduler(Scheduler):
     def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
 
-    def execute(self, fn, jobs, on_result, store=None) -> None:
+    def execute(self, fn, jobs, on_result) -> None:
         n = min(self.workers, len(jobs))
         if n <= 1:
-            SerialScheduler().execute(fn, jobs, on_result, store=store)
+            SerialScheduler().execute(fn, jobs, on_result)
             return
         packed = [(fn, i, payload) for i, payload in jobs]
         with multiprocessing.Pool(n) as pool:
             for i, result in pool.imap_unordered(_call_indexed, packed):
                 on_result(i, result)
-
-
-class AsyncScheduler(Scheduler):
-    """Asyncio job queue over a process pool: stealing, heartbeats,
-    graceful cancel.
-
-    ``workers`` coroutines pull from one shared deque — there is no
-    up-front partition of jobs to workers, so a worker that lands a slow
-    run simply contributes fewer runs while the others drain the rest
-    (work stealing).  Each worker publishes a heartbeat row through the
-    result store every ``heartbeat_s`` while the campaign runs, so
-    ``status`` views can show who is alive and what they are doing.
-    CPU-bound runs execute in a ``ProcessPoolExecutor``; the event loop
-    only coordinates.
-    """
-
-    name = "async"
-
-    def __init__(self, workers: int = 1, heartbeat_s: float = 2.0) -> None:
-        self.workers = max(1, int(workers))
-        self.heartbeat_s = heartbeat_s
-
-    def execute(self, fn, jobs, on_result, store=None) -> None:
-        asyncio.run(self._drive(fn, list(jobs), on_result, store))
-
-    async def _drive(self, fn, jobs: List[Job], on_result, store) -> None:
-        queue = collections.deque(jobs)
-        cancelled = asyncio.Event()  # a callback asked to stop
-        done = asyncio.Event()  # winding down (also ends heartbeats)
-        n = min(self.workers, len(jobs)) or 1
-        loop = asyncio.get_running_loop()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
-            beats = asyncio.create_task(self._heartbeat_loop(store, n, done))
-            try:
-                await asyncio.gather(
-                    *(
-                        self._worker(
-                            slot, fn, queue, on_result, pool, cancelled, loop
-                        )
-                        for slot in range(n)
-                    )
-                )
-            finally:
-                done.set()
-                beats.cancel()
-                try:
-                    await beats
-                except asyncio.CancelledError:
-                    pass
-                if store is not None:
-                    for slot in range(n):
-                        store.heartbeat(worker_id(slot), state="done")
-        if cancelled.is_set():
-            raise CancelCampaign()
-
-    async def _worker(
-        self, slot, fn, queue, on_result, pool, cancelled, loop
-    ) -> None:
-        while queue and not cancelled.is_set():
-            i, payload = queue.popleft()  # steal the next run, whoever's
-            result = await loop.run_in_executor(pool, fn, payload)
-            try:
-                # Deliver even when another worker cancelled meanwhile:
-                # a finished run is a finished run, and persisting it is
-                # what makes cancellation resume-safe.
-                on_result(i, result)
-            except CancelCampaign:
-                cancelled.set()
-
-    async def _heartbeat_loop(self, store, n, done) -> None:
-        if store is None:
-            return
-        while not done.is_set():
-            for slot in range(n):
-                store.heartbeat(worker_id(slot), state="running")
-            try:
-                await asyncio.wait_for(done.wait(), timeout=self.heartbeat_s)
-            except asyncio.TimeoutError:
-                continue
-
-
-SCHEDULER_NAMES = ("serial", "pool", "async")
-
-
-def scheduler_by_name(name: str, workers: int = 1) -> Scheduler:
-    """Resolve a ``--scheduler`` value into an engine instance."""
-    if name == "serial":
-        return SerialScheduler()
-    if name == "pool":
-        return PoolScheduler(workers=workers)
-    if name == "async":
-        return AsyncScheduler(workers=workers)
-    raise ValueError(
-        f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}"
-    )

@@ -19,9 +19,9 @@ stack builds on:
 
 Both stores expose the same lookup semantics: unreadable, stale-schema,
 foreign-backend or hand-edited records are *misses*, never errors, so a
-corrupt store can never fail a campaign.  Stores also carry two small
-side channels for the scheduler layer: worker **heartbeats** and run
-**claims** (cross-shard work stealing).
+corrupt store can never fail a campaign.  Writes are idempotent per key,
+so ``--shard`` processes racing on one store never lose or double a
+record.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ COMPATIBLE_SCHEMAS = (1, 2)
 #: ``CACHE_SCHEMA`` (bumping the record layout must not re-key every
 #: cached run; bump this only when run *semantics* change).
 HASH_SCHEMA = 1
-
-#: claims older than this are considered abandoned (a stolen run whose
-#: worker died) and may be re-claimed by another scheduler
-DEFAULT_CLAIM_TTL_S = 600.0
 
 #: leftover ``*.tmp.*`` files older than this are swept on store open (a
 #: killed writer's debris; the atomic-replace discipline means they were
@@ -406,29 +402,6 @@ class ResultStore(abc.ABC):
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- scheduler side channels --------------------------------------
-    def heartbeat(self, worker: str, state: str = "running") -> None:
-        """Record that ``worker`` is alive right now (best effort)."""
-
-    def heartbeats(self) -> Dict[str, dict]:
-        """worker -> {"seen_s": epoch, "state": str} of known workers."""
-        return {}
-
-    def claim(
-        self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> bool:
-        """Try to claim run ``key`` for ``worker`` (work stealing).
-
-        Returns True when the claim is ours — nobody holds it, or the
-        existing claim is staler than ``ttl_s`` (its worker died).
-        Claims only avoid duplicated *work*; correctness never depends
-        on them because :meth:`put` is idempotent per key.
-        """
-        return True
-
-    def release(self, key: str) -> None:
-        """Drop any claim on ``key`` (called once its record is stored)."""
-
 
 # ----------------------------------------------------------------------
 # JSON directory store (the historical cache layout)
@@ -483,7 +456,6 @@ class JsonDirStore(ResultStore):
             fh.flush()
             os.fsync(fh.fileno())  # durable before it becomes visible
         os.replace(tmp, path)
-        self.release(key)
         return path
 
     def get(self, key: str) -> Optional[dict]:
@@ -499,71 +471,6 @@ class JsonDirStore(ResultStore):
             for name in os.listdir(self.root)
             if name.endswith(".json")
         ]
-
-    # -- scheduler side channels --------------------------------------
-    def _side_dir(self, kind: str) -> str:
-        path = os.path.join(self.root, kind)
-        os.makedirs(path, exist_ok=True)
-        return path
-
-    def heartbeat(self, worker: str, state: str = "running") -> None:
-        path = os.path.join(self._side_dir(".workers"), f"{worker}.json")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"seen_s": time.time(), "state": state}, fh)
-        os.replace(tmp, path)
-
-    def heartbeats(self) -> Dict[str, dict]:
-        out: Dict[str, dict] = {}
-        workers = os.path.join(self.root, ".workers")
-        if not os.path.isdir(workers):
-            return out
-        for name in os.listdir(workers):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(workers, name), encoding="utf-8") as fh:
-                    out[name[: -len(".json")]] = json.load(fh)
-            except (OSError, ValueError):
-                continue
-        return out
-
-    def _claim_path(self, key: str) -> str:
-        return os.path.join(self._side_dir(".claims"), f"{key}.claim")
-
-    def claim(
-        self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> bool:
-        path = self._claim_path(key)
-        payload = json.dumps({"worker": worker, "since_s": time.time()})
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                stale = time.time() - os.path.getmtime(path) > ttl_s
-            except OSError:
-                return False  # claim vanished mid-check: somebody owns it
-            if not stale:
-                return False
-            # abandoned claim: take it over (atomic replace; the loser
-            # of a takeover race merely re-runs an idempotent put)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-            return True
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        return True
-
-    def release(self, key: str) -> None:
-        claims = os.path.join(self.root, ".claims")
-        if not os.path.isdir(claims):
-            return
-        try:
-            os.unlink(os.path.join(claims, f"{key}.claim"))
-        except OSError:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -593,7 +500,7 @@ class SqliteStore(ResultStore):
 
     Records are schema-versioned exactly like the JSON layout, and
     ``INSERT OR REPLACE`` on the key makes concurrent duplicate writes
-    (racing shards, stolen runs) collapse to one row.
+    (racing shards) collapse to one row.
     """
 
     name = "sqlite"
@@ -629,20 +536,6 @@ class SqliteStore(ResultStore):
             self._conn.execute(
                 "CREATE INDEX IF NOT EXISTS runs_by_backend "
                 "ON runs (backend, protocol)"
-            )
-            self._conn.execute(
-                """CREATE TABLE IF NOT EXISTS workers (
-                       worker TEXT PRIMARY KEY,
-                       seen_s REAL NOT NULL,
-                       state TEXT NOT NULL
-                   )"""
-            )
-            self._conn.execute(
-                """CREATE TABLE IF NOT EXISTS claims (
-                       key TEXT PRIMARY KEY,
-                       worker TEXT NOT NULL,
-                       since_s REAL NOT NULL
-                   )"""
             )
         self._pending: List[Tuple[str, dict]] = []
 
@@ -697,16 +590,12 @@ class SqliteStore(ResultStore):
     def _write_rows(self, rows: List[Tuple]) -> None:
         if not rows:
             return
-        keys = [r[0] for r in rows]
         with self._conn:  # one transaction per batch
             self._conn.executemany(
                 "INSERT OR REPLACE INTO runs "
                 "(key, schema, backend, protocol, seed, elapsed_s, record, "
                 "created_s) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
-            )
-            self._conn.executemany(
-                "DELETE FROM claims WHERE key = ?", [(k,) for k in keys]
             )
 
     def flush(self) -> None:
@@ -750,52 +639,6 @@ class SqliteStore(ResultStore):
     def close(self) -> None:
         self.flush()
         self._conn.close()
-
-    # -- scheduler side channels --------------------------------------
-    def heartbeat(self, worker: str, state: str = "running") -> None:
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO workers (worker, seen_s, state) "
-                "VALUES (?, ?, ?)",
-                (worker, time.time(), state),
-            )
-
-    def heartbeats(self) -> Dict[str, dict]:
-        return {
-            worker: {"seen_s": seen, "state": state}
-            for worker, seen, state in self._conn.execute(
-                "SELECT worker, seen_s, state FROM workers"
-            ).fetchall()
-        }
-
-    def claim(
-        self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> bool:
-        now = time.time()
-        try:
-            with self._conn:
-                # Take the write lock before reading, so the check and the
-                # claim are one atomic step: the module's implicit BEGIN
-                # would only come at the INSERT, after the SELECT, and let
-                # two workers both see the key free and both claim it.
-                self._conn.execute("BEGIN IMMEDIATE")
-                row = self._conn.execute(
-                    "SELECT worker, since_s FROM claims WHERE key = ?", (key,)
-                ).fetchone()
-                if row is not None and now - row[1] <= ttl_s:
-                    return row[0] == worker
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO claims (key, worker, since_s) "
-                    "VALUES (?, ?, ?)",
-                    (key, worker, now),
-                )
-            return True
-        except sqlite3.OperationalError:
-            return False  # contended lock: treat as somebody else's claim
-
-    def release(self, key: str) -> None:
-        with self._conn:
-            self._conn.execute("DELETE FROM claims WHERE key = ?", (key,))
 
 
 # ----------------------------------------------------------------------

@@ -138,6 +138,16 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             fast_spec(grid={"v_max": ()})
 
+    @pytest.mark.parametrize(
+        "axis, values, argument",
+        [("protocol", ("flooding",), "protocols"), ("seed", (1, 2), "seeds")],
+    )
+    def test_protocol_and_seed_are_not_grid_axes(self, axis, values, argument):
+        """Every campaign already sweeps protocol and seed; a grid axis on
+        either is rejected up front and names the argument to use."""
+        with pytest.raises(ValueError, match=f"{axis}.*{argument}"):
+            fast_spec(grid={axis: values})
+
 
 class TestRunResultAttrPassthrough:
     """Regression: __getattr__ used to recurse infinitely on dunder or
@@ -463,6 +473,25 @@ class TestCli:
             main(
                 ["--grid", "v_max=1.0,5.0", "--set", "v_max=3.0", "--dry-run"]
             )
+
+    @pytest.mark.parametrize(
+        "axis, value, flag",
+        [("protocol", "flooding", "--protocols"), ("seed", "2", "--seeds")],
+    )
+    def test_rejects_protocol_and_seed_as_grid_or_set(
+        self, axis, value, flag, capsys
+    ):
+        """``--grid`` on either field exits cleanly (not a raw TypeError),
+        and ``--set`` on either is refused instead of being overwritten by
+        ``--protocols`` / ``--seeds``; with or without ``--figure``."""
+        rounds = ["--backend", "rounds"]
+        with pytest.raises(SystemExit, match=f"{axis}.*{flag[2:]}"):
+            main(rounds + ["--grid", f"{axis}={value}", "--dry-run"])
+        with pytest.raises(SystemExit, match=f"{axis}.*grid axis.*{flag}"):
+            main(rounds + ["--set", f"{axis}={value}", "--dry-run"])
+        with pytest.raises(SystemExit, match=f"{axis}.*grid axis.*fig09"):
+            main(["--figure", "fig09", "--set", f"{axis}={value}", "--dry-run"])
+        assert capsys.readouterr().out == ""  # nothing planned or run
 
     def test_set_on_non_axis_field_still_works_with_figure(self):
         from repro.experiments.campaign import build_parser, spec_from_args

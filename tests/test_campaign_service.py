@@ -2,14 +2,11 @@
 
 Pins the contracts of the refactor's upper layers (docs/campaigns.md):
 
-* the three schedulers (serial / pool / async) are interchangeable —
-  same campaign, bit-identical aggregates;
-* the async engine publishes worker heartbeats through the store,
-  cancels gracefully mid-campaign (everything delivered so far is
-  persisted), and a killed-and-resumed invocation converges to the
+* the two schedulers (serial / pool) are interchangeable — same
+  campaign, bit-identical aggregates;
+* a pool campaign cancels mid-flight (everything delivered so far is
+  persisted), and a cancelled-and-resumed invocation converges to the
   same final table as an uninterrupted run;
-* ``steal=True`` lets one shard claim and run other shards' leftovers,
-  with claims contended through the store;
 * streaming per-cell aggregation equals batch ``aggregate`` bit-for-bit
   in any arrival order (hypothesis property), because ``mean_ci`` *is*
   the Welford fold;
@@ -22,7 +19,7 @@ Pins the contracts of the refactor's upper layers (docs/campaigns.md):
 from __future__ import annotations
 
 import json
-import time
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -42,11 +39,9 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scheduler import (
-    AsyncScheduler,
     CancelCampaign,
     PoolScheduler,
     SerialScheduler,
-    scheduler_by_name,
 )
 from repro.experiments.store import migrate_json_dir, open_store
 
@@ -87,45 +82,19 @@ def store_spec(request, tmp_path) -> str:
 # Scheduler interchangeability
 # ----------------------------------------------------------------------
 class TestSchedulers:
-    def test_by_name(self):
-        assert isinstance(scheduler_by_name("serial"), SerialScheduler)
-        assert isinstance(scheduler_by_name("pool", 4), PoolScheduler)
-        assert isinstance(scheduler_by_name("async", 4), AsyncScheduler)
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            scheduler_by_name("celery")
-
     def test_engines_agree_bit_for_bit(self):
-        """Same campaign through all three engines: identical tables."""
+        """Same campaign through both engines: identical tables."""
         spec = rounds_spec()
         tables = []
-        for engine in (
-            SerialScheduler(),
-            PoolScheduler(workers=2),
-            AsyncScheduler(workers=2, heartbeat_s=0.1),
-        ):
+        for engine in (SerialScheduler(), PoolScheduler(workers=2)):
             result = run_campaign(spec, scheduler=engine)
             assert result.executed == spec.size()
             tables.append(result.format_table(("rounds", "moves")))
-        assert tables[0] == tables[1] == tables[2]
-
-    def test_string_scheduler_resolves(self, tmp_path):
-        result = run_campaign(
-            rounds_spec(), store=str(tmp_path / "r"), scheduler="serial"
-        )
-        assert result.executed == rounds_spec().size()
-
-    def test_async_heartbeats_land_in_store(self, store_spec):
-        engine = AsyncScheduler(workers=2, heartbeat_s=0.01)
-        run_campaign(rounds_spec(), store=store_spec, scheduler=engine)
-        with open_store(store_spec) as store:
-            beats = store.heartbeats()
-        assert beats, "async scheduler should have published heartbeats"
-        assert all(info["state"] == "done" for info in beats.values())
-        assert all("seen_s" in info for info in beats.values())
+        assert tables[0] == tables[1]
 
 
 # ----------------------------------------------------------------------
-# Graceful cancel and resume
+# Cancel and resume
 # ----------------------------------------------------------------------
 class TestCancelResume:
     def _cancel_after(self, k: int):
@@ -136,7 +105,7 @@ class TestCancelResume:
         return on_update
 
     def test_cancel_persists_partials_then_resume_converges(self, tmp_path):
-        """The acceptance scenario: an async figd02-style campaign on a
+        """The acceptance scenario: a pool figd02-style campaign on a
         SQLite store is cancelled mid-flight; ``status`` shows streaming
         per-cell aggregates of the partial store; re-invoking converges
         to the same table as an uninterrupted reference run."""
@@ -145,7 +114,7 @@ class TestCancelResume:
         partial = run_campaign(
             spec,
             store=store,
-            scheduler=AsyncScheduler(workers=2, heartbeat_s=0.05),
+            scheduler=PoolScheduler(workers=2),
             on_update=self._cancel_after(3),
         )
         assert partial.cancelled
@@ -191,75 +160,6 @@ class TestCancelResume:
         assert result.executed == 1
         with open_store(store_spec) as store:
             assert store.run_count() == 1  # the delivered run is durable
-
-
-# ----------------------------------------------------------------------
-# Work stealing and claims
-# ----------------------------------------------------------------------
-class TestWorkStealing:
-    def test_steal_runs_the_whole_campaign_from_one_shard(self, store_spec):
-        spec = rounds_spec(seeds=(1, 2, 3))
-        first = run_campaign(spec, store=store_spec, shard=(0, 2), steal=True)
-        assert first.executed == spec.size()  # own share + stolen leftovers
-        assert first.skipped == 0
-        assert first.stolen > 0
-        assert first.stolen + (first.executed - first.stolen) == spec.size()
-
-        other = run_campaign(spec, store=store_spec, shard=(1, 2))
-        assert other.executed == 0
-        assert other.cache_hits == spec.size()
-
-    def test_without_steal_foreign_runs_are_skipped(self, store_spec):
-        spec = rounds_spec(seeds=(1, 2, 3))
-        result = run_campaign(spec, store=store_spec, shard=(0, 2))
-        assert result.stolen == 0
-        assert result.skipped > 0
-        assert result.executed + result.skipped == spec.size()
-
-    def test_claim_contention_release_and_expiry(self, store_spec):
-        with open_store(store_spec) as store:
-            assert store.claim("k1", "worker-a") is True
-            assert store.claim("k1", "worker-b") is False  # held
-            store.release("k1")
-            assert store.claim("k1", "worker-b") is True  # freed
-
-            assert store.claim("k2", "worker-a", ttl_s=0.02) is True
-            time.sleep(0.05)
-            # the claimant died (its claim went stale): takeover allowed
-            assert store.claim("k2", "worker-b", ttl_s=0.02) is True
-
-    def test_sqlite_claim_checks_and_writes_atomically(self, tmp_path):
-        """A claim that starts while another worker's claim is being
-        written must see that claim once it commits, not overwrite it."""
-        import sqlite3
-        import threading
-
-        path = tmp_path / "claims.sqlite"
-        with open_store(f"sqlite:{path}") as store:
-            rival = sqlite3.connect(str(path), check_same_thread=False)
-            rival.execute("BEGIN IMMEDIATE")
-            rival.execute(
-                "INSERT INTO claims (key, worker, since_s) VALUES (?, ?, ?)",
-                ("k", "worker-b", time.time()),
-            )
-            committer = threading.Timer(0.3, rival.commit)
-            committer.start()
-            try:
-                assert store.claim("k", "worker-a") is False
-            finally:
-                committer.join()
-                rival.close()
-            assert store.claim("k", "worker-b") is True  # still b's
-
-    def test_storing_a_record_releases_its_claim(self, store_spec):
-        cfg = rounds_base(seed=41, protocol="ss-spst")
-        from repro.experiments.campaign import _execute, config_key
-
-        with open_store(store_spec) as store:
-            key = config_key(cfg)
-            assert store.claim(key, "worker-a") is True
-            store.store(cfg, _execute(cfg))
-            assert store.claim(key, "worker-b") is True  # claim is gone
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +223,9 @@ class TestCampaignService:
     def test_submit_status_results_roundtrip(self, store_spec):
         spec = rounds_spec()
         with open_store(store_spec) as store:
-            submitted = run_campaign(spec, store=store, scheduler="serial")
+            submitted = run_campaign(
+                spec, store=store, scheduler=SerialScheduler()
+            )
             assert submitted.executed == spec.size()
 
             status = campaign_status(spec, store)
@@ -338,7 +240,9 @@ class TestCampaignService:
             )
 
             # warm: nothing to execute
-            resubmitted = run_campaign(spec, store=store, scheduler="serial")
+            resubmitted = run_campaign(
+                spec, store=store, scheduler=SerialScheduler()
+            )
             assert resubmitted.executed == 0
 
     def test_migrate_from_json_cache(self, tmp_path):
@@ -365,10 +269,9 @@ SPEC_ARGS = [
 
 
 class TestCli:
-    def test_flat_async_scheduler_and_sqlite_store(self, tmp_path, capsys):
+    def test_flat_pool_workers_and_sqlite_store(self, tmp_path, capsys):
         store = f"sqlite:{tmp_path / 'cli.sqlite'}"
-        args = SPEC_ARGS + ["--store", store, "--scheduler", "async",
-                            "--workers", "2", "--quiet"]
+        args = SPEC_ARGS + ["--store", store, "--workers", "2", "--quiet"]
         assert main(args) == 0
         assert "executed=4 cached=0" in capsys.readouterr().out
         assert main(args) == 0  # warm re-run through the same store
@@ -392,7 +295,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"{partial.executed}/4 runs complete" in out
         assert "[complete]" not in out
-        assert "# workers:" in out
 
     def test_status_on_absent_store(self, tmp_path, capsys):
         absent = str(tmp_path / "never-created")
@@ -435,13 +337,14 @@ class TestCli:
         ) == 0
         assert "executed=0 cached=4" in capsys.readouterr().out
 
-    def test_flat_shard_steal_flags(self, tmp_path, capsys):
+    def test_flat_shard_flag(self, tmp_path, capsys):
         store = str(tmp_path / "records")
-        argv = SPEC_ARGS + [
-            "--store", store, "--shard", "0/2", "--steal", "--quiet"
-        ]
+        argv = SPEC_ARGS + ["--store", store, "--shard", "0/2", "--quiet"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "executed=4" in out  # own share + stolen leftovers
-        assert "skipped=0" in out
-        assert "stolen=" in out
+        match = re.search(
+            r"executed=(\d+) cached=0 shard=0/2 skipped=(\d+)", out
+        )
+        assert match is not None, out
+        executed, skipped = map(int, match.groups())
+        assert executed + skipped == 4  # own share run, the rest left

@@ -16,9 +16,13 @@ The contracts pinned here (see docs/campaigns.md):
   caller's store open;
 * ``migrate`` ingests a v1/v2 JSON cache dir losslessly: the migrated
   store resumes the campaign with 100% hits and identical aggregates;
+* a store that still carries an older version's worker/claim side data
+  (SQLite tables, JSON side directories) opens, loads, accepts puts and
+  serves a fully warm campaign;
 * two campaign invocations racing on one store — same shard or split
   shards, JSON dir or SQLite — lose no records, double none, and
-  aggregate identically to a serial reference run.
+  aggregate identically to a serial reference run; workers opening one
+  fresh SQLite store together all get in and lose no write.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import sqlite3
 import time
 from typing import Dict, List, Tuple
 
@@ -213,7 +218,7 @@ class TestSqliteStore:
         store = SqliteStore(str(tmp_path / "s.sqlite"))
         cfg = rounds_base(seed=17, protocol="ss-spst")
         record = _record_for(cfg)
-        for _ in range(3):  # racing shards / stolen re-runs collapse
+        for _ in range(3):  # racing shards' duplicate writes collapse
             store.put(config_key(cfg), record)
         assert store.run_count() == 1
         store.close()
@@ -238,6 +243,72 @@ class TestSqliteStore:
         assert store.put_many(items) == 3
         assert store.run_count() == 3
         store.close()
+
+
+# ----------------------------------------------------------------------
+# Stores written by older versions
+# ----------------------------------------------------------------------
+class TestOldSideData:
+    """Older versions kept worker liveness rows and run claims beside the
+    records: ``workers``/``claims`` tables in SQLite, ``.workers/`` and
+    ``.claims/`` directories in a JSON dir.  Such a store must keep
+    working exactly like a records-only one."""
+
+    @staticmethod
+    def _add_side_data(store_spec: str, claimed_key: str) -> None:
+        location = store_location(store_spec)
+        if store_spec.startswith("sqlite:"):
+            conn = sqlite3.connect(location)
+            with conn:
+                # the old schema, as an older version created it
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS workers (worker TEXT "
+                    "PRIMARY KEY, seen_s REAL NOT NULL, state TEXT NOT NULL)"
+                )
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS claims (key TEXT PRIMARY "
+                    "KEY, worker TEXT NOT NULL, since_s REAL NOT NULL)"
+                )
+                conn.execute(
+                    "INSERT INTO workers VALUES ('host-1-w0', ?, 'done')",
+                    (time.time(),),
+                )
+                conn.execute(
+                    "INSERT INTO claims VALUES (?, 'host-1-w0', ?)",
+                    (claimed_key, time.time()),
+                )
+            conn.close()
+            return
+        workers = os.path.join(location, ".workers")
+        claims = os.path.join(location, ".claims")
+        os.makedirs(workers)
+        os.makedirs(claims)
+        with open(os.path.join(workers, "host-1-w0.json"), "w") as fh:
+            json.dump({"seen_s": time.time(), "state": "done"}, fh)
+        with open(os.path.join(claims, f"{claimed_key}.claim"), "w") as fh:
+            json.dump({"worker": "host-1-w0", "since_s": time.time()}, fh)
+
+    def test_store_with_side_data_keeps_working(self, store_spec):
+        spec = rounds_spec()
+        cold = run_campaign(spec, store=store_spec)
+        assert cold.executed == spec.size()
+        configs = spec.configs()
+        self._add_side_data(store_spec, config_key(configs[0]))
+
+        with open_store(store_spec) as store:
+            assert store.run_count() == spec.size()
+            assert sorted(store.keys()) == sorted(map(config_key, configs))
+            records = [store.load(cfg) for cfg in configs]
+            assert all(record is not None for record in records)
+            # a put under the claimed key lands like any other
+            store.put(config_key(configs[0]), records[0])
+            assert store.load(configs[0]) == records[0]
+            warm = run_campaign(spec, store=store)
+            assert (warm.executed, warm.cache_hits) == (0, spec.size())
+            assert store.run_count() == spec.size()
+        for metric in ("rounds", "moves"):
+            extract = cold.extractor(metric)
+            assert warm.aggregate(extract) == cold.aggregate(extract)
 
 
 # ----------------------------------------------------------------------
@@ -621,13 +692,15 @@ def _race_child(args) -> int:
     return result.executed
 
 
-def _open_and_claim_child(args) -> list:
+def _open_and_put_child(args) -> list:
     """Child-process body: open one shared fresh SQLite store at an
-    agreed instant, then try to claim every key; returns the keys won."""
-    path, keys, worker, start_at = args
+    agreed instant, then put this worker's own keys; returns them."""
+    path, keys, start_at = args
     time.sleep(max(0.0, start_at - time.time()))
     with open_store(f"sqlite:{path}") as store:
-        return [key for key in keys if store.claim(key, worker)]
+        for key in keys:
+            store.put(key, {"schema": 2, "backend": "rounds", "key": key})
+    return keys
 
 
 class TestConcurrentAccess:
@@ -656,22 +729,23 @@ class TestConcurrentAccess:
             extract = serial.extractor(metric)
             assert assembled.aggregate(extract) == serial.aggregate(extract)
 
-    def test_sqlite_open_and_claim_stress(self, tmp_path):
-        """More workers than cores open one fresh store together and
-        claim the same keys: every open succeeds (the WAL switch waits
-        for the exclusive lock) and every key has exactly one owner."""
+    def test_sqlite_open_and_put_stress(self, tmp_path):
+        """More workers than cores open one fresh store together and each
+        puts its own keys: every open succeeds (the WAL switch waits for
+        the exclusive lock) and no write is lost."""
         workers = 6  # more than the cores of a laptop or CI runner
-        keys = [f"k{i}" for i in range(40)]
-        path = tmp_path / "claims.sqlite"
+        keys = [[f"w{w}-k{i}" for i in range(40)] for w in range(workers)]
+        path = tmp_path / "shared.sqlite"
         start_at = time.time() + 3.0
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(workers) as pool:
-            won = pool.map_async(
-                _open_and_claim_child,
-                [(path, keys, f"w{i}", start_at) for i in range(workers)],
+            written = pool.map_async(
+                _open_and_put_child,
+                [(path, own, start_at) for own in keys],
             ).get(timeout=120)
-        owners = [key for keys_won in won for key in keys_won]
-        assert sorted(owners) == sorted(keys)
+        assert written == keys  # every worker's open and puts succeeded
+        with open_store(f"sqlite:{path}") as store:
+            assert store.run_count() == workers * 40
 
     def test_racing_full_overlap(self, store_spec):
         """Worst case: two unsharded invocations of the whole campaign.
