@@ -99,7 +99,7 @@ def _sample_settled(seed: int, n: int = N):
     draws retry on a derived seed."""
     for attempt in range(50):
         cfg = _bench_config(seed + 1000 * attempt, n)
-        topo, metric = build_round_scenario(cfg)
+        (topo, *_), metric = build_round_scenario(cfg)
         if not topo.is_connected():
             continue
         settled = _engine(topo, metric, True, seed).run(fresh_states(topo, metric))

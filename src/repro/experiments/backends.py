@@ -395,41 +395,39 @@ class RoundRunResult:
 
 
 def build_round_scenario(config: ScenarioConfig):
-    """``(topology, metric)`` for a config's round-model realization.
+    """``(topologies, metric)`` for a config's round-model realization.
 
     The scenario structure comes from the config's scenario models via
     :func:`~repro.experiments.scenario_models.build_scenario_space` —
     the *identical* named-RNG-substream path the DES runner builds from —
     so this is the t = 0 snapshot of the DES scenario: same placement,
-    same mobility starting point, same multicast group, for every
+    same mobility starting point, same multicast groups, for every
     placement/mobility/membership model and every protocol sharing the
-    seed.  The metric is the config protocol's SS-SPST cost metric over
-    the config's radio constants.
+    seed.  ``topologies`` holds one t = 0 topology per realized group,
+    group 0 first, each rooted at its group's source over the one shared
+    placement (a ``group_count=1`` config gets a one-element list).  The
+    metric is the config protocol's SS-SPST cost metric over the
+    config's radio constants.
     """
     from repro.core.metrics import metric_by_name
-    from repro.energy.radio import FirstOrderRadioModel
     from repro.experiments.scenario_models import build_scenario_space
     from repro.graph.sparse import SparseTopology
     from repro.graph.topology import Topology
 
     space = build_scenario_space(config)
     topo_cls = SparseTopology if config.topology == "sparse" else Topology
-    topo = topo_cls.from_positions(
-        space.mobility.positions(0.0),
-        config.max_range,
-        source=space.source,
-        members=space.receivers,
-    )
-    radio = FirstOrderRadioModel(
-        e_elec=config.e_elec,
-        e_rx=config.e_rx,
-        eps_amp=config.eps_amp,
-        alpha=config.alpha,
-        max_range=config.max_range,
-        d_floor=10.0,  # runner parity
-    )
-    metric = metric_by_name(SS_PROTOCOL_METRICS[config.protocol], radio)
-    return topo, metric
+    positions = space.mobility.positions(0.0)
+    topologies = [
+        topo_cls.from_positions(
+            positions,
+            config.max_range,
+            source=group.source,
+            members=group.receivers,
+        )
+        for group in space.groups
+    ]
+    metric = metric_by_name(SS_PROTOCOL_METRICS[config.protocol], space.radio)
+    return topologies, metric
 
 
 class RoundsBackend(ExperimentBackend):
@@ -438,7 +436,9 @@ class RoundsBackend(ExperimentBackend):
     Accepts *every* registered daemon — including the round-model-only
     ``adversarial-max-cost`` stress schedule the DES backend rejects —
     and reports stabilization rounds, rule evaluations, moves,
-    chain-pricing steps and the perturbed-recovery cost.
+    chain-pricing steps and the perturbed-recovery cost.  A
+    ``group_count=k`` config stabilizes k trees over one snapshot; k = 1
+    is the one-group case of the same run.
     """
 
     name = "rounds"
@@ -464,70 +464,84 @@ class RoundsBackend(ExperimentBackend):
         from repro.groups.metrics import group_tree_stats, jain_index
         from repro.util.rng import RngStreams
 
-        if config.group_count > 1:
-            # k independent engines over one placement; group 0 keeps the
-            # historical daemon stream so its trajectory matches a k=1 run.
-            from repro.groups.driver import run_multigroup_rounds
-
-            return run_multigroup_rounds(config)
-
-        topo, metric = build_round_scenario(config)
+        topologies, metric = build_round_scenario(config)
         streams = RngStreams(config.seed)
         # The distributed daemon's local-parallel width is a config knob
         # (daemon_k); other daemons take no options.
         daemon_kwargs = (
             {"k": config.daemon_k} if config.daemon == "distributed" else {}
         )
-        engine = engine_for(
-            topo, metric, config.daemon, engine=config.engine,
-            rng=streams.get("daemon"), **daemon_kwargs,
-        )
-        settled = engine.run(fresh_states(topo, metric))
+
+        def engine(topo, rng):
+            return engine_for(
+                topo, metric, config.daemon, engine=config.engine,
+                rng=rng, **daemon_kwargs,
+            )
+
+        # One independent engine per group over the shared snapshot (the
+        # round model has no medium to contend for).  Group 0 keeps the
+        # historical "daemon" stream, so its trajectory does not depend
+        # on k; group g > 0 derives "daemon.g".
+        settled = [
+            engine(
+                topo,
+                streams.get("daemon") if gid == 0
+                else streams.derive("daemon", gid),
+            ).run(fresh_states(topo, metric))
+            for gid, topo in enumerate(topologies)
+        ]
 
         nan = float("nan")
         recovery = (nan, nan, nan, nan)
-        if settled.converged:
+        if config.group_count == 1 and settled[0].converged:
             # One transient fault on the settled tree: a non-source node
-            # advertises a garbage cost; run_perturbed absorbs it.
+            # advertises a garbage cost; run_perturbed absorbs it.  A
+            # per-tree notion, so it stays nan for k > 1.
+            topo, tree = topologies[0], settled[0]
             frng = streams.get("faults")
             v = int(frng.integers(1, topo.n))
-            st = settled.states[v]
+            st = tree.states[v]
             corrupted = NodeState(
                 parent=st.parent,
                 cost=float(frng.uniform(0.0, metric.infinity(topo))),
                 hop=st.hop,
             )
-            rec_engine = engine_for(
-                topo, metric, config.daemon, engine=config.engine,
-                rng=streams.get("recovery"), **daemon_kwargs,
+            rec = engine(topo, streams.get("recovery")).run_perturbed(
+                list(tree.states), [(v, corrupted)]
             )
-            rec = rec_engine.run_perturbed(list(settled.states), [(v, corrupted)])
             recovery = (
                 float(rec.rounds),
                 float(rec.evaluations),
                 float(rec.moves),
                 float(rec.chain_steps),
             )
-        cost = total_cost(settled.states, metric.infinity(topo))
-        parents = {i: st.parent for i, st in enumerate(settled.states)}
+        costs = [
+            total_cost(tree.states, metric.infinity(topo))
+            for topo, tree in zip(topologies, settled)
+        ]
         stats = group_tree_stats(
-            {0: parents},
-            {0: topo.source},
-            {0: sorted(set(topo.members) - {topo.source})},
+            {
+                gid: {i: st.parent for i, st in enumerate(tree.states)}
+                for gid, tree in enumerate(settled)
+            },
+            dict(enumerate(topo.source for topo in topologies)),
+            dict(enumerate(topo.members for topo in topologies)),
         )
+        # Stabilization ends when the slowest tree settles: rounds is the
+        # max over groups, work counters are sums.
         summary = RoundSummary(
-            rounds=settled.rounds,
-            evaluations=settled.evaluations,
-            moves=settled.moves,
-            chain_steps=settled.chain_steps,
-            converged=int(settled.converged),
-            connected=int(topo.is_connected()),
-            total_cost=cost,
+            rounds=max(tree.rounds for tree in settled),
+            evaluations=sum(tree.evaluations for tree in settled),
+            moves=sum(tree.moves for tree in settled),
+            chain_steps=sum(tree.chain_steps for tree in settled),
+            converged=int(all(tree.converged for tree in settled)),
+            connected=int(all(topo.is_connected() for topo in topologies)),
+            total_cost=sum(costs),
             recovery_rounds=recovery[0],
             recovery_evaluations=recovery[1],
             recovery_moves=recovery[2],
             recovery_chain_steps=recovery[3],
-            fairness_jain=jain_index([cost]),
+            fairness_jain=jain_index(costs),
             link_stress_mean=stats["link_stress_mean"],
             link_stress_max=stats["link_stress_max"],
             tree_overlap_ratio=stats["tree_overlap_ratio"],

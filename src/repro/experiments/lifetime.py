@@ -44,10 +44,19 @@ def run_lifetime(
     """Run one scenario with finite per-node batteries.
 
     The source is exempted (a dead source ends the session trivially and
-    measures nothing about the tree's energy placement).
+    measures nothing about the tree's energy placement).  Only
+    single-group DES configs are realizable: the run attaches one agent
+    per node and drives one CBR flow, so a ``group_count > 1`` or
+    ``backend="rounds"`` config is rejected rather than silently run as
+    a different experiment.
     """
     if battery_j <= 0:
         raise ValueError("battery capacity must be positive")
+    if config.backend != "des" or config.group_count != 1:
+        raise ValueError(
+            f"run_lifetime runs one multicast group on the DES; got "
+            f"backend={config.backend!r}, group_count={config.group_count}"
+        )
     sim, network = build_network(config)
     hub = MetricsHub(n_receivers=len(network.receivers))
     hub.set_packet_size_hint(config.packet_bytes)

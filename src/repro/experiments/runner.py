@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.energy.radio import FirstOrderRadioModel
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import (
     build_scenario_space,
@@ -75,24 +74,16 @@ def build_network(config: ScenarioConfig):
     """Construct simulator + network + group from a config (no agents).
 
     The scenario structure — arena, initial placement, mobility process,
-    multicast group — comes from the config's scenario models via
+    multicast groups, radio — comes from the config's scenario models via
     :func:`~repro.experiments.scenario_models.build_scenario_space`, the
     same path the rounds backend snapshots at t = 0.
     """
     sim = Simulator()
     space = build_scenario_space(config)
-    radio = FirstOrderRadioModel(
-        e_elec=config.e_elec,
-        e_rx=config.e_rx,
-        eps_amp=config.eps_amp,
-        alpha=config.alpha,
-        max_range=config.max_range,
-        d_floor=10.0,
-    )
     network = Network(
         sim,
         space.mobility,
-        radio,
+        space.radio,
         space.streams,
         mac_config=MacConfig(),
         bitrate_bps=config.bitrate_bps,

@@ -70,6 +70,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.energy.radio import FirstOrderRadioModel
 from repro.groups.models import (
     GroupSet,
     build_groups,
@@ -745,6 +746,9 @@ class ScenarioSpace:
     #: ``(source, receivers)`` and a ``group_count=1`` config realizes
     #: it without any extra RNG draws (bit-identity contract)
     groups: GroupSet
+    #: the config's radio constants; the DES medium charges by it and the
+    #: rounds backend prices its SS-SPST cost metric with it
+    radio: FirstOrderRadioModel
 
 
 def effective_arena(config: "ScenarioConfig") -> Arena:
@@ -782,4 +786,11 @@ def build_scenario_space(config: "ScenarioConfig") -> ScenarioSpace:
         receivers=receivers,
         models=models,
         groups=groups,
+        radio=FirstOrderRadioModel(
+            e_elec=config.e_elec,
+            e_rx=config.e_rx,
+            eps_amp=config.eps_amp,
+            alpha=config.alpha,
+            max_range=config.max_range,
+        ),
     )

@@ -24,7 +24,6 @@ class CbrSource:
         rate_kbps: float = 64.0,
         packet_bytes: int = 512,
         start_time: float = 0.0,
-        jitter: float = 0.0,
     ) -> None:
         if rate_kbps <= 0 or packet_bytes <= 0:
             raise ValueError("rate and packet size must be positive")
@@ -32,19 +31,15 @@ class CbrSource:
         self.packet_bytes = int(packet_bytes)
         self.interval = bytes_to_bits(packet_bytes) / kbps_to_bps(rate_kbps)
         self.start_time = float(start_time)
-        self.jitter = float(jitter)
         self.packets_sent = 0
         self._timer: Optional[PeriodicTimer] = None
 
     def start(self) -> None:
         """Begin generating packets at ``start_time``."""
-        rng = self.network.streams.get("cbr") if self.jitter > 0 else None
         self._timer = PeriodicTimer(
             self.network.sim,
             self.interval,
             self._emit,
-            jitter=self.jitter,
-            rng=rng,
             start_offset=self.start_time,
         )
 

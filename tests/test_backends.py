@@ -144,7 +144,7 @@ class TestRoundsBackendParity:
         )
         result = backend_by_name("rounds").run(cfg)
 
-        topo, metric = build_round_scenario(cfg)
+        (topo, *_), metric = build_round_scenario(cfg)
         engine = engine_for(
             topo, metric, daemon, rng=RngStreams(seed).get("daemon")
         )

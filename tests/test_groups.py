@@ -10,7 +10,8 @@ Pins the contracts the extension is accountable for:
   ``shared-core`` groups really share group 0's core, ``linear-ramp``
   sizes really ramp; invalid combinations fail at construction.
 * **Engine parity at k > 1** — the object and array round engines settle
-  every group's tree bit-identically (hypothesis property).
+  every group's tree bit-identically (hypothesis property), and k > 1
+  rounds records are pinned byte for byte.
 * **Real contention on the DES** — k concurrent sessions collide at the
   MAC, and the cross-group metrics (fairness, link stress, overlap) come
   out populated and sane.
@@ -62,6 +63,7 @@ from repro.groups.models import (
 from repro.mobility.platoon import PlatoonMobility
 from repro.util.geometry import Arena
 from repro.util.rng import RngStreams
+from tests.test_des_golden import record_digest
 
 FAST = dict(sim_time=12.0, n_nodes=16, group_size=4)
 
@@ -151,7 +153,7 @@ class TestSingleGroupGolden:
         assert summary.recovery_rounds == 1.0
         assert summary.fairness_jain == 1.0
 
-        topo, metric = build_round_scenario(cfg)
+        (topo, *_), metric = build_round_scenario(cfg)
         streams = RngStreams(cfg.seed)
         settled = engine_for(
             topo, metric, cfg.daemon, engine=engine,
@@ -340,6 +342,19 @@ class TestMultiGroupRuns:
             )
         assert summaries[0] == summaries[1]
 
+    def test_round_scenario_has_one_topology_per_group(self):
+        cfg = ScenarioConfig(
+            backend="rounds", n_nodes=30, group_size=5, group_count=3,
+            overlap_model="disjoint", seed=5,
+        )
+        topologies, _ = build_round_scenario(cfg)
+        groups = build_scenario_space(cfg).groups
+        assert [t.source for t in topologies] == [g.source for g in groups]
+        assert [t.members for t in topologies] == [
+            frozenset(g.members) for g in groups
+        ]
+        assert all(np.array_equal(t.dist, topologies[0].dist) for t in topologies)
+
     def test_rounds_multigroup_aggregation(self):
         cfg = ScenarioConfig(
             backend="rounds", n_nodes=30, group_size=6, group_count=4,
@@ -395,6 +410,95 @@ class TestMultiGroupRuns:
         assert 1 in fig.x_quick and 4 in fig.x_quick
         spec = fig.campaign_spec(quick=True)
         assert any(cfg.group_count == 4 for cfg in spec.configs())
+
+
+class TestMultiGroupRoundsGolden:
+    """Record-byte golden for k > 1 rounds runs.
+
+    Same digest as ``tests/test_des_golden.py``: the sha256 of
+    ``record_from(result)`` minus ``elapsed_s``, as sorted compact JSON.
+    Covers k in {2, 4} on both engines and three overlap models, plus
+    one k = 3 run on the sparse topology; any change to the per-group
+    daemon streams, the aggregation or the tree statistics moves these
+    bytes.
+    """
+
+    GOLDEN = {
+        "k=2/object/independent": (
+            "7aa6b6abd373ba163a60c22f61eef8e0"
+            "035d9d7d894cbc1d132bc5c783e41991"
+        ),
+        "k=2/object/shared-core": (
+            "3464a31c2759f4b6eeb8f9d2da25df5a"
+            "90573f53ee0f92127378871542ce3785"
+        ),
+        "k=2/object/disjoint": (
+            "b0d9bad89e89b12437d51a1bdd7dd99d"
+            "d34879c72817b8d111da9e108718038f"
+        ),
+        "k=2/array/independent": (
+            "0d37813d349c5266fb988c2736e9e1d8"
+            "e71cc9d8ad90c99de6c541a8ed048ac2"
+        ),
+        "k=2/array/shared-core": (
+            "b691f195e4a17413eefb4032ddcd613e"
+            "9d202db4a315f1f82dccb86b9d7b5010"
+        ),
+        "k=2/array/disjoint": (
+            "890dfe8fa258a51f088aa5766aa89a88"
+            "5995777ee4c7ce665f6882d4a2b52768"
+        ),
+        "k=4/object/independent": (
+            "d73acca9a115df449e1ffeafbd832386"
+            "f9205ea3b13443870f7a8dae9a948b4a"
+        ),
+        "k=4/object/shared-core": (
+            "85bb15eb238a2c0263546e5307bd678a"
+            "6f2484d021fa95aa6f10e868d1aa3a42"
+        ),
+        "k=4/object/disjoint": (
+            "fe846b4ad405d4b3f998d6d9d886042b"
+            "96b01ef6a1d29defa6baf7393a7df869"
+        ),
+        "k=4/array/independent": (
+            "f64636837644907d4496e1c196d0ff7f"
+            "5b723138876c1f9a37518294166fdb30"
+        ),
+        "k=4/array/shared-core": (
+            "4ec4adabd0cd1c0dfa851dd138444dce"
+            "9126a6ee3ae41c3810629a93e1f4b245"
+        ),
+        "k=4/array/disjoint": (
+            "08421fac8b9069ae29d5bc5ecd4d727d"
+            "5144c2f8191b5b8b9a0f2f79a305f2d0"
+        ),
+        "k=3/array/independent/sparse": (
+            "fa82e6aadd1e17ec384c2404ff7466de"
+            "ade5d6f02eb6b439911e46f93c007c23"
+        ),
+    }
+
+    @staticmethod
+    def _case(name: str) -> ScenarioConfig:
+        k, engine, overlap, *topology = name.split("/")
+        k = int(k.partition("=")[2])
+        return ScenarioConfig(
+            backend="rounds",
+            protocol="ss-spst" if k == 2 else "ss-spst-e",
+            engine=engine,
+            overlap_model=overlap,
+            topology=topology[0] if topology else "dense",
+            group_count=k,
+            n_nodes=30,
+            group_size=5,
+            seed=13,
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_rounds_record_bytes_unchanged(self, name):
+        backend = backend_by_name("rounds")
+        record = backend.record_from(backend.run(self._case(name)))
+        assert record_digest(record) == self.GOLDEN[name]
 
 
 # ----------------------------------------------------------------------

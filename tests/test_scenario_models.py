@@ -259,7 +259,7 @@ class TestRegistry:
         cfg = fast_base(
             backend="rounds", protocol="ss-spst-e", membership="rotating"
         )
-        topo, _ = build_round_scenario(cfg)
+        (topo, *_), _ = build_round_scenario(cfg)
         assert len(topo.members) == cfg.group_size
 
     def test_rotation_period_must_be_positive(self):
@@ -373,7 +373,7 @@ class TestBackendParity:
         )
         sim, net = build_network(cfg)
         des_pos = net.mobility.positions(0.0).copy()
-        topo, _ = build_round_scenario(
+        (topo, *_), _ = build_round_scenario(
             cfg.replace(backend="rounds", protocol="ss-spst-e")
         )
         d = pairwise_distances(des_pos)
@@ -389,7 +389,7 @@ class TestBackendParity:
             n_nodes=20, group_size=6, sim_time=12.0, mobility=test_mobility
         )
         sim, net = build_network(cfg)
-        topo, _ = build_round_scenario(
+        (topo, *_), _ = build_round_scenario(
             cfg.replace(backend="rounds", protocol="ss-spst-e")
         )
         d = pairwise_distances(net.mobility.positions(0.0))
@@ -531,7 +531,7 @@ class TestSatelliteKnobs:
         from repro.energy.radio import FirstOrderRadioModel
 
         cfg = fast_base(backend="rounds", protocol="ss-spst-e", daemon_k=7)
-        topo, metric = build_round_scenario(cfg)
+        (topo, *_), metric = build_round_scenario(cfg)
         engine = engine_for(topo, metric, "distributed", k=cfg.daemon_k)
         assert engine.daemon.k == 7
 
@@ -540,7 +540,7 @@ class TestSatelliteKnobs:
         from repro.core.rounds import RoundEngine
 
         cfg = fast_base(backend="rounds", protocol="ss-spst-e")
-        topo, metric = build_round_scenario(cfg)
+        (topo, *_), metric = build_round_scenario(cfg)
         engine = RoundEngine(topo, metric, daemon="central")
         with pytest.raises(ValueError, match="daemon options"):
             engine_for(topo, metric, engine, k=3)

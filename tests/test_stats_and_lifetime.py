@@ -282,6 +282,20 @@ class TestLifetime:
         with pytest.raises(ValueError):
             run_lifetime(cfg, battery_j=0.0)
 
+    def test_multigroup_config_rejected(self):
+        cfg = ScenarioConfig.quick(
+            protocol="ss-spst-e", seed=3, group_count=2, **self.CFG
+        )
+        with pytest.raises(ValueError, match="group_count"):
+            run_lifetime(cfg, battery_j=5.0)
+
+    def test_rounds_backend_config_rejected(self):
+        cfg = ScenarioConfig.quick(
+            protocol="ss-spst", backend="rounds", seed=3, **self.CFG
+        )
+        with pytest.raises(ValueError, match="backend"):
+            run_lifetime(cfg, battery_j=5.0)
+
     def test_compare_returns_per_protocol(self):
         base = ScenarioConfig.quick(seed=3, **self.CFG)
         out = compare_lifetimes(
