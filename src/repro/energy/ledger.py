@@ -55,12 +55,17 @@ class EnergyBreakdown:
 
 
 class EnergyLedger:
-    """Mutable accumulator of energy usage for one node."""
+    """Mutable accumulator of energy usage for one node.
 
-    __slots__ = ("_j",)
+    ``balances`` maps each bucket key (``"rx_data"``, ...) to its joules.
+    The medium's per-frame reception loop adds to it directly, with the
+    float operations of :meth:`receive` in the same order.
+    """
+
+    __slots__ = ("balances",)
 
     def __init__(self) -> None:
-        self._j: Dict[str, float] = {
+        self.balances: Dict[str, float] = {
             f"{d}_{c}": 0.0 for d in _DIRECTIONS for c in _CLASSES
         }
 
@@ -73,9 +78,9 @@ class EnergyLedger:
         if joules < 0:
             raise ValueError("cannot charge negative energy")
         key = f"{direction}_{traffic_class}"
-        if key not in self._j:
+        if key not in self.balances:
             raise ValueError(f"unknown energy bucket {key!r}")
-        self._j[key] += joules
+        self.balances[key] += joules
 
     @staticmethod
     def rx_buckets(traffic_class: str) -> Tuple[str, str]:
@@ -102,7 +107,7 @@ class EnergyLedger:
         """
         if joules < 0:
             raise ValueError("cannot charge negative energy")
-        self._j[buckets[0]] += joules
+        self.balances[buckets[0]] += joules
         if discard:
             self._refile(buckets, joules)
 
@@ -116,7 +121,7 @@ class EnergyLedger:
         self._refile(self.rx_buckets(traffic_class), joules)
 
     def _refile(self, buckets: Tuple[str, str], joules: float) -> None:
-        j = self._j
+        j = self.balances
         key_rx, key_dis = buckets
         if joules < 0 or j[key_rx] - joules < -1e-12:
             raise ValueError("reclassify amount exceeds rx balance")
@@ -125,12 +130,12 @@ class EnergyLedger:
 
     def snapshot(self) -> EnergyBreakdown:
         """Return an immutable copy of the current balances."""
-        return EnergyBreakdown(**self._j)
+        return EnergyBreakdown(**self.balances)
 
     @property
     def total(self) -> float:
         """Total joules across all buckets."""
-        return sum(self._j.values())
+        return sum(self.balances.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"EnergyLedger(total={self.total:.6e} J)"

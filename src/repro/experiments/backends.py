@@ -293,7 +293,11 @@ class DesBackend(ExperimentBackend):
                 "events_executed", "DES events executed (one per frame reception)"
             ),
             MetricSpec("frames_sent", "MAC frames transmitted"),
-            MetricSpec("frames_collided", "MAC frames lost to collisions"),
+            MetricSpec(
+                "frames_collided",
+                "receptions lost to collision, half duplex or random loss "
+                "(one per receiver)",
+            ),
             MetricSpec(
                 "link_breaks_per_s",
                 "link breaks per second of the mobility scenario "

@@ -63,14 +63,17 @@ def run_lifetime(
     network.hub = hub
 
     deaths: List[float] = []
+
+    def record_death(node) -> None:
+        deaths.append(sim.now)
+        node._die()
+
     for node in network.nodes:
         if node.is_source:
             continue
         node.battery.capacity_j = battery_j
         node.battery.remaining_j = battery_j
-        node.battery._on_depleted = (
-            lambda nid=node.id: deaths.append(sim.now)
-        )
+        node.battery._on_depleted = lambda node=node: record_death(node)
 
     network.attach_agents(
         make_agent_factory(

@@ -35,6 +35,8 @@ class RunResult:
     parent_changes: int  # SS-SPST family churn (0 for on-demand protocols)
     events_executed: int
     frames_sent: int
+    # receptions (one per receiver of a frame), not frames, lost to
+    # collision, half duplex or random loss
     frames_collided: int
     # Mobility fault-process diagnostics (repro.mobility.analysis),
     # sampled from a replay of the run's mobility model: link breaks are

@@ -31,6 +31,12 @@ against the in-flight frames in broadcast order.  Random loss is drawn
 after the receiver set is known: one ``rng.random(k)`` call over the
 frame's k receivers that are still clean, in receiver order — the same
 stream as one draw per clean receiver inside the loop.
+
+Completing a frame files each reception once: ``_complete_frame`` adds
+the reception energy straight into the receiver's
+:attr:`EnergyLedger.balances` (a corrupted copy re-filed as discard at
+once), draws the battery only when it is finite, and hands a clean copy
+to :meth:`~repro.net.node.Node.deliver`, which re-files a discarded one.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from repro.util.ids import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Network
+
+_INF = float("inf")
 
 
 @dataclass
@@ -71,7 +79,14 @@ class Transmission:
 
 
 class MediumStats:
-    """Medium-level counters (used by tests and the overhead metrics)."""
+    """Medium-level counters (used by tests and the overhead metrics).
+
+    ``frames_sent`` counts frames put on the air; the other four count
+    *receptions*, one per live receiver of a frame:
+    ``receptions_total == frames_delivered + frames_collided``.
+    ``frames_collided`` is every reception lost to collision, half duplex
+    or random loss; ``frames_lost_random`` is the random-loss part of it.
+    """
 
     __slots__ = (
         "frames_sent",
@@ -278,6 +293,12 @@ class WirelessMedium:
         schedules come out as with one event per receiver.  The kernel
         counted this callback once; the other receptions are credited to
         ``events_executed`` here.
+
+        Each reception is filed straight into the receiver's ledger with
+        :meth:`EnergyLedger.receive`'s float operations in its order
+        (``rx += j``; for a corrupted copy then ``rx -= j`` and
+        ``discard += j``).  A battery is drawn only while it is finite:
+        drawing from an infinite one leaves its state as it was.
         """
         net = self.network
         receivers = tx.receivers
@@ -286,18 +307,23 @@ class WirelessMedium:
         packet = tx.packet
         # The radio listened for the full frame either way.
         joules = net.radio.rx_energy(packet.bits)
-        buckets = EnergyLedger.rx_buckets(packet.traffic_class)
+        key_rx, key_dis = EnergyLedger.rx_buckets(packet.traffic_class)
         received = collided = 0
         for rid, bad in zip(receivers, tx.corrupted):
             node = nodes[rid]
             if not node.alive:
                 continue
             received += 1
-            node.ledger.receive(buckets, joules, bad)
-            node.battery.draw(joules)
+            balances = node.ledger.balances
+            balances[key_rx] += joules
             if bad:
                 collided += 1
-            else:
+                balances[key_rx] -= joules
+                balances[key_dis] += joules
+            battery = node.battery
+            if battery.remaining_j != _INF:
+                battery.draw(joules)
+            if not bad:
                 node.deliver(packet, joules)
         stats = self.stats
         stats.receptions_total += received

@@ -12,7 +12,7 @@ disconnection of the node" (section 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,10 +51,16 @@ class NeighborTable:
         self,
         node: NodeId,
         now: float,
-        position: Optional[np.ndarray] = None,
+        position: Optional[Sequence[float]] = None,
         state: Optional[Dict[str, Any]] = None,
     ) -> NeighborInfo:
-        """Refresh (or create) the entry for ``node``."""
+        """Refresh (or create) the entry for ``node``.
+
+        ``position`` (an ``(x, y)`` pair or array) is copied into a float
+        array; ``state`` is kept as given, not copied.  A beacon's payload
+        is shared by every receiver's table, so nothing may mutate it
+        after it is sent.
+        """
         info = self._entries.get(node)
         if info is None:
             info = NeighborInfo(node=node, last_heard=now)
@@ -63,7 +69,7 @@ class NeighborTable:
         if position is not None:
             info.position = np.array(position, dtype=float)
         if state is not None:
-            info.state = dict(state)
+            info.state = state
         return info
 
     def expire(self, now: float) -> List[NodeId]:
@@ -93,6 +99,29 @@ class NeighborTable:
 
     def __iter__(self) -> Iterator[NeighborInfo]:
         return iter(list(self._entries.values()))
+
+    def states(self) -> Dict[NodeId, Dict[str, Any]]:
+        """Every entry's advertised state, by neighbor id (table order)."""
+        return {nid: info.state for nid, info in self._entries.items()}
+
+    def distances_from(self, pos: np.ndarray) -> Dict[NodeId, float]:
+        """Distance from ``pos`` to every entry with a known position.
+
+        One vector ``np.hypot`` over the stacked positions; each value
+        equals :meth:`NeighborInfo.distance_from` bit for bit (the scalar
+        and the vector ``np.hypot`` share one float64 kernel, whereas
+        ``math.hypot`` rounds differently on some pairs).
+        """
+        located = [
+            (nid, info.position)
+            for nid, info in self._entries.items()
+            if info.position is not None
+        ]
+        if not located:
+            return {}
+        xy = np.array([p for _, p in located])
+        d = np.hypot(pos[0] - xy[:, 0], pos[1] - xy[:, 1])
+        return dict(zip([nid for nid, _ in located], d.tolist()))
 
     def ids(self) -> List[NodeId]:
         """Current neighbor ids (unordered)."""

@@ -21,6 +21,14 @@ SS-SPST-E).  Operation (paper sections 2-3):
 The LocalView honours the same :class:`~repro.core.views.NodeView`
 interface the round model uses, so the metric code is literally shared
 between the proof-oriented round executor and the packet-level protocol.
+
+Cost of a tick: the view measures the distance to every neighbour in one
+vector ``np.hypot`` (:meth:`NeighborTable.distances_from`, bit for bit
+the scalar ``np.hypot`` of :meth:`NeighborInfo.distance_from`), and the
+tick's beacon reuses those distances for its radius bookkeeping, its
+price pair and its ``nbr_dists``: one instant, one position, one table.
+A received beacon is filed once: its position becomes one float array
+and its payload dict is stored as sent, shared by every receiver's table.
 """
 
 from __future__ import annotations
@@ -28,8 +36,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
-
-import numpy as np
 
 from repro.core.metrics import CostMetric
 from repro.core.rules import COST_TOL, compute_update_local
@@ -132,8 +138,24 @@ CAMPAIGN_BINDINGS = {
 }
 
 
+#: flagged_only -> the beacon keys of that radius: the radius, its top
+#: (distance, child) entries, its costliest child and the runner-up radius
+_RADIUS_KEYS = {
+    flagged: (p, f"{p}_tops", f"{p}_costliest", f"{p}2")
+    for flagged, p in ((True, "r_flag"), (False, "r_all"))
+}
+
+
 class LocalView(NodeView):
-    """NodeView assembled from one node's beacon table (no global state)."""
+    """NodeView assembled from one node's beacon table (no global state).
+
+    A view serves one beacon tick: one instant, one position of the node
+    and one table.  At construction it takes every neighbour's advertised
+    state (``states``) and its distance (``dists``, one vector
+    ``np.hypot``) from the table; it builds each neighbour's
+    :class:`NodeState` once, on first use.  Nothing is kept across ticks:
+    the node's own position moves between them.
+    """
 
     def __init__(self, agent: "SSSPSTAgent") -> None:
         self.agent = agent
@@ -142,51 +164,58 @@ class LocalView(NodeView):
         self.my_pos = agent.node.position
         self.my_state = agent.state
         self.my_flag = agent.flag
+        #: neighbour id -> its advertised beacon state
+        self.states = self.table.states()
+        #: neighbour id -> distance from ``my_pos`` to its advertised position
+        self.dists = self.table.distances_from(self.my_pos)
+        self._node_states: Dict[NodeId, NodeState] = {}
 
     # ------------------------------------------------------------------
     def neighbors_of(self, v: NodeId) -> List[NodeId]:
         assert v == self.me, "a local view only evaluates its own node"
-        out = []
-        for nid, info in self.table.items():
-            # Skip neighbors claiming me as parent: choosing my own child
-            # as parent would form an instant 2-cycle.
-            if info.state.get("parent") == self.me:
-                continue
-            out.append(nid)
-        return out
+        me = self.me
+        # Skip neighbors claiming me as parent: choosing my own child as
+        # parent would form an instant 2-cycle.
+        return [nid for nid, st in self.states.items() if st.get("parent") != me]
 
     def state_of(self, u: NodeId) -> NodeState:
         if u == self.me:
             return self.my_state
-        st = self.table.get(u).state
-        return NodeState(parent=st["parent"], cost=st["cost"], hop=st["hop"])
+        state = self._node_states.get(u)
+        if state is None:
+            st = self.states[u]
+            state = NodeState(parent=st["parent"], cost=st["cost"], hop=st["hop"])
+            self._node_states[u] = state
+        return state
 
     def dist(self, v: NodeId, u: NodeId) -> float:
         assert v == self.me
-        return self.table.get(u).distance_from(self.my_pos)
+        d = self.dists.get(u)
+        if d is None:  # no advertised position: distance_from raises
+            return self.table.get(u).distance_from(self.my_pos)
+        return d
 
     def flag_of(self, u: NodeId) -> bool:
         if u == self.me:
             return self.my_flag
-        return bool(self.table.get(u).state.get("flag", False))
+        return bool(self.states[u].get("flag", False))
 
     def member(self, u: NodeId) -> bool:
         if u == self.me:
             return self.agent.is_member
-        return bool(self.table.get(u).state.get("member", False))
+        return bool(self.states[u].get("member", False))
 
     def flag_excluding(self, u: NodeId, v: NodeId) -> bool:
         # Detaching v from its parent never changes v's own subtree flag.
         if u == v:
             return self.my_flag if u == self.me else self.flag_of(u)
-        st = self.table.get(u).state
+        st = self.states[u]
         if not st.get("flag", False):
             return False
         return st.get("sole_flag_cause") != v
 
     def radius_without(self, u: NodeId, v: NodeId, flagged_only: bool) -> float:
-        st = self.table.get(u).state
-        return self._radius_from_tops(st, (v,), flagged_only)
+        return self._radius_from_tops(self.states[u], (v,), flagged_only)
 
     @staticmethod
     def _radius_from_tops(st: Dict, exclude, flagged_only: bool) -> float:
@@ -195,12 +224,12 @@ class LocalView(NodeView):
         Exact even though beacons truncate the list: excluding a child that
         did not make the top entries cannot lower the maximum.
         """
-        prefix = "r_flag" if flagged_only else "r_all"
-        tops = st.get(f"{prefix}_tops")
+        key, key_tops, key_costliest, key_2 = _RADIUS_KEYS[flagged_only]
+        tops = st.get(key_tops)
         if tops is None:  # very first beacons of a run
-            if st.get(f"{prefix}_costliest") in exclude:
-                return float(st.get(f"{prefix}2", 0.0))
-            return float(st.get(prefix, 0.0))
+            if st.get(key_costliest) in exclude:
+                return float(st.get(key_2, 0.0))
+            return float(st.get(key, 0.0))
         for d, n in tops:
             if n not in exclude:
                 return float(d)
@@ -209,7 +238,7 @@ class LocalView(NodeView):
     def count_in_range(self, u: NodeId, radius: float) -> int:
         if radius <= 0.0:
             return 0
-        dists = self.table.get(u).state.get("nbr_dists")
+        dists = self.states[u].get("nbr_dists")
         if dists is None:
             return 0
         return bisect.bisect_right(dists, radius + 1e-12)
@@ -228,7 +257,7 @@ class LocalView(NodeView):
         """
         if not getattr(metric, "path_couples_to_children", False):
             return self.state_of(u).cost
-        st = self.table.get(u).state
+        st = self.states[u]
         flagged_without_v = st.get("flag", False) and st.get("sole_flag_cause") != v
         if st.get("member", False):
             flagged_without_v = True
@@ -371,8 +400,11 @@ class SSSPSTAgent(MulticastAgent):
             # Parent beacon missing: sensed disconnection (a fault).
             self._set_state(NodeState(None, self.oc_max, self.h_max))
         self._refresh_flag()
-        self._run_rule()
-        self._broadcast_beacon()
+        view = LocalView(self)
+        self._run_rule(view)
+        # same instant, same position, same table: the beacon reuses the
+        # view's distances
+        self._broadcast_beacon(view.dists)
 
     def _sync_child(self, nid: NodeId, info: Optional[NeighborInfo]) -> None:
         """Patch the children/flag structures for one neighbor's new state
@@ -393,8 +425,7 @@ class SSSPSTAgent(MulticastAgent):
     def _refresh_flag(self) -> None:
         self.flag = self.is_member or bool(self._flagged_children)
 
-    def _run_rule(self) -> None:
-        view = LocalView(self)
+    def _run_rule(self, view: LocalView) -> None:
         new_state = compute_update_local(
             self.metric,
             view,
@@ -437,19 +468,20 @@ class SSSPSTAgent(MulticastAgent):
     #: the radius, so truncation stays exact for radius queries.
     TOPS = 4
 
-    def _radius_bookkeeping(self) -> Dict[str, object]:
+    def _radius_bookkeeping(self, dists: Dict[NodeId, float]) -> Dict[str, object]:
         """Radius bookkeeping over all / flagged children, from the table.
 
         Beacons advertise the top-``TOPS`` child distances (descending) for
         both child sets so neighbors can evaluate radii with *any* child
         excluded — needed both for fair incumbent comparisons and for the
         shared-parent price correction in :meth:`LocalView.path_price`.
+        ``dists`` are this tick's neighbour distances
+        (:meth:`NeighborTable.distances_from`).
         """
-        pos = self.node.position
         all_pairs = []
         flag_pairs = []
         for info in self._children():
-            d = info.distance_from(pos)
+            d = dists[info.node]
             all_pairs.append((d, info.node))
             if info.state.get("flag", False):
                 flag_pairs.append((d, info.node))
@@ -468,8 +500,9 @@ class SSSPSTAgent(MulticastAgent):
         )
         return out
 
-    def _price_pair(self, book: Dict[str, object]) -> Dict[str, float]:
-        """The telescoped (cost_flagged, cost_unflagged) pair for E."""
+    def _price_pair(self, dists: Dict[NodeId, float]) -> Dict[str, float]:
+        """The telescoped (cost_flagged, cost_unflagged) pair for E;
+        ``dists`` as in :meth:`_radius_bookkeeping`."""
         if not self.metric.path_couples_to_children:
             return {}
         if self.is_source:
@@ -486,7 +519,7 @@ class SSSPSTAgent(MulticastAgent):
         price_f = st["cost"] if p_flagged_wo_me else st.get("cost_flagged", st["cost"])
         price_u = st["cost"] if p_flagged_wo_me else st.get("cost_unflagged", st["cost"])
         # Parent's marginal for covering me when I am flagged.
-        d = info.distance_from(self.node.position)
+        d = dists[p]
         r_wo = (
             st.get("r_flag2", 0.0)
             if st.get("r_flag_costliest") == me
@@ -510,8 +543,9 @@ class SSSPSTAgent(MulticastAgent):
             + self.metric.beacon_extra_bytes_per_neighbor * len(self.table)
         )
 
-    def _broadcast_beacon(self) -> None:
-        book = self._radius_bookkeeping()
+    def _broadcast_beacon(self, dists: Dict[NodeId, float]) -> None:
+        """Beacon this tick's state; ``dists`` as in
+        :meth:`_radius_bookkeeping`."""
         pos = self.node.position
         payload: Dict[str, object] = {
             "pos": (float(pos[0]), float(pos[1])),
@@ -520,14 +554,11 @@ class SSSPSTAgent(MulticastAgent):
             "hop": self.state.hop,
             "flag": self.flag,
             "member": self.is_member,
-            **book,
-            **self._price_pair(book),
+            **self._radius_bookkeeping(dists),
+            **self._price_pair(dists),
         }
         if self.metric.beacon_extra_bytes_per_neighbor:
-            dists = sorted(
-                info.distance_from(pos) for _, info in self.table.items()
-            )
-            payload["nbr_dists"] = dists
+            payload["nbr_dists"] = sorted(dists.values())
         self.send_control(
             PacketKind.BEACON,
             self._beacon_size(),
@@ -546,7 +577,7 @@ class SSSPSTAgent(MulticastAgent):
             info = self.table.update(
                 packet.src,
                 now=self.sim.now,
-                position=np.asarray(packet.payload["pos"], dtype=float),
+                position=packet.payload["pos"],
                 state=packet.payload,
             )
             self._sync_child(packet.src, info)

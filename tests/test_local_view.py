@@ -3,6 +3,8 @@ realization of the NodeView interface (shared with the round model)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import EnergyAwareMetric, HopMetric
 from repro.core.state import NodeState
@@ -12,6 +14,7 @@ from repro.net import MacConfig, Network
 from repro.protocols.registry import make_agent_factory
 from repro.protocols.ss_spst import LocalView, SSSPSTAgent
 from repro.metrics.hub import MetricsHub
+from repro.net.neighbors import NeighborTable
 from repro.sim import Simulator
 from repro.util.geometry import Arena
 from repro.util.rng import RngStreams
@@ -63,6 +66,120 @@ class TestLocalViewBasics:
         # Node 1 itself: relay flagged by its member child.
         assert view.flag_of(1) is True
         assert view.member(1) is False
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+COORD = st.floats(-2000.0, 2000.0, allow_nan=False, allow_infinity=False)
+
+
+class TestVectorDistances:
+    """The beacon tick computes every neighbour distance with one vector
+    ``np.hypot``; the trajectories stay those of one scalar ``np.hypot``
+    per pair only if the two agree bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pos=st.tuples(COORD, COORD),
+        points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40),
+    )
+    def test_vector_hypot_equals_scalar(self, pos, points):
+        me = np.array(pos, dtype=float)
+        xy = np.array(points, dtype=float)  # stacked (k, 2)
+        vector = np.hypot(me[0] - xy[:, 0], me[1] - xy[:, 1]).tolist()
+        scalar = [float(np.hypot(me[0] - x, me[1] - y)) for x, y in xy]
+        assert [_bits(d) for d in vector] == [_bits(d) for d in scalar]
+
+    def test_vector_hypot_equals_scalar_on_many_arena_pairs(self):
+        rng = np.random.default_rng(7)
+        me = rng.uniform(0.0, 750.0, size=2)
+        xy = rng.uniform(0.0, 750.0, size=(20_000, 2))
+        vector = np.hypot(me[0] - xy[:, 0], me[1] - xy[:, 1]).tolist()
+        scalar = [float(np.hypot(me[0] - x, me[1] - y)) for x, y in xy]
+        assert vector == scalar
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pos=st.tuples(COORD, COORD),
+        points=st.lists(st.tuples(COORD, COORD), min_size=0, max_size=30),
+    )
+    def test_table_distances_equal_distance_from(self, pos, points):
+        table = NeighborTable(timeout=5.0)
+        for nid, point in enumerate(points):
+            table.update(nid, now=0.0, position=point)
+        table.update(len(points), now=0.0)  # no position: left out
+        me = np.array(pos, dtype=float)
+        dists = table.distances_from(me)
+        assert list(dists) == list(range(len(points)))
+        for nid, d in dists.items():
+            assert _bits(d) == _bits(table.get(nid).distance_from(me))
+
+
+    def test_table_distances_equal_distance_from_on_arena_pairs(self):
+        # about 0.6% of such pairs round differently under math.hypot
+        rng = np.random.default_rng(11)
+        me = rng.uniform(0.0, 750.0, size=2)
+        table = NeighborTable(timeout=5.0)
+        for nid, point in enumerate(rng.uniform(0.0, 750.0, size=(5_000, 2))):
+            table.update(nid, now=0.0, position=tuple(point.tolist()))
+        dists = table.distances_from(me)
+        assert [_bits(d) for d in dists.values()] == [
+            _bits(info.distance_from(me)) for info in table
+        ]
+
+
+class TestViewMemo:
+    def test_dist_and_state_of_equal_the_table(self):
+        sim, net = settled_network(
+            [[0, 0], [150, 0], [0, 240], [180, 170], [330, 60]], until=12.0
+        )
+        for node in net.nodes:
+            view = LocalView(node.agent)
+            ids = view.table.ids()
+            assert ids and sorted(view.dists) == sorted(ids)
+            for u in ids:
+                info = view.table.get(u)
+                assert _bits(view.dist(node.id, u)) == _bits(
+                    info.distance_from(view.my_pos)
+                )
+                st_u = info.state
+                fresh = NodeState(parent=st_u["parent"], cost=st_u["cost"], hop=st_u["hop"])
+                assert view.state_of(u) == fresh
+                # built once per view, then served from the memo
+                assert view.state_of(u) is view.state_of(u)
+            assert view.state_of(node.id) is node.agent.state
+
+    def test_views_do_not_share_a_memo(self):
+        sim, net = settled_network([[0, 0], [200, 0], [400, 0]])
+        agent = net.nodes[2].agent
+        first = LocalView(agent)
+        sim.run(until=14.0)  # more beacons arrive
+        second = LocalView(agent)
+        assert second.state_of(1) is not first.state_of(1)
+        st_1 = agent.table.get(1).state
+        assert second.state_of(1) == NodeState(st_1["parent"], st_1["cost"], st_1["hop"])
+
+    def test_beacon_distances_are_the_views(self):
+        """The beacon's radius bookkeeping and neighbour-distance list
+        equal what per-neighbour ``distance_from`` gives."""
+        sim, net = settled_network(
+            [[0, 0], [150, 0], [0, 240], [180, 170], [330, 60]], until=12.0
+        )
+        for node in net.nodes:
+            agent = node.agent
+            view = LocalView(agent)
+            pos = node.position
+            book = agent._radius_bookkeeping(view.dists)
+            by_child = sorted(
+                ((c.distance_from(pos), c.node) for c in agent._children()),
+                reverse=True,
+            )
+            assert book["r_all_tops"] == by_child[: agent.TOPS]
+            assert sorted(view.dists.values()) == sorted(
+                info.distance_from(pos) for info in agent.table
+            )
 
 
 class TestRadiusBookkeeping:

@@ -6,6 +6,7 @@ import pytest
 from repro.energy import FirstOrderRadioModel
 from repro.energy.battery import Battery
 from repro.mobility import StaticPlacement
+from repro.protocols.registry import PROTOCOL_NAMES
 from repro.net import (
     CsmaMac,
     MacConfig,
@@ -466,6 +467,39 @@ class TestMediumMatchesReferenceModel:
     def test_scenarios_reach_dead_receivers(self):
         seen = [_run_medium_scenario(s, 0.25, reference=True)[1] for s in range(6)]
         assert sum(s["dead_at_end"] for s in seen) > 0
+
+
+class TestMediumCounterInvariants:
+    """``frames_collided`` counts receptions, not frames: every reception
+    of a live receiver is either delivered or lost (collision, half
+    duplex or random loss), and random losses are a subset of the
+    losses."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_receptions_split_into_delivered_and_lost(self, protocol, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.backends import backend_by_name
+        from repro.experiments.config import ScenarioConfig
+
+        built = []
+        build = runner.build_network
+
+        def keep_network(config):
+            sim, network = build(config)
+            built.append(network)
+            return sim, network
+
+        monkeypatch.setattr(runner, "build_network", keep_network)
+        cfg = ScenarioConfig.quick(
+            protocol=protocol, sim_time=14.0, n_nodes=30, group_size=8, seed=5
+        )
+        result = backend_by_name("des").run(cfg)
+        (network,) = built
+        stats = network.medium.stats
+        assert stats.receptions_total == stats.frames_delivered + stats.frames_collided
+        assert 0 < stats.frames_lost_random <= stats.frames_collided
+        assert result.frames_collided == stats.frames_collided
+        assert stats.receptions_total > stats.frames_sent
 
 
 class TestCarrierSense:

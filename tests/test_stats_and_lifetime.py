@@ -272,6 +272,38 @@ class TestLifetime:
         assert res.first_death_t is not None
         assert res.first_death_t > cfg.traffic_start  # deaths need traffic
 
+    def test_depleted_nodes_die(self, monkeypatch):
+        """A depleted battery kills its node: it stops sending and its
+        ledger stops growing.  The trajectory up to the first depletion
+        is untouched, so the first death time is the one recorded when
+        depleted nodes kept running (7.80881243018908 s)."""
+        from repro.experiments import lifetime
+
+        built = []
+        build = lifetime.build_network
+
+        def keep_network(config):
+            sim, network = build(config)
+            built.append(network)
+            return sim, network
+
+        monkeypatch.setattr(lifetime, "build_network", keep_network)
+        cfg = ScenarioConfig.quick(protocol="ss-spst", seed=3, **self.CFG)
+        res = run_lifetime(cfg, battery_j=0.2)
+        (network,) = built
+        depleted = [nd for nd in network.nodes if nd.battery.depleted]
+        assert depleted
+        assert len(res.deaths) == len(depleted)
+        assert all(not nd.alive for nd in depleted)
+        assert all(nd.alive for nd in network.nodes if not nd.battery.depleted)
+        assert res.first_death_t == 7.80881243018908
+        # a dead node spends nothing more: the frame that depleted it is
+        # the last one it pays for (a full-range data frame at most)
+        last_frame = network.radio.tx_energy(
+            8 * cfg.packet_bytes, network.radio.max_range
+        )
+        assert max(nd.ledger.total for nd in depleted) <= 0.2 + last_frame
+
     def test_deaths_sorted(self):
         cfg = ScenarioConfig.quick(protocol="flooding", seed=3, **self.CFG)
         res = run_lifetime(cfg, battery_j=0.15)
