@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import build_network
-from repro.experiments.scenario_models import resolved_models
-from repro.metrics.hub import MetricsHub
-from repro.protocols.registry import make_agent_factory
+from repro.experiments.runner import _simulate, build_network
 
 
 @dataclass
@@ -44,9 +41,10 @@ def run_lifetime(
     """Run one scenario with finite per-node batteries.
 
     The source is exempted (a dead source ends the session trivially and
-    measures nothing about the tree's energy placement).  Only
-    single-group DES configs are realizable: the run attaches one agent
-    per node and drives one CBR flow, so a ``group_count > 1`` or
+    measures nothing about the tree's energy placement).  Everything
+    else — agents, traffic, membership churn — runs exactly as in
+    :func:`~repro.experiments.runner.run_scenario`.  Only single-group
+    DES configs are accepted: a ``group_count > 1`` or
     ``backend="rounds"`` config is rejected rather than silently run as
     a different experiment.
     """
@@ -58,44 +56,17 @@ def run_lifetime(
             f"backend={config.backend!r}, group_count={config.group_count}"
         )
     sim, network = build_network(config)
-    hub = MetricsHub(n_receivers=len(network.receivers))
-    hub.set_packet_size_hint(config.packet_bytes)
-    network.hub = hub
-
-    deaths: List[float] = []
-
-    def record_death(node) -> None:
-        deaths.append(sim.now)
-        node._die()
-
     for node in network.nodes:
-        if node.is_source:
-            continue
-        node.battery.capacity_j = battery_j
-        node.battery.remaining_j = battery_j
-        node.battery._on_depleted = lambda node=node: record_death(node)
-
-    network.attach_agents(
-        make_agent_factory(
-            config.protocol,
-            beacon_interval=config.beacon_interval,
-            daemon=config.daemon,
-        )
-    )
-    network.start()
-    # The config's scenario models drive the workload and any mid-run
-    # membership churn, exactly as in run_scenario.
-    models = resolved_models(config)
-    models["traffic"].build(network, config).start()
-    models["membership"].install(network, config)
-    sim.run(until=config.sim_time)
-
-    summary = hub.summary(network.total_energy())
+        if not node.is_source:
+            node.battery.capacity_j = battery_j
+            node.battery.remaining_j = battery_j
+    summary = _simulate(config, sim, network).summary(network.total_energy())
+    deaths = sorted(nd.died_at for nd in network.nodes if nd.died_at is not None)
     return LifetimeResult(
         protocol=config.protocol,
         battery_j=battery_j,
-        first_death_t=min(deaths) if deaths else None,
-        deaths=sorted(deaths),
+        first_death_t=deaths[0] if deaths else None,
+        deaths=deaths,
         delivered=summary.data_delivered,
         pdr=summary.pdr,
     )

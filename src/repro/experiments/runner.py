@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import (
     build_scenario_space,
     resolved_models,
 )
-from repro.groups.agents import GroupDispatchAgent, make_group_dispatch_factory
 from repro.groups.metrics import group_tree_stats
-from repro.groups.traffic import MultiGroupCbr
 from repro.metrics.hub import MetricsHub, RunSummary
 from repro.mobility.analysis import mobility_profile
 from repro.net.mac import MacConfig
-from repro.net.node import Network
+from repro.net.node import Network, ProtocolAgent
 from repro.protocols.registry import make_agent_factory
 from repro.protocols.ss_spst import SSSPSTAgent
 from repro.sim.kernel import Simulator
@@ -105,82 +103,12 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     separate named substreams.
     """
     sim, network = build_network(config)
-    multigroup = config.group_count > 1
-    hub = MetricsHub(
-        n_receivers=len(network.receivers),
-        availability_window=max(2.0, 4.0 * 1.0 / _packets_per_second(config)),
-    )
-    hub.set_packet_size_hint(config.packet_bytes)
-    if multigroup:
-        hub.set_group_receiver_counts(
-            {g.gid: len(g.receivers) for g in network.groups}
-        )
-    network.hub = hub
-
-    if multigroup:
-        # One SS-SPST instance per group per node, one shared medium
-        # (validate_group_models already restricted the protocol family).
-        network.attach_agents(
-            make_group_dispatch_factory(
-                config.protocol,
-                [g.gid for g in network.groups],
-                beacon_interval=config.beacon_interval,
-                daemon=config.daemon,
-            )
-        )
-    else:
-        network.attach_agents(
-            make_agent_factory(
-                config.protocol,
-                beacon_interval=config.beacon_interval,
-                daemon=config.daemon,
-            )
-        )
-    network.start()
-
-    models = resolved_models(config)
-    if multigroup:
-        traffic = MultiGroupCbr(
-            network,
-            rate_kbps=config.rate_kbps,
-            packet_bytes=config.packet_bytes,
-            start_time=config.traffic_start,
-        )
-    else:
-        traffic = models["traffic"].build(network, config)
-    traffic.start()
-    # Membership models may schedule mid-run join/leave events (rotating;
-    # churn only ever touches group 0, the membership model's group).
-    models["membership"].install(network, config)
-
-    # The probed set is read live: rotating membership changes who the
-    # receivers are mid-run (a no-op for static memberships).
-    def _probe() -> None:
-        if multigroup:
-            for g in network.groups:
-                hub.probe_availability(
-                    network.group_receivers_of(g.gid), sim.now, group=g.gid
-                )
-        else:
-            hub.probe_availability(network.receivers, sim.now)
-
-    prober = PeriodicTimer(
-        sim,
-        config.availability_probe_interval,
-        _probe,
-        start_offset=config.traffic_start + config.availability_probe_interval,
-    )
-
-    sim.run(until=config.sim_time)
-
-    network.stop()
-    traffic.stop()
-    prober.stop()
-
+    hub = _simulate(config, sim, network)
     parent_changes = sum(
-        node.agent.parent_changes
-        for node in network.nodes
-        if isinstance(node.agent, (SSSPSTAgent, GroupDispatchAgent))
+        agent.parent_changes
+        for g in network.groups
+        for agent in _agents_of(network, g.gid)
+        if isinstance(agent, SSSPSTAgent)
     )
     tree_stats = _final_tree_stats(network)
     profile = _mobility_profile(config)
@@ -201,6 +129,69 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     )
 
 
+def _simulate(
+    config: ScenarioConfig, sim: Simulator, network: Network
+) -> MetricsHub:
+    """Run a built network to ``config.sim_time``; return its metrics hub.
+
+    Installs the hub, one agent per node (one per group per node at
+    k > 1), the configured traffic (one CBR clock per group at k > 1),
+    the membership model's mid-run churn and the availability prober,
+    then runs the simulation and stops every clock.
+    """
+    hub = MetricsHub(
+        n_receivers=len(network.receivers),
+        availability_window=max(2.0, 4.0 * 1.0 / _packets_per_second(config)),
+    )
+    hub.set_packet_size_hint(config.packet_bytes)
+    hub.set_group_receiver_counts(
+        {g.gid: len(g.receivers) for g in network.groups}
+    )
+    network.hub = hub
+    network.attach_agents(
+        make_agent_factory(
+            config.protocol,
+            beacon_interval=config.beacon_interval,
+            daemon=config.daemon,
+        )
+    )
+    network.start()
+
+    models = resolved_models(config)
+    traffic = models["traffic"].build(network, config)
+    traffic.start()
+    # Membership models may schedule mid-run join/leave events (rotating;
+    # churn only ever touches group 0, the membership model's group).
+    models["membership"].install(network, config)
+
+    # The probed sets are read live: rotating membership changes who
+    # group 0's receivers are mid-run (a no-op for static memberships).
+    def _probe() -> None:
+        for g in network.groups:
+            hub.probe_availability(
+                network.group_receivers_of(g.gid), sim.now, group=g.gid
+            )
+
+    prober = PeriodicTimer(
+        sim,
+        config.availability_probe_interval,
+        _probe,
+        start_offset=config.traffic_start + config.availability_probe_interval,
+    )
+
+    sim.run(until=config.sim_time)
+
+    network.stop()
+    traffic.stop()
+    prober.stop()
+    return hub
+
+
+def _agents_of(network: Network, gid: int) -> List[ProtocolAgent]:
+    """Every node's agent for group ``gid``, in node order."""
+    return [node.agent.agent_for(gid) for node in network.nodes]
+
+
 def _final_tree_stats(network: Network) -> Dict[str, float]:
     """Link-stress/overlap of the final per-group trees.
 
@@ -213,15 +204,12 @@ def _final_tree_stats(network: Network) -> Dict[str, float]:
     sources: Dict[int, int] = {}
     receivers: Dict[int, object] = {}
     for group in network.groups:
-        parents: Dict[int, Optional[int]] = {}
-        for node in network.nodes:
-            agent = node.agent
-            if isinstance(agent, GroupDispatchAgent):
-                agent = agent.agent_for(group.gid)
-            if not isinstance(agent, SSSPSTAgent):
-                return {}
-            parents[node.id] = agent.state.parent
-        parent_maps[group.gid] = parents
+        agents = _agents_of(network, group.gid)
+        if not all(isinstance(agent, SSSPSTAgent) for agent in agents):
+            return {}
+        parent_maps[group.gid] = {
+            agent.node.id: agent.state.parent for agent in agents
+        }
         sources[group.gid] = network.group_source_of(group.gid)
         receivers[group.gid] = network.group_receivers_of(group.gid)
     return group_tree_stats(parent_maps, sources, receivers)

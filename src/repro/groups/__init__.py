@@ -4,7 +4,8 @@ The paper evaluates exactly one multicast group at a time; this package
 makes the group a first-class *plural*.  A :class:`~repro.groups.models.GroupSet`
 realizes ``group_count`` groups over one scenario (registry-backed size
 and overlap generators, hash-neutral at the paper's single group), both
-backends stabilize one tree per group over the same topology, and
+backends stabilize one tree per group over the same topology (each
+through one run path in which k = 1 is the one-group case), and
 :mod:`repro.groups.metrics` defines the cross-group quantities —
 per-group PDR, Jain fairness, link stress and tree overlap — campaigns
 sweep through the ``group_count`` axis.  See ``docs/groups.md``.

@@ -4,29 +4,28 @@ The DES realization of multi-group multicast: every node runs one
 :class:`~repro.protocols.ss_spst.SSSPSTAgent` *per group*, all sharing
 the node's single MAC and the one :class:`~repro.net.medium.WirelessMedium`
 — beacons and data frames from different groups genuinely contend and
-collide.  The :class:`GroupDispatchAgent` is thin glue: it owns the k
-sub-agents and routes each received frame to the instance whose
-``group_id`` matches the frame's tag (other groups' frames are overheard
-garbage to that instance, exactly like a foreign protocol's frames are
-to a single agent).
+collide.  :func:`repro.protocols.registry.make_agent_factory` builds the
+sub-agents and wraps them in a :class:`GroupDispatchAgent` whenever the
+network declares more than one group.  The dispatcher is thin glue: it
+owns the k sub-agents, returns the one serving group ``gid`` from
+:meth:`GroupDispatchAgent.agent_for` (the CBR source and the runner's
+tree statistics go through it) and routes each received frame to the
+instance whose ``group_id`` matches the frame's tag (other groups'
+frames are overheard garbage to that instance, exactly like a foreign
+protocol's frames are to a single agent).
 
-Group 0's sub-agent is constructed and started first and draws from the
-historical ``"beacon.<id>"`` substream, so a one-group dispatch is
-draw-for-draw identical to a bare agent (the runner still skips the
-dispatcher entirely at ``group_count == 1``; this invariant is belt and
-braces for tests that compare the two paths).
+Group 0's sub-agent is started first and draws from the historical
+``"beacon.<id>"`` substream; groups 1..k-1 draw from their own
+``derive("beacon", id, gid)`` substreams.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-from repro.core.daemons import require_des_daemon
-from repro.core.metrics import metric_by_name
 from repro.net.node import Node, ProtocolAgent
 from repro.net.packet import Packet
-from repro.protocols.registry import _SS_FAMILY
-from repro.protocols.ss_spst import SSSPSTAgent, SSSPSTConfig
+from repro.protocols.ss_spst import SSSPSTAgent
 
 
 class GroupDispatchAgent(ProtocolAgent):
@@ -34,18 +33,13 @@ class GroupDispatchAgent(ProtocolAgent):
 
     def __init__(self, node: Node, subagents: Dict[int, SSSPSTAgent]) -> None:
         super().__init__(node)
-        if sorted(subagents) != list(range(len(subagents))):
+        if not subagents or sorted(subagents) != list(range(len(subagents))):
             raise ValueError("subagents must cover group ids 0..k-1")
         self.subagents = {gid: subagents[gid] for gid in sorted(subagents)}
 
     def agent_for(self, gid: int) -> SSSPSTAgent:
         """The sub-agent serving group ``gid``."""
         return self.subagents[gid]
-
-    @property
-    def parent_changes(self) -> int:
-        """Route-stability accounting summed across all groups."""
-        return sum(a.parent_changes for a in self.subagents.values())
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -69,50 +63,3 @@ class GroupDispatchAgent(ProtocolAgent):
         if agent is None:
             return False  # unknown session: overheard garbage
         return agent.handle_packet(packet)
-
-    def originate_data(self, size_bytes: Optional[int] = None, group: int = 0):
-        """Inject one data packet into group ``group`` (its source only)."""
-        return self.subagents[group].originate_data(size_bytes)
-
-
-def make_group_dispatch_factory(
-    protocol: str,
-    group_ids: List[int],
-    *,
-    beacon_interval: float = 2.0,
-    daemon: str = "distributed",
-    ss_config: Optional[SSSPSTConfig] = None,
-) -> Callable[[Node], GroupDispatchAgent]:
-    """A ``factory(node)`` building the per-group agent bundle.
-
-    Mirrors :func:`repro.protocols.registry.make_agent_factory`'s SS-SPST
-    branch knob-for-knob (undamped SS-SPST-F, activation = daemon) so a
-    multi-group run differs from k single-group runs only by contention.
-    """
-    protocol = protocol.lower()
-    require_des_daemon(daemon)
-    metric_name = _SS_FAMILY.get(protocol)
-    if metric_name is None:
-        raise ValueError(
-            f"protocol {protocol!r} has no multi-group realization; "
-            f"choose from {tuple(_SS_FAMILY)}"
-        )
-    if ss_config is not None:
-        config = ss_config
-    else:
-        undamped = metric_name == "farthest"
-        config = SSSPSTConfig(
-            beacon_interval=beacon_interval,
-            switch_threshold=0.0 if undamped else 0.10,
-            hold_down_intervals=0.0 if undamped else 3.0,
-            activation=daemon,
-        )
-
-    def factory(node: Node) -> GroupDispatchAgent:
-        subagents = {}
-        for gid in group_ids:
-            metric = metric_by_name(metric_name, node.network.radio)
-            subagents[gid] = SSSPSTAgent(node, metric, config, group_id=gid)
-        return GroupDispatchAgent(node, subagents)
-
-    return factory

@@ -17,6 +17,7 @@ import numpy as np
 from repro.energy.battery import Battery
 from repro.energy.ledger import EnergyLedger
 from repro.energy.radio import RadioModel
+from repro.groups.models import GroupSpec
 from repro.mobility.base import MobilityModel
 from repro.net.mac import CsmaMac, MacConfig
 from repro.net.medium import WirelessMedium
@@ -59,6 +60,11 @@ class ProtocolAgent(abc.ABC):
     def stop(self) -> None:  # pragma: no cover - default no-op
         pass
 
+    def agent_for(self, gid: int) -> "ProtocolAgent":
+        """The agent serving multicast group ``gid`` on this node: the
+        agent itself, unless it bundles one agent per group."""
+        return self
+
     def on_node_death(self) -> None:  # pragma: no cover - default no-op
         """Called if the node's battery depletes."""
 
@@ -82,15 +88,16 @@ class Node:
         network: "Network",
         node_id: NodeId,
         mac_rng: np.random.Generator,
-        battery_capacity_j: float = float("inf"),
     ) -> None:
         self.network = network
         self.id = node_id
         self.ledger = EnergyLedger()
-        self.battery = Battery(battery_capacity_j, on_depleted=self._die)
+        # infinite, as in the paper; lifetime runs set a capacity per node
+        self.battery = Battery(on_depleted=self._die)
         self.mac = CsmaMac(network, node_id, network.mac_config, mac_rng)
         self.agent: Optional[ProtocolAgent] = None
         self.alive = True
+        self.died_at: Optional[float] = None  # when the battery ran out
         self.tx_busy_until = 0.0
         self.is_member = False  # multicast group membership
         self.is_source = False
@@ -123,6 +130,7 @@ class Node:
     def _die(self) -> None:
         if self.alive:
             self.alive = False
+            self.died_at = self.network.sim.now
             if self.agent is not None:
                 self.agent.on_node_death()
 
@@ -152,8 +160,6 @@ class Network:
         MAC tuning (jitter, backoff).
     bitrate_bps / loss_prob:
         Channel parameters forwarded to :class:`WirelessMedium`.
-    battery_capacity_j:
-        Per-node battery (infinite by default, as in the paper).
     """
 
     def __init__(
@@ -165,7 +171,6 @@ class Network:
         mac_config: Optional[MacConfig] = None,
         bitrate_bps: float = 2_000_000.0,
         loss_prob: float = 0.0,
-        battery_capacity_j: float = float("inf"),
         capture_threshold: float = 10.0,
     ) -> None:
         self.sim = sim
@@ -181,20 +186,15 @@ class Network:
             capture_threshold=capture_threshold,
         )
         self.nodes: List[Node] = [
-            Node(
-                self,
-                i,
-                mac_rng=streams.derive("mac", i),
-                battery_capacity_j=battery_capacity_j,
-            )
+            Node(self, i, mac_rng=streams.derive("mac", i))
             for i in range(mobility.n)
         ]
         self._pos_cache_t = -1.0
         self._pos_cache: Optional[np.ndarray] = None
-        # multi-group side tables (repro.groups).  Group 0 stays on the
-        # historical per-node flags; groups 1..k-1 live here only.
-        self.groups: list = []
-        self._group_sources: Dict[int, NodeId] = {}
+        # the declared groups (repro.groups), gid order.  Group 0's
+        # membership lives on the per-node flags only; the receiver side
+        # table holds groups 1..k-1.
+        self.groups: List[GroupSpec] = []
         self._group_receivers: Dict[int, frozenset] = {}
 
     # ------------------------------------------------------------------
@@ -225,61 +225,56 @@ class Network:
 
     # ------------------------------------------------------------------
     def set_group(self, source: NodeId, members: Sequence[NodeId]) -> None:
-        """Declare the multicast source and receiver membership."""
-        for node in self.nodes:
-            node.is_member = False
-            node.is_source = False
-        self.nodes[source].is_source = True
-        self.nodes[source].is_member = True
-        for m in members:
-            self.nodes[m].is_member = True
+        """Declare the multicast source and receiver membership: the
+        one-group case of :meth:`set_groups`."""
+        receivers = tuple(m for m in members if m != source)
+        self.set_groups([GroupSpec(0, source, receivers)])
 
-    def set_groups(self, groups) -> None:
-        """Declare k concurrent multicast groups (``GroupSpec`` sequence).
+    def set_groups(self, groups: Sequence[GroupSpec]) -> None:
+        """Declare k >= 1 concurrent multicast groups, group 0 first.
 
-        Group 0 is installed through :meth:`set_group` — the per-node
-        ``is_member``/``is_source`` flags every single-group code path
-        reads — so a one-group call is indistinguishable from the
-        historical API.  Groups 1..k-1 go into side tables consulted by
-        the per-group query methods below.
+        Group 0 goes onto the per-node ``is_member``/``is_source`` flags
+        that every single-group code path reads, and mid-run churn
+        (:meth:`update_membership`) edits those flags only.  Groups
+        1..k-1 are fixed for the run and live in a side table.
         """
         groups = list(groups)
         if not groups or groups[0].gid != 0:
             raise ValueError("set_groups needs group 0 first")
         self.groups = groups
-        self.set_group(groups[0].source, groups[0].receivers)
-        self._group_sources = {g.gid: g.source for g in groups}
+        for node in self.nodes:
+            node.is_member = False
+            node.is_source = False
+        first = groups[0]
+        self.nodes[first.source].is_source = True
+        for v in first.members:
+            self.nodes[v].is_member = True
         self._group_receivers = {
-            g.gid: frozenset(g.receivers) for g in groups
+            g.gid: frozenset(g.receivers) for g in groups[1:]
         }
 
     def group_source_of(self, gid: int) -> NodeId:
-        """The source node of group ``gid`` (0 = the historical group)."""
-        if gid == 0 and not self._group_sources:
-            return self.source
-        return self._group_sources[gid]
+        """The source node of group ``gid`` (the source never changes)."""
+        return self.groups[gid].source
 
     def group_receivers_of(self, gid: int) -> frozenset:
-        """Receiver set of group ``gid`` (source excluded)."""
-        if gid == 0 and not self._group_receivers:
+        """Receiver set of group ``gid`` (source excluded); group 0's is
+        read from the live flags."""
+        if gid == 0:
             return frozenset(self.receivers)
         return self._group_receivers[gid]
 
     def is_group_member(self, gid: int, v: NodeId) -> bool:
-        """Membership (source or receiver) of node ``v`` in group ``gid``.
-
-        Group 0 delegates to the live per-node flags so mid-run churn
-        (the ``rotating`` membership model) stays visible.
-        """
+        """Membership (source or receiver) of node ``v`` in group ``gid``."""
         if gid == 0:
             return self.nodes[v].is_member
-        return v == self._group_sources[gid] or v in self._group_receivers[gid]
+        return v == self.groups[gid].source or v in self._group_receivers[gid]
 
     def is_group_source(self, gid: int, v: NodeId) -> bool:
         """Whether node ``v`` sources group ``gid``."""
         if gid == 0:
             return self.nodes[v].is_source
-        return v == self._group_sources[gid]
+        return v == self.groups[gid].source
 
     def update_membership(
         self, joins: Sequence[NodeId] = (), leaves: Sequence[NodeId] = ()

@@ -6,6 +6,7 @@ from typing import Callable, Optional
 
 from repro.core.daemons import require_des_daemon
 from repro.core.metrics import metric_by_name
+from repro.groups.agents import GroupDispatchAgent
 from repro.net.node import Node, ProtocolAgent
 from repro.protocols.flooding import FloodingAgent
 from repro.protocols.maodv import MaodvAgent, MaodvConfig
@@ -40,6 +41,14 @@ def make_agent_factory(
     beacon clocks (see :attr:`SSSPSTConfig.activation`); on-demand
     protocols have no beacon clock and ignore it.  The round-model-only
     ``adversarial-max-cost`` daemon is rejected.
+
+    On a network that declares k > 1 groups, an SS-SPST-family factory
+    gives each node one agent per group behind a
+    :class:`~repro.groups.agents.GroupDispatchAgent` (group 0's agent
+    built first); with one group it returns the bare agent.  The
+    on-demand baselines serve group 0 only
+    (:func:`~repro.groups.models.validate_group_models` rejects them at
+    k > 1).
     """
     protocol = protocol.lower()
     require_des_daemon(daemon)
@@ -60,8 +69,18 @@ def make_agent_factory(
             )
 
         def factory(node: Node) -> ProtocolAgent:
-            metric = metric_by_name(metric_name, node.network.radio)
-            return SSSPSTAgent(node, metric, config)
+            agents = {
+                g.gid: SSSPSTAgent(
+                    node,
+                    metric_by_name(metric_name, node.network.radio),
+                    config,
+                    group_id=g.gid,
+                )
+                for g in node.network.groups
+            }
+            if len(agents) == 1:
+                return agents[0]
+            return GroupDispatchAgent(node, agents)
 
         return factory
     if protocol == "maodv":

@@ -608,11 +608,13 @@ class SSSPSTAgent(MulticastAgent):
 
     def _data_radius(self) -> float:
         """Power-controlled radius: farthest flagged child, with margin."""
+        # read even with no flagged child: it can be the instant's first
+        # mobility evaluation, which the trajectory depends on
         pos = self.node.position
         radius = 0.0
-        for info in self._children():
-            if info.state.get("flag", False):
-                radius = max(radius, info.distance_from(pos))
+        infos = self._child_infos
+        for nid in self._flagged_children:
+            radius = max(radius, infos[nid].distance_from(pos))
         if radius <= 0.0:
             return 0.0
         return min(radius * (1.0 + self.config.range_margin), self.max_range)

@@ -37,7 +37,7 @@ from repro.experiments.backends import backend_by_name, build_round_scenario
 from repro.experiments.campaign import main
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import build_network, run_scenario
 from repro.experiments.scenario_models import build_scenario_space
 from repro.experiments.store import config_key
 from repro.graph.io import (
@@ -499,6 +499,83 @@ class TestMultiGroupRoundsGolden:
         backend = backend_by_name("rounds")
         record = backend.record_from(backend.run(self._case(name)))
         assert record_digest(record) == self.GOLDEN[name]
+
+
+class TestMultiGroupDesGolden:
+    """Record-byte golden for k > 1 DES runs.
+
+    Same digest as :class:`TestMultiGroupRoundsGolden`.  Covers k in
+    {2, 3}, the three overlap models, ss-spst and ss-spst-e, and one
+    run on the synchronous daemon, with static membership: any change to
+    the per-group agents' construction or start order, the staggered
+    per-group CBR clocks, the per-group availability probes or the tree
+    statistics moves these bytes.
+    """
+
+    GOLDEN = {
+        "k=2/ss-spst/independent": (
+            "5b31c0b6ec390938fc4f1d91809aa468"
+            "b3c638c10a01f1e51be4c15190267f72"
+        ),
+        "k=2/ss-spst-e/shared-core": (
+            "c58fce4669aa39995d2bbff9f6adde98"
+            "2dd2cd0268e795ee16677b2c96816985"
+        ),
+        "k=2/ss-spst-e/disjoint": (
+            "54dbedda19c6c5a277d5f4def5085049"
+            "c633d64fce98070f9f95e57121883927"
+        ),
+        "k=3/ss-spst-e/independent": (
+            "a34af64f5568d4d2df2384b2a7059eea"
+            "4977d4b3e45f92bfdafeff06cff332ea"
+        ),
+        "k=3/ss-spst/shared-core": (
+            "58f7fb08de7e4e541b6f5983a2e44874"
+            "7a8b762cc84aa77e927072f84781afda"
+        ),
+        "k=3/ss-spst-e/disjoint": (
+            "0f6bdfb8ee67cc6c078adde43d477f48"
+            "c11c44904651706992790c2409962339"
+        ),
+        "k=3/ss-spst-e/independent/daemon=synchronous": (
+            "8bc130936b85d786b2dd5df14cb20770"
+            "47bbfb62906073070d38212bef110293"
+        ),
+    }
+
+    @staticmethod
+    def _case(name: str) -> ScenarioConfig:
+        k, protocol, overlap, *extra = name.split("/")
+        return ScenarioConfig.quick(
+            protocol=protocol,
+            overlap_model=overlap,
+            group_count=int(k.partition("=")[2]),
+            n_nodes=30,
+            group_size=6,
+            sim_time=16.0,
+            seed=7,
+            **dict(kv.split("=") for kv in extra),
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_des_record_bytes_unchanged(self, name):
+        backend = backend_by_name("des")
+        record = backend.record_from(backend.run(self._case(name)))
+        assert record_digest(record) == self.GOLDEN[name]
+
+
+class TestGroupStore:
+    @pytest.mark.parametrize("group_count", [1, 2])
+    def test_group0_receivers_follow_membership_churn(self, group_count):
+        _, net = build_network(
+            fast_base(group_count=group_count, n_nodes=20, group_size=4)
+        )
+        leaver = min(net.receivers)
+        joiner = min(set(range(net.n)) - net.members)
+        net.update_membership(joins=[joiner], leaves=[leaver])
+        assert net.group_receivers_of(0) == frozenset(net.receivers)
+        assert joiner in net.group_receivers_of(0)
+        assert leaver not in net.group_receivers_of(0)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Tests for the CBR traffic source."""
+"""Tests for the CBR traffic source, one group and several."""
 
 import numpy as np
 import pytest
 
 from repro.energy import FirstOrderRadioModel
+from repro.groups.models import GroupSpec
 from repro.metrics.hub import MetricsHub
 from repro.mobility import StaticPlacement
 from repro.net import MacConfig, Network
@@ -24,6 +25,20 @@ def build():
     net.set_group(source=0, members=[2])
     net.hub = MetricsHub(n_receivers=1)
     net.attach_agents(make_agent_factory("flooding"))
+    net.start()
+    return sim, net
+
+
+def build_three_groups():
+    """Six nodes on a line, three disjoint two-node groups, SS-SPST."""
+    sim = Simulator()
+    mob = StaticPlacement(
+        6, Arena(1000, 1000), positions=np.array([[100.0 * i, 0.0] for i in range(6)])
+    )
+    net = Network(sim, mob, FirstOrderRadioModel(e_elec=1e-6), RngStreams(3), mac_config=MacConfig())
+    net.set_groups([GroupSpec(0, 0, (1,)), GroupSpec(1, 2, (3,)), GroupSpec(2, 4, (5,))])
+    net.hub = MetricsHub(n_receivers=1)
+    net.attach_agents(make_agent_factory("ss-spst"))
     net.start()
     return sim, net
 
@@ -84,3 +99,44 @@ class TestCbrSource:
             CbrSource(net, rate_kbps=0.0)
         with pytest.raises(ValueError):
             CbrSource(net, rate_kbps=64.0, packet_bytes=0)
+
+
+def record_originations(net):
+    """List of ``(created_at, group, origin)`` for every packet the hub sees."""
+    originated = []
+    on_data_originated = net.hub.on_data_originated
+
+    def record(packet):
+        originated.append((packet.created_at, packet.group, packet.origin))
+        on_data_originated(packet)
+
+    net.hub.on_data_originated = record
+    return originated
+
+
+class TestMultiGroupCbr:
+    def test_one_staggered_clock_per_group(self):
+        sim, net = build_three_groups()
+        originated = record_originations(net)
+        start = 1.0
+        src = CbrSource(net, rate_kbps=64.0, packet_bytes=512, start_time=start)
+        src.start()
+        sim.run(until=start + 0.99 * src.interval)
+        # each group's first packet, from that group's source, a third of
+        # an interval after the previous group's
+        assert originated == [
+            (start + gid * src.interval / 3, gid, net.group_source_of(gid))
+            for gid in range(3)
+        ]
+        assert [net.group_source_of(gid) for gid in range(3)] == [0, 2, 4]
+        assert src.packets_sent == 3
+
+    def test_packets_sent_counts_every_group(self):
+        sim, net = build_three_groups()
+        originated = record_originations(net)
+        src = CbrSource(net, rate_kbps=64.0, packet_bytes=512, start_time=0.0)
+        src.start()
+        sim.run(until=1.0)
+        counts = [sum(1 for _, g, _ in originated if g == gid) for gid in range(3)]
+        assert min(counts) > 0 and max(counts) - min(counts) <= 1
+        assert src.packets_sent == sum(counts) == net.hub.data_originated
