@@ -11,10 +11,12 @@ Usage::
     python examples/protocol_comparison.py [--fast]
 """
 
+import dataclasses
 import sys
 
 from repro.analysis import ascii_plot
-from repro.experiments import ScenarioConfig, Sweep, run_scenario
+from repro.experiments import ScenarioConfig, run_scenario
+from repro.experiments.figures import FIGURES
 
 PROTOCOLS = ("ss-spst", "ss-spst-t", "ss-spst-f", "ss-spst-e", "maodv", "odmrp")
 
@@ -42,16 +44,13 @@ def main() -> None:
     print("=" * 78)
     print("PDR vs velocity (the Figure 14 shape)")
     print("=" * 78)
-    sweep = Sweep(
-        x_name="v_max",
-        x_values=[1.0, 5.0, 10.0, 20.0],
-        protocols=["ss-spst", "ss-spst-e", "maodv", "odmrp"],
-        y_name="pdr",
-        extract=lambda r: r.summary.pdr,
-        base=ScenarioConfig.quick(sim_time=sim_time),
-        seeds=(7,) if fast else (7, 8),
+    # Figure 14's campaign, on this example's shorter runs and seeds.
+    fig = dataclasses.replace(
+        FIGURES["fig14"],
+        protocols=("ss-spst", "ss-spst-e", "maodv", "odmrp"),
+        base_quick=ScenarioConfig.quick(sim_time=sim_time),
     )
-    result = sweep.run()
+    result = fig.run(seeds=(7,) if fast else (7, 8))
     print(result.format_table("pdr vs v_max"))
     print(ascii_plot(result.x_values, result.series, y_label="pdr", x_label="v_max (m/s)"))
 

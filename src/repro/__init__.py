@@ -11,7 +11,7 @@ Layout (see README.md / DESIGN.md):
   ODMRP / flooding baselines;
 * :mod:`repro.sim`, :mod:`repro.net`, :mod:`repro.mobility`,
   :mod:`repro.energy` — the simulation substrate (ns-2 replacement);
-* :mod:`repro.experiments` — scenario runner, sweeps and one definition
+* :mod:`repro.experiments` — scenario runner, campaigns and one definition
   per evaluation figure (``FIGURES['fig07']..['fig16']``).
 
 Quick start::

@@ -7,17 +7,14 @@ trends.
 """
 
 from repro.analysis.ascii_plot import ascii_plot
-from repro.analysis.stats import CiSummary, campaign_cis, mean_ci, sweep_cis, dominates
-from repro.analysis.report import metric_spec_table, shape_report, series_table
+from repro.analysis.stats import CiSummary, mean_ci, dominates
+from repro.analysis.report import metric_spec_table, shape_report
 
 __all__ = [
     "ascii_plot",
     "shape_report",
     "metric_spec_table",
-    "series_table",
     "CiSummary",
     "mean_ci",
-    "sweep_cis",
-    "campaign_cis",
     "dominates",
 ]

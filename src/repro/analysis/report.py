@@ -1,15 +1,8 @@
-"""Report helpers: series tables and shape-check summaries."""
+"""Report helpers: shape-check summaries and metric tables."""
 
 from __future__ import annotations
 
 from typing import Dict
-
-from repro.experiments.sweeps import SweepResult
-
-
-def series_table(result: SweepResult, title: str = "") -> str:
-    """The gnuplot-style numeric rows the paper's figures plot."""
-    return result.format_table(title)
 
 
 def shape_report(checks: Dict[str, bool]) -> str:

@@ -1,4 +1,4 @@
-"""Statistical aggregation for sweep results.
+"""Confidence intervals for seed-replicated results.
 
 The paper plots seed-averaged points without error bars; for a careful
 reproduction we also expose confidence intervals (Student-t over seeds) so
@@ -12,9 +12,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Dict, List, Sequence, Tuple
-
-from repro.experiments.sweeps import SweepResult
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -117,37 +115,9 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> CiSummary:
     return Welford().extend(values).ci(confidence)
 
 
-def campaign_cis(
-    campaign,
-    metric: str,
-    confidence: float = 0.95,
-) -> Dict[Tuple[str, Tuple], CiSummary]:
-    """Per-cell CIs for a campaign metric *name*, any backend.
-
-    The campaign counterpart of :func:`sweep_cis` with the stringly
-    attribute pull replaced by the backends' typed
-    :class:`~repro.experiments.backends.MetricSpec` registry: ``metric``
-    is resolved against every backend the campaign spans, and results
-    from a backend that does not define it are filtered as ``nan``.
-    """
-    return campaign.aggregate(campaign.extractor(metric), confidence)
-
-
-def sweep_cis(
-    result: SweepResult,
-    extract,
-    confidence: float = 0.95,
-) -> Dict[Tuple[str, float], CiSummary]:
-    """Per-(protocol, x) confidence intervals from a sweep's raw runs."""
-    out: Dict[Tuple[str, float], CiSummary] = {}
-    for (proto, x), runs in result.raw.items():
-        out[(proto, x)] = mean_ci([extract(r) for r in runs], confidence)
-    return out
-
-
 def dominates(
-    result: SweepResult,
-    extract,
+    result,
+    metric: str,
     better: str,
     worse: str,
     direction: str = "lower",
@@ -155,11 +125,13 @@ def dominates(
 ) -> List[bool]:
     """Per-x: does ``better`` beat ``worse`` with CI separation?
 
+    ``result`` is a :class:`~repro.experiments.figures.FigureResult`;
+    ``metric`` is a metric name read through its per-cell CIs.
     ``direction='lower'`` means smaller values win (energy, delay).
     Entries are True where the winner's CI clears the loser's CI without
     overlap; used by the stricter variants of the shape checks.
     """
-    cis = sweep_cis(result, extract, confidence)
+    cis = result.cis(metric, confidence)
     verdicts = []
     for x in result.x_values:
         b, w = cis[(better, x)], cis[(worse, x)]

@@ -15,6 +15,11 @@ or reproduce a whole figure::
 
     result = FIGURES["fig09"].run(quick=True)
     print(result.format_table())
+
+A figure is a campaign: ``run`` executes the figure's full campaign
+grid (extra axes included) and its series are the campaign's per-cell
+Welford means of the figure's metric, the numbers ``campaign --figure``
+prints.
 """
 
 from repro.experiments.backends import (
@@ -35,7 +40,6 @@ from repro.experiments.scenario_models import (
     effective_arena,
     model_by_name,
 )
-from repro.experiments.sweeps import Sweep, SweepResult
 from repro.experiments.lifetime import LifetimeResult, compare_lifetimes, run_lifetime
 from repro.groups.models import GROUP_MODEL_NAMES, group_model_by_name
 
@@ -98,8 +102,6 @@ __all__ = [
     "model_by_name",
     "GROUP_MODEL_NAMES",
     "group_model_by_name",
-    "Sweep",
-    "SweepResult",
     "LifetimeResult",
     "compare_lifetimes",
     "run_lifetime",

@@ -15,7 +15,7 @@ engine (:mod:`repro.experiments.campaign`): it knows how to
   the persistent JSON run cache, and
 * ``metrics()`` — declare a typed :class:`MetricSpec` registry, which
   replaces the stringly ``RunSummary``-attribute pulls so aggregation,
-  tables, sweeps and figures are backend-agnostic.
+  tables and figures are backend-agnostic.
 
 Backends are selected by the ``backend`` field of ``ScenarioConfig``
 (default ``"des"``, hash-neutral so every pre-existing cache entry keeps
@@ -63,7 +63,7 @@ class MetricSpec:
     """A typed, named quantity a backend can extract from its results.
 
     ``extract`` maps a backend result object to a float; aggregation
-    (:meth:`CampaignResult.aggregate`), tables, sweeps and ascii plots
+    (:meth:`CampaignResult.aggregate`), tables, figures and ascii plots
     consume these instead of reaching into ``RunSummary`` attributes, so
     they work identically over every backend.
     """

@@ -54,6 +54,7 @@ import typing
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.stats import mean_ci
 from repro.experiments.backends import (
     backend_by_name,
     default_metrics,
@@ -230,14 +231,9 @@ class CampaignResult:
     ):
         """Per-cell mean ± CI of an extracted quantity.
 
-        Returns ``{(protocol, point_items): CiSummary}`` — the campaign
-        counterpart of :func:`repro.analysis.stats.sweep_cis`.  Cells with
-        no available runs (a foreign shard's share) are omitted.
+        Returns ``{(protocol, point_items): CiSummary}``.  Cells with no
+        available runs (a foreign shard's share) are omitted.
         """
-        # Imported lazily: analysis.stats imports sweeps for typing, and
-        # sweeps runs through this module.
-        from repro.analysis.stats import mean_ci
-
         return {
             key: mean_ci([extract(r) for r in runs], confidence)
             for key, runs in self.by_cell().items()
@@ -792,9 +788,17 @@ def spec_from_args(args) -> CampaignSpec:
 
 
 def _metrics_from_args(args, spec: CampaignSpec) -> List[str]:
-    if args.metrics:
-        return [m for m in args.metrics.split(",") if m]
-    return list(default_metrics(spec.backends()))
+    """The table's metric names, each resolved against the campaign's
+    backends up front, so an unknown name exits before anything runs."""
+    if not args.metrics:
+        return list(default_metrics(spec.backends()))
+    metrics = [m for m in args.metrics.split(",") if m]
+    for metric in metrics:
+        try:
+            metric_extractor(metric, spec.backends())
+        except ValueError as exc:
+            raise SystemExit(f"--metrics: {exc}") from None
+    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -829,16 +833,13 @@ def _main_status(argv: Sequence[str]) -> int:
         spec = spec_from_args(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    metrics = _metrics_from_args(args, spec) if args.metrics else None
     store = probe_store(_require_store(args))
     if store is None:
         print(f"# campaign {spec.name}: 0/{spec.size()} runs (store absent)")
         return 0
     with store:
-        status = campaign_status(
-            spec,
-            store,
-            metrics=_metrics_from_args(args, spec) if args.metrics else None,
-        )
+        status = campaign_status(spec, store, metrics=metrics)
     print(
         f"# campaign {spec.name}: {status.done}/{status.total} runs complete"
         f"{' [complete]' if status.complete else ''}"
@@ -864,8 +865,8 @@ def _main_results(argv: Sequence[str]) -> int:
         spec = spec_from_args(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    campaign = collect_campaign(spec, _require_store(args))
     metrics = _metrics_from_args(args, spec)
+    campaign = collect_campaign(spec, _require_store(args))
     print(
         f"# campaign {spec.name}: {spec.size()} runs "
         f"(stored={campaign.cache_hits} missing={campaign.skipped})"
@@ -919,6 +920,7 @@ def _main_submit(argv: Sequence[str]) -> int:
         configs = spec.configs()  # constructs (and so validates) every run
     except ValueError as exc:  # spec/config validation -> clean CLI error
         raise SystemExit(str(exc)) from None
+    metrics = _metrics_from_args(args, spec)
     shard = _parse_shard(args.shard)
     if args.dry_run:
         # The full plan without executing anything: per-run identity and
@@ -994,7 +996,6 @@ def _main_submit(argv: Sequence[str]) -> int:
         progress=progress,
         shard=shard,
     )
-    metrics = _metrics_from_args(args, spec)
     print()
     shard_note = (
         f" shard={shard[0]}/{shard[1]} skipped={campaign.skipped}"

@@ -1,11 +1,16 @@
 """One experiment definition per figure of the paper (Figures 7-16).
 
-Each :class:`FigureDef` knows how to build its parameter sweep at *quick*
-scale (minutes of wall-clock; shorter runs, coarser grids, 3 seeds) or at
-*paper* scale (1800 s runs, the full grids), how to print the series the
-paper plots, and which **shape checks** must hold — the qualitative
-orderings and trends the reproduction is accountable for (absolute
-mJ/ms values depend on unpublished ns-2 constants; see DESIGN.md §4).
+Each :class:`FigureDef` declares its grid once, as a campaign
+(:meth:`FigureDef.campaign_spec`), at *quick* scale (minutes of
+wall-clock; shorter runs, coarser grids, 3 seeds) or at *paper* scale
+(1800 s runs, the full grids).  :meth:`FigureDef.run` executes that full
+grid — extra axes included — through the campaign engine, so it shares
+every run (and cache key) with ``campaign --figure``; the plotted series
+are the campaign's per-cell Welford means of the figure's metric.  Each
+figure also knows how to print the series the paper plots, and which
+**shape checks** must hold — the qualitative orderings and trends the
+reproduction is accountable for (absolute mJ/ms values depend on
+unpublished ns-2 constants; see DESIGN.md §4).
 
 Shape checks are deliberately robust statements (trend endpoints, series
 means, winner identities) rather than point comparisons, because
@@ -15,12 +20,12 @@ individual cells carry seed noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import ascii_plot, shape_report
+from repro.analysis import CiSummary, ascii_plot, shape_report
 from repro.core.daemons import DAEMON_NAMES
+from repro.experiments.campaign import CampaignResult, CampaignSpec, run_campaign
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.sweeps import Sweep, SweepResult
 
 FAMILY = ("ss-spst", "ss-spst-t", "ss-spst-f", "ss-spst-e")
 FOURWAY = ("maodv", "odmrp", "ss-spst", "ss-spst-e")
@@ -32,15 +37,89 @@ BEACONS_FULL = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 GROUPS_QUICK = (10, 30, 50)
 GROUPS_FULL = (10, 20, 30, 40, 50)
 #: categorical daemon axis (extension figure figd01); the adversarial
-#: daemon has no DES realization and is excluded by construction
+#: daemon has no DES realization and is excluded by construction, and
+#: "randomized" is left out because the DES realizes it exactly like
+#: "distributed" (the same jittered beacon clocks, draw for draw), so it
+#: would only repeat that series under its own cache keys
 DAEMONS_QUICK = ("distributed", "central", "synchronous")
-DAEMONS_FULL = ("distributed", "randomized", "central", "synchronous", "weakly-fair")
+DAEMONS_FULL = ("distributed", "central", "synchronous", "weakly-fair")
 #: categorical mobility-model axis (extension figure figm01); the trace
 #: model needs a scenario file and is excluded from canned grids
 MOBILITY_QUICK = ("waypoint", "gauss-markov", "static")
 MOBILITY_FULL = ("waypoint", "gauss-markov", "random-walk", "static")
 
-ShapeCheck = Tuple[str, Callable[[SweepResult], bool]]
+
+def _x_key(x):
+    """Normalize an axis value: numeric axes to float, categorical axes
+    (e.g. the ``daemon`` discipline) kept as strings."""
+    if isinstance(x, str):
+        return x
+    return float(x)
+
+
+def _plotted_cis(
+    campaign: CampaignResult, metric: str, confidence: float = 0.95
+) -> Dict[Tuple[str, object], CiSummary]:
+    """Per-(protocol, x) mean ± CI of a metric name over a figure
+    campaign's plotted cells.
+
+    The x axis is the campaign's first grid axis; every other axis is
+    read at the base config's value.
+    """
+    spec = campaign.spec
+    (x_name, xs), *extra = spec.grid
+    fixed = tuple((name, getattr(spec.base, name)) for name, _ in extra)
+    agg = campaign.aggregate(campaign.extractor(metric), confidence)
+    return {
+        (proto, _x_key(x)): agg[(proto, ((x_name, x),) + fixed)]
+        for proto in spec.protocols
+        for x in xs
+    }
+
+
+@dataclass
+class FigureResult:
+    """A figure's plotted series over the X axis, one per protocol.
+
+    ``series[p][i]`` is the campaign's mean of the figure's metric in the
+    cell of protocol ``p`` at ``x_values[i]`` (see :func:`_plotted_cis`).
+    The X axis is numeric for the paper's sweeps (velocity, beacon
+    interval, group size) and categorical for extension axes like the
+    activation ``daemon``.  ``campaign`` holds every run of the grid;
+    a series-only result (synthetic data) has none.
+    """
+
+    x_name: str
+    x_values: List  # floats, or strings for categorical axes
+    series: Dict[str, List[float]]  # protocol -> mean per x
+    campaign: Optional[CampaignResult] = None
+
+    def cis(
+        self, metric: str, confidence: float = 0.95
+    ) -> Dict[Tuple[str, object], CiSummary]:
+        """Per-(protocol, x) mean ± CI of any metric name over the
+        plotted cells — diagnostics beyond the plotted metric, or the
+        plotted metric's own confidence intervals."""
+        return _plotted_cis(self.campaign, metric, confidence)
+
+    def format_table(self, title: str = "") -> str:
+        """Gnuplot-style rows like the paper's figures."""
+        lines = []
+        if title:
+            lines.append(f"# {title}")
+        protos = list(self.series)
+        header = f"{self.x_name:>12s} " + " ".join(f"{p:>12s}" for p in protos)
+        lines.append(header)
+        for i, x in enumerate(self.x_values):
+            label = f"{x:12.3f}" if not isinstance(x, str) else f"{x:>12s}"
+            row = f"{label} " + " ".join(
+                f"{self.series[p][i]:12.4f}" for p in protos
+            )
+            lines.append(row)
+        return "\n".join(lines)
+
+
+ShapeCheck = Tuple[str, Callable[[FigureResult], bool]]
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -48,14 +127,13 @@ def _mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs) if xs else float("nan")
 
 
-def _raw_mean(result: SweepResult, protocol: str, x, attr: str) -> float:
-    """Mean of a per-run attribute over one cell's raw results.
+def _cell_mean(result: FigureResult, protocol: str, x, metric: str) -> float:
+    """Mean of a metric name in one plotted cell.
 
     Lets shape checks reach diagnostics beyond the plotted metric —
     e.g. figm01 checks stabilization cost (``parent_changes``) while
     plotting PDR."""
-    runs = result.raw.get((protocol, x), [])
-    return _mean([float(getattr(r, attr)) for r in runs])
+    return result.cis(metric)[(protocol, x)].mean
 
 
 def _decreasing_ends(series: List[float], slack: float = 0.02) -> bool:
@@ -71,20 +149,19 @@ def _increasing_ends(series: List[float], slack: float = 0.02) -> bool:
 class FigureDef:
     """A reproducible figure.
 
-    ``extract`` is either a callable over run results or a **metric
-    name** resolved through the backend's typed
-    :class:`~repro.experiments.backends.MetricSpec` registry (the
-    backend-agnostic form).  ``extra_grid`` adds secondary campaign axes
-    beyond the plotted ``x_name`` — e.g. figd02's activation-daemon axis
-    — which the campaign CLI runs in full while :meth:`sweep` plots the
-    primary axis at the base config.
+    ``metric`` names a quantity in the backend's typed
+    :class:`~repro.experiments.backends.MetricSpec` registry.
+    ``extra_grid`` adds secondary campaign axes beyond the plotted
+    ``x_name`` — e.g. figd02's activation-daemon axis.  :meth:`run`
+    executes the whole grid and plots ``x_name`` with every extra axis
+    at the base config's value.
     """
 
     fig_id: str
     title: str
     x_name: str
     y_name: str
-    extract: Union[Callable, str]
+    metric: str
     protocols: Sequence[str]
     x_quick: Sequence[float]
     x_full: Sequence[float]
@@ -94,22 +171,11 @@ class FigureDef:
     notes: str = ""
     extra_grid: Dict[str, Sequence] = field(default_factory=dict)
 
-    def sweep(self, quick: bool = True, seeds: Sequence[int] = (1, 2, 3)) -> Sweep:
-        return Sweep(
-            x_name=self.x_name,
-            x_values=self.x_quick if quick else self.x_full,
-            protocols=self.protocols,
-            y_name=self.y_name,
-            extract=self.extract,
-            base=self.base_quick if quick else self.base_full,
-            seeds=seeds,
-        )
-
-    def campaign_spec(self, quick: bool = True, seeds: Sequence[int] = (1, 2, 3)):
+    def campaign_spec(
+        self, quick: bool = True, seeds: Sequence[int] = (1, 2, 3)
+    ) -> CampaignSpec:
         """The figure's grid as a campaign (shares cells — and therefore
         cached runs — with every other figure over the same scenarios)."""
-        from repro.experiments.campaign import CampaignSpec
-
         grid = {self.x_name: tuple(self.x_quick if quick else self.x_full)}
         for name, values in self.extra_grid.items():
             grid[name] = tuple(values)
@@ -128,18 +194,37 @@ class FigureDef:
         workers: int = 1,
         store=None,
         scheduler=None,
-    ) -> SweepResult:
-        return self.sweep(quick=quick, seeds=seeds).run(
+    ) -> FigureResult:
+        """Run the figure's campaign and read off its plotted series.
+
+        ``workers`` runs the grid on a process pool (or any explicit
+        ``scheduler``); ``store`` — a result-store spec or instance —
+        persists every run so later invocations (or other figures
+        sharing cells, e.g. Figures 7/8/9, which differ only in the
+        metric they plot) skip it.
+        """
+        campaign = run_campaign(
+            self.campaign_spec(quick=quick, seeds=seeds),
             workers=workers,
             store=store,
             scheduler=scheduler,
         )
+        cis = _plotted_cis(campaign, self.metric)
+        x_values = [_x_key(x) for x in (self.x_quick if quick else self.x_full)]
+        return FigureResult(
+            x_name=self.x_name,
+            x_values=x_values,
+            series={
+                p: [cis[(p, x)].mean for x in x_values] for p in self.protocols
+            },
+            campaign=campaign,
+        )
 
-    def check(self, result: SweepResult) -> Dict[str, bool]:
+    def check(self, result: FigureResult) -> Dict[str, bool]:
         """Evaluate every shape check; returns {description: holds}."""
         return {desc: bool(fn(result)) for desc, fn in self.checks}
 
-    def report(self, result: SweepResult) -> str:
+    def report(self, result: FigureResult) -> str:
         """The figure as text: series table, ASCII chart, shape-check
         verdicts and notes."""
         parts = [
@@ -174,7 +259,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Packet Delivery Ratio vs. Velocity (SS-SPST family)",
         x_name="v_max",
         y_name="pdr",
-        extract=lambda r: r.summary.pdr,
+        metric="pdr",
         protocols=FAMILY,
         x_quick=VELOCITIES_QUICK,
         x_full=VELOCITIES_FULL,
@@ -203,7 +288,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Unavailability Ratio vs. Velocity (SS-SPST family)",
         x_name="v_max",
         y_name="unavailability",
-        extract=lambda r: r.summary.unavailability,
+        metric="unavailability",
         protocols=FAMILY,
         x_quick=VELOCITIES_QUICK,
         x_full=VELOCITIES_FULL,
@@ -228,7 +313,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Energy Consumption per Packet Delivered vs. Velocity (SS-SPST family)",
         x_name="v_max",
         y_name="energy_per_packet_mj",
-        extract=lambda r: r.summary.energy_per_packet_mj,
+        metric="energy_per_packet_mj",
         protocols=FAMILY,
         x_quick=VELOCITIES_QUICK,
         x_full=VELOCITIES_FULL,
@@ -270,7 +355,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Packet Delivery Ratio vs. Beacon Interval",
         x_name="beacon_interval",
         y_name="pdr",
-        extract=lambda r: r.summary.pdr,
+        metric="pdr",
         protocols=("ss-spst", "ss-spst-e"),
         x_quick=BEACONS_QUICK,
         x_full=BEACONS_FULL,
@@ -295,7 +380,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Energy Consumption per Packet Delivered vs. Beacon Interval",
         x_name="beacon_interval",
         y_name="energy_per_packet_mj",
-        extract=lambda r: r.summary.energy_per_packet_mj,
+        metric="energy_per_packet_mj",
         protocols=("ss-spst", "ss-spst-e"),
         x_quick=BEACONS_QUICK,
         x_full=BEACONS_FULL,
@@ -324,7 +409,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Packet Delivery Ratio vs. Multicast Group Size",
         x_name="group_size",
         y_name="pdr",
-        extract=lambda r: r.summary.pdr,
+        metric="pdr",
         protocols=FOURWAY,
         x_quick=GROUPS_QUICK,
         x_full=GROUPS_FULL,
@@ -360,7 +445,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Control Byte Overhead vs. Multicast Group Size",
         x_name="group_size",
         y_name="control_overhead",
-        extract=lambda r: r.summary.control_overhead,
+        metric="control_overhead",
         protocols=FOURWAY,
         x_quick=GROUPS_QUICK,
         x_full=GROUPS_FULL,
@@ -391,7 +476,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Packet Delivery Ratio vs. Velocity (4-way comparison)",
         x_name="v_max",
         y_name="pdr",
-        extract=lambda r: r.summary.pdr,
+        metric="pdr",
         protocols=FOURWAY,
         x_quick=VELOCITIES_QUICK,
         x_full=VELOCITIES_FULL,
@@ -416,7 +501,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Average Delay vs. Multicast Group Size",
         x_name="group_size",
         y_name="avg_delay_ms",
-        extract=lambda r: r.summary.avg_delay_ms,
+        metric="avg_delay_ms",
         protocols=FOURWAY,
         x_quick=GROUPS_QUICK,
         x_full=GROUPS_FULL,
@@ -450,7 +535,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Packet Delivery Ratio vs. Activation Daemon (extension)",
         x_name="daemon",
         y_name="pdr",
-        extract=lambda r: r.summary.pdr,
+        metric="pdr",
         protocols=("ss-spst", "ss-spst-e"),
         x_quick=DAEMONS_QUICK,
         x_full=DAEMONS_FULL,
@@ -485,15 +570,15 @@ def _build_figures() -> Dict[str, FigureDef]:
     # per run than the DES, so this campaign covers every registered
     # daemon — including the round-model-only adversarial-max-cost stress
     # schedule the DES backend rejects — at paper scale (n up to 200).
-    # The campaign CLI runs the full daemon x n grid (extra_grid); the
-    # sweep/plot view varies n under the base (distributed) daemon.
+    # The figure runs the full daemon x n grid (extra_grid); the plot
+    # varies n under the base (distributed) daemon.
     figs["figd02"] = FigureDef(
         fig_id="figd02",
         title="Stabilization Rounds vs. Network Size per Activation Daemon "
         "(rounds backend, extension)",
         x_name="n_nodes",
         y_name="rounds",
-        extract="rounds",  # resolved via the rounds backend's MetricSpec
+        metric="rounds",
         protocols=("ss-spst", "ss-spst-e"),
         x_quick=(50, 200),
         x_full=(50, 100, 150, 200),
@@ -520,8 +605,8 @@ def _build_figures() -> Dict[str, FigureDef]:
         notes=(
             "Rounds-backend topologies are the t=0 snapshot of the DES "
             "scenario (same placement/group streams).  The adversarial "
-            "daemon rides in the campaign grid only; `--figure figd02` "
-            "through the campaign CLI covers it."
+            "daemon runs in the grid but off the plotted series; "
+            "`campaign --figure figd02` tabulates every daemon."
         ),
     )
 
@@ -541,7 +626,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         "(array engine over sparse topologies, extension)",
         x_name="n_nodes",
         y_name="rounds",
-        extract="rounds",  # resolved via the rounds backend's MetricSpec
+        metric="rounds",
         protocols=("ss-spst", "ss-spst-t"),
         x_quick=(1_000, 4_000),
         x_full=(1_000, 10_000, 100_000),
@@ -594,7 +679,7 @@ def _build_figures() -> Dict[str, FigureDef]:
     # stabilization lag -> PDR — is only ever sampled at one mobility
     # model (random waypoint); this figure varies the *model* while the
     # speed envelope stays fixed, pairing delivery (the plotted PDR) with
-    # stabilization cost (parent churn, checked via the raw results) and
+    # stabilization cost (parent churn, checked per cell) and
     # the measured fault process (link_breaks_per_s is a DES MetricSpec).
     figs["figm01"] = FigureDef(
         fig_id="figm01",
@@ -602,7 +687,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         "Model (extension)",
         x_name="mobility",
         y_name="pdr",
-        extract="pdr",  # resolved via the DES backend's MetricSpec
+        metric="pdr",
         protocols=("ss-spst", "ss-spst-e"),
         x_quick=MOBILITY_QUICK,
         x_full=MOBILITY_FULL,
@@ -630,8 +715,8 @@ def _build_figures() -> Dict[str, FigureDef]:
             (
                 "zero mobility means less tree churn: static parent "
                 "changes do not exceed waypoint's (SS-SPST-E)",
-                lambda r: _raw_mean(r, "ss-spst-e", "static", "parent_changes")
-                <= _raw_mean(r, "ss-spst-e", "waypoint", "parent_changes"),
+                lambda r: _cell_mean(r, "ss-spst-e", "static", "parent_changes")
+                <= _cell_mean(r, "ss-spst-e", "waypoint", "parent_changes"),
             ),
         ],
         notes=(
@@ -649,14 +734,14 @@ def _build_figures() -> Dict[str, FigureDef]:
     # time; this figure stacks k concurrent SS-SPST sessions on one
     # contended medium and plots aggregate PDR vs group_count (x n via
     # the campaign grid), with cross-group fairness and link stress
-    # checked through the raw per-run diagnostics.
+    # checked through the per-cell diagnostics.
     figs["figg01"] = FigureDef(
         fig_id="figg01",
         title="Aggregate PDR and Cross-Group Fairness vs. Concurrent "
         "Groups (extension)",
         x_name="group_count",
         y_name="pdr",
-        extract="pdr",  # resolved via the DES backend's MetricSpec
+        metric="pdr",
         protocols=("ss-spst", "ss-spst-e"),
         x_quick=(1, 2, 4),
         x_full=(1, 2, 4, 8),
@@ -674,18 +759,18 @@ def _build_figures() -> Dict[str, FigureDef]:
             ),
             (
                 "a single group scores perfect Jain fairness",
-                lambda r: _raw_mean(r, "ss-spst", 1, "fairness_jain") > 0.999,
+                lambda r: _cell_mean(r, "ss-spst", 1, "fairness_jain") > 0.999,
             ),
             (
                 "fairness stays a valid Jain index under 4-way contention",
                 lambda r: 0.0
-                <= _raw_mean(r, "ss-spst", 4, "fairness_jain")
+                <= _cell_mean(r, "ss-spst", 4, "fairness_jain")
                 <= 1.0 + 1e-9,
             ),
             (
                 "link stress is populated for multi-group cells "
                 "(trees share at least their own edges)",
-                lambda r: _raw_mean(r, "ss-spst", 4, "link_stress_mean") >= 1.0,
+                lambda r: _cell_mean(r, "ss-spst", 4, "link_stress_mean") >= 1.0,
             ),
             (
                 "contention costs delivery: 4 groups do no better than 1",
@@ -708,7 +793,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         title="Energy Consumption per Packet Delivered vs. Velocity (4-way)",
         x_name="v_max",
         y_name="energy_per_packet_mj",
-        extract=lambda r: r.summary.energy_per_packet_mj,
+        metric="energy_per_packet_mj",
         protocols=FOURWAY,
         x_quick=VELOCITIES_QUICK,
         x_full=VELOCITIES_FULL,

@@ -84,8 +84,9 @@ class MediumStats:
     ``frames_sent`` counts frames put on the air; the other four count
     *receptions*, one per live receiver of a frame:
     ``receptions_total == frames_delivered + frames_collided``.
-    ``frames_collided`` is every reception lost to collision, half duplex
-    or random loss; ``frames_lost_random`` is the random-loss part of it.
+    ``frames_collided`` is every reception lost to collision, half duplex,
+    random loss or the receiver's battery running out on it;
+    ``frames_lost_random`` is the random-loss part of it.
     """
 
     __slots__ = (
@@ -298,7 +299,10 @@ class WirelessMedium:
         :meth:`EnergyLedger.receive`'s float operations in its order
         (``rx += j``; for a corrupted copy then ``rx -= j`` and
         ``discard += j``).  A battery is drawn only while it is finite:
-        drawing from an infinite one leaves its state as it was.
+        drawing from an infinite one leaves its state as it was.  A clean
+        reception whose charge empties the battery is filed as a discard
+        and counted with the lost receptions: the node died with it and
+        delivers nothing.
         """
         net = self.network
         receivers = tx.receivers
@@ -323,6 +327,13 @@ class WirelessMedium:
             battery = node.battery
             if battery.remaining_j != _INF:
                 battery.draw(joules)
+                if not bad and not node.alive:
+                    # The charge emptied the battery: the dead radio
+                    # hands nothing up, and the energy was wasted.
+                    bad = True
+                    collided += 1
+                    balances[key_rx] -= joules
+                    balances[key_dis] += joules
             if not bad:
                 node.deliver(packet, joules)
         stats = self.stats

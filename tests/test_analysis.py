@@ -1,7 +1,6 @@
 """Tests for the analysis/reporting helpers."""
 
-from repro.analysis import ascii_plot, series_table, shape_report
-from repro.experiments.sweeps import SweepResult
+from repro.analysis import ascii_plot, shape_report
 
 
 class TestAsciiPlot:
@@ -39,9 +38,3 @@ class TestReport:
         out = shape_report({"trend holds": True, "winner right": False})
         assert "[PASS] trend holds" in out
         assert "[FAIL] winner right" in out
-
-    def test_series_table_delegates(self):
-        result = SweepResult(
-            x_name="x", x_values=[1.0], y_name="y", series={"p": [0.5]}
-        )
-        assert "0.5000" in series_table(result, "t")

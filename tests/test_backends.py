@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.report import metric_spec_table
-from repro.analysis.stats import campaign_cis, mean_ci
+from repro.analysis.stats import mean_ci
 from repro.core.convergence import engine_for
 from repro.core.daemons import DAEMON_NAMES, DES_DAEMON_NAMES
 from repro.core.rounds import fresh_states
@@ -304,7 +304,7 @@ class TestGoldenAggregation:
             seeds=(1, 2, 3),
         )
         campaign = run_campaign(spec)
-        agg = campaign_cis(campaign, "rounds")
+        agg = campaign.aggregate(campaign.extractor("rounds"))
         backend = backend_by_name("rounds")
         for (proto, point), ci in agg.items():
             direct = [
@@ -321,7 +321,7 @@ class TestGoldenAggregation:
             seeds=(1, 2),
         )
         campaign = run_campaign(spec, workers=2)
-        agg = campaign_cis(campaign, "pdr")
+        agg = campaign.aggregate(campaign.extractor("pdr"))
         ((_, ci),) = list(agg.items())
         backend = backend_by_name("des")
         direct = [
@@ -342,12 +342,12 @@ class TestGoldenAggregation:
         )
         assert spec.backends() == ("des", "rounds")
         campaign = run_campaign(spec)
-        rounds_agg = campaign_cis(campaign, "rounds")
+        rounds_agg = campaign.aggregate(campaign.extractor("rounds"))
         des_cell = ("ss-spst", (("backend", "des"),))
         rounds_cell = ("ss-spst", (("backend", "rounds"),))
         assert rounds_agg[rounds_cell].n == 1
         assert rounds_agg[des_cell].mean != rounds_agg[des_cell].mean  # nan
-        pdr_agg = campaign_cis(campaign, "pdr")
+        pdr_agg = campaign.aggregate(campaign.extractor("pdr"))
         assert 0.0 <= pdr_agg[des_cell].mean <= 1.0
 
     def test_unknown_metric_lists_choices(self):
@@ -365,14 +365,18 @@ class TestFigd02:
         assert spec.backends() == ("rounds",)
 
     def test_quick_sweep_runs(self):
-        """A trimmed figd02-shaped sweep end to end (string extractor)."""
+        """A trimmed figd02 end to end: every daemon runs, the series
+        plot the base (distributed) daemon."""
         fig = FIGURES["figd02"]
-        sweep = fig.sweep(quick=True, seeds=(1,))
-        sweep.x_values = [16, 24]
-        sweep.base = sweep.base.replace(group_size=8)
-        result = sweep.run()
+        small = dataclasses.replace(
+            fig,
+            x_quick=(16, 24),
+            base_quick=fig.base_quick.replace(group_size=8),
+        )
+        result = small.run(quick=True, seeds=(1,))
         assert set(result.series) == {"ss-spst", "ss-spst-e"}
         assert all(len(s) == 2 for s in result.series.values())
+        assert result.campaign.executed == 2 * len(DAEMON_NAMES) * 2
 
 
 class TestCliBackend:

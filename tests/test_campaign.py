@@ -506,24 +506,20 @@ class TestCli:
 
 class TestSweepIntegration:
     def test_sweep_through_campaign_engine(self, tmp_path):
-        """Sweep.run == the historical serial results, via the campaign."""
-        from repro.experiments.sweeps import Sweep
+        """A figure run on a pool into a store == the serial run."""
+        from repro.experiments.figures import FigureDef
 
         base = fast_base()
-        kw = dict(
-            x_name="v_max",
-            x_values=[1.0, 5.0],
-            protocols=["flooding"],
-            y_name="pdr",
-            extract=lambda r: r.summary.pdr,
-            base=base,
-            seeds=(1, 2),
+        fig = FigureDef(
+            fig_id="figtest", title="t", x_name="v_max", y_name="pdr",
+            metric="pdr", protocols=("flooding",), x_quick=(1.0, 5.0),
+            x_full=(1.0, 5.0), base_quick=base, base_full=base,
         )
-        parallel = Sweep(**kw).run(workers=2, store=str(tmp_path))
-        serial = Sweep(**kw).run()
+        parallel = fig.run(seeds=(1, 2), workers=2, store=str(tmp_path))
+        serial = fig.run(seeds=(1, 2))
         assert parallel.series == serial.series
         assert parallel.x_values == serial.x_values
-        for cell, runs in serial.raw.items():
-            assert [r.summary for r in parallel.raw[cell]] == [
+        for cell, runs in serial.campaign.by_cell().items():
+            assert [r.summary for r in parallel.campaign.by_cell()[cell]] == [
                 r.summary for r in runs
             ]

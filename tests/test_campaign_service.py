@@ -348,3 +348,18 @@ class TestCli:
         assert match is not None, out
         executed, skipped = map(int, match.groups())
         assert executed + skipped == 4  # own share run, the rest left
+
+    @pytest.mark.parametrize("verb", ["submit", "status", "results"])
+    def test_unknown_metric_exits_before_running(self, verb, tmp_path):
+        """An unknown --metrics name is a clean exit listing the
+        backend's metrics, before any run executes or any store opens."""
+        import os
+
+        store = str(tmp_path / "records")
+        argv = [verb] + SPEC_ARGS + ["--store", store, "--metrics", "rounds,bogus"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert "unknown metric 'bogus'" in message
+        assert "'evaluations'" in message  # the rounds backend's choices
+        assert not os.path.exists(store)  # nothing ran, nothing written

@@ -51,16 +51,16 @@ CASES = {
 
 GOLDEN = {
     "maodv/battery": (
-        "5b3dc056b7667c83e20e8ba8d7c08e25"
-        "ba3b10dec26558eec29e3c87be9ed14f"
+        "6f9245b091ae98760d19beafff018c5a"
+        "19fb7f417e08782efe74d78477fd11e8"
     ),
     "odmrp/lossless": (
         "a4f33878ba02bd8615a5cd6063e280be"
         "df6a737ad839d44d45bf21b787d01dcc"
     ),
     "ss-spst-e/battery": (
-        "9c7afc61f5e782e53d914bf83e9d7b9f"
-        "1d886d9a2571c61f27a973aa76189ae9"
+        "b9749217d7744839b0a81e6b489d51a1"
+        "0a8dc964c3b8928070caa9c03b252abd"
     ),
     "ss-spst-e/gauss-markov": (
         "381fc217e47dca78f6bbb2ee48cfa0f6"
@@ -141,3 +141,28 @@ def test_des_axis_record_bytes_unchanged(name, monkeypatch):
         assert dead
         assert all(network.nodes[i].battery.depleted for i in dead)
     assert record_digest(backend.record_from(result)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][2]))
+def test_reception_that_kills_is_not_delivered(name, monkeypatch):
+    """A reception whose charge empties the receiver's battery kills it
+    first: no ``Node.deliver`` runs on a dead node, and the lost
+    reception keeps the medium's counters balanced."""
+    from repro.net.node import Node
+
+    built = finite_batteries(monkeypatch)
+    dead_deliveries = []
+    deliver = Node.deliver
+
+    def counting_deliver(node, packet, rx_joules):
+        if not node.alive:
+            dead_deliveries.append(node.id)
+        return deliver(node, packet, rx_joules)
+
+    monkeypatch.setattr(Node, "deliver", counting_deliver)
+    backend_by_name("des").run(_config(name))
+    (network,) = built
+    assert any(not nd.alive for nd in network.nodes)
+    assert dead_deliveries == []
+    stats = network.medium.stats
+    assert stats.receptions_total == stats.frames_delivered + stats.frames_collided

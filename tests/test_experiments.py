@@ -1,11 +1,11 @@
-"""Tests for the experiment harness (config, runner, sweeps, figures)."""
+"""Tests for the experiment harness (config, runner, figures)."""
 
 import pytest
 
+from repro.experiments.campaign import main as campaign_main
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import FIGURES, FigureDef
+from repro.experiments.figures import FIGURES, FigureDef, FigureResult
 from repro.experiments.runner import RunResult, build_network, run_scenario
-from repro.experiments.sweeps import Sweep, SweepResult
 
 
 class TestScenarioConfig:
@@ -84,30 +84,98 @@ class TestRunner:
         assert r1.summary.total_energy_j == pytest.approx(r2.summary.total_energy_j)
 
 
+def _figure(base, x_name, xs, metric, protocols, **kw) -> FigureDef:
+    """A one-scale figure over ``base`` (quick and full grids alike)."""
+    return FigureDef(
+        fig_id="figtest", title="test figure", x_name=x_name, y_name=metric,
+        metric=metric, protocols=protocols, x_quick=xs, x_full=xs,
+        base_quick=base, base_full=base, **kw,
+    )
+
+
 class TestSweeps:
     def test_sweep_runs_grid(self):
         base = ScenarioConfig.quick(sim_time=20.0, group_size=6)
-        sweep = Sweep(
-            x_name="v_max",
-            x_values=[1.0, 10.0],
-            protocols=["flooding"],
-            y_name="pdr",
-            extract=lambda r: r.summary.pdr,
-            base=base,
-            seeds=(1,),
-        )
-        result = sweep.run()
+        fig = _figure(base, "v_max", (1.0, 10.0), "pdr", ("flooding",))
+        result = fig.run(seeds=(1,))
         assert result.x_values == [1.0, 10.0]
         assert len(result.series["flooding"]) == 2
+        assert result.campaign.executed == 2
 
     def test_format_table(self):
-        result = SweepResult(
-            x_name="v", x_values=[1.0, 2.0], y_name="pdr",
+        result = FigureResult(
+            x_name="v", x_values=[1.0, 2.0],
             series={"a": [0.9, 0.8], "b": [0.7, 0.6]},
         )
         table = result.format_table("demo")
         assert "demo" in table
         assert "0.9000" in table and "0.6000" in table
+
+
+class TestOneGrid:
+    """A figure is its campaign: ``FigureDef.run`` and ``campaign
+    --figure`` execute the same grid (extra axes included) under the
+    same cache keys, and the series are the campaign's own means."""
+
+    @pytest.fixture
+    def fig(self, monkeypatch):
+        base = ScenarioConfig.quick(backend="rounds", n_nodes=16, group_size=4)
+        fig = _figure(
+            base, "n_nodes", (12, 16), "rounds", ("ss-spst", "ss-spst-e"),
+            extra_grid={"daemon": ("central", "distributed", "synchronous")},
+        )
+        monkeypatch.setitem(FIGURES, "figtest", fig)
+        return fig
+
+    def _cli(self, store, capsys):
+        argv = ["--figure", "figtest", "--seeds", "1,2", "--store", store, "--quiet"]
+        assert campaign_main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_run_executes_the_extra_axes(self, fig):
+        result = fig.run(seeds=(1, 2))
+        assert result.campaign.executed == 2 * 3 * 2 * 2  # x, daemon, protocol, seed
+        assert result.campaign.spec == fig.campaign_spec(seeds=(1, 2))
+
+    def test_run_then_cli_executes_nothing(self, fig, tmp_path, capsys):
+        store = str(tmp_path / "s.sqlite")
+        assert fig.run(seeds=(1, 2), store=store).campaign.executed == 24
+        assert "(executed=0 cached=24)" in self._cli(store, capsys)
+
+    def test_cli_then_run_executes_nothing(self, fig, tmp_path, capsys):
+        store = str(tmp_path / "s")
+        assert "(executed=24 cached=0)" in self._cli(store, capsys)
+        result = fig.run(seeds=(1, 2), store=store)
+        assert result.campaign.executed == 0
+        assert result.campaign.cache_hits == 24
+
+    def test_series_are_the_campaign_means(self, fig):
+        result = fig.run(seeds=(1, 2))
+        campaign = result.campaign
+        agg = campaign.aggregate(campaign.extractor("rounds"))
+        for proto, ys in result.series.items():
+            cells = [(proto, (("n_nodes", n), ("daemon", "distributed"))) for n in (12, 16)]
+            assert ys == [agg[cell].mean for cell in cells]  # bit for bit
+            assert ys == [result.cis("rounds")[(proto, x)].mean for x in (12.0, 16.0)]
+
+
+class TestFigd01:
+    def test_randomized_daemon_is_distributed_on_the_des(self):
+        """The DES realizes ``randomized`` with the same jittered beacon
+        clocks as ``distributed``, draw for draw, so figd01's grid runs
+        only one of them."""
+        for protocol in ("ss-spst", "ss-spst-e"):
+            base = ScenarioConfig.quick(
+                protocol=protocol, seed=1, n_nodes=20, group_size=8, sim_time=20.0
+            )
+            dist = run_scenario(base.replace(daemon="distributed"))
+            rand = run_scenario(base.replace(daemon="randomized"))
+            assert repr(rand.summary) == repr(dist.summary)
+            assert rand.parent_changes == dist.parent_changes
+            assert rand.events_executed == dist.events_executed
+        fig = FIGURES["figd01"]
+        for grid in (fig.x_quick, fig.x_full):
+            assert not {"distributed", "randomized"} <= set(grid)
 
 
 class TestFigureRegistry:
@@ -144,10 +212,9 @@ class TestFigureRegistry:
 
     def test_checks_evaluate_on_synthetic_result(self):
         fig = FIGURES["fig09"]
-        synthetic = SweepResult(
+        synthetic = FigureResult(
             x_name="v_max",
             x_values=list(fig.x_quick),
-            y_name="energy_per_packet_mj",
             series={
                 "ss-spst": [30.0, 29.0, 28.0, 27.0],
                 "ss-spst-t": [31.0, 32.0, 33.0, 36.0],
@@ -157,6 +224,14 @@ class TestFigureRegistry:
         )
         checks = fig.check(synthetic)
         assert all(checks.values()), checks
+
+    def test_plotted_series_exist_on_every_extra_axis(self):
+        """The series plot each extra axis at the base config's value,
+        so that value must be one of the axis's values."""
+        for fig in FIGURES.values():
+            for name, values in fig.extra_grid.items():
+                for base in (fig.base_quick, fig.base_full):
+                    assert getattr(base, name) in values, (fig.fig_id, name)
 
 
 def _load_energy_sweep():
@@ -181,7 +256,7 @@ class TestEnergySweepCommand:
             base = ScenarioConfig.quick(backend="rounds", n_nodes=16, group_size=4)
             fig = FigureDef(
                 fig_id="figtest", title="tiny rounds figure", x_name="n_nodes",
-                y_name="rounds", extract="rounds", protocols=("ss-spst",),
+                y_name="rounds", metric="rounds", protocols=("ss-spst",),
                 x_quick=(12, 16), x_full=(12, 16), base_quick=base, base_full=base,
                 checks=[("the check holds", lambda result: holds)],
             )

@@ -298,19 +298,24 @@ class TestMediumFrameCompletion:
         dying.battery = Battery(rx_j / 2, on_depleted=dying._die)
         net.medium.broadcast(0, pkt, tx_range=200.0)
         sim.run()
-        # Charged in full, dies on that charge, and -- as the radio had
-        # already heard the whole frame -- still gets the frame.
+        # Charged in full and dies on that charge; the dead radio hands
+        # nothing up, so the energy is filed as discard and the reception
+        # counts as lost.
         assert deaths == [pytest.approx(net.medium.airtime(pkt))]
         assert not dying.alive
-        assert dying.ledger.snapshot().rx_data == rx_j
-        assert len(dying.agent.received) == 1
+        assert dying.ledger.snapshot().rx_data == 0.0
+        assert dying.ledger.snapshot().discard_data == rx_j
+        assert dying.agent.received == []
         assert len(net.nodes[2].agent.received) == 1
+        assert net.medium.stats.frames_collided == 1
         # A dead node hears nothing further.
         net.medium.broadcast(0, data_packet(0, seq=1), tx_range=200.0)
         sim.run()
-        assert len(dying.agent.received) == 1
+        assert dying.agent.received == []
         assert len(net.nodes[2].agent.received) == 2
-        assert net.medium.stats.receptions_total == 3
+        stats = net.medium.stats
+        assert stats.receptions_total == 3
+        assert stats.receptions_total == stats.frames_delivered + stats.frames_collided
 
 
 class TestMediumLoss:
@@ -343,7 +348,9 @@ class ReferenceMedium(WirelessMedium):
     def __init__(self, net):
         super().__init__(net, loss_prob=net.medium.loss_prob, rng=net.medium.rng)
         self.ongoing = {}
-        self.seen = {"overlap>=3": 0, "half_duplex": 0, "dead_at_end": 0}
+        self.seen = {
+            "overlap>=3": 0, "half_duplex": 0, "dead_at_end": 0, "died_on_rx": 0,
+        }
 
     def broadcast(self, sender, packet, tx_range):
         net, now = self.network, self.network.sim.now
@@ -397,7 +404,10 @@ class ReferenceMedium(WirelessMedium):
             self.stats.receptions_total += 1
             node.ledger.charge("rx", packet.traffic_class, joules)
             node.battery.draw(joules)
-            if rec.corrupted:
+            # a reception that empties the battery dies with the node
+            died = not node.alive
+            self.seen["died_on_rx"] += died and not rec.corrupted
+            if rec.corrupted or died:
                 self.stats.frames_collided += 1
                 node.ledger.reclassify_rx_as_discard(packet.traffic_class, joules)
             else:
@@ -435,6 +445,11 @@ def _run_medium_scenario(seed, loss_prob, reference):
             seq += 1
     for v in rng.choice(10, size=2, replace=False).tolist():
         sim.schedule_at(float(rng.uniform(0.0, 0.2)), kill, v)
+    # Batteries of a few receptions, so some clean reception empties one.
+    for v in rng.choice(10, size=3, replace=False).tolist():
+        node = net.nodes[v]
+        if node.battery.remaining_j == float("inf"):
+            node.battery = Battery(float(rng.uniform(0.5, 3)) * rx_j, on_depleted=node._die)
     sim.run()
     outcome = {
         "received": [[(t, p.origin, p.seq) for t, p in nd.agent.received] for nd in net.nodes],
@@ -467,6 +482,7 @@ class TestMediumMatchesReferenceModel:
     def test_scenarios_reach_dead_receivers(self):
         seen = [_run_medium_scenario(s, 0.25, reference=True)[1] for s in range(6)]
         assert sum(s["dead_at_end"] for s in seen) > 0
+        assert sum(s["died_on_rx"] for s in seen) > 0
 
 
 class TestMediumCounterInvariants:

@@ -8,10 +8,11 @@ from statistics import NormalDist
 
 import pytest
 
-from repro.analysis.stats import CiSummary, dominates, mean_ci, sweep_cis, t_quantile
+from repro.analysis.stats import CiSummary, dominates, mean_ci, t_quantile
+from repro.experiments.campaign import CampaignResult, CampaignSpec
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.figures import FigureResult
 from repro.experiments.lifetime import compare_lifetimes, run_lifetime
-from repro.experiments.sweeps import SweepResult
 
 
 class TestMeanCi:
@@ -218,37 +219,48 @@ def test_campaign_read_path_imports_no_scipy(tmp_path):
 
 
 class _FakeRun:
+    """A rounds-backend result carrying only the ``rounds`` metric."""
+
+    config = ScenarioConfig.quick(backend="rounds")
+
     def __init__(self, value):
-        self.value = value
+        self.rounds = value
 
 
 class TestSweepCis:
     def _result(self):
-        return SweepResult(
-            x_name="x",
+        spec = CampaignSpec.from_mapping(
+            name="cis",
+            base=ScenarioConfig.quick(backend="rounds"),
+            protocols=("ss-spst", "ss-spst-e"),
+            seeds=(1, 2, 3),
+            grid={"v_max": (1.0,)},
+        )
+        runs = [1.0, 1.2, 0.8, 10.0, 9.5, 10.5]  # cell order: protocol, seed
+        campaign = CampaignResult(spec=spec, results=[_FakeRun(v) for v in runs])
+        return FigureResult(
+            x_name="v_max",
             x_values=[1.0],
-            y_name="y",
-            series={"a": [1.0], "b": [10.0]},
-            raw={
-                ("a", 1.0): [_FakeRun(1.0), _FakeRun(1.2), _FakeRun(0.8)],
-                ("b", 1.0): [_FakeRun(10.0), _FakeRun(9.5), _FakeRun(10.5)],
-            },
+            series={"ss-spst": [1.0], "ss-spst-e": [10.0]},
+            campaign=campaign,
         )
 
-    def test_sweep_cis(self):
-        cis = sweep_cis(self._result(), lambda r: r.value)
-        assert cis[("a", 1.0)].mean == pytest.approx(1.0)
-        assert cis[("b", 1.0)].mean == pytest.approx(10.0)
+    def test_cell_cis(self):
+        cis = self._result().cis("rounds")
+        assert cis[("ss-spst", 1.0)] == mean_ci([1.0, 1.2, 0.8])
+        assert cis[("ss-spst-e", 1.0)].mean == pytest.approx(10.0)
 
     def test_dominates_lower(self):
         verdicts = dominates(
-            self._result(), lambda r: r.value, better="a", worse="b", direction="lower"
+            self._result(), "rounds", better="ss-spst", worse="ss-spst-e",
+            direction="lower",
         )
         assert verdicts == [True]
 
     def test_dominates_higher(self):
         verdicts = dominates(
-            self._result(), lambda r: r.value, better="b", worse="a", direction="higher"
+            self._result(), "rounds", better="ss-spst-e", worse="ss-spst",
+            direction="higher",
         )
         assert verdicts == [True]
 
