@@ -49,7 +49,7 @@ REGISTRY_AXES: Dict[str, Dict[str, object]] = {
         "module": "experiments/scenario_models.py",
         "symbol": "MODEL_NAMES",
         "lookup": "model_by_name",
-        "names": ("uniform", "grid", "gaussian-clusters", "edge-weighted"),
+        "names": ("uniform", "grid"),
     },
     "mobility": {
         "module": "experiments/scenario_models.py",
@@ -60,7 +60,6 @@ REGISTRY_AXES: Dict[str, Dict[str, object]] = {
             "gauss-markov",
             "random-walk",
             "static",
-            "platoon",
             "trace",
         ),
     },
@@ -68,13 +67,13 @@ REGISTRY_AXES: Dict[str, Dict[str, object]] = {
         "module": "experiments/scenario_models.py",
         "symbol": "MODEL_NAMES",
         "lookup": "model_by_name",
-        "names": ("static-random", "geographic-cluster", "rotating"),
+        "names": ("static-random", "rotating"),
     },
     "traffic": {
         "module": "experiments/scenario_models.py",
         "symbol": "MODEL_NAMES",
         "lookup": "model_by_name",
-        "names": ("cbr", "on-off", "multi-source"),
+        "names": ("cbr",),
     },
     "backend": {
         "module": "experiments/backends.py",

@@ -17,9 +17,10 @@ assignment we found consistent with the derivable behaviour:
   energy, pushing members 5 and 3 toward node 6.
 
 The printed edge weights of Figures 3/4/6 are mutually inconsistent under
-any first-order radio constants (see EXPERIMENTS.md, "worked example"), so
-the F/E examples are validated by their *qualitative* claims rather than an
-exact tree match; the hop and T trees are validated exactly.
+any first-order radio constants (see docs/deviations.md, "Worked
+examples"), so the F/E examples are validated by their *qualitative*
+claims rather than an exact tree match; the hop and T trees are validated
+exactly.
 
 **Figure 5 topology**: the fully specified discard-energy example — node X
 must choose between two parents with identical path costs, one of which has
@@ -75,8 +76,8 @@ def figure1_topology() -> Topology:
 
 
 #: Exact trees derivable from the narrative (parent of node i at index i).
-#: Deviations from the printed figures are discussed in EXPERIMENTS.md: the
-#: published edge lists of Figures 2-4 are mutually inconsistent with
+#: Deviations from the printed figures are discussed in docs/deviations.md:
+#: the published edge lists of Figures 2-4 are mutually inconsistent with
 #: Figure 6 under any superlinear radio model, and node 5's parent (4 in
 #: the printed trees) resolves to its strictly closer neighbor 6 here.
 FIGURE2_HOP_PARENTS = [None, 0, 0, 0, 7, 6, 0, 0, 4, 4]

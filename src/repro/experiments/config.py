@@ -41,10 +41,7 @@ class ScenarioConfig:
 
     ``placement``
         Initial node positions — ``"uniform"`` (default), ``"grid"``
-        (near-square lattice; param ``grid_jitter``),
-        ``"gaussian-clusters"`` (hot-spots; params ``clusters``,
-        ``cluster_sigma``), ``"edge-weighted"`` (perimeter-heavy; params
-        ``edge_bias``, ``edge_margin_frac``).
+        (near-square lattice; param ``grid_jitter``).
     ``mobility``
         Position process — ``"waypoint"`` (default; Yoon–Liu–Noble fix,
         uses ``v_min``/``v_max``/``pause_time``), ``"gauss-markov"``
@@ -56,17 +53,14 @@ class ScenarioConfig:
         ``trace_file``, placement must stay ``"uniform"``).
     ``membership``
         Multicast group construction — ``"static-random"`` (default:
-        source 0 plus random receivers), ``"geographic-cluster"``
-        (receivers nearest a random focus point), ``"rotating"``
+        source 0 plus random receivers), ``"rotating"``
         (static-random start, then one receiver leaves and one node
         joins every ``rotation_period`` seconds; DES runs get live
         join/leave events, the rounds backend replays the t = 0 group).
     ``traffic``
-        Source workload (DES only; the rounds backend rejects
-        non-default values) — ``"cbr"`` (default), ``"on-off"``
-        (exponential bursts at the same average rate; params
-        ``onoff_on_s``, ``onoff_off_s``), ``"multi-source"``
-        (interleaved phase-shifted flows; param ``flows``).
+        Source workload (DES only) — ``"cbr"``, the paper's source and
+        the only model; the field stays so every record's config keeps
+        it.
 
     ``model_params`` carries the model-specific sub-parameters named
     above as a frozen, sorted ``(key, value)`` tuple (construct with a

@@ -277,7 +277,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         ],
         notes=(
             "Paper: hop > T > E > F.  Our SS-SPST-F is more stable than the "
-            "authors' (see EXPERIMENTS.md), so the PDR penalty lands on "
+            "authors' (see docs/deviations.md), so the PDR penalty lands on "
             "SS-SPST-E's deeper trees instead of on F."
         ),
     )
@@ -345,7 +345,7 @@ def _build_figures() -> Dict[str, FigureDef]:
         notes=(
             "Paper ordering hop > T > F > E.  Under our radio constants the "
             "T variant's relay-heavy trees pay more electronics/overhearing "
-            "than one long hop, so T lands above hop (see EXPERIMENTS.md)."
+            "than one long hop, so T lands above hop (see docs/deviations.md)."
         ),
     )
 
@@ -521,7 +521,7 @@ def _build_figures() -> Dict[str, FigureDef]:
             "Paper: both on-demand protocols are slower than the SS family. "
             "Our broadcast MAC has no per-link ARQ, which understates mesh "
             "delay: ODMRP's first-copy latency lands below SS-SPST here "
-            "(documented deviation, EXPERIMENTS.md)."
+            "(documented deviation, docs/deviations.md)."
         ),
     )
 

@@ -216,10 +216,8 @@ def _final_tree_stats(network: Network) -> Dict[str, float]:
 
 
 #: config fields the mobility trajectory (and so the profile) depends on
-#: (group_count: the platoon model defaults its convoy count to it)
 _PROFILE_FIELDS = (
     "seed",
-    "group_count",
     "n_nodes",
     "arena_w",
     "arena_h",

@@ -11,24 +11,24 @@ group, one CBR source.  This module turns each of those choices into a
 sweep scenario *structure* like any other grid dimension::
 
     --grid mobility=waypoint,gauss-markov,static
-    --grid placement=uniform,gaussian-clusters --grid membership=rotating
+    --grid placement=uniform,grid --grid membership=rotating
 
 Axes and models
 ---------------
 
 ``placement``
-    Where nodes start: ``uniform`` (the paper; default), ``grid``,
-    ``gaussian-clusters``, ``edge-weighted``
+    Where nodes start: ``uniform`` (the paper; default), ``grid``
     (:mod:`repro.mobility.placement`).
 ``mobility``
     How nodes move: ``waypoint`` (the paper; default), ``gauss-markov``,
     ``random-walk``, ``static``, ``trace`` (:mod:`repro.mobility`).
 ``membership``
     Who the receivers are: ``static-random`` (the paper; default),
-    ``geographic-cluster``, ``rotating`` (join/leave churn).
+    ``rotating`` (join/leave churn).
 ``traffic``
-    What the source sends: ``cbr`` (the paper; default), ``on-off``
-    bursty, ``multi-source`` interleaved flows (:mod:`repro.traffic`).
+    What the source sends: ``cbr`` (the paper, and the only model;
+    :mod:`repro.traffic`).  The axis stays so every record's config
+    keeps its ``traffic`` field.
 
 Model-specific sub-parameters travel in the config's frozen
 ``model_params`` mapping (``--model-param key=value`` on the CLI); each
@@ -40,11 +40,11 @@ Determinism and backend parity
 ------------------------------
 
 Every model draws only from named :class:`~repro.util.rng.RngStreams`
-substreams (``placement``, ``mobility``, ``group``, ``membership``,
-``traffic.*``), so scenarios are bit-reproducible per seed across
-processes, and the **default axes replicate the historical draw
-sequence exactly** — default-config results, cache hashes and cache
-entries are unchanged by this API.  Both executors build their world
+substreams (``placement``, ``mobility``, ``group``, ``membership``), so
+scenarios are bit-reproducible per seed across processes, and the
+**default axes replicate the historical draw sequence exactly** —
+default-config results, cache hashes and cache entries are unchanged by
+this API.  Both executors build their world
 through :func:`build_scenario_space`, so a ``rounds``-backend run models
 the t = 0 snapshot of the DES scenario — identical placement, identical
 group — for *every* placement/mobility/membership model, not just the
@@ -52,11 +52,9 @@ defaults.
 
 Per-backend realizability is checked by :func:`validate_models` (called
 from the backends' ``validate`` hooks): e.g. ``trace`` mobility requires
-a ``trace_file`` model parameter, and non-default ``traffic`` models are
-rejected on the ``rounds`` backend, which replays the t = 0 topology and
-runs no packet workload.  ``rotating`` membership *is* accepted on
-rounds: the round model sees the t = 0 group, which rotation leaves
-intact by construction.
+a ``trace_file`` model parameter.  ``rotating`` membership *is*
+accepted on rounds: the round model sees the t = 0 group, which rotation
+leaves intact by construction.
 """
 
 from __future__ import annotations
@@ -79,12 +77,7 @@ from repro.groups.models import (
 )
 from repro.mobility.base import MobilityModel
 from repro.mobility.gauss_markov import GaussMarkov
-from repro.mobility.platoon import PlatoonMobility
-from repro.mobility.placement import (
-    edge_weighted_positions,
-    gaussian_cluster_positions,
-    grid_positions,
-)
+from repro.mobility.placement import grid_positions
 from repro.mobility.random_walk import RandomWalk
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.mobility.static import StaticPlacement
@@ -165,38 +158,6 @@ class GridPlacement(PlacementModel):
             arena,
             streams.get("placement"),
             jitter_frac=float(self.param(config, "grid_jitter")),
-        )
-
-
-class GaussianClustersPlacement(PlacementModel):
-    name = "gaussian-clusters"
-    params = {"clusters": 4, "cluster_sigma": 0.0}
-
-    def validate(self, config, backend):
-        if int(self.param(config, "clusters")) < 1:
-            raise ValueError("gaussian-clusters placement needs clusters >= 1")
-
-    def initial_positions(self, config, arena, streams):
-        return gaussian_cluster_positions(
-            config.n_nodes,
-            arena,
-            streams.get("placement"),
-            clusters=int(self.param(config, "clusters")),
-            cluster_sigma=float(self.param(config, "cluster_sigma")),
-        )
-
-
-class EdgeWeightedPlacement(PlacementModel):
-    name = "edge-weighted"
-    params = {"edge_bias": 0.7, "edge_margin_frac": 0.15}
-
-    def initial_positions(self, config, arena, streams):
-        return edge_weighted_positions(
-            config.n_nodes,
-            arena,
-            streams.get("placement"),
-            edge_bias=float(self.param(config, "edge_bias")),
-            edge_margin_frac=float(self.param(config, "edge_margin_frac")),
         )
 
 
@@ -295,46 +256,6 @@ class StaticMobility(MobilityAxisModel):
         return StaticPlacement(config.n_nodes, arena, rng=streams.get("mobility"))
 
 
-class PlatoonMobilityModel(MobilityAxisModel):
-    """Correlated convoy motion (:mod:`repro.mobility.platoon`).
-
-    ``platoon_count = 0`` (the default) means one platoon per multicast
-    group — the natural multi-group workload where each session's
-    audience travels together — while an explicit count decouples
-    convoy structure from group structure.
-    """
-
-    name = "platoon"
-    params = {"platoon_count": 0, "platoon_spread": 60.0}
-
-    def validate(self, config, backend):
-        if int(self.param(config, "platoon_count")) < 0:
-            raise ValueError("platoon mobility needs platoon_count >= 0")
-        if float(self.param(config, "platoon_spread")) < 0:
-            raise ValueError("platoon mobility needs platoon_spread >= 0")
-        if config.placement != "uniform":
-            raise ValueError(
-                "platoon mobility derives every position from its convoy "
-                "anchors; the placement axis must stay at its 'uniform' "
-                "default"
-            )
-
-    def build(self, config, arena, initial_positions, streams):
-        count = int(self.param(config, "platoon_count"))
-        if count <= 0:
-            count = max(config.group_count, 1)
-        return PlatoonMobility(
-            config.n_nodes,
-            arena,
-            platoon_count=count,
-            spread=float(self.param(config, "platoon_spread")),
-            v_min=config.v_min,
-            v_max=config.v_max,
-            pause_time=config.pause_time,
-            rng=streams.get("mobility"),
-        )
-
-
 class TraceMobilityModel(MobilityAxisModel):
     name = "trace"
     params = {"trace_file": ""}
@@ -402,27 +323,6 @@ class StaticRandomMembership(MembershipModel):
         return 0, [int(r) for r in receivers]
 
 
-class GeographicClusterMembership(MembershipModel):
-    """Receivers are the nodes nearest a random geographic hot-spot.
-
-    Models a localized audience (a lecture hall, a sensor cluster): the
-    ``membership`` substream draws one focus point in the arena and the
-    ``group_size - 1`` non-source nodes closest to it at t = 0 join.
-    """
-
-    name = "geographic-cluster"
-
-    def initial_group(self, config, mobility, streams):
-        focus = mobility.arena.sample_points(1, streams.get("membership"))[0]
-        positions = mobility.positions(0.0)
-        dist = np.hypot(
-            positions[:, 0] - focus[0], positions[:, 1] - focus[1]
-        )
-        dist[0] = np.inf  # the source joins by definition, not by distance
-        nearest = np.argsort(dist, kind="stable")[: config.group_size - 1]
-        return 0, sorted(int(v) for v in nearest)
-
-
 class RotatingMembership(StaticRandomMembership):
     """Receiver churn: every ``rotation_period`` seconds one receiver
     leaves and one non-member joins.
@@ -480,12 +380,8 @@ class RotatingMembership(StaticRandomMembership):
 # Traffic axis
 # ----------------------------------------------------------------------
 class TrafficModel(ScenarioModel):
-    """Workload factory for the DES backend.
-
-    The rounds backend replays the t = 0 topology and runs no packet
-    workload, so only the default ``cbr`` marker is accepted there (see
-    :func:`validate_models`).
-    """
+    """Workload factory for the DES backend (the rounds backend replays
+    the t = 0 topology and builds no workload)."""
 
     axis = "traffic"
 
@@ -508,49 +404,6 @@ class CbrTraffic(TrafficModel):
         )
 
 
-class OnOffTraffic(TrafficModel):
-    name = "on-off"
-    params = {"onoff_on_s": 10.0, "onoff_off_s": 10.0}
-
-    def validate(self, config, backend):
-        if float(self.param(config, "onoff_on_s")) <= 0:
-            raise ValueError("on-off traffic needs onoff_on_s > 0")
-        if float(self.param(config, "onoff_off_s")) < 0:
-            raise ValueError("on-off traffic needs onoff_off_s >= 0")
-
-    def build(self, network, config):
-        from repro.traffic.onoff import OnOffSource
-
-        return OnOffSource(
-            network,
-            rate_kbps=config.rate_kbps,
-            packet_bytes=config.packet_bytes,
-            start_time=config.traffic_start,
-            on_mean_s=float(self.param(config, "onoff_on_s")),
-            off_mean_s=float(self.param(config, "onoff_off_s")),
-        )
-
-
-class MultiSourceTraffic(TrafficModel):
-    name = "multi-source"
-    params = {"flows": 2}
-
-    def validate(self, config, backend):
-        if int(self.param(config, "flows")) < 1:
-            raise ValueError("multi-source traffic needs flows >= 1")
-
-    def build(self, network, config):
-        from repro.traffic.multiflow import MultiFlowSource
-
-        return MultiFlowSource(
-            network,
-            rate_kbps=config.rate_kbps,
-            packet_bytes=config.packet_bytes,
-            start_time=config.traffic_start,
-            flows=int(self.param(config, "flows")),
-        )
-
-
 # ----------------------------------------------------------------------
 # Registries
 # ----------------------------------------------------------------------
@@ -559,26 +412,16 @@ def _registry(*models: ScenarioModel) -> Dict[str, ScenarioModel]:
 
 
 REGISTRIES: Dict[str, Dict[str, ScenarioModel]] = {
-    "placement": _registry(
-        UniformPlacement(),
-        GridPlacement(),
-        GaussianClustersPlacement(),
-        EdgeWeightedPlacement(),
-    ),
+    "placement": _registry(UniformPlacement(), GridPlacement()),
     "mobility": _registry(
         WaypointMobility(),
         GaussMarkovMobility(),
         RandomWalkMobility(),
         StaticMobility(),
-        PlatoonMobilityModel(),
         TraceMobilityModel(),
     ),
-    "membership": _registry(
-        StaticRandomMembership(),
-        GeographicClusterMembership(),
-        RotatingMembership(),
-    ),
-    "traffic": _registry(CbrTraffic(), OnOffTraffic(), MultiSourceTraffic()),
+    "membership": _registry(StaticRandomMembership(), RotatingMembership()),
+    "traffic": _registry(CbrTraffic()),
 }
 
 #: the hash-neutral default model of each axis (the paper's scenario)
@@ -625,12 +468,6 @@ def validate_models(config: "ScenarioConfig", backend: str) -> None:
     mistyped ``model_params`` key fails at config construction.
     """
     models = resolved_models(config)  # raises on unknown names
-    if backend == "rounds" and config.traffic != DEFAULT_MODELS["traffic"]:
-        raise ValueError(
-            f"traffic model {config.traffic!r} has no rounds realization; "
-            f"the rounds backend replays the t = 0 topology and runs no "
-            f"packet workload"
-        )
     for model in models.values():
         model.validate(config, backend)
     validate_group_models(config, backend)

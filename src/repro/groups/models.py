@@ -349,11 +349,6 @@ def validate_group_models(config: "ScenarioConfig", backend: str) -> None:
             f"group_count > 1 runs one SS-SPST-family instance per group "
             f"({', '.join(_MULTIGROUP_PROTOCOLS)})"
         )
-    if backend == "des" and config.traffic != "cbr":
-        raise ValueError(
-            f"traffic model {config.traffic!r} has no per-group DES "
-            f"realization; group_count > 1 drives one CBR source per group"
-        )
     sizes = models["group-size"].sizes(config)
     if any(s < 2 or s > config.n_nodes for s in sizes):
         raise ValueError(

@@ -1,22 +1,18 @@
 """Initial node placement samplers.
 
 The paper's evaluation places nodes uniformly at random in the arena;
-that remains the default.  The samplers here are the *placement* axis of
-the scenario-model API (:mod:`repro.experiments.scenario_models`):
-structured alternatives — lattices, Gaussian hot-spot clusters,
-perimeter-heavy layouts — that stress tree construction in ways uniform
-placement cannot (cf. cluster-driven WSN topologies, where placement
-structure dominates protocol outcomes).
+that remains the default.  The sampler here is the *placement* axis's
+one alternative (:mod:`repro.experiments.scenario_models`): a lattice,
+the exact layout the analytic anchors need.
 
-Each sampler is a pure function of ``(n, arena, rng)`` returning an
+A sampler is a pure function of ``(n, arena, rng)`` returning an
 ``(n, 2)`` position array inside the arena; determinism per rng seed is
 what the scenario hypothesis tests pin down.  Samplers never share an
-rng with mobility: every sampler here draws from the dedicated
-``placement`` substream, while the uniform *default* has no sampler at
-all — it hands the mobility model ``None`` so its historical
-self-sampling path (``Arena.sample_points`` from the ``mobility``
-substream) keeps default scenarios bit-identical to the pre-model-API
-code.
+rng with mobility: a sampler draws from the dedicated ``placement``
+substream, while the uniform *default* has no sampler at all — it hands
+the mobility model ``None`` so its historical self-sampling path
+(``Arena.sample_points`` from the ``mobility`` substream) keeps default
+scenarios bit-identical to the pre-model-API code.
 """
 
 from __future__ import annotations
@@ -52,65 +48,4 @@ def grid_positions(
         pos += rng.uniform(-0.5, 0.5, size=(n, 2)) * np.array([dx, dy]) * jitter_frac
         pos[:, 0] = np.clip(pos[:, 0], 0.0, arena.width)
         pos[:, 1] = np.clip(pos[:, 1], 0.0, arena.height)
-    return pos
-
-
-def gaussian_cluster_positions(
-    n: int,
-    arena: Arena,
-    rng: np.random.Generator,
-    clusters: int = 4,
-    cluster_sigma: float = 0.0,
-) -> np.ndarray:
-    """Gaussian hot-spots: uniform cluster centres, normal scatter around
-    them, clipped to the arena.
-
-    Nodes are assigned to clusters round-robin (cluster of node ``i`` is
-    ``i % clusters``), so cluster membership is deterministic and the
-    multicast source (node 0) always sits in cluster 0.  ``cluster_sigma``
-    defaults to a tenth of the smaller arena dimension when 0.
-    """
-    if clusters < 1:
-        raise ValueError("need at least one cluster")
-    sigma = cluster_sigma if cluster_sigma > 0 else 0.1 * min(arena.width, arena.height)
-    centres = arena.sample_points(clusters, rng)
-    pos = centres[np.arange(n) % clusters] + sigma * rng.standard_normal((n, 2))
-    pos[:, 0] = np.clip(pos[:, 0], 0.0, arena.width)
-    pos[:, 1] = np.clip(pos[:, 1], 0.0, arena.height)
-    return pos
-
-
-def edge_weighted_positions(
-    n: int,
-    arena: Arena,
-    rng: np.random.Generator,
-    edge_bias: float = 0.7,
-    edge_margin_frac: float = 0.15,
-) -> np.ndarray:
-    """Perimeter-heavy placement: long diameters, thin middles.
-
-    Each node lands in a band of width ``edge_margin_frac * min(w, h)``
-    along a uniformly chosen wall with probability ``edge_bias`` and
-    uniformly in the arena otherwise.  The resulting topologies have the
-    longest shortest paths of any sampler here — the stress case for
-    hop-count ceilings and deep-chain pricing.
-    """
-    if not 0.0 <= edge_bias <= 1.0:
-        raise ValueError("edge_bias must be in [0, 1]")
-    if not 0.0 < edge_margin_frac <= 0.5:
-        raise ValueError("edge_margin_frac must be in (0, 0.5]")
-    margin = edge_margin_frac * min(arena.width, arena.height)
-    pos = arena.sample_points(n, rng)
-    on_edge = rng.random(n) < edge_bias
-    walls = rng.integers(0, 4, size=n)  # 0=left 1=right 2=bottom 3=top
-    depth = rng.uniform(0.0, margin, size=n)
-    for i in np.nonzero(on_edge)[0]:
-        if walls[i] == 0:
-            pos[i, 0] = depth[i]
-        elif walls[i] == 1:
-            pos[i, 0] = arena.width - depth[i]
-        elif walls[i] == 2:
-            pos[i, 1] = depth[i]
-        else:
-            pos[i, 1] = arena.height - depth[i]
     return pos

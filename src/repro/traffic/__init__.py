@@ -1,13 +1,12 @@
 """Application traffic generators.
 
-All sources share one duck-typed contract — ``start()`` / ``stop()`` /
-``packets_sent`` — so the experiment runner can drive any of them; the
-``traffic`` axis of the scenario-model API selects which
-(:mod:`repro.experiments.scenario_models`).
+The paper's workload is one constant-bit-rate source
+(:class:`CbrSource`); the ``traffic`` axis of the scenario-model API
+(:mod:`repro.experiments.scenario_models`) builds it.  A source has the
+duck-typed contract ``start()`` / ``stop()`` / ``packets_sent`` that the
+experiment runner drives.
 """
 
 from repro.traffic.cbr import CbrSource
-from repro.traffic.multiflow import MultiFlowSource
-from repro.traffic.onoff import OnOffSource
 
-__all__ = ["CbrSource", "MultiFlowSource", "OnOffSource"]
+__all__ = ["CbrSource"]

@@ -1,7 +1,7 @@
 """Reproduction tests for the paper's worked examples (Figures 1-6).
 
 The exactly derivable facts (hop and T trees, round ordering, Figure-5
-steering, cost dominance of the E tree) are asserted; EXPERIMENTS.md
+steering, cost dominance of the E tree) are asserted; docs/deviations.md
 documents why the F/E example trees of Figures 4/6 are validated through
 their qualitative claims rather than an edge-for-edge match.
 """
@@ -136,7 +136,7 @@ class TestExample5SSspstE:
     def test_stabilization_round_ordering(self, results):
         """Paper ordering: hop (3) <= T (4) <= F (5) = E (5).  Our executor
         reproduces the ordering though absolute counts differ by one for
-        the richer metrics (see EXPERIMENTS.md)."""
+        the richer metrics (see docs/deviations.md)."""
         r = {k: res.rounds for k, (_, res) in results.items()}
         assert r["hop"] <= r["tx"] <= r["farthest"]
         assert r["energy"] >= r["tx"]

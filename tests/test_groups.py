@@ -16,9 +16,9 @@ Pins the contracts the extension is accountable for:
   MAC, and the cross-group metrics (fairness, link stress, overlap) come
   out populated and sane.
 
-Plus the satellites: JSON scenario import/export round-trip, the
-``platoon`` mobility model, and the campaign CLI end to end over a
-``group_count`` grid (cold then warm).
+Plus the satellites: JSON scenario import/export round-trip, trajectories
+that do not depend on ``group_count``, and the campaign CLI end to end
+over a ``group_count`` grid (cold then warm).
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from repro.experiments.campaign import main
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import build_network, run_scenario
-from repro.experiments.scenario_models import build_scenario_space
+from repro.experiments.scenario_models import (
+    MODEL_NAMES,
+    build_scenario_space,
+)
 from repro.experiments.store import config_key
 from repro.graph.io import (
     SCENARIO_SCHEMA,
@@ -60,8 +63,6 @@ from repro.groups.models import (
     GroupSpec,
     group_model_by_name,
 )
-from repro.mobility.platoon import PlatoonMobility
-from repro.util.geometry import Arena
 from repro.util.rng import RngStreams
 from tests.test_des_golden import record_digest
 
@@ -631,66 +632,28 @@ class TestScenarioIo:
 
 
 # ----------------------------------------------------------------------
-# satellite: platoon mobility
+# satellite: group_count leaves the trajectory alone
 # ----------------------------------------------------------------------
-class TestPlatoonMobility:
-    def test_platoon_members_stay_coherent(self):
-        rng = np.random.default_rng(3)
-        model = PlatoonMobility(
-            n_nodes=12, arena=Arena(500.0, 500.0), platoon_count=3,
-            spread=40.0, v_min=1.0, v_max=5.0, rng=rng,
-        )
-        for t in (0.0, 30.0, 90.0):
-            pos = model.positions(t)
-            for pid in range(3):
-                members = pos[model.assignment == pid]
-                diameter = np.max(
-                    np.linalg.norm(
-                        members[:, None, :] - members[None, :, :], axis=-1
-                    )
-                )
-                # offsets are within +-spread per axis -> bounded diameter
-                assert diameter <= 2 * 40.0 * math.sqrt(2) + 1e-9
+class TestTrajectoryIgnoresGroupCount:
+    """The runner's mobility-profile memo keys on ``_PROFILE_FIELDS``,
+    which omits ``group_count``: that is sound only while no mobility
+    model reads it.  (``trace`` needs a file and replays it verbatim.)"""
 
-    def test_platoon_is_deterministic_and_seed_sensitive(self):
-        def fingerprint(seed):
-            model = PlatoonMobility(
-                n_nodes=10, arena=Arena(400.0, 400.0), platoon_count=2,
-                spread=30.0, v_min=1.0, v_max=4.0,
-                rng=np.random.default_rng(seed),
+    @pytest.mark.parametrize(
+        "mobility", [m for m in MODEL_NAMES["mobility"] if m != "trace"]
+    )
+    @pytest.mark.parametrize("placement", MODEL_NAMES["placement"])
+    def test_positions_do_not_depend_on_group_count(self, mobility, placement):
+        def positions(group_count):
+            cfg = ScenarioConfig.quick(
+                n_nodes=24, group_size=4, group_count=group_count,
+                mobility=mobility, placement=placement, seed=7,
             )
-            return model.positions(50.0).tobytes()
+            model = build_scenario_space(cfg).mobility
+            times = (0.0, 30.0, 90.0, 119.0)
+            return [model.positions(t).tobytes() for t in times]
 
-        assert fingerprint(1) == fingerprint(1)
-        assert fingerprint(1) != fingerprint(2)
-
-    def test_registered_on_the_mobility_axis(self):
-        cfg = fast_base(mobility="platoon", seed=5)
-        space = build_scenario_space(cfg)
-        assert isinstance(space.mobility, PlatoonMobility)
-        # platoon_count=0 defaults to one convoy per multicast group
-        assert space.mobility.platoon_count == max(cfg.group_count, 1)
-        r = run_scenario(fast_base(mobility="platoon", seed=5))
-        assert 0.0 <= r.pdr <= 1.0
-
-    def test_platoon_is_hash_neutral_when_not_selected(self):
-        assert config_key(ScenarioConfig()) == (
-            "1c5fc0a70752e19000558489"
-        )
-
-    def test_platoon_requires_uniform_placement(self):
-        with pytest.raises(ValueError, match="platoon"):
-            ScenarioConfig.quick(mobility="platoon", placement="grid")
-
-    def test_platoon_with_groups(self):
-        cfg = ScenarioConfig.quick(
-            n_nodes=24, group_size=4, group_count=3, mobility="platoon",
-            sim_time=15.0, seed=19,
-        )
-        space = build_scenario_space(cfg)
-        assert space.mobility.platoon_count == 3
-        r = run_scenario(cfg)
-        assert 0.0 <= r.pdr <= 1.0
+        assert positions(1) == positions(3)
 
 
 # ----------------------------------------------------------------------

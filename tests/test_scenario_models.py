@@ -12,8 +12,8 @@ Pins the three contracts the redesign is accountable for:
   build through :func:`build_scenario_space`.
 
 Plus the satellite surfaces: the ``daemon_k`` knob, the mobility-churn
-MetricSpecs, constant-density arena scaling, traffic models, rotating
-membership, the ``--model-param`` / ``--dry-run`` CLI and figm01.
+MetricSpecs, constant-density arena scaling, rotating membership, the
+``--model-param`` / ``--dry-run`` CLI and figm01.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ class TestGoldenHashes:
         forks = [
             {"placement": "grid"},
             {"mobility": "gauss-markov"},
-            {"membership": "geographic-cluster"},
-            {"traffic": "on-off"},
+            {"membership": "rotating"},
             {"daemon_k": 2},
             {"density_ref_n": 50},
             {
@@ -139,26 +138,16 @@ class TestGoldenHashes:
 class TestRegistry:
     def test_axes_and_model_names(self):
         assert AXES == ("placement", "mobility", "membership", "traffic")
-        assert MODEL_NAMES["placement"] == (
-            "uniform",
-            "grid",
-            "gaussian-clusters",
-            "edge-weighted",
-        )
+        assert MODEL_NAMES["placement"] == ("uniform", "grid")
         assert MODEL_NAMES["mobility"] == (
             "waypoint",
             "gauss-markov",
             "random-walk",
             "static",
-            "platoon",
             "trace",
         )
-        assert MODEL_NAMES["membership"] == (
-            "static-random",
-            "geographic-cluster",
-            "rotating",
-        )
-        assert MODEL_NAMES["traffic"] == ("cbr", "on-off", "multi-source")
+        assert MODEL_NAMES["membership"] == ("static-random", "rotating")
+        assert MODEL_NAMES["traffic"] == ("cbr",)
 
     def test_defaults_resolve_and_match_axis_fields(self):
         cfg = fast_base()
@@ -247,12 +236,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="n_nodes"):
             build_scenario_space(cfg)
 
-    def test_rounds_backend_rejects_non_default_traffic(self):
-        with pytest.raises(ValueError, match="no rounds realization"):
-            fast_base(
-                backend="rounds", protocol="ss-spst-e", traffic="on-off"
-            )
-
     def test_rounds_backend_accepts_rotating_membership(self):
         # The rounds backend replays the t = 0 snapshot, which rotation
         # leaves intact by construction.
@@ -325,10 +308,10 @@ class TestDeterminism:
         assert local == remote
 
     def test_seed_moves_every_stochastic_model(self):
-        for placement in ("uniform", "gaussian-clusters", "edge-weighted"):
-            a = _scenario_fingerprint((placement, "waypoint", "static-random", 1))
-            b = _scenario_fingerprint((placement, "waypoint", "static-random", 2))
-            assert a != b, placement
+        for mobility in FREE_MOBILITY:
+            a = _scenario_fingerprint(("uniform", mobility, "static-random", 1))
+            b = _scenario_fingerprint(("uniform", mobility, "static-random", 2))
+            assert a != b, mobility
 
     def test_default_space_replicates_historical_draws(self):
         """The uniform/waypoint/static-random path must reproduce the
@@ -401,19 +384,6 @@ class TestBackendParity:
 # Membership models
 # ----------------------------------------------------------------------
 class TestMembership:
-    def test_geographic_cluster_receivers_are_nearest_to_focus(self):
-        cfg = fast_base(membership="geographic-cluster", mobility="static")
-        space = build_scenario_space(cfg)
-        positions = space.mobility.positions(0.0)
-        streams = RngStreams(cfg.seed)
-        focus = space.arena.sample_points(1, streams.get("membership"))[0]
-        dist = np.hypot(positions[:, 0] - focus[0], positions[:, 1] - focus[1])
-        chosen = set(space.receivers)
-        others = set(range(1, cfg.n_nodes)) - chosen
-        assert len(chosen) == cfg.group_size - 1
-        assert 0 not in chosen
-        assert max(dist[sorted(chosen)]) <= min(dist[sorted(others)]) + 1e-9
-
     def test_rotating_initial_group_matches_static_random(self):
         rot = build_scenario_space(fast_base(membership="rotating"))
         stat = build_scenario_space(fast_base())
@@ -487,38 +457,6 @@ class TestMembership:
         net.update_membership(joins=[outsider], leaves=[leaver])
         assert set(calls) == {outsider, leaver}
         assert outsider in net.members and leaver not in net.members
-
-
-# ----------------------------------------------------------------------
-# Traffic models
-# ----------------------------------------------------------------------
-class TestTraffic:
-    def _originated(self, sim_time=30.0, **kw):
-        cfg = fast_base(protocol="flooding", sim_time=sim_time, **kw)
-        return run_scenario(cfg)
-
-    def test_on_off_preserves_average_rate(self):
-        cbr = self._originated(sim_time=90.0)
-        bursty = self._originated(
-            sim_time=90.0,
-            traffic="on-off",
-            model_params={"onoff_on_s": 2.0, "onoff_off_s": 2.0},
-        )
-        assert bursty.data_originated > 0
-        # The burst rate is scaled by (on+off)/on, so the long-run
-        # average matches CBR; 30% slack absorbs burst-boundary noise
-        # over the ~40 renewal cycles this window holds.
-        assert 0.7 * cbr.data_originated <= bursty.data_originated
-        assert bursty.data_originated <= 1.3 * cbr.data_originated
-
-    def test_multi_source_flows_interleave(self):
-        cbr = self._originated()
-        multi = self._originated(
-            traffic="multi-source", model_params={"flows": 3}
-        )
-        # Aggregate rate preserved (same packet count +- the phase tails).
-        assert abs(multi.data_originated - cbr.data_originated) <= 3
-        assert multi.summary.pdr > 0.0
 
 
 # ----------------------------------------------------------------------
