@@ -63,14 +63,11 @@ _LAZY_EXPORTS = {
     "shard_of": "store",
     # scheduler layer
     "Scheduler": "scheduler",
-    "SerialScheduler": "scheduler",
     "PoolScheduler": "scheduler",
     "CancelCampaign": "scheduler",
     # aggregation layer
     "Welford": "aggregation",
     "StreamingAggregate": "aggregation",
-    "CampaignStatus": "aggregation",
-    "campaign_status": "aggregation",
 }
 
 

@@ -14,9 +14,12 @@ operations guide):
   missing runs and an interrupted campaign resumes where it stopped;
 * a **scheduler** (:mod:`repro.experiments.scheduler`) — serial, or the
   multiprocessing pool when ``workers > 1``;
-* **streaming aggregation** (:mod:`repro.experiments.aggregation`) —
-  per-cell running mean ± Student-t CI (Welford) updated as records
-  land, so ``status`` renders tables for campaigns still in flight.
+* **aggregation** (:mod:`repro.experiments.aggregation`) — every run,
+  executed or loaded, lands in its slot of a :class:`CampaignResult`,
+  the one place that computes per-cell mean ± Student-t CI (Welford)
+  and renders the table that ``submit``, ``results`` and ``status``
+  print.  :func:`run_campaign` and the read-only
+  :func:`collect_campaign` load a store through one loop.
 
 Each run executes on the config's **experiment backend**
 (:mod:`repro.experiments.backends`): ``des`` — the packet-level
@@ -44,6 +47,7 @@ invocation assembles everything from the store.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -54,7 +58,7 @@ import typing
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import mean_ci
+from repro.analysis.stats import CiSummary, mean_ci
 from repro.experiments.backends import (
     backend_by_name,
     default_metrics,
@@ -78,10 +82,7 @@ from repro.experiments.scheduler import (
     PoolScheduler,
     Scheduler,
 )
-from repro.experiments.aggregation import (
-    StreamingAggregate,
-    campaign_status,
-)
+from repro.experiments.aggregation import StreamingAggregate
 
 # ----------------------------------------------------------------------
 # Campaign spec
@@ -89,6 +90,20 @@ from repro.experiments.aggregation import (
 #: ScenarioConfig fields every campaign sweeps through its own argument
 #: (field -> argument): never a grid axis, never a base-config override
 SPEC_AXES = {"protocol": "protocols", "seed": "seeds"}
+
+#: an aggregation cell: (protocol, grid point as (field, value) pairs)
+CellKey = Tuple[str, Tuple]
+
+
+def _reject_duplicates(what: str, values: Sequence) -> None:
+    """A value listed twice would run the same configs twice, and the
+    copies would count as separate replications of one cell."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(
+            f"{what} lists {repeated[0]!r} more than once; each value "
+            f"must appear once"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,10 @@ class CampaignSpec:
                 )
             if not values:
                 raise ValueError(f"grid axis {name!r} has no values")
+            _reject_duplicates(f"grid axis {name!r}", values)
+        _reject_duplicates("protocols", self.protocols)
+        _reject_duplicates("seeds", self.seeds)
+        _reject_duplicates("grid axes", [name for name, _ in self.grid])
 
     @classmethod
     def from_mapping(
@@ -188,83 +207,79 @@ def _execute(config: ScenarioConfig) -> dict:
 
 
 @dataclass
-class CampaignResult:
-    """All runs of a campaign plus cache accounting.
+class CampaignResult(StreamingAggregate):
+    """The landed runs of a campaign, their cache accounting, and the
+    one per-cell aggregation and table over them.
 
-    ``results`` is aligned with ``spec.configs()``; entries are ``None``
-    for runs outside this invocation's shard that no store could supply
-    (``skipped`` counts them) — and, on a cancelled campaign, for runs
-    that never got to execute.  Aggregation works over whatever is
-    present, so a shard (or a cancelled run) still prints its partial
-    table.
+    ``results`` is aligned with ``spec.configs()``; every run lands in
+    it through :meth:`update`.  Entries stay ``None`` for runs outside
+    this invocation's shard that no store could supply (``skipped``
+    counts them), for runs a read-only :func:`collect_campaign` did not
+    find, and, on a cancelled campaign, for runs that never got to
+    execute.  Aggregation works over whatever is present, so a shard
+    (or a cancelled run) still prints its partial table.
     """
 
-    spec: CampaignSpec
-    results: List[Optional[RunResult]]  # aligned with spec.configs()
     executed: int = 0
     cache_hits: int = 0  # store hits
-    skipped: int = 0  # out-of-shard runs left to other machines
+    skipped: int = 0  # runs neither stored nor executed here
     cancelled: bool = False  # a CancelCampaign stopped dispatch early
     elapsed_s: float = 0.0
-    stream: Optional[StreamingAggregate] = None  # live per-cell mean/CI
 
     # ------------------------------------------------------------------
-    def by_cell(self) -> Dict[Tuple[str, Tuple], List[RunResult]]:
-        """Available seed replications grouped per (protocol, grid point)
-        cell.
+    def by_cell(self) -> Dict[CellKey, List[RunResult]]:
+        """Landed seed replications grouped per (protocol, grid point)
+        cell, in slot order.
 
         The point is keyed by its ``(field, value)`` tuple so cells stay
-        hashable; iteration order follows the spec.  Skipped
-        (out-of-shard, unstored) runs are absent from the lists.
+        hashable; iteration order follows the spec.  Runs that have not
+        landed are absent from the lists.
         """
-        out: Dict[Tuple[str, Tuple], List[RunResult]] = {}
-        i = 0
-        for proto, point in self.spec.cells():
-            key = (proto, tuple(point.items()))
-            chunk = self.results[i : i + len(self.spec.seeds)]
-            out[key] = [r for r in chunk if r is not None]
-            i += len(self.spec.seeds)
+        out: Dict[CellKey, List[RunResult]] = {}
+        per_cell = len(self.spec.seeds)
+        for c, (proto, point) in enumerate(self.spec.cells()):
+            chunk = self.results[c * per_cell : (c + 1) * per_cell]
+            out[(proto, tuple(point.items()))] = [
+                r for r in chunk if r is not None
+            ]
         return out
 
     def aggregate(
-        self, extract: Callable[[RunResult], float], confidence: float = 0.95
-    ):
-        """Per-cell mean ± CI of an extracted quantity.
+        self, metric: str, confidence: float = 0.95
+    ) -> Dict[CellKey, CiSummary]:
+        """Per-cell mean ± CI of a metric name.
 
-        Returns ``{(protocol, point_items): CiSummary}``.  Cells with no
-        available runs (a foreign shard's share) are omitted.
+        The name resolves once, against every backend the campaign spans
+        (:func:`~repro.experiments.backends.metric_extractor`), so it
+        works over DES runs, rounds runs, or a mix.  Each cell's landed
+        runs fold in slot order through ``mean_ci``; cells where nothing
+        landed are omitted.
         """
+        extract = metric_extractor(metric, self.spec.backends())
         return {
             key: mean_ci([extract(r) for r in runs], confidence)
             for key, runs in self.by_cell().items()
             if runs
         }
 
-    def extractor(self, metric: str) -> Callable:
-        """The backend-dispatching extractor for a metric name.
-
-        Resolved against every backend the campaign spans (see
-        :func:`repro.experiments.backends.metric_extractor`), so the same
-        name works over DES runs, rounds runs, or a mix.
-        """
-        return metric_extractor(metric, self.spec.backends())
-
     def format_table(self, metrics: Sequence[str] = ("pdr",)) -> str:
-        """Aggregate table: one row per cell, mean ± CI per metric."""
-        rows = []
-        counts = {key: len(runs) for key, runs in self.by_cell().items()}
-        labels = {key: cell_label(key[1]) for key in counts}
+        """Aggregate table: one row per cell, mean ± CI per metric, and
+        ``-`` in a cell where nothing landed."""
+        cells = self.by_cell()
+        labels = {key: cell_label(key[1]) for key in cells}
         width = max([24] + [len(v) for v in labels.values()])
         header = f"{'protocol':>12s} {'grid point':>{width}s} {'n':>3s}"
         for m in metrics:
             header += f" {m:>24s}"
-        rows.append(header)
-        aggs = [self.aggregate(self.extractor(m)) for m in metrics]
-        for key in aggs[0] if aggs else []:
-            proto, point = key
-            row = f"{proto:>12s} {labels[key]:>{width}s} {counts[key]:>3d}"
+        rows = [header]
+        aggs = [self.aggregate(m) for m in metrics]
+        for key, runs in cells.items():
+            row = f"{key[0]:>12s} {labels[key]:>{width}s} {len(runs):>3d}"
             for agg in aggs:
-                ci = agg[key]
+                ci = agg.get(key)
+                if ci is None:
+                    row += f" {'-':>12s} {'-':>11s}"
+                    continue
                 hw = f"±{ci.half_width:.4f}" if ci.half_width == ci.half_width else "±nan"
                 row += f" {ci.mean:>12.4f} {hw:>11s}"
             rows.append(row)
@@ -277,6 +292,42 @@ def cell_label(point_items: Iterable[Tuple[str, object]]) -> str:
     return ",".join(f"{k}={v}" for k, v in point_items) or "-"
 
 
+@contextlib.contextmanager
+def _opened(store):
+    """The live store behind ``store`` (a ResultStore, a spec string, or
+    None for no store).  A store opened here from a spec string is
+    closed on exit; a ResultStore passed in stays open, owned by its
+    caller."""
+    result_store = open_store(store) if store is not None else None
+    try:
+        yield result_store
+    finally:
+        if result_store is not None and result_store is not store:
+            result_store.close()
+
+
+def _land_stored(
+    campaign: CampaignResult, result_store, configs: List[ScenarioConfig]
+) -> Dict[int, str]:
+    """Land every run the store holds; return the config key of each
+    slot it lacks.  The key of a missing run is the key its finished
+    record is put under, so an unsharded cold run hashes each config
+    once."""
+    missing: Dict[int, str] = {}
+    for i, cfg in enumerate(configs):
+        # through the module, so a wrapper on store.config_key sees
+        # every key
+        key = stores.config_key(cfg)
+        record = result_store.load(cfg, key)
+        if record is None:
+            missing[i] = key
+            continue
+        # the record matched cfg: no config rebuilt from it
+        campaign.update(i, result_from_record(record, cfg))
+        campaign.cache_hits += 1
+    return missing
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -285,16 +336,14 @@ def run_campaign(
     shard: Optional[Tuple[int, int]] = None,
     store=None,
     scheduler: Optional[Scheduler] = None,
-    stream_metrics: Optional[Sequence[str]] = None,
-    on_update: Optional[Callable[[StreamingAggregate], None]] = None,
 ) -> CampaignResult:
     """Execute a campaign, reusing every result that is already known.
 
     Lookup order per run: the result store → execute.  Pending runs go
-    to the ``scheduler`` (default: the multiprocessing pool when
-    ``workers > 1``); each finished record is written to the store as it
-    arrives, so interrupting the campaign loses at most the in-flight
-    runs.
+    to the ``scheduler`` (default: :class:`PoolScheduler` of
+    ``workers``, serial at one); each finished record is written to the
+    store as it arrives, so interrupting the campaign loses at most the
+    in-flight runs.
 
     ``store`` is a :class:`~repro.experiments.store.ResultStore` or a
     spec string (``json:DIR``, ``sqlite:PATH``, or a bare path — a
@@ -311,12 +360,10 @@ def run_campaign(
     un-sharded invocation against the shared store assembles the full
     campaign without executing anything.
 
-    Streaming aggregation runs alongside: ``result.stream`` holds the
-    per-cell running mean/CI over every landed run, and ``on_update``
-    (called after each executed record) may watch it — or raise
-    :class:`~repro.experiments.scheduler.CancelCampaign` to stop the
-    campaign, which returns the partial result marked ``cancelled`` with
-    every delivered run persisted.
+    A :class:`~repro.experiments.scheduler.CancelCampaign` raised while
+    a run lands (by the scheduler's result callback) stops the campaign,
+    which returns the partial result marked ``cancelled`` with every
+    delivered run persisted.
     """
     if shard is not None:
         index, count = shard
@@ -329,126 +376,61 @@ def run_campaign(
             )
     t0 = time.perf_counter()
     configs = spec.configs()
-    stream = StreamingAggregate(
-        spec,
-        stream_metrics
-        if stream_metrics is not None
-        else default_metrics(spec.backends()),
-    )
+    campaign = CampaignResult(spec)
+    with _opened(store) as result_store:
+        # slot -> config key of every run the store could not supply
+        missing = (
+            _land_stored(campaign, result_store, configs)
+            if result_store is not None
+            else dict.fromkeys(range(len(configs)))
+        )
+        pending = [
+            (i, configs[i])
+            for i in missing
+            if shard is None or shard_of(configs[i], shard[1]) == shard[0]
+        ]
+        campaign.skipped = len(missing) - len(pending)
 
-    results: List[Optional[RunResult]] = [None] * len(configs)
-    pending: List[Tuple[int, ScenarioConfig]] = []
-    # config hash of each run left to execute, computed once at load
-    keys: Dict[int, str] = {}
-    cache_hits = skipped = executed = 0
-    cancelled = False
-
-    def _finish(i: int, record: dict) -> None:
-        nonlocal executed
-        cfg = configs_by_index[i]
-        results[i] = result_from_record(record, cfg)
-        executed += 1
-        if result_store is not None:
-            result_store.put(keys[i], record)
-        stream.update(i, results[i])
-        if progress:
-            progress(
-                f"[{spec.name}] {cfg.protocol} seed={cfg.seed} "
-                f"({record['elapsed_s']:.2f}s)"
-            )
-        if on_update is not None:
-            on_update(stream)  # may raise CancelCampaign
-
-    result_store = open_store(store) if store is not None else None
-    try:
-        for i, cfg in enumerate(configs):
+        def _land(i: int, record: dict) -> None:
+            cfg = configs[i]
+            campaign.update(i, result_from_record(record, cfg))
+            campaign.executed += 1
             if result_store is not None:
-                # through the module, so a wrapper on store.config_key
-                # sees every key
-                key = stores.config_key(cfg)
-                record = result_store.load(cfg, key)
-                if record is not None:
-                    # the record matched cfg: no config rebuilt from it
-                    results[i] = result_from_record(record, cfg)
-                    cache_hits += 1
-                    stream.update(i, results[i])
-                    continue
-                keys[i] = key
-            if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
-                skipped += 1
-                continue
-            pending.append((i, cfg))
+                result_store.put(missing[i], record)
+            if progress:
+                progress(
+                    f"[{spec.name}] {cfg.protocol} seed={cfg.seed} "
+                    f"({record['elapsed_s']:.2f}s)"
+                )
 
-        configs_by_index = dict(pending)
         engine = scheduler if scheduler is not None else PoolScheduler(workers)
         try:
             if pending:
-                engine.execute(_execute, pending, _finish)
+                engine.execute(_execute, pending, _land)
         except CancelCampaign:
-            cancelled = True
+            campaign.cancelled = True
         finally:
             if result_store is not None:
                 result_store.flush()
-    finally:
-        if result_store is not None and result_store is not store:
-            result_store.close()  # opened here from a spec string
-
-    return CampaignResult(
-        spec=spec,
-        results=list(results),
-        executed=executed,
-        cache_hits=cache_hits,
-        skipped=skipped,
-        cancelled=cancelled,
-        elapsed_s=time.perf_counter() - t0,
-        stream=stream,
-    )
+    campaign.elapsed_s = time.perf_counter() - t0
+    return campaign
 
 
-def collect_campaign(
-    spec: CampaignSpec,
-    store,
-    stream_metrics: Optional[Sequence[str]] = None,
-) -> CampaignResult:
+def collect_campaign(spec: CampaignSpec, store) -> CampaignResult:
     """Assemble a campaign from a store without executing anything.
 
     The read-only counterpart of :func:`run_campaign` (the ``results``
-    verb, and the store read behind ``status``): every stored run loads
-    into its slot, missing runs count as ``skipped``.  Aggregation and
-    tables work over whatever is present; ``result.stream`` aggregates
-    ``stream_metrics`` (default: the backends' default metrics).
+    and ``status`` verbs), through the same store loop: every stored
+    run lands in its slot, missing runs count as ``skipped``.
     """
     t0 = time.perf_counter()
-    result_store = open_store(store)
-    configs = spec.configs()
-    results: List[Optional[RunResult]] = [None] * len(configs)
-    stream = StreamingAggregate(
-        spec,
-        stream_metrics
-        if stream_metrics is not None
-        else default_metrics(spec.backends()),
-    )
-    cache_hits = 0
-    try:
-        for i, cfg in enumerate(configs):
-            record = result_store.load(cfg)
-            if record is None:
-                continue
-            results[i] = result_from_record(record, cfg)
-            cache_hits += 1
-            stream.update(i, results[i])
-    finally:
-        if result_store is not store:
-            result_store.close()  # opened from a spec string here
-    return CampaignResult(
-        spec=spec,
-        results=results,
-        executed=0,
-        cache_hits=cache_hits,
-        skipped=len(configs) - cache_hits,
-        elapsed_s=time.perf_counter() - t0,
-        stream=stream,
-    )
+    campaign = CampaignResult(spec)
+    with _opened(store) as result_store:
+        campaign.skipped = len(
+            _land_stored(campaign, result_store, spec.configs())
+        )
+    campaign.elapsed_s = time.perf_counter() - t0
+    return campaign
 
 
 # ----------------------------------------------------------------------
@@ -821,30 +803,38 @@ def _require_store(args) -> str:
     return args.store
 
 
-def _main_status(argv: Sequence[str]) -> int:
-    parser = _build_view_parser(
-        "status",
-        "Streaming view of a campaign's store: per-cell running mean/CI "
-        "over whatever has landed so far.  Read-only; safe while "
-        "campaigns are writing.",
-    )
-    args = parser.parse_args(argv)
+def _collect_from_args(args):
+    """``(spec, metrics, campaign)`` of a read-only verb.  The store is
+    probed, never created: when it does not exist, that is printed and
+    ``campaign`` is None."""
     try:
         spec = spec_from_args(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    metrics = _metrics_from_args(args, spec) if args.metrics else None
+    metrics = _metrics_from_args(args, spec)
     store = probe_store(_require_store(args))
     if store is None:
         print(f"# campaign {spec.name}: 0/{spec.size()} runs (store absent)")
-        return 0
+        return spec, metrics, None
     with store:
-        status = campaign_status(spec, store, metrics=metrics)
-    print(
-        f"# campaign {spec.name}: {status.done}/{status.total} runs complete"
-        f"{' [complete]' if status.complete else ''}"
+        return spec, metrics, collect_campaign(spec, store)
+
+
+def _main_status(argv: Sequence[str]) -> int:
+    parser = _build_view_parser(
+        "status",
+        "Progress of a campaign in its store: per-cell mean/CI over "
+        "whatever has landed so far.  Read-only; safe while campaigns "
+        "are writing.",
     )
-    print(status.format_table())
+    spec, metrics, campaign = _collect_from_args(parser.parse_args(argv))
+    if campaign is None:
+        return 0
+    print(
+        f"# campaign {spec.name}: {campaign.done}/{spec.size()} runs complete"
+        f"{' [complete]' if campaign.done == spec.size() else ''}"
+    )
+    print(campaign.format_table(metrics))
     return 0
 
 
@@ -861,12 +851,9 @@ def _main_results(argv: Sequence[str]) -> int:
         help="write the machine-readable campaign record to PATH",
     )
     args = parser.parse_args(argv)
-    try:
-        spec = spec_from_args(args)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    metrics = _metrics_from_args(args, spec)
-    campaign = collect_campaign(spec, _require_store(args))
+    spec, metrics, campaign = _collect_from_args(args)
+    if campaign is None:
+        return 0
     print(
         f"# campaign {spec.name}: {spec.size()} runs "
         f"(stored={campaign.cache_hits} missing={campaign.skipped})"
@@ -1030,8 +1017,7 @@ def _write_json_record(
     cells = {}
     counts = {key: len(runs) for key, runs in campaign.by_cell().items()}
     for metric in metrics:
-        agg = campaign.aggregate(campaign.extractor(metric))
-        for (proto, point), ci in agg.items():
+        for (proto, point), ci in campaign.aggregate(metric).items():
             cell = cells.setdefault(
                 f"{proto} {cell_label(point)}", {"n": counts[(proto, point)]}
             )

@@ -69,7 +69,7 @@ def _plotted_cis(
     spec = campaign.spec
     (x_name, xs), *extra = spec.grid
     fixed = tuple((name, getattr(spec.base, name)) for name, _ in extra)
-    agg = campaign.aggregate(campaign.extractor(metric), confidence)
+    agg = campaign.aggregate(metric, confidence)
     return {
         (proto, _x_key(x)): agg[(proto, ((x_name, x),) + fixed)]
         for proto in spec.protocols
@@ -193,21 +193,18 @@ class FigureDef:
         seeds: Sequence[int] = (1, 2, 3),
         workers: int = 1,
         store=None,
-        scheduler=None,
     ) -> FigureResult:
         """Run the figure's campaign and read off its plotted series.
 
-        ``workers`` runs the grid on a process pool (or any explicit
-        ``scheduler``); ``store`` — a result-store spec or instance —
-        persists every run so later invocations (or other figures
-        sharing cells, e.g. Figures 7/8/9, which differ only in the
-        metric they plot) skip it.
+        ``workers`` runs the grid on a process pool; ``store`` — a
+        result-store spec or instance — persists every run so later
+        invocations (or other figures sharing cells, e.g. Figures 7/8/9,
+        which differ only in the metric they plot) skip it.
         """
         campaign = run_campaign(
             self.campaign_spec(quick=quick, seeds=seeds),
             workers=workers,
             store=store,
-            scheduler=scheduler,
         )
         cis = _plotted_cis(campaign, self.metric)
         x_values = [_x_key(x) for x in (self.x_quick if quick else self.x_full)]

@@ -75,8 +75,8 @@ def run_lifetime(
 def _lifetime_execute(payload) -> LifetimeResult:
     """Scheduler worker: one (config, battery) lifetime run.
 
-    Top level (picklable) so ``compare_lifetimes`` can fan out on any
-    :class:`~repro.experiments.scheduler.Scheduler`.
+    Top level (picklable) so ``compare_lifetimes`` can fan out on a
+    :class:`~repro.experiments.scheduler.PoolScheduler`.
     """
     config, battery_j = payload
     return run_lifetime(config, battery_j)
@@ -87,15 +87,13 @@ def compare_lifetimes(
     battery_j: float,
     base: Optional[ScenarioConfig] = None,
     seeds=(1, 2),
-    scheduler=None,
     workers: int = 1,
 ) -> Dict[str, List[LifetimeResult]]:
     """Battery-limited comparison across protocols on shared scenarios.
 
-    Runs through the campaign scheduler layer: pass ``workers > 1`` (or
-    an explicit ``scheduler``) to fan the protocol × seed grid out in
-    parallel; results come back in the same deterministic order either
-    way.
+    Runs through the campaign scheduler layer: pass ``workers > 1`` to
+    fan the protocol × seed grid out in parallel; results come back in
+    the same deterministic order either way.
     """
     from repro.experiments.scheduler import PoolScheduler
 
@@ -109,8 +107,7 @@ def compare_lifetimes(
             jobs.append((p_i * len(seeds) + s_i, (config, battery_j)))
 
     results: List[Optional[LifetimeResult]] = [None] * len(jobs)
-    engine = scheduler if scheduler is not None else PoolScheduler(workers)
-    engine.execute(
+    PoolScheduler(workers).execute(
         _lifetime_execute, jobs, lambda i, res: results.__setitem__(i, res)
     )
     return {

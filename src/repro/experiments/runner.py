@@ -9,6 +9,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import (
     build_scenario_space,
     resolved_models,
+    scenario_content_fingerprint,
 )
 from repro.groups.metrics import group_tree_stats
 from repro.metrics.hub import MetricsHub, RunSummary
@@ -245,9 +246,12 @@ def _mobility_profile(config: ScenarioConfig):
     simulation's own (now-exhausted) model cannot be resampled; a fresh
     scenario space replays the identical trajectory from the same seed.
     Memoized on the trajectory-relevant config fields because the
-    profile is protocol-independent.
+    profile is protocol-independent, plus the content digest of a trace
+    file, so a file edited in place is replayed afresh.
     """
-    key = tuple(getattr(config, f) for f in _PROFILE_FIELDS)
+    key = tuple(getattr(config, f) for f in _PROFILE_FIELDS) + (
+        scenario_content_fingerprint(config),
+    )
     profile = _PROFILE_MEMO.get(key)
     if profile is None:
         replay = build_scenario_space(config).mobility

@@ -1,19 +1,16 @@
-"""Schedulers: pluggable execution engines for campaign runs.
+"""Schedulers: execution engines for campaign runs.
 
 This is the **scheduler layer** of the campaign service (see
 ``docs/campaigns.md``).  A :class:`Scheduler` takes a list of indexed
 jobs and a worker function and delivers ``(index, result)`` pairs to a
 callback in completion order; everything else — cache lookups, sharding,
-persistence, aggregation — stays in the layers around it.  Two engines:
+persistence, aggregation — stays in the layers around it.
+:class:`PoolScheduler` is the one engine: an in-process loop at one
+worker, ``multiprocessing.Pool.imap_unordered`` above that.  Its
+chunksize of 1 hands out one job at a time, so a slow run never idles
+the other workers.
 
-* :class:`SerialScheduler` — in-process loop (deterministic, zero
-  overhead; what ``workers=1`` always meant).
-* :class:`PoolScheduler` — ``multiprocessing.Pool.imap_unordered``,
-  byte-for-byte the historical ``workers=N`` behavior.  Its chunksize
-  of 1 hands out one job at a time, so a slow run never idles the
-  other workers.
-
-A :class:`CancelCampaign` raised by the result callback stops either
+A :class:`CancelCampaign` raised by the result callback stops the
 engine; combined with per-record persistence this makes any campaign
 killable and resumable at run granularity.
 
@@ -30,7 +27,6 @@ from typing import Callable, Sequence, Tuple
 __all__ = [
     "CancelCampaign",
     "Scheduler",
-    "SerialScheduler",
     "PoolScheduler",
 ]
 
@@ -45,8 +41,9 @@ class CancelCampaign(Exception):
 
     Schedulers treat it as a cancellation signal, not an error: dispatch
     stops, the pool terminates any in-flight runs, and the exception
-    propagates to the caller, which keeps every result delivered so far.  :func:`repro.experiments.campaign.run_campaign`
-    turns it into a partial :class:`CampaignResult` marked ``cancelled``.
+    propagates to the caller, which keeps every result delivered so far.
+    :func:`repro.experiments.campaign.run_campaign` turns it into a
+    partial :class:`CampaignResult` marked ``cancelled``.
     """
 
 
@@ -71,16 +68,6 @@ class Scheduler(abc.ABC):
         """
 
 
-class SerialScheduler(Scheduler):
-    """In-process sequential execution (the ``workers=1`` path)."""
-
-    name = "serial"
-
-    def execute(self, fn, jobs, on_result) -> None:
-        for i, payload in jobs:
-            on_result(i, fn(payload))
-
-
 def _call_indexed(packed: Tuple[Callable, int, object]) -> Tuple[int, object]:
     """Pool-side trampoline carrying the job's slot index, so unordered
     completions map back to the right result slot."""
@@ -89,12 +76,12 @@ def _call_indexed(packed: Tuple[Callable, int, object]) -> Tuple[int, object]:
 
 
 class PoolScheduler(Scheduler):
-    """``multiprocessing.Pool`` fan-out — the historical parallel path.
+    """``multiprocessing.Pool`` fan-out, in-process at one worker.
 
-    Falls back to serial when the batch (or ``workers``) is 1, exactly
-    like the pre-refactor campaign loop.  Cancellation is abrupt: the
-    pool context terminates in-flight workers, and a resumed campaign
-    re-runs them (nothing they computed was stored).
+    Runs serially, with no pool, when the batch (or ``workers``) is 1.
+    Cancellation is abrupt: the pool context terminates in-flight
+    workers, and a resumed campaign re-runs them (nothing they computed
+    was stored).
     """
 
     name = "pool"
@@ -105,7 +92,8 @@ class PoolScheduler(Scheduler):
     def execute(self, fn, jobs, on_result) -> None:
         n = min(self.workers, len(jobs))
         if n <= 1:
-            SerialScheduler().execute(fn, jobs, on_result)
+            for i, payload in jobs:
+                on_result(i, fn(payload))
             return
         packed = [(fn, i, payload) for i, payload in jobs]
         with multiprocessing.Pool(n) as pool:

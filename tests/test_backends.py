@@ -304,7 +304,7 @@ class TestGoldenAggregation:
             seeds=(1, 2, 3),
         )
         campaign = run_campaign(spec)
-        agg = campaign.aggregate(campaign.extractor("rounds"))
+        agg = campaign.aggregate("rounds")
         backend = backend_by_name("rounds")
         for (proto, point), ci in agg.items():
             direct = [
@@ -321,7 +321,7 @@ class TestGoldenAggregation:
             seeds=(1, 2),
         )
         campaign = run_campaign(spec, workers=2)
-        agg = campaign.aggregate(campaign.extractor("pdr"))
+        agg = campaign.aggregate("pdr")
         ((_, ci),) = list(agg.items())
         backend = backend_by_name("des")
         direct = [
@@ -342,12 +342,12 @@ class TestGoldenAggregation:
         )
         assert spec.backends() == ("des", "rounds")
         campaign = run_campaign(spec)
-        rounds_agg = campaign.aggregate(campaign.extractor("rounds"))
+        rounds_agg = campaign.aggregate("rounds")
         des_cell = ("ss-spst", (("backend", "des"),))
         rounds_cell = ("ss-spst", (("backend", "rounds"),))
         assert rounds_agg[rounds_cell].n == 1
         assert rounds_agg[des_cell].mean != rounds_agg[des_cell].mean  # nan
-        pdr_agg = campaign.aggregate(campaign.extractor("pdr"))
+        pdr_agg = campaign.aggregate("pdr")
         assert 0.0 <= pdr_agg[des_cell].mean <= 1.0
 
     def test_unknown_metric_lists_choices(self):

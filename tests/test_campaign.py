@@ -139,6 +139,41 @@ class TestCampaignSpec:
             fast_spec(grid={"v_max": ()})
 
     @pytest.mark.parametrize(
+        "kw, what",
+        [
+            ({"protocols": ("ss-spst", "ss-spst")}, "protocols"),
+            ({"seeds": (1, 1, 1)}, "seeds"),
+            ({"grid": {"n_nodes": (12, 12)}}, "grid axis 'n_nodes'"),
+            ({"grid": {"v_max": (1, 1.0)}}, "grid axis 'v_max'"),
+        ],
+        ids=["protocols", "seeds", "grid-n_nodes", "grid-v_max"],
+    )
+    def test_rejects_duplicate_values(self, kw, what):
+        """A value listed twice would run the same configs twice and
+        count the copies as replications of one cell."""
+        with pytest.raises(ValueError, match=f"{what} lists .* more than once"):
+            fast_spec(**kw)
+
+    def test_rejects_a_repeated_grid_axis(self):
+        with pytest.raises(ValueError, match="grid axes lists 'v_max'"):
+            CampaignSpec(
+                name="test",
+                base=fast_base(),
+                protocols=("flooding",),
+                seeds=(1,),
+                grid=(("v_max", (1.0,)), ("v_max", (5.0,))),
+            )
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "paper"])
+    def test_every_figure_spec_builds(self, quick):
+        from repro.experiments.figures import FIGURES
+
+        for fig_id, fig in FIGURES.items():
+            spec = fig.campaign_spec(quick=quick)
+            assert spec.name == fig_id
+            assert spec.size() == len(spec.configs())
+
+    @pytest.mark.parametrize(
         "axis, values, argument",
         [("protocol", ("flooding",), "protocols"), ("seed", (1, 2), "seeds")],
     )
@@ -268,22 +303,6 @@ class TestRunCampaign:
         assert rest.cache_hits == 4
         assert rest.executed == full.size() - 4
 
-    def test_duplicate_configs_fill_every_slot(self):
-        """Regression: repeated seeds used to collapse to one pool result
-        (the worker map was keyed by config hash), leaving None slots."""
-        spec = fast_spec(protocols=("flooding",), seeds=(1, 1), grid={})
-        campaign = run_campaign(spec, workers=2)
-        assert campaign.executed == 2
-        assert all(r is not None for r in campaign.results)
-        assert (
-            campaign.results[0].summary.as_dict()
-            == campaign.results[1].summary.as_dict()
-        )
-        # the aggregate over the duplicated cell must also work
-        agg = campaign.aggregate(lambda r: r.summary.pdr)
-        (ci,) = agg.values()
-        assert ci.n == 2
-
     def test_progress_reports_executed_runs(self, test_store):
         seen = []
         spec = fast_spec(protocols=("flooding",), seeds=(1, 2), grid={})
@@ -296,7 +315,7 @@ class TestRunCampaign:
 
         spec = fast_spec(protocols=("flooding",), seeds=(1, 2, 3), grid={})
         campaign = run_campaign(spec, workers=2)
-        agg = campaign.aggregate(lambda r: r.summary.pdr)
+        agg = campaign.aggregate("pdr")
         (key,) = agg
         expected = mean_ci([r.summary.pdr for r in campaign.results])
         assert agg[key] == expected
@@ -336,7 +355,7 @@ class TestSharding:
         present = [r for r in campaign.results if r is not None]
         assert len(present) == len(mine)
         # partial aggregation still works (only populated cells reported)
-        agg = campaign.aggregate(lambda r: r.summary.pdr)
+        agg = campaign.aggregate("pdr")
         assert agg and all(ci.n >= 1 for ci in agg.values())
         campaign.format_table(["pdr"])
 

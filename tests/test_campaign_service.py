@@ -1,24 +1,26 @@
-"""Scheduler layer, streaming aggregation, and the campaign verbs.
+"""Scheduler layer, aggregation, and the campaign verbs.
 
-Pins the contracts of the refactor's upper layers (docs/campaigns.md):
+Pins the contracts of the campaign service's upper layers
+(docs/campaigns.md):
 
-* the two schedulers (serial / pool) are interchangeable — same
-  campaign, bit-identical aggregates;
-* a pool campaign cancels mid-flight (everything delivered so far is
+* the scheduler runs serially at one worker and on a pool above that —
+  same campaign, bit-identical aggregates;
+* a campaign cancels mid-flight (everything delivered so far is
   persisted), and a cancelled-and-resumed invocation converges to the
   same final table as an uninterrupted run;
-* streaming per-cell aggregation equals batch ``aggregate`` bit-for-bit
-  in any arrival order (hypothesis property), because ``mean_ci`` *is*
-  the Welford fold;
+* runs landing through ``update`` in any arrival order aggregate
+  bit-for-bit like a serial run (hypothesis property), and ``mean_ci``
+  *is* the Welford fold;
 * the ``submit`` / ``status`` / ``results`` / ``migrate`` CLI
   subcommands and the functions behind them (``run_campaign``,
-  ``campaign_status``, ``collect_campaign``, ``migrate_json_dir``)
-  drive the same layers end to end.
+  ``collect_campaign``, ``migrate_json_dir``) drive the same layers end
+  to end.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
@@ -26,23 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import mean_ci
-from repro.experiments.aggregation import (
-    StreamingAggregate,
-    Welford,
-    campaign_status,
-)
+from repro.experiments.aggregation import Welford
 from repro.experiments.campaign import (
+    CampaignResult,
     CampaignSpec,
     collect_campaign,
     main,
     run_campaign,
 )
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.scheduler import (
-    CancelCampaign,
-    PoolScheduler,
-    SerialScheduler,
-)
+from repro.experiments.scheduler import CancelCampaign, PoolScheduler
 from repro.experiments.store import migrate_json_dir, open_store
 
 FAST_ROUNDS = dict(backend="rounds", n_nodes=16, group_size=4)
@@ -83,10 +78,10 @@ def store_spec(request, tmp_path) -> str:
 # ----------------------------------------------------------------------
 class TestSchedulers:
     def test_engines_agree_bit_for_bit(self):
-        """Same campaign through both engines: identical tables."""
+        """Same campaign serially and on a pool: identical tables."""
         spec = rounds_spec()
         tables = []
-        for engine in (SerialScheduler(), PoolScheduler(workers=2)):
+        for engine in (PoolScheduler(1), PoolScheduler(workers=2)):
             result = run_campaign(spec, scheduler=engine)
             assert result.executed == spec.size()
             tables.append(result.format_table(("rounds", "moves")))
@@ -96,49 +91,54 @@ class TestSchedulers:
 # ----------------------------------------------------------------------
 # Cancel and resume
 # ----------------------------------------------------------------------
-class TestCancelResume:
-    def _cancel_after(self, k: int):
-        def on_update(stream):
-            if stream.done >= k:
+class CancelAfter(PoolScheduler):
+    """A scheduler whose result callback raises ``CancelCampaign`` once
+    ``k`` runs have landed, the way a caller stops a campaign."""
+
+    def __init__(self, k: int, workers: int = 1) -> None:
+        super().__init__(workers)
+        self.k = k
+
+    def execute(self, fn, jobs, on_result) -> None:
+        landed = []
+
+        def land(i, result):
+            on_result(i, result)
+            landed.append(i)
+            if len(landed) >= self.k:
                 raise CancelCampaign()
 
-        return on_update
+        super().execute(fn, jobs, land)
 
+
+class TestCancelResume:
     def test_cancel_persists_partials_then_resume_converges(self, tmp_path):
         """The acceptance scenario: a pool figd02-style campaign on a
-        SQLite store is cancelled mid-flight; ``status`` shows streaming
-        per-cell aggregates of the partial store; re-invoking converges
-        to the same table as an uninterrupted reference run."""
+        SQLite store is cancelled mid-flight; ``status`` shows per-cell
+        aggregates of the partial store; re-invoking converges to the
+        same table as an uninterrupted reference run."""
         spec = deep_spec()
         store = f"sqlite:{tmp_path / 'deep.sqlite'}"
         partial = run_campaign(
-            spec,
-            store=store,
-            scheduler=PoolScheduler(workers=2),
-            on_update=self._cancel_after(3),
+            spec, store=store, scheduler=CancelAfter(3, workers=2)
         )
         assert partial.cancelled
         assert 3 <= partial.executed < spec.size()
-        assert partial.stream.done == partial.executed
+        assert partial.done == partial.executed
 
-        # the status view streams whatever has landed, mid-campaign
+        # the read-only view sees exactly the runs that landed
         metrics = ["rounds", "moves"]
-        status = campaign_status(spec, store, metrics=metrics)
-        assert status.done == partial.executed
-        assert not status.complete
-        assert 0 < sum(status.counts.values()) < spec.size()
-        # ... and reports exactly what the read-only assembly sees
         collected = collect_campaign(spec, store)
-        assert status.counts == {
-            key: len(runs) for key, runs in collected.by_cell().items()
-        }
+        assert collected.done == partial.executed
+        assert collected.skipped == spec.size() - partial.executed
+        assert [r is None for r in collected.results] == [
+            r is None for r in partial.results
+        ]
         for metric in metrics:
-            assert status.aggregates[metric] == collected.aggregate(
-                collected.extractor(metric)
-            )
-        table = status.format_table()
-        assert "/2" in table  # n/total landed-count column
-        assert any(status.aggregates[m] for m in status.metrics)
+            assert collected.aggregate(metric) == partial.aggregate(metric)
+        table = collected.format_table(metrics)
+        assert table == partial.format_table(metrics)
+        assert any(collected.aggregate(m) for m in metrics)
 
         # resume: only the missing runs execute, and the final table is
         # exactly what an uninterrupted run produces
@@ -153,9 +153,7 @@ class TestCancelResume:
 
     def test_serial_cancel_is_graceful_too(self, store_spec):
         spec = rounds_spec()
-        result = run_campaign(
-            spec, store=store_spec, on_update=self._cancel_after(1)
-        )
+        result = run_campaign(spec, store=store_spec, scheduler=CancelAfter(1))
         assert result.cancelled
         assert result.executed == 1
         with open_store(store_spec) as store:
@@ -163,7 +161,7 @@ class TestCancelResume:
 
 
 # ----------------------------------------------------------------------
-# Streaming aggregation == batch aggregation, bit for bit
+# Runs landing in any order aggregate like a serial run, bit for bit
 # ----------------------------------------------------------------------
 _REF_CACHE = {}
 
@@ -192,24 +190,37 @@ class TestStreamingAggregation:
     @given(st.permutations(list(range(8))))
     @settings(deadline=None, max_examples=30)
     def test_any_arrival_order_matches_batch_bit_for_bit(self, order):
-        """Runs land in completion order (pool/async make it arbitrary);
-        the snapshot folds slot-ordered, so it equals the batch
-        ``aggregate`` exactly — not approximately."""
+        """Runs land in completion order (a pool makes it arbitrary);
+        ``aggregate`` folds slot-ordered, so it equals the serial run's
+        exactly — not approximately."""
         ref = _reference_campaign()
         assert len(ref.results) == 8
-        stream = StreamingAggregate(ref.spec, ("rounds", "moves"))
+        landed = CampaignResult(ref.spec)
         for i in order:
-            stream.update(i, ref.results[i])
-        snapshot = stream.snapshot()
+            landed.update(i, ref.results[i])
         for metric in ("rounds", "moves"):
-            assert snapshot[metric] == ref.aggregate(ref.extractor(metric))
+            assert landed.aggregate(metric) == ref.aggregate(metric)
+        assert landed.format_table(("rounds", "moves")) == (
+            ref.format_table(("rounds", "moves"))
+        )
 
     def test_update_is_idempotent_per_slot(self):
         ref = _reference_campaign()
-        stream = StreamingAggregate(ref.spec, ("rounds",))
+        landed = CampaignResult(ref.spec)
         for _ in range(3):  # racing shards may deliver a slot twice
-            stream.update(0, ref.results[0])
-        assert stream.done == 1
+            landed.update(0, ref.results[0])
+        assert landed.done == 1
+
+    def test_table_lists_cells_where_nothing_landed(self):
+        ref = _reference_campaign()
+        landed = CampaignResult(ref.spec)
+        landed.update(0, ref.results[0])
+        rows = landed.format_table(("rounds",)).splitlines()[1:]
+        assert len(rows) == len(ref.spec.cells())
+        mean = f"{ref.results[0].rounds:.4f}"
+        assert rows[0].split()[-3:] == ["1", mean, "±inf"]
+        for row in rows[1:]:
+            assert row.split()[-3:] == ["0", "-", "-"]
 
 
 # ----------------------------------------------------------------------
@@ -217,22 +228,18 @@ class TestStreamingAggregation:
 # ----------------------------------------------------------------------
 class TestCampaignService:
     """The submit/status/results/migrate verbs as direct calls of
-    ``run_campaign`` / ``campaign_status`` / ``collect_campaign`` /
-    ``migrate_json_dir``."""
+    ``run_campaign`` / ``collect_campaign`` / ``migrate_json_dir``."""
 
     def test_submit_status_results_roundtrip(self, store_spec):
         spec = rounds_spec()
         with open_store(store_spec) as store:
             submitted = run_campaign(
-                spec, store=store, scheduler=SerialScheduler()
+                spec, store=store, scheduler=PoolScheduler(1)
             )
             assert submitted.executed == spec.size()
 
-            status = campaign_status(spec, store)
-            assert status.complete
-            assert status.done == spec.size()
-
             assembled = collect_campaign(spec, store)
+            assert assembled.done == spec.size()
             assert assembled.executed == 0
             assert assembled.cache_hits == spec.size()
             assert assembled.format_table(("rounds",)) == (
@@ -241,7 +248,7 @@ class TestCampaignService:
 
             # warm: nothing to execute
             resubmitted = run_campaign(
-                spec, store=store, scheduler=SerialScheduler()
+                spec, store=store, scheduler=PoolScheduler(1)
             )
             assert resubmitted.executed == 0
 
@@ -300,9 +307,59 @@ class TestCli:
         absent = str(tmp_path / "never-created")
         assert main(["status"] + SPEC_ARGS + ["--store", absent]) == 0
         assert "(store absent)" in capsys.readouterr().out
-        import os
-
         assert not os.path.exists(absent)  # status never creates stores
+
+    @pytest.mark.parametrize("verb", ["status", "results"])
+    @pytest.mark.parametrize("name", ["absent-dir", "absent.sqlite"])
+    def test_read_only_verbs_never_create_a_store(
+        self, verb, name, tmp_path, capsys
+    ):
+        absent = str(tmp_path / name)
+        assert main([verb] + SPEC_ARGS + ["--store", absent]) == 0
+        assert "0/4 runs (store absent)" in capsys.readouterr().out
+        assert not os.path.exists(absent)
+
+    def test_read_only_verbs_print_the_submit_table(self, tmp_path, capsys):
+        """One renderer: on a complete campaign ``submit``, ``results``
+        and ``status`` print the same table under their own headers."""
+        store = str(tmp_path / "records")
+        tables = []
+        for verb in ("submit", "submit", "results", "status"):
+            quiet = ["--quiet"] if verb == "submit" else []
+            assert main([verb] + SPEC_ARGS + ["--store", store] + quiet) == 0
+            lines = capsys.readouterr().out.splitlines()
+            header = max(
+                i for i, line in enumerate(lines) if line.startswith("# ")
+            )
+            tables.append(lines[header + 1 :])
+            if verb == "status":
+                assert lines[header] == (
+                    "# campaign cli-svc: 4/4 runs complete [complete]"
+                )
+        assert tables[0] == tables[1] == tables[2] == tables[3]
+        assert len(tables[0]) == 3  # column header + one row per cell
+
+    def test_partial_status_lists_every_cell(self, tmp_path, capsys):
+        store = str(tmp_path / "records")
+        spec = rounds_spec(name="cli-svc", seeds=(1, 2))
+        run_campaign(spec, store=store, scheduler=CancelAfter(1))
+        capsys.readouterr()
+        assert main(["status"] + SPEC_ARGS + ["--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "1/4 runs complete" in out
+        rows = out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["ss-spst", "ss-spst-e"]
+        assert rows[0].split()[2] == "1"
+        assert rows[1].split()[2] == "0"
+        assert set(rows[1].split()[3:]) == {"-"}
+
+    def test_duplicate_seeds_exit_cleanly(self, tmp_path):
+        store = str(tmp_path / "records")
+        argv = SPEC_ARGS[:-4] + ["--seeds", "1,1,1", "--store", store]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert "seeds lists 1 more than once" in str(exc.value.code)
+        assert not os.path.exists(store)
 
     def test_results_subcommand_and_json_out(self, tmp_path, capsys):
         store = str(tmp_path / "records")
@@ -353,8 +410,6 @@ class TestCli:
     def test_unknown_metric_exits_before_running(self, verb, tmp_path):
         """An unknown --metrics name is a clean exit listing the
         backend's metrics, before any run executes or any store opens."""
-        import os
-
         store = str(tmp_path / "records")
         argv = [verb] + SPEC_ARGS + ["--store", store, "--metrics", "rounds,bogus"]
         with pytest.raises(SystemExit) as exc:

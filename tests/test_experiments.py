@@ -152,7 +152,7 @@ class TestOneGrid:
     def test_series_are_the_campaign_means(self, fig):
         result = fig.run(seeds=(1, 2))
         campaign = result.campaign
-        agg = campaign.aggregate(campaign.extractor("rounds"))
+        agg = campaign.aggregate("rounds")
         for proto, ys in result.series.items():
             cells = [(proto, (("n_nodes", n), ("daemon", "distributed"))) for n in (12, 16)]
             assert ys == [agg[cell].mean for cell in cells]  # bit for bit

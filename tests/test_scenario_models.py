@@ -227,6 +227,33 @@ class TestRegistry:
         path.write_text(json.dumps([[[0.0, 99.0, 99.0]]] * FAST["n_nodes"]))
         assert config_key(cfg) != key_before
 
+    def test_editing_the_trace_file_refreshes_the_mobility_profile(
+        self, tmp_path
+    ):
+        """The runner memoizes mobility profiles per process; the memo
+        key covers the trace file's content, so a file edited in place
+        is replayed afresh instead of serving the old trajectory's
+        churn."""
+        from repro.experiments.runner import _mobility_profile
+
+        n = FAST["n_nodes"]
+        path = tmp_path / "scen.json"
+        # every node parked within range of every other: a full mesh
+        path.write_text(json.dumps([[[0.0, 100.0 + i, 100.0]] for i in range(n)]))
+        cfg = fast_base(
+            mobility="trace", model_params={"trace_file": str(path)}
+        )
+        before = _mobility_profile(cfg).churn
+        assert (before.link_breaks, before.mean_degree) == (0, n - 1)
+        # rewritten in place: the nodes now cross the arena
+        path.write_text(json.dumps([
+            [[0.0, 50.0 * i, 100.0], [12.0, 700.0 - 45.0 * i, 650.0]]
+            for i in range(n)
+        ]))
+        after = _mobility_profile(cfg).churn
+        assert after.link_breaks > 0
+        assert after.mean_degree < n - 1
+
     def test_trace_node_count_mismatch_fails_at_build(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps([[[0.0, 1.0, 1.0]]] * 3))

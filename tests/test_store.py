@@ -38,7 +38,6 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.experiments.aggregation import campaign_status
 from repro.experiments.campaign import (
     CampaignSpec,
     collect_campaign,
@@ -307,8 +306,7 @@ class TestOldSideData:
             assert (warm.executed, warm.cache_hits) == (0, spec.size())
             assert store.run_count() == spec.size()
         for metric in ("rounds", "moves"):
-            extract = cold.extractor(metric)
-            assert warm.aggregate(extract) == cold.aggregate(extract)
+            assert warm.aggregate(metric) == cold.aggregate(metric)
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +345,7 @@ class TestCampaignParity:
         via_sql = run_campaign(
             spec, store=f"sqlite:{tmp_path / 'results.sqlite'}"
         )
-        extract = via_json.extractor("rounds")
-        assert via_json.aggregate(extract) == via_sql.aggregate(extract)
+        assert via_json.aggregate("rounds") == via_sql.aggregate("rounds")
 
 
 # ----------------------------------------------------------------------
@@ -609,7 +606,7 @@ class TestWarmReadPath:
 # ----------------------------------------------------------------------
 class TestStoreOwnership:
     @pytest.mark.parametrize(
-        "entry", [run_campaign, collect_campaign, campaign_status]
+        "entry", [run_campaign, collect_campaign]
     )
     def test_spec_strings_are_closed_and_objects_left_open(
         self, tmp_path, monkeypatch, entry
@@ -653,8 +650,7 @@ class TestMigration:
         warm = run_campaign(spec, store=dest)
         assert (warm.executed, warm.cache_hits) == (0, spec.size())
         for metric in ("rounds", "moves", "evaluations"):
-            extract = reference.extractor(metric)
-            assert reference.aggregate(extract) == warm.aggregate(extract)
+            assert reference.aggregate(metric) == warm.aggregate(metric)
 
     def test_v1_des_record_survives_migration(self, tmp_path):
         """A v1-era record (schema 1, no backend key) migrates byte-for-
@@ -726,8 +722,7 @@ class TestConcurrentAccess:
 
         serial = run_campaign(rounds_spec(seeds=(1, 2, 3)))
         for metric in ("rounds", "moves"):
-            extract = serial.extractor(metric)
-            assert assembled.aggregate(extract) == serial.aggregate(extract)
+            assert assembled.aggregate(metric) == serial.aggregate(metric)
 
     def test_sqlite_open_and_put_stress(self, tmp_path):
         """More workers than cores open one fresh store together and each
@@ -757,5 +752,4 @@ class TestConcurrentAccess:
         assembled = collect_campaign(spec, store_spec)
         assert assembled.skipped == 0
         serial = run_campaign(rounds_spec(seeds=(1, 2, 3)))
-        extract = serial.extractor("rounds")
-        assert assembled.aggregate(extract) == serial.aggregate(extract)
+        assert assembled.aggregate("rounds") == serial.aggregate("rounds")
