@@ -154,10 +154,6 @@ class RoundContext:
                 self.probed_clean.add(v)
         return ns
 
-    def is_enabled(self, v: NodeId) -> bool:
-        """Whether ``v``'s guard is violated (its update would move it)."""
-        return not self.probe(v).approx_equals(self.view.states[v], tol=COST_TOL)
-
     def capped(self, cost: float) -> float:
         """Cost clipped at OC_max (the Lyapunov summand)."""
         return min(cost, self._cap)

@@ -335,6 +335,15 @@ PROTOCOL_LABELS = {
     "energy": "SS-SPST-E",
 }
 
+#: protocol name -> cost metric name: the SS-SPST family, in the paper's
+#: order.  The one table the protocol registry, the group models, the
+#: rounds backend and the figures read (the on-demand baselines are not
+#: in it: they have no cost metric, no round-model and no multi-group
+#: realization).
+SS_PROTOCOL_METRICS: Dict[str, str] = {
+    label.lower(): metric for metric, label in PROTOCOL_LABELS.items()
+}
+
 
 def metric_by_name(name: str, radio: RadioModel) -> CostMetric:
     """Instantiate a metric by its short name ('hop', 'tx', 'farthest', 'energy')."""

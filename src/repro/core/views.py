@@ -387,9 +387,6 @@ class GlobalView(NodeView):
     def flag_of(self, u: NodeId) -> bool:
         return self._flags[u]
 
-    def children_of(self, u: NodeId) -> List[NodeId]:
-        return self._children[u]
-
     def radius_without(self, u: NodeId, v: NodeId, flagged_only: bool) -> float:
         # In flagged-only (SS-SPST-E) evaluations the world is "v detached",
         # so sibling flags that depended on v's subtree are recomputed.

@@ -6,8 +6,12 @@ Typical use::
     from repro.experiments import ScenarioConfig, run_scenario
 
     cfg = ScenarioConfig(protocol="ss-spst-e", v_max=5.0, seed=1)
-    summary = run_scenario(cfg)
-    print(summary.pdr, summary.energy_per_packet_mj)
+    result = run_scenario(cfg)
+    print(result.pdr, result.energy_per_packet_mj, result.frames_sent)
+
+Both backends return one :class:`RunResult`: the backend's summary
+dataclass plus its diagnostics mapping (empty on the rounds backend),
+both readable as attributes of the result.
 
 or reproduce a whole figure::
 
@@ -26,11 +30,12 @@ from repro.experiments.backends import (
     BACKEND_NAMES,
     ExperimentBackend,
     MetricSpec,
+    RunResult,
     backend_by_name,
     metric_extractor,
 )
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario, RunResult
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenario_models import (
     AXES,
     DEFAULT_MODELS,

@@ -10,9 +10,11 @@ engine (:mod:`repro.experiments.campaign`): it knows how to
 * ``validate(config)`` — reject configs it cannot realize (e.g. the
   round-model-only ``adversarial-max-cost`` daemon on the DES backend),
 * ``run(config)`` — execute one :class:`~repro.experiments.config.ScenarioConfig`
-  and return a result object,
-* ``record_from`` / ``result_from_record`` — (de)serialize results for
-  the persistent JSON run cache, and
+  and return its :class:`RunResult`,
+* ``record_from`` / ``result_from_record`` — the one run-record codec,
+  shared by both backends: each declares its summary dataclass and its
+  table of diagnostic defaults, and every run comes back as one
+  :class:`RunResult`, and
 * ``metrics()`` — declare a typed :class:`MetricSpec` registry, which
   replaces the stringly ``RunSummary``-attribute pulls so aggregation,
   tables and figures are backend-agnostic.
@@ -35,11 +37,12 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.daemons import DAEMON_NAMES, require_des_daemon
-from repro.core.metrics import PROTOCOL_LABELS
+from repro.core.metrics import SS_PROTOCOL_METRICS
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import validate_models
 from repro.experiments.store import (
@@ -48,11 +51,7 @@ from repro.experiments.store import (
     config_fields,
 )
 
-#: protocol name -> round-model metric name (the SS-SPST family; the
-#: on-demand baselines have no round-model realization)
-SS_PROTOCOL_METRICS: Dict[str, str] = {
-    label.lower(): metric for metric, label in PROTOCOL_LABELS.items()
-}
+_NAN = float("nan")
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +61,9 @@ SS_PROTOCOL_METRICS: Dict[str, str] = {
 class MetricSpec:
     """A typed, named quantity a backend can extract from its results.
 
-    ``extract`` maps a backend result object to a float; aggregation
+    ``extract`` maps a :class:`RunResult` to a float, by default the
+    attribute of the metric's name, which the result resolves in its
+    diagnostics and then its summary.  Aggregation
     (:meth:`CampaignResult.aggregate`), tables, figures and ascii plots
     consume these instead of reaching into ``RunSummary`` attributes, so
     they work identically over every backend.
@@ -75,11 +76,45 @@ class MetricSpec:
 
     def __post_init__(self) -> None:
         if self.extract is None:
-            # default: attribute of the result (both backends' result
-            # types pass summary fields through as attributes)
             object.__setattr__(
                 self, "extract", lambda r, _n=self.name: float(getattr(r, _n))
             )
+
+
+# ----------------------------------------------------------------------
+# Run results
+# ----------------------------------------------------------------------
+@dataclass
+class RunResult:
+    """One finished run of either backend.
+
+    ``summary`` is the backend's summary dataclass
+    (:class:`~repro.metrics.hub.RunSummary` on the DES,
+    :class:`RoundSummary` on rounds); ``diagnostics`` is the name ->
+    value mapping a record stores beside it (empty on rounds).  Both
+    pass through as attributes: ``result.pdr == result.summary.pdr``,
+    ``result.frames_sent == result.diagnostics["frames_sent"]``.
+    """
+
+    config: ScenarioConfig
+    summary: object
+    diagnostics: Dict[str, float] = field(default_factory=dict)
+
+    def __getattr__(self, item):
+        # Must raise AttributeError (not recurse) for dunders and for
+        # lookups before the fields exist: pickle probes instance
+        # attributes like ``__setstate__`` on a not-yet-populated object,
+        # which once recursed forever and broke worker pools.
+        if item.startswith("__") and item.endswith("__"):
+            raise AttributeError(item)
+        state = self.__dict__
+        try:
+            diagnostics, summary = state["diagnostics"], state["summary"]
+        except KeyError:
+            raise AttributeError(item) from None
+        if item in diagnostics:
+            return diagnostics[item]
+        return getattr(summary, item)
 
 
 # ----------------------------------------------------------------------
@@ -91,6 +126,13 @@ class ExperimentBackend(abc.ABC):
     #: registry/config name
     name: str = "?"
 
+    #: the dataclass of a run's ``summary``
+    summary_type: type
+
+    #: diagnostic name -> the value a record written before that
+    #: diagnostic existed loads with, in record order
+    DIAGNOSTICS: Dict[str, float] = {}
+
     @abc.abstractmethod
     def validate(self, config: ScenarioConfig) -> None:
         """Raise ``ValueError`` when this backend cannot run ``config``.
@@ -100,56 +142,75 @@ class ExperimentBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def run(self, config: ScenarioConfig):
-        """Execute one run and return the backend's result object.
-
-        The result must expose ``.config`` and support the attribute
-        lookups declared by :meth:`metrics`.
-        """
+    def run(self, config: ScenarioConfig) -> RunResult:
+        """Execute one run; every name :meth:`metrics` declares must
+        resolve as an attribute of the result."""
 
     @abc.abstractmethod
     def metrics(self) -> Dict[str, MetricSpec]:
         """The typed metric registry of this backend."""
 
     # ------------------------------------------------------------------
-    # Cache (de)serialization
+    # The run-record codec
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def record_from(self, result, elapsed_s: float = 0.0) -> dict:
-        """JSON-safe cache record of one finished run."""
+    def record_from(self, result: RunResult, elapsed_s: float = 0.0) -> dict:
+        """JSON-safe store record of one finished run.
 
-    @abc.abstractmethod
+        The v2 layout writes the ``backend`` key for every backend but
+        the default ``des``, whose records keep the v1 shape.
+        """
+        record: dict = {"schema": CACHE_SCHEMA}
+        if self.name != "des":
+            record["backend"] = self.name
+        diagnostics = result.diagnostics
+        record["config"] = config_fields(result.config)
+        record["summary"] = result.summary.as_dict()
+        record["diagnostics"] = {name: diagnostics[name] for name in self.DIAGNOSTICS}
+        record["elapsed_s"] = elapsed_s
+        return record
+
     def result_from_record(
         self, record: dict, config: Optional[ScenarioConfig] = None
-    ):
+    ) -> RunResult:
         """Rebuild the result a record was made from.
 
-        Must tolerate records written by *older* code: missing
-        newly-added summary/diagnostic fields default rather than error
-        (the cache schema is forward-grown, never rewritten in place).
-        ``config`` is the config the record was already validated
-        against (see :func:`~repro.experiments.store.checked_record`);
-        without it the config is rebuilt from the record.
+        Records written by *older* code load too: a missing summary
+        field takes its type's zero (``nan`` for floats, 0 for ints,
+        "" for str) and a missing diagnostic its :attr:`DIAGNOSTICS`
+        default; unknown keys are dropped (the record layout is
+        forward-grown, never rewritten in place).  A section whose keys
+        are already the current ones, as in every record this code
+        writes, is used as it is.  ``config`` is the config the record
+        was already validated against (see
+        :func:`~repro.experiments.store.checked_record`); without it the
+        config is rebuilt from the record.
         """
+        summary = record["summary"]
+        zeros = self._summary_zeros
+        if summary.keys() != zeros.keys():
+            summary = {name: summary.get(name, zero) for name, zero in zeros.items()}
+        diagnostics = record.get("diagnostics", {})
+        if diagnostics.keys() != self.DIAGNOSTICS.keys():
+            diagnostics = {
+                name: diagnostics.get(name, default)
+                for name, default in self.DIAGNOSTICS.items()
+            }
+        return RunResult(
+            config if config is not None else config_from_record(record["config"]),
+            self.summary_type(**summary),
+            diagnostics,
+        )
 
-def _tolerant_kwargs(
-    fields: Iterable[dataclasses.Field], data: dict
-) -> Dict[str, object]:
-    """Dataclass kwargs from a possibly old (or future) record section.
-
-    Unknown keys are dropped; missing keys fall back to the field type's
-    zero (``nan`` for floats, 0 for ints, "" for str) so records written
-    before a field existed keep loading.
-    """
-    # field.type is the annotation *string* under PEP 563 modules
-    zeros = {"float": float("nan"), float: float("nan"), "str": "", str: ""}
-    out: Dict[str, object] = {}
-    for f in fields:
-        if f.name in data:
-            out[f.name] = data[f.name]
-        else:
-            out[f.name] = zeros.get(f.type, 0)
-    return out
+    @functools.cached_property
+    def _summary_zeros(self) -> Dict[str, object]:
+        """Summary field -> its type's zero, read once
+        (``dataclasses.fields`` is not free on the per-record path)."""
+        # field.type is the annotation *string* under PEP 563 modules
+        zeros = {"float": _NAN, "str": ""}
+        return {
+            f.name: zeros.get(f.type, 0)
+            for f in dataclasses.fields(self.summary_type)
+        }
 
 
 def config_from_record(config_dict: dict) -> ScenarioConfig:
@@ -177,38 +238,38 @@ class DesBackend(ExperimentBackend):
 
     name = "des"
 
-    #: RunResult diagnostics persisted alongside the summary
-    DIAGNOSTIC_FIELDS = (
-        "parent_changes",
-        "events_executed",
-        "frames_sent",
-        "frames_collided",
-        "link_breaks_per_s",
-        "link_events_per_s",
-        "mean_degree",
-        "partition_fraction",
-        "fairness_jain",
-        "group_pdr_min",
-        "link_stress_mean",
-        "link_stress_max",
-        "tree_overlap_ratio",
-    )
-
-    #: per-field defaults for records written before a diagnostic existed
-    #: (counters default to 0; the mobility-profile floats to nan so old
-    #: records aggregate as "unknown", not "zero churn"; likewise the
-    #: cross-group diagnostics added with repro.groups)
-    DIAGNOSTIC_DEFAULTS = {
-        "link_breaks_per_s": float("nan"),
-        "link_events_per_s": float("nan"),
-        "mean_degree": float("nan"),
-        "partition_fraction": float("nan"),
-        "fairness_jain": float("nan"),
-        "group_pdr_min": float("nan"),
-        "link_stress_mean": float("nan"),
-        "link_stress_max": float("nan"),
-        "tree_overlap_ratio": float("nan"),
+    #: Counters default to 0 in records written before they existed.
+    #: The mobility-profile floats (:mod:`repro.mobility.analysis`: link
+    #: breaks are the faults self-stabilization absorbs, partitioning the
+    #: ceiling on any protocol's PDR) and the cross-group floats
+    #: (:mod:`repro.groups`: fairness over per-group PDRs, the
+    #: worst-served group, link stress and overlap of the k final trees)
+    #: default to nan, so old records aggregate as "unknown", not "zero".
+    #: The tree floats stay nan for the on-demand protocols.
+    DIAGNOSTICS = {
+        "parent_changes": 0,  # SS-SPST family parent switches
+        "events_executed": 0,
+        "frames_sent": 0,
+        # receptions (one per receiver of a frame), not frames, lost to
+        # collision, half duplex or random loss
+        "frames_collided": 0,
+        "link_breaks_per_s": _NAN,
+        "link_events_per_s": _NAN,
+        "mean_degree": _NAN,
+        "partition_fraction": _NAN,
+        "fairness_jain": _NAN,
+        "group_pdr_min": _NAN,
+        "link_stress_mean": _NAN,
+        "link_stress_max": _NAN,
+        "tree_overlap_ratio": _NAN,
     }
+
+    @functools.cached_property
+    def summary_type(self) -> type:
+        # imported on first use: the rounds path never loads the DES hub
+        from repro.metrics.hub import RunSummary
+
+        return RunSummary
 
     def validate(self, config: ScenarioConfig) -> None:
         # The round-model-only adversarial daemon has no beacon-schedule
@@ -227,43 +288,10 @@ class DesBackend(ExperimentBackend):
             )
         validate_models(config, self.name)
 
-    def run(self, config: ScenarioConfig):
+    def run(self, config: ScenarioConfig) -> RunResult:
         from repro.experiments.runner import run_scenario
 
         return run_scenario(config)
-
-    def record_from(self, result, elapsed_s: float = 0.0) -> dict:
-        return {
-            "schema": CACHE_SCHEMA,
-            "config": config_fields(result.config),
-            "summary": result.summary.as_dict(),
-            "diagnostics": {
-                f: getattr(result, f) for f in self.DIAGNOSTIC_FIELDS
-            },
-            "elapsed_s": elapsed_s,
-        }
-
-    def result_from_record(
-        self, record: dict, config: Optional[ScenarioConfig] = None
-    ):
-        from repro.experiments.runner import RunResult
-        from repro.metrics.hub import RunSummary
-
-        diagnostics = record.get("diagnostics", {})
-        return RunResult(
-            summary=RunSummary(
-                **_tolerant_kwargs(
-                    dataclasses.fields(RunSummary), record["summary"]
-                )
-            ),
-            config=config
-            if config is not None
-            else config_from_record(record["config"]),
-            **{
-                f: diagnostics.get(f, self.DIAGNOSTIC_DEFAULTS.get(f, 0))
-                for f in self.DIAGNOSTIC_FIELDS
-            },
-        )
 
     def metrics(self) -> Dict[str, MetricSpec]:
         specs = [
@@ -375,29 +403,6 @@ class RoundSummary:
         return dict(self.__dict__)
 
 
-#: read once: ``dataclasses.fields`` is not free on the per-record path
-_ROUND_SUMMARY_FIELDS = dataclasses.fields(RoundSummary)
-
-
-@dataclass
-class RoundRunResult:
-    """Rounds-backend counterpart of :class:`~repro.experiments.runner.RunResult`."""
-
-    summary: RoundSummary
-    config: ScenarioConfig
-
-    def __getattr__(self, item):
-        # Same passthrough contract as RunResult (and the same dunder /
-        # pre-`summary` guards so pickling through worker pools works).
-        if item.startswith("__") and item.endswith("__"):
-            raise AttributeError(item)
-        try:
-            summary = self.__dict__["summary"]
-        except KeyError:
-            raise AttributeError(item) from None
-        return getattr(summary, item)
-
-
 def build_round_scenario(config: ScenarioConfig):
     """``(topologies, metric)`` for a config's round-model realization.
 
@@ -446,6 +451,7 @@ class RoundsBackend(ExperimentBackend):
     """
 
     name = "rounds"
+    summary_type = RoundSummary
 
     def validate(self, config: ScenarioConfig) -> None:
         if config.daemon not in DAEMON_NAMES:
@@ -461,7 +467,7 @@ class RoundsBackend(ExperimentBackend):
             )
         validate_models(config, self.name)
 
-    def run(self, config: ScenarioConfig) -> RoundRunResult:
+    def run(self, config: ScenarioConfig) -> RunResult:
         from repro.core.convergence import engine_for
         from repro.core.rounds import fresh_states, total_cost
         from repro.core.state import NodeState
@@ -550,29 +556,7 @@ class RoundsBackend(ExperimentBackend):
             link_stress_max=stats["link_stress_max"],
             tree_overlap_ratio=stats["tree_overlap_ratio"],
         )
-        return RoundRunResult(summary=summary, config=config)
-
-    def record_from(self, result: RoundRunResult, elapsed_s: float = 0.0) -> dict:
-        return {
-            "schema": CACHE_SCHEMA,
-            "backend": self.name,
-            "config": config_fields(result.config),
-            "summary": result.summary.as_dict(),
-            "diagnostics": {},
-            "elapsed_s": elapsed_s,
-        }
-
-    def result_from_record(
-        self, record: dict, config: Optional[ScenarioConfig] = None
-    ) -> RoundRunResult:
-        return RoundRunResult(
-            summary=RoundSummary(
-                **_tolerant_kwargs(_ROUND_SUMMARY_FIELDS, record["summary"])
-            ),
-            config=config
-            if config is not None
-            else config_from_record(record["config"]),
-        )
+        return RunResult(config, summary)
 
     def metrics(self) -> Dict[str, MetricSpec]:
         specs = [

@@ -60,16 +60,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import CiSummary, mean_ci
 from repro.experiments.backends import (
+    RunResult,
     backend_by_name,
     default_metrics,
     metric_extractor,
 )
 from repro.experiments import store as stores
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import RunResult
 from repro.experiments.store import (
     CACHE_SCHEMA,
-    config_key,
     migrate_json_dir,
     open_store,
     probe_store,
@@ -311,8 +310,8 @@ def _land_stored(
 ) -> Dict[int, str]:
     """Land every run the store holds; return the config key of each
     slot it lacks.  The key of a missing run is the key its finished
-    record is put under, so an unsharded cold run hashes each config
-    once."""
+    record is put under and the key its shard is read from, so a cold
+    run hashes each config once."""
     missing: Dict[int, str] = {}
     for i, cfg in enumerate(configs):
         # through the module, so a wrapper on store.config_key sees
@@ -379,6 +378,7 @@ def run_campaign(
     campaign = CampaignResult(spec)
     with _opened(store) as result_store:
         # slot -> config key of every run the store could not supply
+        # (None without a store: nothing is hashed unless sharding asks)
         missing = (
             _land_stored(campaign, result_store, configs)
             if result_store is not None
@@ -386,8 +386,9 @@ def run_campaign(
         )
         pending = [
             (i, configs[i])
-            for i in missing
-            if shard is None or shard_of(configs[i], shard[1]) == shard[0]
+            for i, key in missing.items()
+            if shard is None
+            or shard_of(configs[i], shard[1], key) == shard[0]
         ]
         campaign.skipped = len(missing) - len(pending)
 
@@ -803,14 +804,21 @@ def _require_store(args) -> str:
     return args.store
 
 
+def _checked_spec(args) -> Tuple[CampaignSpec, List[ScenarioConfig]]:
+    """The campaign the flags name and its runs; a spec or a config that
+    fails validation exits with its one-line message."""
+    try:
+        spec = spec_from_args(args)
+        return spec, spec.configs()  # constructs (and so validates) every run
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _collect_from_args(args):
     """``(spec, metrics, campaign)`` of a read-only verb.  The store is
     probed, never created: when it does not exist, that is printed and
     ``campaign`` is None."""
-    try:
-        spec = spec_from_args(args)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    spec, _ = _checked_spec(args)
     metrics = _metrics_from_args(args, spec)
     store = probe_store(_require_store(args))
     if store is None:
@@ -902,11 +910,7 @@ def _main_submit(argv: Sequence[str]) -> int:
             print(f"{fid}: {fig.title}")
         return 0
 
-    try:
-        spec = spec_from_args(args)
-        configs = spec.configs()  # constructs (and so validates) every run
-    except ValueError as exc:  # spec/config validation -> clean CLI error
-        raise SystemExit(str(exc)) from None
+    spec, configs = _checked_spec(args)
     metrics = _metrics_from_args(args, spec)
     shard = _parse_shard(args.shard)
     if args.dry_run:
@@ -924,11 +928,11 @@ def _main_submit(argv: Sequence[str]) -> int:
         try:
             for cfg in configs:
                 marker = ""
+                key = stores.config_key(cfg)
                 if shard is not None:
-                    mine = shard_of(cfg, shard[1]) == shard[0]
+                    mine = shard_of(cfg, shard[1], key) == shard[0]
                     mine_count += mine
                     marker = "  [mine]" if mine else "  [other shard]"
-                key = config_key(cfg)
                 if store is not None and store.load(cfg, key) is not None:
                     warm += 1
                     marker += "  [cached]"

@@ -24,10 +24,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import CiSummary, ascii_plot, shape_report
 from repro.core.daemons import DAEMON_NAMES
+from repro.core.metrics import SS_PROTOCOL_METRICS
 from repro.experiments.campaign import CampaignResult, CampaignSpec, run_campaign
 from repro.experiments.config import ScenarioConfig
 
-FAMILY = ("ss-spst", "ss-spst-t", "ss-spst-f", "ss-spst-e")
+FAMILY = tuple(SS_PROTOCOL_METRICS)
 FOURWAY = ("maodv", "odmrp", "ss-spst", "ss-spst-e")
 
 VELOCITIES_QUICK = (1.0, 5.0, 10.0, 20.0)

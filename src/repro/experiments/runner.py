@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.experiments.backends import DesBackend, RunResult
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import (
     build_scenario_space,
@@ -12,7 +12,7 @@ from repro.experiments.scenario_models import (
     scenario_content_fingerprint,
 )
 from repro.groups.metrics import group_tree_stats
-from repro.metrics.hub import MetricsHub, RunSummary
+from repro.metrics.hub import MetricsHub
 from repro.mobility.analysis import mobility_profile
 from repro.net.mac import MacConfig
 from repro.net.node import Network, ProtocolAgent
@@ -23,52 +23,6 @@ from repro.sim.timers import PeriodicTimer
 
 #: adjacency sampling step (seconds) for the per-run mobility profile
 CHURN_SAMPLE_DT = 1.0
-
-
-@dataclass
-class RunResult:
-    """Summary plus protocol-level diagnostics for one run."""
-
-    summary: RunSummary
-    config: ScenarioConfig
-    parent_changes: int  # SS-SPST family churn (0 for on-demand protocols)
-    events_executed: int
-    frames_sent: int
-    # receptions (one per receiver of a frame), not frames, lost to
-    # collision, half duplex or random loss
-    frames_collided: int
-    # Mobility fault-process diagnostics (repro.mobility.analysis),
-    # sampled from a replay of the run's mobility model: link breaks are
-    # the "faults" self-stabilization absorbs, partitioning the ceiling
-    # on any protocol's PDR.  nan in records written before these existed.
-    link_breaks_per_s: float = float("nan")
-    link_events_per_s: float = float("nan")
-    mean_degree: float = float("nan")
-    partition_fraction: float = float("nan")
-    # Cross-group diagnostics (repro.groups): fairness over per-group
-    # PDRs, worst-served group, and link-stress/overlap of the k final
-    # trees.  Populated for every SS-SPST-family run (a single group
-    # scores fairness 1.0, stress 1.0, overlap 0.0); nan for on-demand
-    # protocols and in records written before these existed.
-    fairness_jain: float = float("nan")
-    group_pdr_min: float = float("nan")
-    link_stress_mean: float = float("nan")
-    link_stress_max: float = float("nan")
-    tree_overlap_ratio: float = float("nan")
-
-    def __getattr__(self, item):
-        # Convenience passthrough: result.pdr == result.summary.pdr.
-        # Must raise AttributeError (not recurse) for dunders and for
-        # lookups before ``summary`` exists: pickle probes instance
-        # attributes like ``__setstate__`` on a not-yet-populated object,
-        # which previously recursed forever and broke worker pools.
-        if item.startswith("__") and item.endswith("__"):
-            raise AttributeError(item)
-        try:
-            summary = self.__dict__["summary"]
-        except KeyError:
-            raise AttributeError(item) from None
-        return getattr(summary, item)
 
 
 def build_network(config: ScenarioConfig):
@@ -113,9 +67,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     )
     tree_stats = _final_tree_stats(network)
     profile = _mobility_profile(config)
-    return RunResult(
-        summary=hub.summary(network.total_energy()),
-        config=config,
+    summary = hub.summary(network.total_energy())
+    diagnostics = dict(
+        DesBackend.DIAGNOSTICS,
         parent_changes=parent_changes,
         events_executed=sim.events_executed,
         frames_sent=network.medium.stats.frames_sent,
@@ -128,6 +82,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         group_pdr_min=hub.group_pdr_min(),
         **tree_stats,
     )
+    return RunResult(config, summary, diagnostics)
 
 
 def _simulate(
@@ -198,7 +153,7 @@ def _final_tree_stats(network: Network) -> Dict[str, float]:
 
     Reads settled agent state only — no RNG, no events — so computing it
     cannot perturb the run.  Empty for protocols without an explicit
-    parent tree (on-demand baselines): the RunResult keeps its nan
+    parent tree (on-demand baselines): those diagnostics keep their nan
     defaults there.
     """
     parent_maps: Dict[int, Dict[int, Optional[int]]] = {}

@@ -213,14 +213,17 @@ def config_key(config: ScenarioConfig) -> str:
     return digest[:24]
 
 
-def shard_of(config: ScenarioConfig, n_shards: int) -> int:
+def shard_of(
+    config: ScenarioConfig, n_shards: int, key: Optional[str] = None
+) -> int:
     """Deterministic shard assignment by config hash.
 
     Stable across machines and campaign compositions (it depends on the
     run's identity alone), so K workers pointing ``--shard i/K`` at one
-    shared store partition any campaign without coordination.
+    shared store partition any campaign without coordination.  ``key``
+    is ``config_key(config)`` when the caller already holds it.
     """
-    return int(config_key(config), 16) % n_shards
+    return int(key or config_key(config), 16) % n_shards
 
 
 # ----------------------------------------------------------------------

@@ -35,14 +35,11 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from repro.core.metrics import SS_PROTOCOL_METRICS
+
 if TYPE_CHECKING:  # experiments imports this module; keep it leaf-light
     from repro.experiments.config import ScenarioConfig
     from repro.util.rng import RngStreams
-
-#: protocols with a per-group DES realization (the SS-SPST family runs
-#: one agent per group per node; the on-demand baselines do not).  A
-#: literal rather than an import: backends -> scenario_models -> here.
-_MULTIGROUP_PROTOCOLS = ("ss-spst", "ss-spst-t", "ss-spst-f", "ss-spst-e")
 
 
 @dataclass(frozen=True)
@@ -343,11 +340,13 @@ def validate_group_models(config: "ScenarioConfig", backend: str) -> None:
         model.validate(config, backend)
     if config.group_count <= 1:
         return
-    if config.protocol not in _MULTIGROUP_PROTOCOLS:
+    # Only the SS-SPST family runs one agent per group per node; the
+    # on-demand baselines have no per-group realization.
+    if config.protocol not in SS_PROTOCOL_METRICS:
         raise ValueError(
             f"protocol {config.protocol!r} has no multi-group realization; "
             f"group_count > 1 runs one SS-SPST-family instance per group "
-            f"({', '.join(_MULTIGROUP_PROTOCOLS)})"
+            f"({', '.join(SS_PROTOCOL_METRICS)})"
         )
     sizes = models["group-size"].sizes(config)
     if any(s < 2 or s > config.n_nodes for s in sizes):

@@ -152,10 +152,6 @@ class MetricsHub:
         pdr = delivered / expected if expected else 0.0
         epp = joules_to_mj(total_energy_j) / delivered if delivered else float("inf")
         delay_ms = (sum(self._delays) / len(self._delays)) * 1e3 if self._delays else float("inf")
-        data_bytes_delivered = sum(1 for _ in self._deliveries)  # count only
-        # Control overhead normalizes by delivered data bytes; use the
-        # delivered count times the nominal packet size embedded in delays'
-        # companion structure is unavailable here, so track via tx sizes:
         overhead = (
             self.control_bytes_tx / self._delivered_bytes()
             if self._delivered_bytes()

@@ -37,7 +37,3 @@ class MobilityModel(abc.ABC):
         self._last_query_t = t
         pos = self._positions_at(float(t))
         return pos
-
-    def position_of(self, node: int, t: float) -> np.ndarray:
-        """Convenience: one node's position at ``t``."""
-        return self.positions(t)[node]

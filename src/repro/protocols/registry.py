@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.daemons import require_des_daemon
-from repro.core.metrics import metric_by_name
+from repro.core.metrics import SS_PROTOCOL_METRICS, metric_by_name
 from repro.groups.agents import GroupDispatchAgent
 from repro.net.node import Node, ProtocolAgent
 from repro.protocols.flooding import FloodingAgent
@@ -13,15 +13,7 @@ from repro.protocols.maodv import MaodvAgent, MaodvConfig
 from repro.protocols.odmrp import OdmrpAgent, OdmrpConfig
 from repro.protocols.ss_spst import SSSPSTAgent, SSSPSTConfig
 
-#: protocol name -> SS-SPST metric name (None = not in the family)
-_SS_FAMILY = {
-    "ss-spst": "hop",
-    "ss-spst-t": "tx",
-    "ss-spst-f": "farthest",
-    "ss-spst-e": "energy",
-}
-
-PROTOCOL_NAMES = tuple(_SS_FAMILY) + ("maodv", "odmrp", "flooding")
+PROTOCOL_NAMES = tuple(SS_PROTOCOL_METRICS) + ("maodv", "odmrp", "flooding")
 
 
 def make_agent_factory(
@@ -52,8 +44,8 @@ def make_agent_factory(
     """
     protocol = protocol.lower()
     require_des_daemon(daemon)
-    if protocol in _SS_FAMILY:
-        metric_name = _SS_FAMILY[protocol]
+    if protocol in SS_PROTOCOL_METRICS:
+        metric_name = SS_PROTOCOL_METRICS[protocol]
         if ss_config is not None:
             config = ss_config
         else:

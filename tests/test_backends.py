@@ -23,8 +23,8 @@ from repro.core.rounds import fresh_states
 from repro.experiments.backends import (
     BACKEND_NAMES,
     BACKENDS,
-    RoundRunResult,
     RoundSummary,
+    RunResult,
     backend_by_name,
     build_round_scenario,
     default_metrics,
@@ -257,7 +257,7 @@ class TestRecordCompat:
         )
         del record["summary"]["recovery_chain_steps"]  # a "newer" field
         rebuilt = result_from_record(record)
-        assert isinstance(rebuilt, RoundRunResult)
+        assert isinstance(rebuilt, RunResult)
         # missing float fields default to nan, ints to 0
         assert rebuilt.recovery_chain_steps != rebuilt.recovery_chain_steps
 

@@ -36,6 +36,7 @@ from repro.experiments.campaign import (
     main,
     run_campaign,
 )
+from repro.experiments import store as stores
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scheduler import CancelCampaign, PoolScheduler
 from repro.experiments.store import migrate_json_dir, open_store
@@ -360,6 +361,48 @@ class TestCli:
             main(argv)
         assert "seeds lists 1 more than once" in str(exc.value.code)
         assert not os.path.exists(store)
+
+    @pytest.mark.parametrize("verb", ["submit", "status", "results"])
+    def test_invalid_configs_exit_cleanly_on_an_existing_store(
+        self, verb, tmp_path
+    ):
+        """A grid whose configs fail validation (the quick base's
+        group_size exceeds n_nodes=12) is the same one-line exit on every
+        verb, also when the store exists and would be read."""
+        store = str(tmp_path / "results.sqlite")
+        run_campaign(rounds_spec(name="cli-svc"), store=store)
+        argv = [
+            verb, "--backend", "rounds", "--protocols", "ss-spst",
+            "--grid", "n_nodes=12,16", "--seeds", "1", "--store", store,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == "group_size must be in [2, n_nodes]"
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_a_sharded_cold_campaign_hashes_each_run_once(
+        self, dry_run, tmp_path, monkeypatch, capsys
+    ):
+        """The key the store lookup computed is the key the shard
+        assignment reads: 4 runs, 4 hashes (the sharded run used to
+        hash every missing run a second time)."""
+        calls = []
+        real = stores.config_key
+
+        def counting(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(stores, "config_key", counting)
+        store = str(tmp_path / "results.sqlite")
+        if dry_run:
+            open_store(store).close()  # an existing store, probed per run
+            argv = SPEC_ARGS + ["--store", store, "--shard", "0/2", "--dry-run"]
+            assert main(argv) == 0
+            assert "# shard 0/2: mine=" in capsys.readouterr().out
+        else:
+            run_campaign(rounds_spec(), store=store, shard=(0, 2))
+        assert len(calls) == 4
 
     def test_results_subcommand_and_json_out(self, tmp_path, capsys):
         store = str(tmp_path / "records")
