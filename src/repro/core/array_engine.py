@@ -18,17 +18,19 @@ semantics operation for operation:
   *same* order (per-edge transmit energies are precomputed once with the
   scalar radio model, then gathered — never recomputed with vector
   transcendentals, whose last-ulp behaviour may differ);
-* the sequential incumbent/hop/id tie-break fold of ``rules._better`` is
-  a per-row minimum cost plus one lexsort per batch of the pairs tied at
-  it, exact whenever no other cost lies within the tie band of the
-  minimum; rows with such a near-tie or a non-finite cost are re-folded
-  by masked passes over candidate *slots* in neighbor order, which keep
-  the fold's non-commutative tolerant-comparison semantics;
+* the sequential candidate fold of ``rules.compute_update_local``
+  (relative ``COST_TOL`` band first, incumbent/hop/distance/id tail on
+  a tie) is a per-row minimum cost plus one lexsort per batch of the
+  pairs tied at it, exact whenever no other cost lies within the tie
+  band of the minimum; rows with such a near-tie or a non-finite cost
+  are re-folded by masked passes over candidate *slots* in neighbor
+  order, which keep the fold's non-commutative tolerant-comparison
+  semantics;
 * SS-SPST-E's chain pricing becomes a prefix scan over the parent forest:
   two per-node price columns (``Pd`` — carried flag dead, ``Pc`` —
   carried flag alive) are propagated root-to-leaf per snapshot, exactly
   mirroring the top-down accumulation of
-  :meth:`~repro.core.views.GlobalView.path_price`.
+  :meth:`~repro.core.views.GlobalView.path_pricer`.
 
 Two layers keep the hot path free of per-move Python
 (``docs/array_engine.md`` walks through each):
@@ -552,7 +554,8 @@ def _fold_sequential(
     """The sequential candidate fold of ``compute_update_local``: one
     masked pass per candidate slot in neighbor order.
 
-    Exact on every input (it replays ``rules._better`` pair by pair);
+    Exact on every input (it replays the rule's band-then-tail
+    comparison pair by pair);
     :func:`_fold` routes the rows it cannot decide exactly through here.
     """
     b_eff = np.zeros(n_rows, dtype=np.float64)

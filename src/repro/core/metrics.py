@@ -7,7 +7,11 @@ All metrics expose the same interface:
   ``deltaE_u(v)`` is "the energy cost difference experienced by node u with
   and without v as its child" (section 5).  When ``v`` already is ``u``'s
   child the marginal is computed against ``u``-without-``v``, so staying
-  and switching are compared fairly.
+  and switching are compared fairly.  ``pricer(view, v)`` is the same
+  price as a function of the candidate (its id and the state the rule
+  already read) for one evaluation of ``v``: what depends only on ``v``
+  is read once, and transmit energies come from the view's
+  :class:`~repro.core.views.CostMemo`.
 * ``node_cost(...)`` / ``tree_cost(topo, tree)`` — the static cost of a
   settled tree (the quantity Lemma 1/2 reason about).
 * ``infinity(topo)`` — the ``OC_max`` assigned to disconnected nodes;
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import abc
 import weakref
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -48,6 +52,9 @@ from repro.energy.radio import RadioModel
 from repro.graph.topology import Topology
 from repro.graph.tree import TreeAssignment
 from repro.util.ids import NodeId
+
+#: ``(u, state_of(u)) -> oc(v, u)`` for one evaluating node ``v``
+Pricer = Callable[[NodeId, NodeState], float]
 
 
 class CostMetric(abc.ABC):
@@ -108,14 +115,33 @@ class CostMetric(abc.ABC):
         """Per-bit transmit energy at the given power-controlled radius."""
         return self.radio.tx_cost_per_bit(distance)
 
-    def etx0(self, radius: float) -> float:
-        """Like :meth:`etx` but a silent node (radius 0) costs nothing."""
-        return 0.0 if radius <= 0.0 else self.etx(radius)
+    def view_etx(self, view: NodeView) -> Callable[[float], float]:
+        """:meth:`etx` memoized on ``view`` by the exact float radius."""
+        memo = view.cost_memo(self).etx
+        etx = self.etx
+
+        def etx_on_view(radius: float) -> float:
+            e = memo.get(radius)
+            if e is None:
+                e = memo[radius] = etx(radius)
+            return e
+
+        return etx_on_view
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
+    def pricer(self, view: NodeView, v: NodeId) -> Pricer:
+        """``(u, state_of(u)) -> oc(v, u)`` for one evaluation of ``v`` on
+        ``view``.
+
+        Terms that depend only on ``v`` are read once, when the pricer is
+        made, and the caller hands over the candidate's state it already
+        read; the view must not change while the pricer is in use.
+        """
+
     def join_cost(self, view: NodeView, v: NodeId, u: NodeId) -> float:
         """``oc(v, u)``: cost of ``v`` adopting ``u`` as parent."""
+        return self.pricer(view, v)(u, view.state_of(u))
 
     @abc.abstractmethod
     def tree_cost(self, topo: Topology, tree: TreeAssignment) -> float:
@@ -148,8 +174,8 @@ class HopMetric(CostMetric):
 
     name = "hop"
 
-    def join_cost(self, view: NodeView, v: NodeId, u: NodeId) -> float:
-        return view.state_of(u).cost + 1.0
+    def pricer(self, view: NodeView, v: NodeId) -> Pricer:
+        return lambda u, su: su.cost + 1.0
 
     def tree_cost(self, topo: Topology, tree: TreeAssignment) -> float:
         connected = tree.connected_nodes()
@@ -169,8 +195,10 @@ class TxEnergyMetric(CostMetric):
 
     name = "tx"
 
-    def join_cost(self, view: NodeView, v: NodeId, u: NodeId) -> float:
-        return view.state_of(u).cost + self.etx(view.dist(v, u))
+    def pricer(self, view: NodeView, v: NodeId) -> Pricer:
+        dist = view.dist
+        etx = self.view_etx(view)
+        return lambda u, su: su.cost + etx(dist(v, u))
 
     def tree_cost(self, topo: Topology, tree: TreeAssignment) -> float:
         return float(
@@ -193,17 +221,22 @@ class FarthestChildMetric(CostMetric):
     # margin (the same route-flap mechanism the DES agents use).
     switch_hysteresis = 0.05
 
-    flagged_only = False
+    def pricer(self, view: NodeView, v: NodeId) -> Pricer:
+        dist, radius_without = view.dist, view.radius_without
+        etx = self.view_etx(view)
+        e_rx = self.e_rx
 
-    def _delta(self, view: NodeView, v: NodeId, u: NodeId) -> float:
-        """Marginal cost for ``u`` of having ``v`` as a child."""
-        d = view.dist(v, u)
-        r_without = view.radius_without(u, v, flagged_only=self.flagged_only)
-        r_with = max(r_without, d)
-        return (self.etx0(r_with) - self.etx0(r_without)) + self.e_rx
+        def join_cost(u: NodeId, su: NodeState) -> float:
+            # u's marginal for having v as a child; a silent u (radius 0)
+            # transmits nothing
+            d = dist(v, u)
+            r_without = radius_without(u, v, False)
+            r_with = max(r_without, d)
+            e_with = 0.0 if r_with <= 0.0 else etx(r_with)
+            e_without = 0.0 if r_without <= 0.0 else etx(r_without)
+            return su.cost + ((e_with - e_without) + e_rx)
 
-    def join_cost(self, view: NodeView, v: NodeId, u: NodeId) -> float:
-        return view.state_of(u).cost + self._delta(view, v, u)
+        return join_cost
 
     def node_cost(self, topo: Topology, tree: TreeAssignment, u: NodeId) -> float:
         children = tree.children()[u]
@@ -242,29 +275,35 @@ class EnergyAwareMetric(FarthestChildMetric):
     beacon_extra_bytes_fixed = 8
     beacon_extra_bytes_per_neighbor = 1
 
-    flagged_only = True
     path_couples_to_children = True
 
-    def node_cost_at_radius(self, view: NodeView, u: NodeId, radius: float) -> float:
-        """``C_u`` at a hypothetical data radius: tx + everyone-in-range rx.
+    def view_node_cost(self, view: NodeView) -> Callable[[NodeId, float], float]:
+        """``(u, radius) -> C_u`` at a hypothetical data radius on ``view``:
+        tx + everyone-in-range rx.
 
-        The value is a pure function of ``(u, radius)`` for views backed
-        by a static topology; such views expose a ``node_cost_cache``
-        dict and chain pricing (which evaluates this at every ancestor)
-        hits it.  Beacon-table views have *dynamic* neighborhoods and no
-        cache attribute, so they always compute.
+        Memoized on the view by ``(u, radius)``, with the transmit energy
+        memoized by radius (:meth:`~repro.core.views.NodeView.cost_memo`):
+        a round-model view keeps its values for the whole run (its
+        topology is static), a beacon-table view for its one tick.  Chain
+        pricing evaluates this at every ancestor and hits the memo.
         """
-        if radius <= 0.0:
-            return 0.0
-        cache = getattr(view, "node_cost_cache", None)
-        if cache is None:
-            return self.etx(radius) + view.count_in_range(u, radius) * self.e_rx
-        key = (u, radius)
-        val = cache.get(key)
-        if val is None:
-            val = self.etx(radius) + view.count_in_range(u, radius) * self.e_rx
-            cache[key] = val
-        return val
+        memo = view.cost_memo(self)
+        costs, etxs = memo.node_cost, memo.etx
+        etx, count_in_range, e_rx = self.etx, view.count_in_range, self.e_rx
+
+        def node_cost(u: NodeId, radius: float) -> float:
+            if radius <= 0.0:
+                return 0.0
+            key = (u, radius)
+            val = costs.get(key)
+            if val is None:
+                e = etxs.get(radius)
+                if e is None:
+                    e = etxs[radius] = etx(radius)
+                val = costs[key] = e + count_in_range(u, radius) * e_rx
+            return val
+
+        return node_cost
 
     #: weight of the shadow price charged to unflagged (pruned) joiners.
     #: A pruned node imposes no *data* cost (the paper's semantics, and the
@@ -274,27 +313,32 @@ class EnergyAwareMetric(FarthestChildMetric):
     #: delivery, so it stays off; the knob exists for the ablation bench.
     UNFLAGGED_SHADOW = 0.0
 
-    def _delta(self, view: NodeView, v: NodeId, u: NodeId) -> float:
-        r_without = view.radius_without(u, v, flagged_only=True)
-        d = view.dist(v, u)
-        if d <= r_without:  # v already covered: marginal exactly zero
-            marginal = 0.0
-        else:
-            marginal = self.node_cost_at_radius(view, u, d) - self.node_cost_at_radius(
-                view, u, r_without
-            )
-        if not view.flag_excluding(v, v):
-            # An unflagged child imposes no data-forwarding obligation; it
-            # either already overhears (within r) or simply isn't covered.
-            return self.UNFLAGGED_SHADOW * marginal
-        return marginal
-
-    def join_cost(self, view: NodeView, v: NodeId, u: NodeId) -> float:
+    def pricer(self, view: NodeView, v: NodeId) -> Pricer:
         # Price u's path in the v-detached world, with v's flag attached
         # (lighting up a pruned branch charges the whole chain), then add
-        # u's own marginal cost for covering v.  See NodeView.path_price.
+        # u's own marginal cost for covering v.  See NodeView.path_pricer.
         v_flag = view.flag_excluding(v, v)
-        return view.path_price(u, v, v_flag, self) + self._delta(view, v, u)
+        path_price = view.path_pricer(v, v_flag, self)
+        radius_without, dist = view.radius_without, view.dist
+        node_cost = self.view_node_cost(view)
+        shadow = self.UNFLAGGED_SHADOW
+
+        def join_cost(u: NodeId, su: NodeState) -> float:
+            price = path_price(u)
+            r_without = radius_without(u, v, True)
+            d = dist(v, u)
+            if d <= r_without:  # v already covered: marginal exactly zero
+                marginal = 0.0
+            else:
+                marginal = node_cost(u, d) - node_cost(u, r_without)
+            if not v_flag:
+                # An unflagged child imposes no data-forwarding obligation;
+                # it either already overhears (within r) or simply isn't
+                # covered.
+                return price + shadow * marginal
+            return price + marginal
+
+        return join_cost
 
     def node_cost(self, topo: Topology, tree: TreeAssignment, u: NodeId) -> float:
         radius = tree.data_tx_radius(u)

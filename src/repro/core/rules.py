@@ -18,7 +18,7 @@ If ``N1(v)`` is empty the node declares itself disconnected:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.metrics import CostMetric
 from repro.core.state import NodeState
@@ -54,10 +54,10 @@ def compute_update(
         metric,
         view,
         v,
-        is_root=(v == topo.source),
-        h_max=H_MAX(topo),
-        oc_max=metric.infinity(topo),
-        hysteresis=metric.switch_hysteresis,
+        v == topo.source,  # is_root
+        H_MAX(topo),
+        metric.infinity(topo),  # oc_max
+        metric.switch_hysteresis,
     )
 
 
@@ -87,43 +87,57 @@ def compute_update_local(
     if is_root:
         return NodeState(parent=None, cost=0.0, hop=0)
 
-    current_parent = view.state_of(v).parent
+    state_of = view.state_of
+    current_parent = state_of(v).parent
+    join_cost = metric.pricer(view, v)
+    damping = 1.0 + hysteresis
 
-    best: Optional[Tuple] = None
+    # Fold N1(v) in neighbor order, keeping the best (effective cost,
+    # oc, hop, id).  A candidate wins outright when its effective cost is
+    # below the best's by more than the relative COST_TOL band, loses
+    # when above it by more, and otherwise ties: then the tail
+    # (incumbent first, lower hop, shorter distance, smaller id) decides,
+    # compared as a tuple.  The tail, and the distance read in it, is
+    # built only on a tie.
+    tol = COST_TOL
+    best_u: Optional[NodeId] = None
+    best_eff = best_abs = best_oc = 0.0
+    best_hop = 0
+    best_tail: Optional[Tuple] = None  # the best's tail, once a tie needed it
     for u in view.neighbors_of(v):
-        su = view.state_of(u)
-        if su.hop >= h_max:  # not usefully connected (N1 exclusion)
+        su = state_of(u)
+        hop = su.hop
+        if hop >= h_max:  # not usefully connected (N1 exclusion)
             continue
-        oc = metric.join_cost(view, v, u)
-        effective = oc if u == current_parent else oc * (1.0 + hysteresis)
-        key = (effective, 0 if u == current_parent else 1, su.hop, view.dist(v, u), u)
-        if best is None or _better(key, best[0]):
-            best = (key, oc, su.hop, u)
+        oc = join_cost(u, su)
+        eff = oc if u == current_parent else oc * damping
+        # |eff| (a -0.0 kept as -0.0 scales the band to a zero of either
+        # sign, which no comparison below can tell apart)
+        eff_abs = eff if eff >= 0.0 else -eff
+        if best_u is not None:
+            # tol * max(|eff|, |best|), NaNs placed as max() places them
+            band = tol * (best_abs if best_abs > eff_abs else eff_abs)
+            if eff < best_eff - band:
+                best_tail = None
+            elif eff > best_eff + band:
+                continue
+            else:
+                if best_tail is None:
+                    best_tail = (
+                        0 if best_u == current_parent else 1,
+                        best_hop,
+                        view.dist(v, best_u),
+                        best_u,
+                    )
+                tail = (0 if u == current_parent else 1, hop, view.dist(v, u), u)
+                if not tail < best_tail:
+                    continue
+                best_tail = tail
+        best_u, best_eff, best_abs, best_oc, best_hop = u, eff, eff_abs, oc, hop
 
-    if best is None:
+    if best_u is None:
         return NodeState(parent=None, cost=oc_max, hop=h_max)
-
-    _, oc, hop_u, u = best
-    return NodeState(parent=u, cost=oc, hop=hop_u + 1)
-
-
-def _better(a: Tuple, b: Tuple) -> bool:
-    """Lexicographic comparison with tolerant cost equality.
-
-    Costs within ``COST_TOL`` (relative) are treated as equal so the
-    incumbent-parent / lower-hop / smaller-id tie-breaks take over.  The
-    band is purely relative (no absolute floor): an absolute floor makes
-    the tie band unit-dependent — ~0.1%-relative at microjoule scale but
-    1e-9-relative at joule scale — so rescaling the radio constants
-    changed which parents tied and hence the chosen tree.
-    """
-    ca, cb = a[0], b[0]
-    scale = max(abs(ca), abs(cb))
-    if ca < cb - COST_TOL * scale:
-        return True
-    if ca > cb + COST_TOL * scale:
-        return False
-    return a[1:] < b[1:]
+    return NodeState(parent=best_u, cost=best_oc, hop=best_hop + 1)
 
 
 def guard_violated(

@@ -21,15 +21,49 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left, insort
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.state import NodeState, derive_children, derive_flags
 from repro.graph.topology import Topology
 from repro.util.ids import NodeId
 
 
+class CostMemo:
+    """One metric's radio terms on one view, keyed on their exact inputs.
+
+    ``etx[r]`` is the per-bit transmit energy at radius ``r`` and
+    ``node_cost[(u, r)]`` is SS-SPST-E's node cost of ``u`` at radius
+    ``r`` (:meth:`~repro.core.metrics.EnergyAwareMetric.view_node_cost`).
+    An entry holds what the metric computes from the same float inputs,
+    so reading it never changes a trajectory; it only keeps a rule
+    evaluation from pricing one radius twice.
+    """
+
+    __slots__ = ("etx", "node_cost")
+
+    def __init__(self) -> None:
+        self.etx: Dict[float, float] = {}
+        self.node_cost: Dict[Tuple[NodeId, float], float] = {}
+
+
 class NodeView(abc.ABC):
     """What node ``v`` can see when evaluating neighbor ``u``."""
+
+    def __init__(self) -> None:
+        self._cost_memos: Dict[object, CostMemo] = {}
+
+    def cost_memo(self, metric: object) -> CostMemo:
+        """``metric``'s :class:`CostMemo` on this view, made on first use.
+
+        The memo lives as long as the view, so a view must not outlive
+        the facts its node costs read (the topology's neighbor distances
+        for :class:`GlobalView`; one tick's beacon table for the DES
+        view).
+        """
+        memo = self._cost_memos.get(metric)
+        if memo is None:
+            memo = self._cost_memos[metric] = CostMemo()
+        return memo
 
     @abc.abstractmethod
     def neighbors_of(self, v: NodeId) -> List[NodeId]:
@@ -69,11 +103,20 @@ class NodeView(abc.ABC):
         """u's member flag in the world where ``v`` is detached from its
         current parent (v's subtree no longer contributes flags)."""
 
-    @abc.abstractmethod
     def path_price(
         self, u: NodeId, v: NodeId, v_flag: bool, metric: object
     ) -> float:
-        """Price of candidate parent ``u``'s path, seen by joiner ``v``.
+        """Price of candidate parent ``u``'s path, seen by joiner ``v``
+        (one call of :meth:`path_pricer`)."""
+        return self.path_pricer(v, v_flag, metric)(u)
+
+    @abc.abstractmethod
+    def path_pricer(
+        self, v: NodeId, v_flag: bool, metric: object
+    ) -> Callable[[NodeId], float]:
+        """``u ->`` price of candidate parent ``u``'s path, seen by joiner
+        ``v``, for one evaluation of ``v`` (the view must not change
+        while the pricer is in use).
 
         Evaluated in the world where ``v`` is detached from its current
         parent, and where ``u`` additionally carries ``v_flag`` (the member
@@ -166,6 +209,7 @@ class GlobalView(NodeView):
     """
 
     def __init__(self, topo: Topology, states: Sequence[NodeState]) -> None:
+        super().__init__()
         self.topo = topo
         self.states = list(states)
         self._children = derive_children(self.states)
@@ -191,18 +235,14 @@ class GlobalView(NodeView):
         # once instead of once per evaluation (O(n) chain steps on a line
         # instead of O(n²)).
         self._chain_memo: Dict[NodeId, Dict[bool, float]] = {}
-        #: diagnostic: total ancestor steps walked by :meth:`path_price`
+        #: diagnostic: total ancestor steps walked by :meth:`path_pricer`
         #: (what the chain memos shrink; read by the ablation bench)
         self.chain_steps: int = 0
-        #: static per-(node, radius) node-cost values, filled by
-        #: :meth:`EnergyAwareMetric.node_cost_at_radius`; never invalidated
-        #: (the underlying topology is immutable).
-        self.node_cost_cache: Dict[Tuple[NodeId, float], float] = {}
-        #: static tree-edge distances (0.0 for non-edges), keyed (child,
-        #: parent); chain walks read one per ancestor step.
-        self._edge_dist: Dict[Tuple[NodeId, NodeId], float] = {}
+        #: the topology's neighbor-distance rows (Python floats), read by
+        #: :meth:`dist` and the chain walks, fetched on first use
+        self._dist_rows: Optional[List[Dict[NodeId, float]]] = None
         # Per-evaluation descendant set of the evaluating node, used by
-        # :meth:`path_price` to price candidates inside the evaluator's
+        # :meth:`path_pricer` to price candidates inside the evaluator's
         # own subtree (loop candidates) without walking their chains.
         self._desc_owner: Optional[NodeId] = None
         self._desc_set: Set[NodeId] = set()
@@ -381,8 +421,16 @@ class GlobalView(NodeView):
     def state_of(self, u: NodeId) -> NodeState:
         return self.states[u]
 
+    def _neighbor_dists(self) -> List[Dict[NodeId, float]]:
+        rows = self._dist_rows
+        if rows is None:
+            rows = self._dist_rows = self.topo.dist_rows()
+        return rows
+
     def dist(self, v: NodeId, u: NodeId) -> float:
-        return float(self.topo.dist[v, u])
+        rows = self._dist_rows or self._neighbor_dists()
+        d = rows[v].get(u)
+        return float(self.topo.dist[v, u]) if d is None else d
 
     def flag_of(self, u: NodeId) -> bool:
         return self._flags[u]
@@ -487,14 +535,14 @@ class GlobalView(NodeView):
                 continue
             if flagged_only and not flags[c]:
                 continue
-            d = float(self.topo.dist[u, c])
+            d = self.dist(u, c)
             if d > radius:
                 radius = d
         return radius
 
-    def path_price(
-        self, u: NodeId, v: NodeId, v_flag: bool, metric: object
-    ) -> float:
+    def path_pricer(
+        self, v: NodeId, v_flag: bool, metric: object
+    ) -> Callable[[NodeId], float]:
         """Exact iterative chain walk in the v-detached world (ABC docstring).
 
         The price is the *marginal* global cost of lighting up ``u``'s
@@ -528,9 +576,14 @@ class GlobalView(NodeView):
         priced subtrees; flagged attached evaluators fall back to the
         per-evaluation memo (``_price_memo``), whose prefixes are valid
         only in their own detached world.
+
+        The pricer finds ``v``'s descendants once, and its detached flags
+        and memo on its first chain walk: a pricer that walks no chain
+        leaves the per-evaluation memo as it found it.
         """
         if not getattr(metric, "path_couples_to_children", False):
-            return self.states[u].cost
+            states = self.states
+            return lambda u: states[u].cost
 
         if self._desc_owner != v:
             # Descendants of the evaluating node, via the children map
@@ -545,95 +598,108 @@ class GlobalView(NodeView):
                         seen_d.add(c)
                         stack.append(c)
             self._desc_owner, self._desc_set = v, seen_d
-        if u in self._desc_set:
-            # u hangs below v: its chain runs through v itself, so in
-            # the v-detached world it is headless and never reaches the
-            # root (attaching to u would form a parent loop).  Price it
-            # at the metric's infinity — the same ``OC_max`` sentinel a
-            # disconnected node advertises — so a node's own subtree
-            # loses to every rooted candidate.  Without this, a chain
-            # running through v priced as already-lit (near zero) and v
-            # flip-flopped into and out of the loop forever; pricing it
-            # at v's advertised cost instead still lured free-riders
-            # (advertised cost 0) back into loops they had just escaped.
-            # The verdict is evaluator-specific, which is also why it is
-            # decided *before* the walk: the shared chain memo may hold
-            # prefixes (written by other evaluators) that cross v.
-            return metric.infinity(self.topo)
-
-        flags = self.flags_excluding(v)
-        if self._detach_neutral(v, flags):
-            # Detaching v changes nothing any chain walk reads: prices are
-            # live-world values, shared across evaluating nodes.
-            memo = self._chain_memo
-        elif self._price_memo_owner == v:
-            memo = self._price_memo
-        else:
-            # New evaluating node: prior prefixes were priced in a
-            # different detached world.
-            self._price_memo = memo = {}
-            self._price_memo_owner = v
+        desc = self._desc_set
         states, topo = self.states, self.topo
-        edge_dist = self._edge_dist
+        source = topo.source
+        dist_rows = self._neighbor_dists()
+        radius_excluding = self._radius_excluding
+        # v's detached world, set on the first chain walk; node costs on
+        # the first step that charges a link
+        flags: Sequence[bool] = ()
+        memo: Optional[Dict[NodeId, Dict[bool, float]]] = None
+        node_cost: Optional[Callable[[NodeId, float], float]] = None
 
-        # v's flag is "carried" up the chain only while the chain nodes
-        # are unlit without it; it dies at the first independently
-        # flagged ancestor.
-        w, carried = u, bool(v_flag) and not flags[u]
-        seen = {u}
-        pending: List[Tuple[Tuple[NodeId, bool], float]] = []
-        cacheable = True
-        while True:
-            by_flag = memo.get(w)
-            base = None if by_flag is None else by_flag.get(carried)
-            if base is not None:
-                break
-            if w == topo.source:
-                base = 0.0
-                memo.setdefault(w, {})[carried] = base
-                break
-            p = states[w].parent
-            if p is None:
-                base = states[w].cost  # disconnected: advertised OC_max
-                memo.setdefault(w, {})[carried] = base
-                break
-            self.chain_steps += 1
-            if carried:
-                # w is lit only by v's attachment: p must start covering
-                # it.  Marginal against p's baseline flagged radius in
-                # the v-detached world (w is unlit there, so excluding it
-                # is a no-op, kept for robustness).
-                d = edge_dist.get((w, p))
-                if d is None:
-                    d = float(topo.dist[w, p]) if topo.has_edge(w, p) else 0.0
-                    edge_dist[(w, p)] = d
-                r_wo = self._radius_excluding(p, (w, v), flags, flagged_only=True)
-                if d <= r_wo:
-                    delta = 0.0  # w already covered: marginal exactly zero
+        def price(u: NodeId) -> float:
+            nonlocal flags, memo, node_cost
+            if u in desc:
+                # u hangs below v: its chain runs through v itself, so in
+                # the v-detached world it is headless and never reaches
+                # the root (attaching to u would form a parent loop).
+                # Price it at the metric's infinity — the same ``OC_max``
+                # sentinel a disconnected node advertises — so a node's
+                # own subtree loses to every rooted candidate.  Without
+                # this, a chain running through v priced as already-lit
+                # (near zero) and v flip-flopped into and out of the loop
+                # forever; pricing it at v's advertised cost instead
+                # still lured free-riders (advertised cost 0) back into
+                # loops they had just escaped.  The verdict is
+                # evaluator-specific, which is also why it is decided
+                # *before* the walk: the shared chain memo may hold
+                # prefixes (written by other evaluators) that cross v.
+                return metric.infinity(topo)
+            if memo is None:
+                flags = self.flags_excluding(v)
+                if self._detach_neutral(v, flags):
+                    # Detaching v changes nothing any chain walk reads:
+                    # prices are live-world values, shared across
+                    # evaluating nodes.
+                    memo = self._chain_memo
+                elif self._price_memo_owner == v:
+                    memo = self._price_memo
                 else:
-                    delta = metric.node_cost_at_radius(self, p, d) - (
-                        metric.node_cost_at_radius(self, p, r_wo)
-                    )
-            else:
-                delta = 0.0
-            if p in seen:  # cycle in an illegitimate state: stop re-pricing
-                # The cut point depends on where *this* walk started, so
-                # the price is valid for this candidate only — memoizing
-                # it would leak one candidate's cut into another's chain.
-                base = states[p].cost + delta
-                cacheable = False
-                break
-            seen.add(p)
-            pending.append(((w, carried), delta))
-            w, carried = p, carried and not flags[p]
-        # Backfill the walked prefixes: price(w) = delta(w->p) + price(p).
-        # A walk truncated by the cycle guard yields start-dependent
-        # values: return them, but keep them out of the shared memo so
-        # every candidate prices cycles from its own walk (the pre-memo
-        # per-candidate semantics).
-        price = base
-        for (kw, kf), delta in reversed(pending):
-            price += delta
-            if cacheable:
-                memo.setdefault(kw, {})[kf] = price
+                    # New evaluating node: prior prefixes were priced in
+                    # a different detached world.
+                    self._price_memo = memo = {}
+                    self._price_memo_owner = v
+
+            # v's flag is "carried" up the chain only while the chain
+            # nodes are unlit without it; it dies at the first
+            # independently flagged ancestor.
+            w, carried = u, bool(v_flag) and not flags[u]
+            seen = {u}
+            pending: List[Tuple[Tuple[NodeId, bool], float]] = []
+            cacheable = True
+            while True:
+                by_flag = memo.get(w)
+                base = None if by_flag is None else by_flag.get(carried)
+                if base is not None:
+                    break
+                if w == source:
+                    base = 0.0
+                    memo.setdefault(w, {})[carried] = base
+                    break
+                p = states[w].parent
+                if p is None:
+                    base = states[w].cost  # disconnected: advertised OC_max
+                    memo.setdefault(w, {})[carried] = base
+                    break
+                self.chain_steps += 1
+                if carried:
+                    # w is lit only by v's attachment: p must start
+                    # covering it.  Marginal against p's baseline flagged
+                    # radius in the v-detached world (w is unlit there,
+                    # so excluding it is a no-op, kept for robustness).
+                    d = dist_rows[w].get(p, 0.0)  # 0.0 for a non-edge
+                    r_wo = radius_excluding(p, (w, v), flags, flagged_only=True)
+                    if d <= r_wo:
+                        delta = 0.0  # w already covered: marginal exactly zero
+                    else:
+                        if node_cost is None:
+                            node_cost = metric.view_node_cost(self)
+                        delta = node_cost(p, d) - node_cost(p, r_wo)
+                else:
+                    delta = 0.0
+                if p in seen:  # cycle in an illegitimate state: stop re-pricing
+                    # The cut point depends on where *this* walk started,
+                    # so the price is valid for this candidate only —
+                    # memoizing it would leak one candidate's cut into
+                    # another's chain.
+                    base = states[p].cost + delta
+                    cacheable = False
+                    break
+                seen.add(p)
+                pending.append(((w, carried), delta))
+                w, carried = p, carried and not flags[p]
+            # Backfill the walked prefixes: price(w) = delta(w->p) +
+            # price(p).  A walk truncated by the cycle guard yields
+            # start-dependent values: return them, but keep them out of
+            # the shared memo so every candidate prices cycles from its
+            # own walk (the pre-memo per-candidate semantics).
+            total = base
+            for (kw, kf), delta in reversed(pending):
+                total += delta
+                if cacheable:
+                    memo.setdefault(kw, {})[kf] = total
+            return total
+
         return price

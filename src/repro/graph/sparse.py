@@ -27,7 +27,7 @@ Compatibility notes:
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -185,6 +185,7 @@ class SparseTopology(Topology):
         order = np.lexsort((self._ndist, rowid))
         self._sdist = self._ndist[order]
         self._sorted_nbr_dists = None  # base-class field, never built here
+        self._dist_rows = None
         #: largest edge length — the whole-matrix fact OC_max needs,
         #: precomputed so no consumer ever scans ``dist``.
         self.max_edge_dist: float = (
@@ -247,6 +248,13 @@ class SparseTopology(Topology):
         return [
             (int(u), float(d))
             for u, d in zip(self._nbr[i0:i1], self._ndist[i0:i1])
+        ]
+
+    def _build_dist_rows(self) -> List[Dict[NodeId, float]]:
+        nbr, nd, ptr = self._nbr.tolist(), self._ndist.tolist(), self._indptr.tolist()
+        return [
+            dict(zip(nbr[ptr[v]:ptr[v + 1]], nd[ptr[v]:ptr[v + 1]]))
+            for v in range(self.n)
         ]
 
     def neighbors_within(self, v: NodeId, radius: float) -> List[NodeId]:

@@ -63,9 +63,15 @@ class Topology:
                 raise ValueError(f"member {m} out of range")
         mem.add(self.source)
         self.members: FrozenSet[NodeId] = frozenset(mem)
-        self._adj: List[List[NodeId]] = [
-            [int(j) for j in np.nonzero(finite[i])[0]] for i in range(n)
-        ]
+        # one nonzero over the matrix: rows come out in order, ids ascending
+        heads, tails = np.nonzero(finite)
+        ids = tails.tolist()
+        self._adj: List[List[NodeId]] = []
+        i = 0
+        for degree in np.bincount(heads, minlength=n).tolist():
+            self._adj.append(ids[i:i + degree])
+            i += degree
+        self._dist_rows: Optional[List[Dict[NodeId, float]]] = None
         self._sorted_nbr_dists: Optional[List[List[float]]] = None
 
     # ------------------------------------------------------------------
@@ -120,6 +126,30 @@ class Topology:
         """``(neighbor, distance)`` pairs for ``v``."""
         return [(u, float(self.dist[v, u])) for u in self._adj[v]]
 
+    def dist_rows(self) -> List[Dict[NodeId, float]]:
+        """Row ``v`` maps each neighbor ``u`` to ``float(dist[v, u])``.
+
+        Rule evaluations read one neighbor distance per candidate; a dict
+        of Python floats answers that without a numpy scalar index.  The
+        rows are built together on first use, in O(edges).
+        """
+        rows = self._dist_rows
+        if rows is None:
+            rows = self._dist_rows = self._build_dist_rows()
+        return rows
+
+    def _build_dist_rows(self) -> List[Dict[NodeId, float]]:
+        edges = np.isfinite(self.dist)
+        np.fill_diagonal(edges, False)
+        values = self.dist[edges].tolist()  # row-major: the order of _adj
+        rows: List[Dict[NodeId, float]] = []
+        i = 0
+        for row in self._adj:
+            j = i + len(row)
+            rows.append(dict(zip(row, values[i:j])))
+            i = j
+        return rows
+
     def neighbors_within(self, v: NodeId, radius: float) -> List[NodeId]:
         """Graph neighbors of ``v`` no farther than ``radius``."""
         return [u for u in self._adj[v] if self.dist[v, u] <= radius + 1e-12]
@@ -134,10 +164,7 @@ class Topology:
         """
         rows = self._sorted_nbr_dists
         if rows is None:
-            rows = [
-                sorted(float(self.dist[i, u]) for u in self._adj[i])
-                for i in range(self.n)
-            ]
+            rows = [sorted(row.values()) for row in self.dist_rows()]
             self._sorted_nbr_dists = rows
         return bisect_right(rows[v], radius + 1e-12)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.metrics import CostMetric
 from repro.core.rules import COST_TOL, compute_update_local
@@ -153,11 +153,15 @@ class LocalView(NodeView):
     and one table.  At construction it takes every neighbour's advertised
     state (``states``) and its distance (``dists``, one vector
     ``np.hypot``) from the table; it builds each neighbour's
-    :class:`NodeState` once, on first use.  Nothing is kept across ticks:
-    the node's own position moves between them.
+    :class:`NodeState` once, on first use.  Its
+    :meth:`~repro.core.views.NodeView.cost_memo` (transmit energies by
+    radius, SS-SPST-E node costs by neighbour and radius) lives for this
+    one tick too.  Nothing is kept across ticks: the node's own position
+    moves between them and the table changes.
     """
 
     def __init__(self, agent: "SSSPSTAgent") -> None:
+        super().__init__()
         self.agent = agent
         self.me = agent.node.id
         self.table = agent.table
@@ -243,7 +247,7 @@ class LocalView(NodeView):
             return 0
         return bisect.bisect_right(dists, radius + 1e-12)
 
-    def path_price(self, u: NodeId, v: NodeId, v_flag: bool, metric) -> float:
+    def path_pricer(self, v: NodeId, v_flag: bool, metric) -> Callable[[NodeId], float]:
         """One-level telescoped form of the round model's chain walk.
 
         Beacons carry the pair (cost_flagged, cost_unflagged) each node
@@ -253,21 +257,27 @@ class LocalView(NodeView):
         parent's radius *with v attached*; the shared-parent correction
         below re-prices that marginal in the v-detached world (without it,
         sibling evaluations chase their own attachment and flip-flop
-        forever — the DES analogue of GlobalView.path_price's exact walk).
+        forever — the DES analogue of GlobalView.path_pricer's exact walk).
         """
         if not getattr(metric, "path_couples_to_children", False):
-            return self.state_of(u).cost
-        st = self.states[u]
-        flagged_without_v = st.get("flag", False) and st.get("sole_flag_cause") != v
-        if st.get("member", False):
-            flagged_without_v = True
-        if flagged_without_v:
-            base = float(st["cost"])
-        elif v_flag:
-            base = float(st.get("cost_flagged", st["cost"]))
-        else:
-            base = float(st.get("cost_unflagged", st["cost"]))
-        return base + self._shared_parent_correction(u, v, st, metric)
+            state_of = self.state_of
+            return lambda u: state_of(u).cost
+        states = self.states
+
+        def price(u: NodeId) -> float:
+            st = states[u]
+            flagged_without_v = st.get("flag", False) and st.get("sole_flag_cause") != v
+            if st.get("member", False):
+                flagged_without_v = True
+            if flagged_without_v:
+                base = float(st["cost"])
+            elif v_flag:
+                base = float(st.get("cost_flagged", st["cost"]))
+            else:
+                base = float(st.get("cost_unflagged", st["cost"]))
+            return base + self._shared_parent_correction(u, v, st, metric)
+
+        return price
 
     def _shared_parent_correction(self, u: NodeId, v: NodeId, st_u: Dict, metric) -> float:
         """Re-price delta_p(u) without v when u and v share parent p."""
@@ -285,17 +295,11 @@ class LocalView(NodeView):
             ((info_p.position[0] - info_u.position[0]) ** 2
              + (info_p.position[1] - info_u.position[1]) ** 2) ** 0.5
         )
-        dists = st_p.get("nbr_dists") or []
-        e_rx = metric.e_rx
-
-        def cost_at(r: float) -> float:
-            if r <= 0.0:
-                return 0.0
-            cnt = bisect.bisect_right(dists, r + 1e-12)
-            return metric.etx(r) + cnt * e_rx
+        # p's node cost, as its beacon's neighbour distances count it
+        node_cost = metric.view_node_cost(self)
 
         def delta(r_wo: float) -> float:
-            return cost_at(max(r_wo, d_pu)) - cost_at(r_wo)
+            return node_cost(p, max(r_wo, d_pu)) - node_cost(p, r_wo)
 
         r_wo_u = self._radius_from_tops(st_p, (u,), flagged_only=True)
         r_wo_uv = self._radius_from_tops(st_p, (u, v), flagged_only=True)
@@ -474,7 +478,7 @@ class SSSPSTAgent(MulticastAgent):
         Beacons advertise the top-``TOPS`` child distances (descending) for
         both child sets so neighbors can evaluate radii with *any* child
         excluded — needed both for fair incumbent comparisons and for the
-        shared-parent price correction in :meth:`LocalView.path_price`.
+        shared-parent price correction in :meth:`LocalView.path_pricer`.
         ``dists`` are this tick's neighbour distances
         (:meth:`NeighborTable.distances_from`).
         """

@@ -41,6 +41,10 @@ class Simulator:
         rest itself.  The medium completes a whole frame in one
         callback and credits one event per frame reception, so the
         count (persisted in every DES record) is one per reception.
+    cancelled_discarded:
+        Cancelled events the kernel popped off its heap and skipped
+        (by :meth:`run`, :meth:`step` or :meth:`peek`).  A cancelled
+        event still queued is not counted yet.  Kept out of records.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -50,6 +54,7 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_executed = 0
+        self.cancelled_discarded = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -135,6 +140,7 @@ class Simulator:
                 ev = entry[3]
                 if ev.cancelled:
                     heappop(heap)
+                    self.cancelled_discarded += 1
                     continue
                 if entry[0] > horizon:
                     break
@@ -164,6 +170,7 @@ class Simulator:
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
+            self.cancelled_discarded += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Simulator(now={self._now:.6f}, pending={self.pending})"

@@ -246,7 +246,7 @@ def test_fold_matches_sequential_fold(args):
 
 
 def test_fold_hands_near_ties_to_the_sequential_fold():
-    """Costs 0.5 x COST_TOL apart tie under ``rules._better``, so the
+    """Costs 0.5 x COST_TOL apart tie in the rule's fold, so the
     hop tie-break picks the dearer candidate; the per-row minimum alone
     would pick the cheaper one.  The second row (exact integer ties)
     stays on the fast path."""

@@ -96,6 +96,26 @@ class TestCancellation:
         ev1.cancel()
         assert sim.pending == 1
 
+    def test_cancelled_discards_counted_across_run_step_peek(self, sim):
+        """Every cancelled heap entry is counted once, whichever of
+        ``peek``, ``step`` or ``run`` pops it."""
+        n, cancel = 20, (0, 1, 4, 5, 9, 13, 19)
+        log = []
+        events = [sim.schedule(1.0 + i, log.append, i) for i in range(n)]
+        for i in cancel:
+            events[i].cancel()
+        assert sim.peek() == 3.0  # drops entries 0 and 1
+        assert sim.cancelled_discarded == 2
+        assert sim.step() and sim.step()  # runs 2, 3
+        sim.run(until=11.0)  # drops 4, 5, 9
+        assert sim.cancelled_discarded == 5
+        assert sim.step()  # runs 11
+        sim.run()  # drops 13 and 19
+        assert not sim.step() and sim.peek() is None
+        assert sim.cancelled_discarded == len(cancel)
+        assert log == [i for i in range(n) if i not in cancel]
+        assert sim.events_executed == n - len(cancel)
+
 
 class TestRunControl:
     def test_stop(self, sim):
