@@ -222,7 +222,7 @@ class FarthestChildMetric(CostMetric):
     switch_hysteresis = 0.05
 
     def pricer(self, view: NodeView, v: NodeId) -> Pricer:
-        dist, radius_without = view.dist, view.radius_without
+        dist, radius_without = view.dist, view.radius_pricer(v, False)
         etx = self.view_etx(view)
         e_rx = self.e_rx
 
@@ -230,7 +230,7 @@ class FarthestChildMetric(CostMetric):
             # u's marginal for having v as a child; a silent u (radius 0)
             # transmits nothing
             d = dist(v, u)
-            r_without = radius_without(u, v, False)
+            r_without = radius_without(u)
             r_with = max(r_without, d)
             e_with = 0.0 if r_with <= 0.0 else etx(r_with)
             e_without = 0.0 if r_without <= 0.0 else etx(r_without)
@@ -319,13 +319,14 @@ class EnergyAwareMetric(FarthestChildMetric):
         # u's own marginal cost for covering v.  See NodeView.path_pricer.
         v_flag = view.flag_excluding(v, v)
         path_price = view.path_pricer(v, v_flag, self)
-        radius_without, dist = view.radius_without, view.dist
+        radius_without = view.radius_pricer(v, True)
+        dist = view.dist
         node_cost = self.view_node_cost(view)
         shadow = self.UNFLAGGED_SHADOW
 
         def join_cost(u: NodeId, su: NodeState) -> float:
             price = path_price(u)
-            r_without = radius_without(u, v, True)
+            r_without = radius_without(u)
             d = dist(v, u)
             if d <= r_without:  # v already covered: marginal exactly zero
                 marginal = 0.0

@@ -81,9 +81,19 @@ class NodeView(abc.ABC):
     def flag_of(self, u: NodeId) -> bool:
         """Whether u currently has a member in its (claimed) subtree."""
 
-    @abc.abstractmethod
     def radius_without(self, u: NodeId, v: NodeId, flagged_only: bool) -> float:
-        """u's child radius if v were not its child (0.0 = u silent).
+        """u's child radius if v were not its child (0.0 = u silent)
+        (one call of :meth:`radius_pricer`)."""
+        return self.radius_pricer(v, flagged_only)(u)
+
+    @abc.abstractmethod
+    def radius_pricer(
+        self, v: NodeId, flagged_only: bool
+    ) -> Callable[[NodeId], float]:
+        """``u ->`` u's child radius if v were not its child (0.0 = u
+        silent), for one evaluation of ``v``: what depends only on ``v``
+        is read once (the view must not change while the pricer is in
+        use).
 
         ``flagged_only`` selects the SS-SPST-E notion (only children with a
         member downstream count as data receivers) versus SS-SPST-F (every
@@ -435,11 +445,14 @@ class GlobalView(NodeView):
     def flag_of(self, u: NodeId) -> bool:
         return self._flags[u]
 
-    def radius_without(self, u: NodeId, v: NodeId, flagged_only: bool) -> float:
+    def radius_pricer(
+        self, v: NodeId, flagged_only: bool
+    ) -> Callable[[NodeId], float]:
         # In flagged-only (SS-SPST-E) evaluations the world is "v detached",
         # so sibling flags that depended on v's subtree are recomputed.
         flags = self.flags_excluding(v) if flagged_only else self._flags
-        return self._radius_excluding(u, (v,), flags, flagged_only)
+        radius_excluding, exclude = self._radius_excluding, (v,)
+        return lambda u: radius_excluding(u, exclude, flags, flagged_only)
 
     def count_in_range(self, u: NodeId, radius: float) -> int:
         if radius <= 0.0:

@@ -39,7 +39,7 @@ import abc
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.daemons import DAEMON_NAMES, require_des_daemon
 from repro.core.metrics import SS_PROTOCOL_METRICS
@@ -403,6 +403,11 @@ class RoundSummary:
         return dict(self.__dict__)
 
 
+#: the one live t = 0 snapshot of the rounds backend:
+#: ``[(scenario_key, topologies, radio)]``, or empty
+_SNAPSHOT: List[Tuple[tuple, Tuple[object, ...], object]] = []
+
+
 def build_round_scenario(config: ScenarioConfig):
     """``(topologies, metric)`` for a config's round-model realization.
 
@@ -416,9 +421,32 @@ def build_round_scenario(config: ScenarioConfig):
     group 0 first, each rooted at its group's source over the one shared
     placement (a ``group_count=1`` config gets a one-element list).  The
     metric is the config protocol's SS-SPST cost metric over the
-    config's radio constants.
+    config's radio constants, built afresh for every call.
+
+    The snapshot is kept for the next call: runs whose configs share a
+    :func:`~repro.experiments.scenario_models.scenario_key` (a protocol
+    × daemon × engine sweep of one seed) reuse its topologies and radio
+    instead of rebuilding them, and ``run_campaign`` dispatches each
+    scenario's runs back to back so they do.  Exactly one snapshot is
+    held: a new key drops the old one before building.  Sharing is
+    safe because nothing mutates a topology after construction except
+    its own lazy caches (distance rows, sorted count rows), which hold
+    the same values whoever builds them.
     """
     from repro.core.metrics import metric_by_name
+    from repro.experiments.scenario_models import scenario_key
+
+    key = scenario_key(config)
+    if not _SNAPSHOT or _SNAPSHOT[0][0] != key:
+        _SNAPSHOT.clear()
+        _SNAPSHOT.append((key, *_build_snapshot(config)))
+    _, topologies, radio = _SNAPSHOT[0]
+    metric = metric_by_name(SS_PROTOCOL_METRICS[config.protocol], radio)
+    return list(topologies), metric
+
+
+def _build_snapshot(config: ScenarioConfig):
+    """``(topologies, radio)`` of a config's scenario at t = 0."""
     from repro.experiments.scenario_models import build_scenario_space
     from repro.graph.sparse import SparseTopology
     from repro.graph.topology import Topology
@@ -426,7 +454,7 @@ def build_round_scenario(config: ScenarioConfig):
     space = build_scenario_space(config)
     topo_cls = SparseTopology if config.topology == "sparse" else Topology
     positions = space.mobility.positions(0.0)
-    topologies = [
+    topologies = tuple(
         topo_cls.from_positions(
             positions,
             config.max_range,
@@ -434,9 +462,8 @@ def build_round_scenario(config: ScenarioConfig):
             members=group.receivers,
         )
         for group in space.groups
-    ]
-    metric = metric_by_name(SS_PROTOCOL_METRICS[config.protocol], space.radio)
-    return topologies, metric
+    )
+    return topologies, space.radio
 
 
 class RoundsBackend(ExperimentBackend):
@@ -448,6 +475,12 @@ class RoundsBackend(ExperimentBackend):
     chain-pricing steps and the perturbed-recovery cost.  A
     ``group_count=k`` config stabilizes k trees over one snapshot; k = 1
     is the one-group case of the same run.
+
+    Every run reads its snapshot through :func:`build_round_scenario`,
+    which keeps the last scenario's topologies alive, so consecutive
+    runs of one scenario (the grouped dispatch of ``run_campaign``)
+    build it once.  The DES backend keeps no such snapshot: its
+    mobility model is consumed by the run.
     """
 
     name = "rounds"

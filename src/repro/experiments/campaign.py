@@ -67,6 +67,7 @@ from repro.experiments.backends import (
 )
 from repro.experiments import store as stores
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.scenario_models import scenario_key
 from repro.experiments.store import (
     CACHE_SCHEMA,
     migrate_json_dir,
@@ -327,6 +328,22 @@ def _land_stored(
     return missing
 
 
+def _grouped_by_scenario(
+    jobs: List[Tuple[int, ScenarioConfig]]
+) -> List[Tuple[int, ScenarioConfig]]:
+    """``jobs`` with the runs of each scenario back to back.
+
+    Groups follow their first appearance and keep their original order
+    inside, so only the dispatch order changes: consecutive runs of one
+    :func:`~repro.experiments.scenario_models.scenario_key` let the
+    rounds backend reuse its t = 0 snapshot.
+    """
+    groups: Dict[tuple, List[Tuple[int, ScenarioConfig]]] = {}
+    for job in jobs:
+        groups.setdefault(scenario_key(job[1]), []).append(job)
+    return [job for group in groups.values() for job in group]
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -342,7 +359,9 @@ def run_campaign(
     to the ``scheduler`` (default: :class:`PoolScheduler` of
     ``workers``, serial at one); each finished record is written to the
     store as it arrives, so interrupting the campaign loses at most the
-    in-flight runs.
+    in-flight runs.  The scheduler receives the pending runs grouped by
+    scenario (:func:`_grouped_by_scenario`); slots, store keys and
+    results do not depend on that order.
 
     ``store`` is a :class:`~repro.experiments.store.ResultStore` or a
     spec string (``json:DIR``, ``sqlite:PATH``, or a bare path — a
@@ -391,6 +410,7 @@ def run_campaign(
             or shard_of(configs[i], shard[1], key) == shard[0]
         ]
         campaign.skipped = len(missing) - len(pending)
+        pending = _grouped_by_scenario(pending)
 
         def _land(i: int, record: dict) -> None:
             cfg = configs[i]

@@ -52,10 +52,14 @@ def build_network(config: ScenarioConfig):
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Run one full scenario and return its metrics.
 
-    The same seed yields the identical mobility scenario and group for
-    every protocol ("We used the same scenarios to evaluate all the
-    protocols", section 6) because protocol-specific randomness draws from
-    separate named substreams.
+    The same seed yields the identical t = 0 placement, first mobility
+    legs and group for every protocol ("We used the same scenarios to
+    evaluate all the protocols", section 6) because protocol-specific
+    randomness draws from separate named substreams.  Later legs are
+    *not* shared: the waypoint model draws each expired leg in node
+    order at whatever instants the run queries positions, so protocols
+    that query at different instants (their own frame and beacon times)
+    drift onto different trajectories after the first legs expire.
     """
     sim, network = build_network(config)
     hub = _simulate(config, sim, network)
@@ -199,10 +203,15 @@ def _mobility_profile(config: ScenarioConfig):
 
     Mobility models advance lazily and reject backwards queries, so the
     simulation's own (now-exhausted) model cannot be resampled; a fresh
-    scenario space replays the identical trajectory from the same seed.
-    Memoized on the trajectory-relevant config fields because the
-    profile is protocol-independent, plus the content digest of a trace
-    file, so a file edited in place is replayed afresh.
+    scenario space from the same seed is sampled on a
+    ``CHURN_SAMPLE_DT`` grid instead.  That replay starts where the run
+    started, but it is not the run's trajectory: the waypoint model
+    draws expired legs in the order positions are queried, and the run
+    queried at its own event times (see :func:`run_scenario`).  The
+    profile describes the seed's scenario as sampled on the grid, the
+    same for every protocol.  Memoized on the trajectory-relevant
+    config fields, plus the content digest of a trace file, so a file
+    edited in place is replayed afresh.
     """
     key = tuple(getattr(config, f) for f in _PROFILE_FIELDS) + (
         scenario_content_fingerprint(config),

@@ -48,7 +48,10 @@ this API.  Both executors build their world
 through :func:`build_scenario_space`, so a ``rounds``-backend run models
 the t = 0 snapshot of the DES scenario — identical placement, identical
 group — for *every* placement/mobility/membership model, not just the
-defaults.
+defaults.  :func:`scenario_key` names that scenario: configs that differ
+only in how they are run (protocol, daemon, engine) share it, which is
+what lets a campaign run one scenario's runs back to back and the
+rounds backend build its snapshot once.
 
 Per-backend realizability is checked by :func:`validate_models` (called
 from the backends' ``validate`` hooks): e.g. ``trace`` mobility requires
@@ -63,7 +66,7 @@ import abc
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -521,6 +524,29 @@ def scenario_content_fingerprint(config: "ScenarioConfig") -> Optional[str]:
         return digest
     except OSError:
         return "unreadable"
+
+
+#: config fields that pick how a scenario is *run*, never what it is:
+#: the rounds backend's t = 0 snapshot reads none of them
+RUN_ONLY_FIELDS = frozenset({"protocol", "daemon", "daemon_k", "engine"})
+
+
+def scenario_key(config: "ScenarioConfig") -> tuple:
+    """The identity of the scenario a config runs on.
+
+    Every config field except :data:`RUN_ONLY_FIELDS`, plus
+    :func:`scenario_content_fingerprint`, so a trace file edited in
+    place forks the key.  Built by exclusion, so a field added later
+    joins the key by itself: the worst it can do is lose sharing, never
+    share wrongly.  Configs with equal keys build the same scenario, so
+    a protocol × daemon × engine sweep of one seed shares one key.  A
+    plain tuple, read without building any config.
+    """
+    return tuple(
+        getattr(config, f.name)
+        for f in fields(config)
+        if f.name not in RUN_ONLY_FIELDS
+    ) + (scenario_content_fingerprint(config),)
 
 
 def non_default_axes(config: "ScenarioConfig") -> Dict[str, str]:

@@ -218,8 +218,9 @@ class LocalView(NodeView):
             return False
         return st.get("sole_flag_cause") != v
 
-    def radius_without(self, u: NodeId, v: NodeId, flagged_only: bool) -> float:
-        return self._radius_from_tops(self.states[u], (v,), flagged_only)
+    def radius_pricer(self, v: NodeId, flagged_only: bool) -> Callable[[NodeId], float]:
+        states, radius_from_tops, exclude = self.states, self._radius_from_tops, (v,)
+        return lambda u: radius_from_tops(states[u], exclude, flagged_only)
 
     @staticmethod
     def _radius_from_tops(st: Dict, exclude, flagged_only: bool) -> float:

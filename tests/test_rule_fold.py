@@ -13,7 +13,8 @@ candidate sets that force exact ties, near-ties 0.5 x ``COST_TOL``
 apart, equal hops and equal distances, with and without an incumbent.
 
 The count guards pin what one evaluation reads: ``flag_excluding(v,
-v)`` once, each transmit-energy radius at most once per view, and a
+v)`` once, the v-detached flags once per reader rather than per
+candidate, each transmit-energy radius at most once per view, and a
 fresh memo for every beacon tick.
 """
 
@@ -349,6 +350,21 @@ def test_energy_evaluation_reads_the_detached_flag_once(monkeypatch):
         calls.clear()
         compute_update_local(metric, view, v, is_root=False, **args)
         assert calls == {(v, v): 1}
+
+
+def test_energy_evaluation_reads_the_detached_flags_per_evaluation(monkeypatch):
+    """The v-detached flags are read once per reader of an evaluation
+    (``v_flag``, the radius pricer, the first chain walk), never once
+    per candidate: every ``v`` here has more candidates than reads."""
+    topo, metric, states = _settled_e_view()
+    calls = counting(monkeypatch, GlobalView, "flags_excluding")
+    view = GlobalView(topo, states)
+    args = dict(h_max=H_MAX(topo), oc_max=metric.infinity(topo))
+    for v in range(1, topo.n):
+        calls.clear()
+        compute_update_local(metric, view, v, is_root=False, **args)
+        assert set(calls) == {(v,)}
+        assert calls[(v,)] <= 3 < len(topo.neighbors(v))
 
 
 def test_transmit_energy_priced_once_per_radius_per_view(monkeypatch):
