@@ -34,79 +34,54 @@ Contents:
   closure, loop-freedom);
 * :mod:`repro.core.examples` — reconstruction of the worked example
   (Figures 1-6) and the Figure-5 discard-energy example.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.core.state import NodeState, StateVector, derive_children, derive_flags
-from repro.core.views import GlobalView, NodeView
-from repro.core.metrics import (
-    CostMetric,
-    HopMetric,
-    TxEnergyMetric,
-    FarthestChildMetric,
-    EnergyAwareMetric,
-    metric_by_name,
-    METRIC_NAMES,
-)
-from repro.core.rules import compute_update, guard_violated, H_MAX
-from repro.core.daemons import (
-    Daemon,
-    DAEMON_NAMES,
-    DES_DAEMON_NAMES,
-    daemon_by_name,
-)
-from repro.core.rounds import (
-    RoundEngine,
-    StabilizationResult,
-    fresh_states,
-    arbitrary_states,
-)
-from repro.core.array_engine import ArrayRoundEngine, ColumnarView
-from repro.core.legitimacy import is_legitimate, extract_tree
-from repro.core.faults import EdgeFault, NodeCrash, FaultRunResult, run_with_faults
-from repro.core.convergence import (
-    ENGINE_NAMES,
-    check_convergence,
-    check_closure,
-    check_loop_freedom,
-    engine_for,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "NodeState",
-    "StateVector",
-    "derive_children",
-    "derive_flags",
-    "GlobalView",
-    "NodeView",
-    "CostMetric",
-    "HopMetric",
-    "TxEnergyMetric",
-    "FarthestChildMetric",
-    "EnergyAwareMetric",
-    "metric_by_name",
-    "METRIC_NAMES",
-    "compute_update",
-    "guard_violated",
-    "H_MAX",
-    "Daemon",
-    "DAEMON_NAMES",
-    "DES_DAEMON_NAMES",
-    "daemon_by_name",
-    "RoundEngine",
-    "ArrayRoundEngine",
-    "ColumnarView",
-    "ENGINE_NAMES",
-    "engine_for",
-    "StabilizationResult",
-    "fresh_states",
-    "arbitrary_states",
-    "is_legitimate",
-    "extract_tree",
-    "check_convergence",
-    "check_closure",
-    "check_loop_freedom",
-    "EdgeFault",
-    "NodeCrash",
-    "FaultRunResult",
-    "run_with_faults",
-]
+_LAZY_EXPORTS = {
+    "NodeState": "state",
+    "StateVector": "state",
+    "derive_children": "state",
+    "derive_flags": "state",
+    "GlobalView": "views",
+    "NodeView": "views",
+    "CostMetric": "metrics",
+    "HopMetric": "metrics",
+    "TxEnergyMetric": "metrics",
+    "FarthestChildMetric": "metrics",
+    "EnergyAwareMetric": "metrics",
+    "metric_by_name": "metrics",
+    "METRIC_NAMES": "metrics",
+    "compute_update": "rules",
+    "guard_violated": "rules",
+    "H_MAX": "rules",
+    "Daemon": "daemons",
+    "DAEMON_NAMES": "daemons",
+    "DES_DAEMON_NAMES": "daemons",
+    "daemon_by_name": "daemons",
+    "RoundEngine": "rounds",
+    "StabilizationResult": "rounds",
+    "fresh_states": "rounds",
+    "arbitrary_states": "rounds",
+    "ArrayRoundEngine": "array_engine",
+    "ColumnarView": "array_engine",
+    "is_legitimate": "legitimacy",
+    "extract_tree": "legitimacy",
+    "EdgeFault": "faults",
+    "NodeCrash": "faults",
+    "FaultRunResult": "faults",
+    "run_with_faults": "faults",
+    "ENGINE_NAMES": "convergence",
+    "check_convergence": "convergence",
+    "check_closure": "convergence",
+    "check_loop_freedom": "convergence",
+    "engine_for": "convergence",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

@@ -8,16 +8,22 @@ implements the standard first-order radio model that satisfies those
 assumptions; :class:`EnergyLedger` tracks per-node joules split by
 direction (tx / rx / discard) and traffic class (data / control), which is
 exactly the breakdown the evaluation metrics need.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.energy.radio import FirstOrderRadioModel, RadioModel
-from repro.energy.ledger import EnergyLedger, EnergyBreakdown
-from repro.energy.battery import Battery
+from repro import lazy_exports
 
-__all__ = [
-    "RadioModel",
-    "FirstOrderRadioModel",
-    "EnergyLedger",
-    "EnergyBreakdown",
-    "Battery",
-]
+_LAZY_EXPORTS = {
+    "FirstOrderRadioModel": "radio",
+    "RadioModel": "radio",
+    "EnergyLedger": "ledger",
+    "EnergyBreakdown": "ledger",
+    "Battery": "battery",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

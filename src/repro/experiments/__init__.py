@@ -24,35 +24,43 @@ A figure is a campaign: ``run`` executes the figure's full campaign
 grid (extra axes included) and its series are the campaign's per-cell
 Welford means of the figure's metric, the numbers ``campaign --figure``
 prints.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads only :mod:`~repro.experiments.config` and the
+group-model registry, so a rounds campaign never imports the DES
+runner and a DES campaign never imports the array engine (see
+``docs/campaigns.md``, *Start-up*).
 """
 
-from repro.experiments.backends import (
-    BACKEND_NAMES,
-    ExperimentBackend,
-    MetricSpec,
-    RunResult,
-    backend_by_name,
-    metric_extractor,
-)
+from repro import lazy_exports
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario_models import (
-    AXES,
-    DEFAULT_MODELS,
-    MODEL_NAMES,
-    ScenarioModel,
-    build_scenario_space,
-    effective_arena,
-    model_by_name,
-)
-from repro.experiments.lifetime import LifetimeResult, compare_lifetimes, run_lifetime
 from repro.groups.models import GROUP_MODEL_NAMES, group_model_by_name
 
-#: campaign-service exports resolved lazily (PEP 562) so that running the
-#: CLI as ``python -m repro.experiments.campaign`` does not import the
-#: module twice (once via this package, once as ``__main__``); mapped to
-#: the layer module that owns each name (see docs/campaigns.md).
+#: every other export, mapped to the module that defines it; lazy also so
+#: that running the CLI as ``python -m repro.experiments.campaign`` does
+#: not import that module twice (once via this package, once as
+#: ``__main__``)
 _LAZY_EXPORTS = {
+    # backends
+    "BACKEND_NAMES": "backends",
+    "ExperimentBackend": "backends",
+    "MetricSpec": "backends",
+    "RunResult": "backends",
+    "backend_by_name": "backends",
+    "metric_extractor": "backends",
+    # DES runner and lifetime study
+    "run_scenario": "runner",
+    "LifetimeResult": "lifetime",
+    "compare_lifetimes": "lifetime",
+    "run_lifetime": "lifetime",
+    # scenario models
+    "AXES": "scenario_models",
+    "DEFAULT_MODELS": "scenario_models",
+    "MODEL_NAMES": "scenario_models",
+    "ScenarioModel": "scenario_models",
+    "build_scenario_space": "scenario_models",
+    "effective_arena": "scenario_models",
+    "model_by_name": "scenario_models",
     # spec / orchestration
     "CampaignSpec": "campaign",
     "CampaignResult": "campaign",
@@ -75,37 +83,11 @@ _LAZY_EXPORTS = {
     "StreamingAggregate": "aggregation",
 }
 
-
-def __getattr__(name):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(
-            f"repro.experiments.{_LAZY_EXPORTS[name]}"
-        )
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ExperimentBackend",
-    "MetricSpec",
-    "backend_by_name",
-    "metric_extractor",
     "ScenarioConfig",
-    "run_scenario",
-    "RunResult",
-    "AXES",
-    "DEFAULT_MODELS",
-    "MODEL_NAMES",
-    "ScenarioModel",
-    "build_scenario_space",
-    "effective_arena",
-    "model_by_name",
     "GROUP_MODEL_NAMES",
     "group_model_by_name",
-    "LifetimeResult",
-    "compare_lifetimes",
-    "run_lifetime",
     *_LAZY_EXPORTS,
 ]

@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -170,15 +171,23 @@ class CampaignSpec:
         """(protocol, grid point) pairs — one aggregation cell each."""
         return [(p, pt) for pt in self.points() for p in self.protocols]
 
+    @functools.cached_property
+    def _plan(self) -> Tuple[ScenarioConfig, ...]:
+        """Every run, constructed (and so validated) once per spec."""
+        return tuple(
+            self.base.replace(protocol=proto, seed=seed, **point)
+            for proto, point in self.cells()
+            for seed in self.seeds
+        )
+
     def configs(self) -> List[ScenarioConfig]:
-        """Every run of the campaign: cells × seeds."""
-        out = []
-        for proto, point in self.cells():
-            for seed in self.seeds:
-                out.append(
-                    self.base.replace(protocol=proto, seed=seed, **point)
-                )
-        return out
+        """Every run of the campaign: cells × seeds, as a fresh list.
+
+        The configs are built once per spec object; a config that
+        fails validation raises here on every call, since a failed
+        build caches nothing.
+        """
+        return list(self._plan)
 
     def size(self) -> int:
         return len(self.protocols) * len(self.seeds) * len(self.points())

@@ -21,7 +21,6 @@ payloads must be picklable top-level callables.
 from __future__ import annotations
 
 import abc
-import multiprocessing
 from typing import Callable, Sequence, Tuple
 
 __all__ = [
@@ -95,6 +94,8 @@ class PoolScheduler(Scheduler):
             for i, payload in jobs:
                 on_result(i, fn(payload))
             return
+        import multiprocessing  # a serial campaign never loads it
+
         packed = [(fn, i, payload) for i, payload in jobs]
         with multiprocessing.Pool(n) as pool:
             for i, result in pool.imap_unordered(_call_indexed, packed):

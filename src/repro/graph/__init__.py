@@ -10,23 +10,24 @@ tree representation/pruning (:mod:`repro.graph.tree`), classic reference
 constructions (BIP/MIP, :mod:`repro.graph.bip`), and brute-force /
 heuristic minimum-energy trees (:mod:`repro.graph.emin`) used to measure
 how close SS-SPST-E gets to the optimum.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.graph.topology import Topology
-from repro.graph.sparse import SparseTopology
-from repro.graph.tree import TreeAssignment
-from repro.graph.bip import bip_tree, mip_tree
-from repro.graph.emin import (
-    exhaustive_min_energy_tree,
-    local_search_min_energy_tree,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Topology",
-    "SparseTopology",
-    "TreeAssignment",
-    "bip_tree",
-    "mip_tree",
-    "exhaustive_min_energy_tree",
-    "local_search_min_energy_tree",
-]
+_LAZY_EXPORTS = {
+    "Topology": "topology",
+    "SparseTopology": "sparse",
+    "TreeAssignment": "tree",
+    "bip_tree": "bip",
+    "mip_tree": "bip",
+    "exhaustive_min_energy_tree": "emin",
+    "local_search_min_energy_tree": "emin",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

@@ -9,32 +9,27 @@ through one run path in which k = 1 is the one-group case), and
 :mod:`repro.groups.metrics` defines the cross-group quantities —
 per-group PDR, Jain fairness, link stress and tree overlap — campaigns
 sweep through the ``group_count`` axis.  See ``docs/groups.md``.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.groups.models import (
-    DEFAULT_GROUP_MODELS,
-    GROUP_MODEL_NAMES,
-    GroupSet,
-    GroupSpec,
-    build_groups,
-    group_model_by_name,
-    validate_group_models,
-)
-from repro.groups.metrics import (
-    jain_index,
-    link_stress_stats,
-    multicast_tree_edges,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_GROUP_MODELS",
-    "GROUP_MODEL_NAMES",
-    "GroupSet",
-    "GroupSpec",
-    "build_groups",
-    "group_model_by_name",
-    "jain_index",
-    "link_stress_stats",
-    "multicast_tree_edges",
-    "validate_group_models",
-]
+_LAZY_EXPORTS = {
+    "DEFAULT_GROUP_MODELS": "models",
+    "GROUP_MODEL_NAMES": "models",
+    "GroupSet": "models",
+    "GroupSpec": "models",
+    "build_groups": "models",
+    "group_model_by_name": "models",
+    "validate_group_models": "models",
+    "jain_index": "metrics",
+    "link_stress_stats": "metrics",
+    "multicast_tree_edges": "metrics",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

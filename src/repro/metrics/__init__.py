@@ -14,8 +14,19 @@ figure of the paper reports:
 * **Unavailability ratio** — fraction of sampled service probes in which a
   receiver had no live multicast service (no delivery within a recency
   window), averaged over receivers.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.metrics.hub import MetricsHub, RunSummary
+from repro import lazy_exports
 
-__all__ = ["MetricsHub", "RunSummary"]
+_LAZY_EXPORTS = {
+    "MetricsHub": "hub",
+    "RunSummary": "hub",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

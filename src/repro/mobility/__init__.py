@@ -11,33 +11,29 @@ experiments.
 All models share the :class:`MobilityModel` interface: ``positions(t)``
 returns the ``(n, 2)`` position array at simulation time ``t`` where ``t``
 must be non-decreasing across calls (models advance lazily).
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.mobility.base import MobilityModel
-from repro.mobility.static import StaticPlacement
-from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.random_walk import RandomWalk
-from repro.mobility.gauss_markov import GaussMarkov
-from repro.mobility.trace import TraceMobility, load_trace_file
-from repro.mobility.analysis import (
-    LinkChurnStats,
-    MobilityProfile,
-    link_churn,
-    mobility_profile,
-    partition_fraction,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "MobilityModel",
-    "StaticPlacement",
-    "RandomWaypoint",
-    "RandomWalk",
-    "GaussMarkov",
-    "TraceMobility",
-    "load_trace_file",
-    "LinkChurnStats",
-    "MobilityProfile",
-    "link_churn",
-    "mobility_profile",
-    "partition_fraction",
-]
+_LAZY_EXPORTS = {
+    "MobilityModel": "base",
+    "StaticPlacement": "static",
+    "RandomWaypoint": "random_waypoint",
+    "RandomWalk": "random_walk",
+    "GaussMarkov": "gauss_markov",
+    "TraceMobility": "trace",
+    "load_trace_file": "trace",
+    "LinkChurnStats": "analysis",
+    "MobilityProfile": "analysis",
+    "link_churn": "analysis",
+    "mobility_profile": "analysis",
+    "partition_fraction": "analysis",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

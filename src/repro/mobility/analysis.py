@@ -76,6 +76,7 @@ def mobility_profile(
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
     times = np.arange(t0, t0 + duration + 1e-9, dt)
+    upper = np.triu_indices(mobility.n, k=1)
     prev = None
     breaks = births = disconnected = 0
     degrees = []
@@ -85,7 +86,6 @@ def mobility_profile(
         adj = (d <= max_range) & (d > 0.0)
         degrees.append(adj.sum(axis=1).mean())
         if prev is not None:
-            upper = np.triu_indices(adj.shape[0], k=1)
             a, p = adj[upper], prev[upper]
             breaks += int(np.count_nonzero(p & ~a))
             births += int(np.count_nonzero(~p & a))
@@ -105,17 +105,14 @@ def mobility_profile(
 
 
 def _connected(adj: np.ndarray) -> bool:
-    """Reachability of every node from node 0 in a boolean adjacency."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    """Reachability of every node from node 0 in a boolean adjacency:
+    one frontier expansion (breadth-first level) per pass."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
     seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in np.nonzero(adj[v])[0]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(int(u))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 

@@ -14,25 +14,29 @@ on.  The model (see DESIGN.md section 4 for the substitution argument):
   and retry after a random backoff, with a transmit jitter that
   de-synchronizes flooding storms.
 * **Optional uniform packet loss** models residual channel error.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.net.packet import Packet, PacketKind, CONTROL_KINDS
-from repro.net.medium import WirelessMedium, Transmission
-from repro.net.mac import CsmaMac, MacConfig
-from repro.net.node import Node, Network, ProtocolAgent
-from repro.net.neighbors import NeighborTable, NeighborInfo
+from repro import lazy_exports
 
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "CONTROL_KINDS",
-    "WirelessMedium",
-    "Transmission",
-    "CsmaMac",
-    "MacConfig",
-    "Node",
-    "Network",
-    "ProtocolAgent",
-    "NeighborTable",
-    "NeighborInfo",
-]
+_LAZY_EXPORTS = {
+    "Packet": "packet",
+    "PacketKind": "packet",
+    "CONTROL_KINDS": "packet",
+    "WirelessMedium": "medium",
+    "Transmission": "medium",
+    "CsmaMac": "mac",
+    "MacConfig": "mac",
+    "Node": "node",
+    "Network": "node",
+    "ProtocolAgent": "node",
+    "NeighborTable": "neighbors",
+    "NeighborInfo": "neighbors",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

@@ -14,24 +14,27 @@ Six multicast protocols run on the :mod:`repro.net` substrate:
 Use :func:`make_agent_factory` to instantiate by protocol name
 ("ss-spst", "ss-spst-t", "ss-spst-f", "ss-spst-e", "maodv", "odmrp",
 "flooding").
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.protocols.base import MulticastAgent
-from repro.protocols.ss_spst import SSSPSTAgent, SSSPSTConfig
-from repro.protocols.maodv import MaodvAgent, MaodvConfig
-from repro.protocols.odmrp import OdmrpAgent, OdmrpConfig
-from repro.protocols.flooding import FloodingAgent
-from repro.protocols.registry import PROTOCOL_NAMES, make_agent_factory
+from repro import lazy_exports
 
-__all__ = [
-    "MulticastAgent",
-    "SSSPSTAgent",
-    "SSSPSTConfig",
-    "MaodvAgent",
-    "MaodvConfig",
-    "OdmrpAgent",
-    "OdmrpConfig",
-    "FloodingAgent",
-    "PROTOCOL_NAMES",
-    "make_agent_factory",
-]
+_LAZY_EXPORTS = {
+    "MulticastAgent": "base",
+    "SSSPSTAgent": "ss_spst",
+    "SSSPSTConfig": "ss_spst",
+    "MaodvAgent": "maodv",
+    "MaodvConfig": "maodv",
+    "OdmrpAgent": "odmrp",
+    "OdmrpConfig": "odmrp",
+    "FloodingAgent": "flooding",
+    "PROTOCOL_NAMES": "registry",
+    "make_agent_factory": "registry",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

@@ -10,15 +10,21 @@ The kernel is intentionally minimal and allocation-light: events are
 ``__slots__`` objects, the heap orders ``(time, priority, seq, event)``
 tuples so ties are broken FIFO by a sequence counter, and cancellation
 is O(1) lazy (cancelled events are skipped when popped).
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.sim.events import Event
-from repro.sim.kernel import Simulator, SimulationError
-from repro.sim.timers import PeriodicTimer
+from repro import lazy_exports
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "SimulationError",
-    "PeriodicTimer",
-]
+_LAZY_EXPORTS = {
+    "Event": "events",
+    "Simulator": "kernel",
+    "SimulationError": "kernel",
+    "PeriodicTimer": "timers",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

@@ -2,44 +2,34 @@
 
 These helpers are dependency-free (NumPy only) and used by every other
 subpackage.  Nothing in here knows about simulation, protocols or energy.
+
+Exports resolve on first use (:func:`repro.lazy_exports`): importing
+the package loads none of its submodules; reading a name loads the
+one module that defines it.
 """
 
-from repro.util.ids import NodeId, IdAllocator
-from repro.util.geometry import (
-    Arena,
-    distance,
-    pairwise_distances,
-    neighbors_within,
-    clamp_point,
-)
-from repro.util.rng import RngStreams, derive_seed
-from repro.util.units import (
-    BITS_PER_BYTE,
-    KBPS,
-    MS,
-    US,
-    joules_to_mj,
-    mj_to_joules,
-    bytes_to_bits,
-    bits_to_bytes,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "NodeId",
-    "IdAllocator",
-    "Arena",
-    "distance",
-    "pairwise_distances",
-    "neighbors_within",
-    "clamp_point",
-    "RngStreams",
-    "derive_seed",
-    "BITS_PER_BYTE",
-    "KBPS",
-    "MS",
-    "US",
-    "joules_to_mj",
-    "mj_to_joules",
-    "bytes_to_bits",
-    "bits_to_bytes",
-]
+_LAZY_EXPORTS = {
+    "NodeId": "ids",
+    "IdAllocator": "ids",
+    "Arena": "geometry",
+    "distance": "geometry",
+    "pairwise_distances": "geometry",
+    "neighbors_within": "geometry",
+    "clamp_point": "geometry",
+    "RngStreams": "rng",
+    "derive_seed": "rng",
+    "BITS_PER_BYTE": "units",
+    "KBPS": "units",
+    "MS": "units",
+    "US": "units",
+    "joules_to_mj": "units",
+    "mj_to_joules": "units",
+    "bytes_to_bits": "units",
+    "bits_to_bytes": "units",
+}
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

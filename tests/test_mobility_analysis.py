@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.mobility import RandomWaypoint, StaticPlacement, TraceMobility
-from repro.mobility.analysis import LinkChurnStats, link_churn, partition_fraction
+from repro.mobility.analysis import (
+    LinkChurnStats,
+    _connected,
+    link_churn,
+    partition_fraction,
+)
 from repro.util.geometry import Arena
 
 ARENA = Arena(500.0, 500.0)
@@ -67,3 +72,37 @@ class TestPartitionFraction:
         mob = StaticPlacement(4, ARENA, rng=rng)
         frac = partition_fraction(mob, max_range=30.0, duration=5.0)
         assert frac == 1.0  # 4 nodes, 30 m range in 500 m arena: no chance
+
+
+def _connected_by_stack(adj: np.ndarray) -> bool:
+    """Reference: depth-first reachability from node 0, one node at a
+    time (the search the frontier expansion replaced)."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for u in np.nonzero(adj[v])[0]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(int(u))
+    return bool(seen.all())
+
+
+class TestConnected:
+    def test_matches_the_stack_search(self):
+        """Unit-disk graphs from sparse to dense, and random directed
+        ones, with both verdicts represented."""
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for n in (1, 2, 3, 8, 25, 60):
+            for radius in (0.05, 0.15, 0.3, 0.6):
+                pos = rng.random((n, 2))
+                d = np.hypot(*(pos[:, None, :] - pos[None, :, :]).transpose(2, 0, 1))
+                adj = (d <= radius) & (d > 0.0)
+                verdicts.append(_connected(adj))
+                assert verdicts[-1] == _connected_by_stack(adj), (n, radius)
+            directed = rng.random((n, n)) < 2.0 / n
+            assert _connected(directed) == _connected_by_stack(directed), n
+        assert True in verdicts and False in verdicts
+

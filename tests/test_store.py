@@ -554,18 +554,26 @@ class TestWarmReadPath:
     def test_one_config_and_no_asdict_per_stored_run(
         self, store_spec, monkeypatch
     ):
-        """A warm campaign builds each config once (the spec grid's) and
-        never deep-copies one: the record check and the rebuilt result
-        both reuse the grid's config."""
+        """A warm campaign builds each config at most once per spec (its
+        plan) and never deep-copies one: the record check and the
+        rebuilt result both reuse the plan's config.  The spec that ran
+        cold builds none; a fresh but equal spec builds each once."""
         import repro.experiments.store as store_module
 
-        spec = CampaignSpec.from_mapping(
-            name="warm-guard",
-            base=rounds_base(),
-            protocols=("ss-spst", "ss-spst-e"),
-            seeds=(1, 2),
-            grid={"n_nodes": (12, 16), "daemon": ("central", "distributed")},
-        )
+        def warm_guard_spec() -> CampaignSpec:
+            return CampaignSpec.from_mapping(
+                name="warm-guard",
+                base=rounds_base(),
+                protocols=("ss-spst", "ss-spst-e"),
+                seeds=(1, 2),
+                grid={
+                    "n_nodes": (12, 16),
+                    "daemon": ("central", "distributed"),
+                },
+            )
+
+        spec, fresh = warm_guard_spec(), warm_guard_spec()
+        assert fresh == spec and fresh is not spec
         cold = run_campaign(spec, store=store_spec)
         assert cold.executed == spec.size()
 
@@ -574,13 +582,22 @@ class TestWarmReadPath:
         hashed = _count_calls(monkeypatch, store_module, "config_key")
         warm = run_campaign(spec, store=store_spec)
         assert (warm.executed, warm.cache_hits) == (0, spec.size())
-        assert (built(), copied(), hashed()) == (spec.size(), 0, spec.size())
+        assert (built(), copied(), hashed()) == (0, 0, spec.size())
         collected = collect_campaign(spec, store_spec)
         assert collected.cache_hits == spec.size()
+        assert (built(), copied(), hashed()) == (0, 0, 2 * spec.size())
+
+        rewarmed = run_campaign(fresh, store=store_spec)
+        assert rewarmed.cache_hits == fresh.size()
+        recollected = collect_campaign(fresh, store_spec)
+        assert recollected.cache_hits == fresh.size()
         assert (built(), copied(), hashed()) == (
-            2 * spec.size(), 0, 2 * spec.size()
+            fresh.size(), 0, 4 * spec.size()
         )
-        for runs in (warm.results, collected.results):
+        for runs in (
+            warm.results, collected.results,
+            rewarmed.results, recollected.results,
+        ):
             assert [r.config for r in runs] == spec.configs()
             for a, b in zip(cold.results, runs):
                 assert a.summary == b.summary
@@ -599,6 +616,78 @@ class TestWarmReadPath:
             assert sorted(store.keys()) == sorted(
                 config_key(cfg) for cfg in spec.configs()
             )
+
+
+class TestPlanOnce:
+    """A spec builds (and so validates) its configs once; ``configs()``
+    hands out a fresh list of them on every call."""
+
+    def test_configs_is_a_fresh_equal_list_every_call(self, monkeypatch):
+        spec = rounds_spec(seeds=(1, 2, 3))
+        built = _count_calls(monkeypatch, ScenarioConfig, "__post_init__")
+        first, second = spec.configs(), spec.configs()
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+        assert built() == spec.size()
+        spec.configs()
+        assert built() == spec.size()
+
+    def test_mutating_the_returned_list_leaves_the_spec(self):
+        spec = rounds_spec()
+        expected = spec.configs()
+        mutated = spec.configs()
+        mutated.reverse()
+        mutated.append(rounds_base(seed=99))
+        del mutated[0]
+        assert spec.configs() == expected
+        assert len(spec.configs()) == spec.size()
+
+    def test_a_failing_config_raises_on_every_call(self):
+        spec = CampaignSpec.from_mapping(
+            name="bad-plan",
+            base=rounds_base(),
+            protocols=("ss-spst",),
+            seeds=(1,),
+            grid={"n_nodes": (16, 2)},  # group_size=4 > n_nodes=2
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                spec.configs()
+
+    def test_cli_status_constructs_each_config_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The read-only CLI path validates the spec's configs
+        (``_checked_spec``) and then collects them from the store: one
+        construction per run."""
+        from repro.experiments.campaign import main
+
+        store = f"sqlite:{tmp_path / 'plan.sqlite'}"
+        argv = [
+            "--backend", "rounds",
+            "--set", "n_nodes=16", "--set", "group_size=4",
+            "--protocols", "ss-spst,ss-spst-e",
+            "--seeds", "7,8",
+            "--name", "plan-once",
+            "--store", store,
+        ]
+        assert main(["submit", *argv, "--quiet"]) == 0
+        planned = rounds_spec(name="plan-once", seeds=(7, 8)).configs()
+
+        constructed: List[ScenarioConfig] = []
+        original = ScenarioConfig.__post_init__
+
+        def recorded(self):
+            original(self)
+            constructed.append(self)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", recorded)
+        capsys.readouterr()
+        assert main(["status", *argv]) == 0
+        assert "4/4 runs complete" in capsys.readouterr().out
+        assert [sum(c == cfg for c in constructed) for cfg in planned] == [
+            1
+        ] * len(planned)
 
 
 # ----------------------------------------------------------------------
