@@ -82,15 +82,15 @@ REGISTRY_AXES: Dict[str, Dict[str, object]] = {
         "names": ("des", "rounds"),
     },
     "group-size": {
-        "module": "groups/models.py",
-        "symbol": "GROUP_MODEL_NAMES",
-        "lookup": "group_model_by_name",
+        "module": "experiments/scenario_models.py",
+        "symbol": "MODEL_NAMES",
+        "lookup": "model_by_name",
         "names": ("fixed", "linear-ramp"),
     },
     "group-overlap": {
-        "module": "groups/models.py",
-        "symbol": "GROUP_MODEL_NAMES",
-        "lookup": "group_model_by_name",
+        "module": "experiments/scenario_models.py",
+        "symbol": "MODEL_NAMES",
+        "lookup": "model_by_name",
         "names": ("independent", "disjoint", "shared-core"),
     },
     "engine": {
@@ -122,7 +122,6 @@ def _live_names() -> Dict[str, Tuple[str, ...]]:
     from repro.core.metrics import METRIC_NAMES
     from repro.experiments.backends import BACKEND_NAMES
     from repro.experiments.scenario_models import MODEL_NAMES
-    from repro.groups.models import GROUP_MODEL_NAMES
 
     live: Dict[str, Tuple[str, ...]] = {
         "daemon": tuple(DAEMON_NAMES),
@@ -131,8 +130,6 @@ def _live_names() -> Dict[str, Tuple[str, ...]]:
         "engine": tuple(ENGINE_NAMES),
     }
     for axis, names in MODEL_NAMES.items():
-        live[axis] = tuple(names)
-    for axis, names in GROUP_MODEL_NAMES.items():
         live[axis] = tuple(names)
     return live
 

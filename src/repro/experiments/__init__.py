@@ -26,15 +26,13 @@ Welford means of the figure's metric, the numbers ``campaign --figure``
 prints.
 
 Exports resolve on first use (:func:`repro.lazy_exports`): importing
-the package loads only :mod:`~repro.experiments.config` and the
-group-model registry, so a rounds campaign never imports the DES
-runner and a DES campaign never imports the array engine (see
-``docs/campaigns.md``, *Start-up*).
+the package loads only :mod:`~repro.experiments.config`, so a rounds
+campaign never imports the DES runner and a DES campaign never imports
+the array engine (see ``docs/campaigns.md``, *Start-up*).
 """
 
 from repro import lazy_exports
 from repro.experiments.config import ScenarioConfig
-from repro.groups.models import GROUP_MODEL_NAMES, group_model_by_name
 
 #: every other export, mapped to the module that defines it; lazy also so
 #: that running the CLI as ``python -m repro.experiments.campaign`` does
@@ -87,7 +85,5 @@ __getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)
 
 __all__ = [
     "ScenarioConfig",
-    "GROUP_MODEL_NAMES",
-    "group_model_by_name",
     *_LAZY_EXPORTS,
 ]

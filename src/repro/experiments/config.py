@@ -34,10 +34,13 @@ class ScenarioConfig:
     backend's ``validate``, invoked from ``__post_init__`` so invalid
     configs still fail at construction.
 
-    **Scenario-model axes.**  Four registry-backed string fields select
-    the scenario *structure* (:mod:`repro.experiments.scenario_models`);
-    each is hash-neutral at its default (the paper's setup), so default
-    configs keep their pre-redesign cache hashes:
+    **Scenario-model axes.**  Six registry-backed string fields select
+    the scenario *structure* (:mod:`repro.experiments.scenario_models`,
+    which reads each axis's default off this class); each is
+    hash-neutral at its default (the paper's setup), so default configs
+    keep their pre-redesign cache hashes.  The two group axes,
+    ``group_size_model`` and ``overlap_model``, are described with
+    ``group_count`` below; the other four are:
 
     ``placement``
         Initial node positions — ``"uniform"`` (default), ``"grid"``

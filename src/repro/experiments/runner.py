@@ -9,7 +9,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario_models import (
     build_scenario_space,
     resolved_models,
-    scenario_content_fingerprint,
+    scenario_key,
 )
 from repro.groups.metrics import group_tree_stats
 from repro.metrics.hub import MetricsHub
@@ -175,23 +175,6 @@ def _final_tree_stats(network: Network) -> Dict[str, float]:
     return group_tree_stats(parent_maps, sources, receivers)
 
 
-#: config fields the mobility trajectory (and so the profile) depends on
-_PROFILE_FIELDS = (
-    "seed",
-    "n_nodes",
-    "arena_w",
-    "arena_h",
-    "density_ref_n",
-    "placement",
-    "mobility",
-    "model_params",
-    "v_min",
-    "v_max",
-    "pause_time",
-    "max_range",
-    "sim_time",
-)
-
 #: per-process profile memo — protocol/daemon sweeps share one scenario
 #: per seed ("we used the same scenarios for all the protocols"), so the
 #: replay is computed once per scenario, not once per run
@@ -209,13 +192,12 @@ def _mobility_profile(config: ScenarioConfig):
     draws expired legs in the order positions are queried, and the run
     queried at its own event times (see :func:`run_scenario`).  The
     profile describes the seed's scenario as sampled on the grid, the
-    same for every protocol.  Memoized on the trajectory-relevant
-    config fields, plus the content digest of a trace file, so a file
-    edited in place is replayed afresh.
+    same for every protocol.  Memoized on
+    :func:`~repro.experiments.scenario_models.scenario_key`, which
+    covers the content digest of a trace file, so a file edited in
+    place is replayed afresh.
     """
-    key = tuple(getattr(config, f) for f in _PROFILE_FIELDS) + (
-        scenario_content_fingerprint(config),
-    )
+    key = scenario_key(config)
     profile = _PROFILE_MEMO.get(key)
     if profile is None:
         replay = build_scenario_space(config).mobility

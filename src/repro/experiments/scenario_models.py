@@ -1,5 +1,5 @@
-"""Declarative scenario models: pluggable placement x mobility x
-membership x traffic.
+"""Declarative scenario models: one registry for six axes — placement x
+mobility x membership x traffic x group-size x group-overlap.
 
 The paper evaluates under exactly one scenario family — uniform placement
 in a 750 x 750 m arena, random-waypoint mobility, one static multicast
@@ -12,9 +12,15 @@ sweep scenario *structure* like any other grid dimension::
 
     --grid mobility=waypoint,gauss-markov,static
     --grid placement=uniform,grid --grid membership=rotating
+    --grid overlap_model=independent,disjoint --set group_count=3
 
 Axes and models
 ---------------
+
+Each axis reads one config field (``field`` on the axis's base class);
+the four scenario axes read the field of their own name, the two group
+axes read ``group_size_model`` and ``overlap_model``.  Each axis's
+default is that field's dataclass default (:data:`DEFAULT_MODELS`).
 
 ``placement``
     Where nodes start: ``uniform`` (the paper; default), ``grid``
@@ -29,6 +35,17 @@ Axes and models
     What the source sends: ``cbr`` (the paper, and the only model;
     :mod:`repro.traffic`).  The axis stays so every record's config
     keeps its ``traffic`` field.
+``group-size``
+    How the sizes of groups 1..k-1 derive from ``group_size`` (k =
+    ``group_count``): ``fixed`` (default: every group has the same
+    size) or ``linear-ramp`` (sizes shrink linearly down to
+    ``ramp_min_frac * group_size``).
+``group-overlap``
+    How groups 1..k-1 pick their members: ``independent`` (default:
+    each group samples uniformly, overlap happens naturally),
+    ``disjoint`` (no node serves two groups) or ``shared-core`` (a
+    ``core_frac`` fraction of every extra group is drawn from group 0's
+    receivers, modelling a popular common audience).
 
 Model-specific sub-parameters travel in the config's frozen
 ``model_params`` mapping (``--model-param key=value`` on the CLI); each
@@ -40,24 +57,27 @@ Determinism and backend parity
 ------------------------------
 
 Every model draws only from named :class:`~repro.util.rng.RngStreams`
-substreams (``placement``, ``mobility``, ``group``, ``membership``), so
-scenarios are bit-reproducible per seed across processes, and the
-**default axes replicate the historical draw sequence exactly** —
-default-config results, cache hashes and cache entries are unchanged by
-this API.  Both executors build their world
+substreams (``placement``, ``mobility``, ``group``, ``membership``, and
+``groups.<gid>`` for extra group ``gid``), so scenarios are
+bit-reproducible per seed across processes, and the **default axes
+replicate the historical draw sequence exactly** — default-config
+results, cache hashes and cache entries are unchanged by this API.
+Group 0 is always the membership model's group; a ``group_count=1``
+config never consults the group axes and makes no extra draw.  Both
+executors build their world
 through :func:`build_scenario_space`, so a ``rounds``-backend run models
 the t = 0 snapshot of the DES scenario — identical placement, identical
-group — for *every* placement/mobility/membership model, not just the
-defaults.  :func:`scenario_key` names that scenario: configs that differ
+groups — for *every* model combination, not just the defaults.
+:func:`scenario_key` names that scenario: configs that differ
 only in how they are run (protocol, daemon, engine) share it, which is
 what lets a campaign run one scenario's runs back to back and the
 rounds backend build its snapshot once.
 
 Per-backend realizability is checked by :func:`validate_models` (called
 from the backends' ``validate`` hooks): e.g. ``trace`` mobility requires
-a ``trace_file`` model parameter.  ``rotating`` membership *is*
-accepted on rounds: the round model sees the t = 0 group, which rotation
-leaves intact by construction.
+a ``trace_file`` model parameter, and k > 1 groups need an SS-SPST-family
+protocol.  ``rotating`` membership *is* accepted on rounds: the round
+model sees the t = 0 group, which rotation leaves intact by construction.
 """
 
 from __future__ import annotations
@@ -67,17 +87,14 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.metrics import SS_PROTOCOL_METRICS
 from repro.energy.radio import FirstOrderRadioModel
-from repro.groups.models import (
-    GroupSet,
-    build_groups,
-    group_param_keys,
-    validate_group_models,
-)
+from repro.experiments.config import ScenarioConfig
+from repro.groups.models import GroupSet, GroupSpec, _draw_group
 from repro.mobility.base import MobilityModel
 from repro.mobility.gauss_markov import GaussMarkov
 from repro.mobility.placement import grid_positions
@@ -88,18 +105,15 @@ from repro.mobility.trace import TraceMobility, load_trace_file
 from repro.util.geometry import Arena
 from repro.util.rng import RngStreams
 
-if TYPE_CHECKING:  # config imports backends imports this module
-    from repro.experiments.config import ScenarioConfig
+if TYPE_CHECKING:
     from repro.net.node import Network
-
-#: axis names in canonical order (also the ScenarioConfig field names)
-AXES: Tuple[str, ...] = ("placement", "mobility", "membership", "traffic")
 
 
 class ScenarioModel(abc.ABC):
     """One choice on one scenario axis.
 
-    Subclasses declare their ``axis``, registry ``name`` and the
+    Each axis base class declares its ``axis`` and the config ``field``
+    naming its model; subclasses declare their registry ``name`` and the
     ``model_params`` keys they accept (``params``: key -> default), and
     implement the axis-specific build method.  ``validate`` may impose
     extra config constraints (e.g. a required parameter).
@@ -107,6 +121,8 @@ class ScenarioModel(abc.ABC):
 
     #: which axis this model belongs to
     axis: str = "?"
+    #: the ScenarioConfig field holding this axis's model name
+    field: str = "?"
     #: registry/config name
     name: str = "?"
     #: accepted ``model_params`` keys -> default values
@@ -114,6 +130,10 @@ class ScenarioModel(abc.ABC):
 
     def validate(self, config: "ScenarioConfig", backend: str) -> None:
         """Raise ``ValueError`` when ``config`` cannot realize this model."""
+
+    def shapes(self, config: "ScenarioConfig") -> bool:
+        """Whether building ``config``'s scenario consults this axis."""
+        return True
 
     def param(self, config: "ScenarioConfig", key: str):
         """A model parameter from the config, or this model's default."""
@@ -137,6 +157,7 @@ class PlacementModel(ScenarioModel):
     """
 
     axis = "placement"
+    field = "placement"
 
     @abc.abstractmethod
     def initial_positions(
@@ -175,6 +196,7 @@ class MobilityAxisModel(ScenarioModel):
     """
 
     axis = "mobility"
+    field = "mobility"
 
     @abc.abstractmethod
     def build(
@@ -298,6 +320,7 @@ class MembershipModel(ScenarioModel):
     """
 
     axis = "membership"
+    field = "membership"
 
     @abc.abstractmethod
     def initial_group(
@@ -387,6 +410,7 @@ class TrafficModel(ScenarioModel):
     the t = 0 topology and builds no workload)."""
 
     axis = "traffic"
+    field = "traffic"
 
     @abc.abstractmethod
     def build(self, network: "Network", config: "ScenarioConfig"):
@@ -408,6 +432,154 @@ class CbrTraffic(TrafficModel):
 
 
 # ----------------------------------------------------------------------
+# group-size axis: sizes of groups 1..k-1
+# ----------------------------------------------------------------------
+class GroupSizeModel(ScenarioModel):
+    axis = "group-size"
+    field = "group_size_model"
+
+    def shapes(self, config):
+        return config.group_count > 1
+
+    @abc.abstractmethod
+    def sizes(self, config: "ScenarioConfig") -> List[int]:
+        """Member count (source included) of each group, length
+        ``group_count``; index 0 is always the historical
+        ``config.group_size``."""
+
+
+class FixedGroupSize(GroupSizeModel):
+    """Every group has the configured ``group_size``."""
+
+    name = "fixed"
+
+    def sizes(self, config):
+        return [config.group_size] * config.group_count
+
+
+class LinearRampGroupSize(GroupSizeModel):
+    """Sizes shrink linearly from ``group_size`` (group 0) down to
+    ``ramp_min_frac * group_size`` (the last group), floor 2."""
+
+    name = "linear-ramp"
+    params = {"ramp_min_frac": 0.5}
+
+    def validate(self, config, backend):
+        frac = float(self.param(config, "ramp_min_frac"))
+        if not (0.0 < frac <= 1.0):
+            raise ValueError("linear-ramp needs 0 < ramp_min_frac <= 1")
+
+    def sizes(self, config):
+        k = config.group_count
+        top = config.group_size
+        bottom = max(2, int(round(float(self.param(config, "ramp_min_frac")) * top)))
+        if k == 1:
+            return [top]
+        return [
+            max(2, int(round(top + (bottom - top) * g / (k - 1))))
+            for g in range(k)
+        ]
+
+
+# ----------------------------------------------------------------------
+# group-overlap axis: membership of groups 1..k-1
+# ----------------------------------------------------------------------
+class GroupOverlapModel(ScenarioModel):
+    axis = "group-overlap"
+    field = "overlap_model"
+
+    def shapes(self, config):
+        return config.group_count > 1
+
+    @abc.abstractmethod
+    def extra_groups(
+        self,
+        config: "ScenarioConfig",
+        sizes: List[int],
+        group0: GroupSpec,
+        streams: RngStreams,
+    ) -> List[GroupSpec]:
+        """Build groups 1..k-1.  Draws only from the per-group
+        ``derive("groups", gid)`` substreams (the bit-identity contract:
+        ``group_count=1`` never reaches this method)."""
+
+
+class IndependentOverlap(GroupOverlapModel):
+    """Each extra group samples its members uniformly over all nodes;
+    cross-group overlap happens at the natural hypergeometric rate."""
+
+    name = "independent"
+
+    def extra_groups(self, config, sizes, group0, streams):
+        pool = list(range(config.n_nodes))
+        return [
+            _draw_group(g, pool, sizes[g], streams.derive("groups", g))
+            for g in range(1, config.group_count)
+        ]
+
+
+class DisjointOverlap(GroupOverlapModel):
+    """No node serves two groups: each extra group samples from the
+    nodes no earlier group (including group 0) claimed."""
+
+    name = "disjoint"
+
+    def validate(self, config, backend):
+        # Worst case every group keeps the configured size; the exact
+        # per-size check happens at build time (sizes may ramp down).
+        if config.group_count * 2 > config.n_nodes:
+            raise ValueError(
+                f"disjoint overlap cannot fit {config.group_count} groups "
+                f"of >= 2 nodes into n_nodes={config.n_nodes}"
+            )
+
+    def extra_groups(self, config, sizes, group0, streams):
+        used = set(group0.members)
+        out = []
+        for g in range(1, config.group_count):
+            pool = sorted(set(range(config.n_nodes)) - used)
+            spec = _draw_group(g, pool, sizes[g], streams.derive("groups", g))
+            used.update(spec.members)
+            out.append(spec)
+        return out
+
+
+class SharedCoreOverlap(GroupOverlapModel):
+    """Every extra group draws ``core_frac`` of its receivers from group
+    0's receivers (a shared popular audience) and the rest — source
+    included — from the remaining nodes."""
+
+    name = "shared-core"
+    params = {"core_frac": 0.5}
+
+    def validate(self, config, backend):
+        frac = float(self.param(config, "core_frac"))
+        if not (0.0 <= frac <= 1.0):
+            raise ValueError("shared-core needs 0 <= core_frac <= 1")
+
+    def extra_groups(self, config, sizes, group0, streams):
+        frac = float(self.param(config, "core_frac"))
+        base_core = sorted(group0.receivers)
+        out = []
+        for g in range(1, config.group_count):
+            rng = streams.derive("groups", g)
+            want_core = int(round(frac * (sizes[g] - 1)))
+            n_core = min(want_core, len(base_core), sizes[g] - 1)
+            core_picks = rng.choice(len(base_core), size=n_core, replace=False)
+            core = [base_core[i] for i in core_picks]
+            pool = sorted(set(range(config.n_nodes)) - set(core))
+            rest = _draw_group(g, pool, sizes[g] - n_core, rng)
+            out.append(
+                GroupSpec(
+                    gid=g,
+                    source=rest.source,
+                    receivers=tuple(list(rest.receivers) + core),
+                )
+            )
+        return out
+
+
+# ----------------------------------------------------------------------
 # Registries
 # ----------------------------------------------------------------------
 def _registry(*models: ScenarioModel) -> Dict[str, ScenarioModel]:
@@ -425,20 +597,44 @@ REGISTRIES: Dict[str, Dict[str, ScenarioModel]] = {
     ),
     "membership": _registry(StaticRandomMembership(), RotatingMembership()),
     "traffic": _registry(CbrTraffic()),
+    "group-size": _registry(FixedGroupSize(), LinearRampGroupSize()),
+    "group-overlap": _registry(
+        IndependentOverlap(), DisjointOverlap(), SharedCoreOverlap()
+    ),
 }
 
-#: the hash-neutral default model of each axis (the paper's scenario)
+#: axis names in canonical order
+AXES: Tuple[str, ...] = tuple(REGISTRIES)
+
+#: axis -> the ScenarioConfig field naming its model
+AXIS_FIELDS: Dict[str, str] = {
+    axis: next(iter(registry.values())).field
+    for axis, registry in REGISTRIES.items()
+}
+
+#: the hash-neutral default model of each axis (the paper's scenario):
+#: its config field's dataclass default
 DEFAULT_MODELS: Dict[str, str] = {
-    "placement": "uniform",
-    "mobility": "waypoint",
-    "membership": "static-random",
-    "traffic": "cbr",
+    axis: ScenarioConfig.__dataclass_fields__[field].default
+    for axis, field in AXIS_FIELDS.items()
 }
 
 #: canonical model-name order per axis (CLI help, docs, tests)
 MODEL_NAMES: Dict[str, Tuple[str, ...]] = {
     axis: tuple(registry) for axis, registry in REGISTRIES.items()
 }
+
+#: every ``model_params`` key some registered model accepts.  Keys are
+#: checked against every *registered* model, not only the resolved
+#: ones: a campaign base legitimately carries parameters for models a
+#: grid axis selects per cell (--grid membership=rotating --model-param
+#: rotation_period=30), while a typo'd key still fails at construction.
+_ACCEPTED_PARAMS: FrozenSet[str] = frozenset(
+    key
+    for registry in REGISTRIES.values()
+    for model in registry.values()
+    for key in model.params
+)
 
 
 def model_by_name(axis: str, name: str) -> ScenarioModel:
@@ -458,8 +654,11 @@ def model_by_name(axis: str, name: str) -> ScenarioModel:
 
 
 def resolved_models(config: "ScenarioConfig") -> Dict[str, ScenarioModel]:
-    """The four models a config resolves to, keyed by axis."""
-    return {axis: model_by_name(axis, getattr(config, axis)) for axis in AXES}
+    """The six models a config resolves to, keyed by axis."""
+    return {
+        axis: model_by_name(axis, getattr(config, field))
+        for axis, field in AXIS_FIELDS.items()
+    }
 
 
 def validate_models(config: "ScenarioConfig", backend: str) -> None:
@@ -467,29 +666,32 @@ def validate_models(config: "ScenarioConfig", backend: str) -> None:
 
     Called from each :class:`~repro.experiments.backends.ExperimentBackend`'s
     ``validate`` (and therefore from ``ScenarioConfig.__post_init__``), so
-    an unknown model name, an unrealizable backend/model pairing or a
-    mistyped ``model_params`` key fails at config construction.
+    an unknown model name, an unrealizable backend/model pairing, an
+    unrealizable group structure or a mistyped ``model_params`` key
+    fails at config construction.
     """
     models = resolved_models(config)  # raises on unknown names
     for model in models.values():
         model.validate(config, backend)
-    validate_group_models(config, backend)
-    # Keys are checked against every *registered* model, not only the
-    # resolved ones: a campaign base legitimately carries parameters for
-    # models a grid axis selects per cell (--grid membership=rotating
-    # --model-param rotation_period=30), while a typo'd key still fails
-    # at construction.
-    accepted = {
-        key
-        for registry in REGISTRIES.values()
-        for model in registry.values()
-        for key in model.params
-    } | group_param_keys()
-    unknown = sorted(set(dict(config.model_params)) - accepted)
+    if config.group_count > 1:
+        # Only the SS-SPST family runs one agent per group per node; the
+        # on-demand baselines have no per-group realization.
+        if config.protocol not in SS_PROTOCOL_METRICS:
+            raise ValueError(
+                f"protocol {config.protocol!r} has no multi-group "
+                f"realization; group_count > 1 runs one SS-SPST-family "
+                f"instance per group ({', '.join(SS_PROTOCOL_METRICS)})"
+            )
+        sizes = models["group-size"].sizes(config)
+        if any(s < 2 or s > config.n_nodes for s in sizes):
+            raise ValueError(
+                f"group sizes {sizes} must lie in [2, n_nodes={config.n_nodes}]"
+            )
+    unknown = sorted(set(dict(config.model_params)) - _ACCEPTED_PARAMS)
     if unknown:
         raise ValueError(
             f"model_params key(s) {unknown} are not accepted by any "
-            f"registered scenario model; known keys: {sorted(accepted)}"
+            f"registered scenario model; known keys: {sorted(_ACCEPTED_PARAMS)}"
         )
 
 
@@ -550,12 +752,13 @@ def scenario_key(config: "ScenarioConfig") -> tuple:
 
 
 def non_default_axes(config: "ScenarioConfig") -> Dict[str, str]:
-    """The scenario axes a config moved off the paper's defaults
-    (plus ``model_params`` when any are set) — the dry-run audit view."""
+    """The model fields a config moved off the paper's defaults (plus
+    ``model_params`` when any are set), keyed by config field — the
+    dry-run audit view."""
     out = {
-        axis: getattr(config, axis)
-        for axis in AXES
-        if getattr(config, axis) != DEFAULT_MODELS[axis]
+        field: getattr(config, field)
+        for axis, field in AXIS_FIELDS.items()
+        if getattr(config, field) != DEFAULT_MODELS[axis]
     }
     if config.model_params:
         out["model_params"] = ",".join(
@@ -566,13 +769,18 @@ def non_default_axes(config: "ScenarioConfig") -> Dict[str, str]:
 
 def plan_lines(configs: Sequence["ScenarioConfig"]) -> List[str]:
     """Dry-run summary: resolved models per axis across a campaign,
-    flagging every non-default value with ``*``."""
+    flagging every non-default value with ``*``.  An axis every config
+    leaves at its default is listed only when some config's scenario
+    consults it (the group axes shape only ``group_count > 1`` runs)."""
     lines = ["# scenario models (non-default marked *):"]
-    for axis in AXES:
-        values = list(dict.fromkeys(getattr(c, axis) for c in configs))
-        shown = ",".join(
-            v + ("" if v == DEFAULT_MODELS[axis] else "*") for v in values
-        )
+    for axis, field in AXIS_FIELDS.items():
+        default = DEFAULT_MODELS[axis]
+        values = list(dict.fromkeys(getattr(c, field) for c in configs))
+        if values == [default] and not any(
+            REGISTRIES[axis][default].shapes(c) for c in configs
+        ):
+            continue
+        shown = ",".join(v + ("" if v == default else "*") for v in values)
         lines.append(f"#   {axis}: {shown}")
     all_params = list(
         dict.fromkeys(c.model_params for c in configs if c.model_params)
@@ -628,6 +836,29 @@ def effective_arena(config: "ScenarioConfig") -> Arena:
         return Arena(config.arena_w, config.arena_h)
     scale = math.sqrt(config.n_nodes / config.density_ref_n)
     return Arena(config.arena_w * scale, config.arena_h * scale)
+
+
+def build_groups(
+    config: "ScenarioConfig",
+    source: int,
+    receivers: List[int],
+    streams: RngStreams,
+) -> GroupSet:
+    """Realize the config's group structure.
+
+    ``source``/``receivers`` are the membership model's historical group
+    (drawn before this call from the ``"group"`` substream) and become
+    group 0 verbatim.  With ``group_count == 1`` this function draws
+    nothing — the single-group bit-identity contract.
+    """
+    group0 = GroupSpec(gid=0, source=int(source), receivers=tuple(receivers))
+    if config.group_count == 1:
+        return GroupSet(groups=(group0,))
+    sizes = model_by_name("group-size", config.group_size_model).sizes(config)
+    extra = model_by_name("group-overlap", config.overlap_model).extra_groups(
+        config, sizes, group0, streams
+    )
+    return GroupSet(groups=(group0, *extra))
 
 
 def build_scenario_space(config: "ScenarioConfig") -> ScenarioSpace:

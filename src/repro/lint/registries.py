@@ -1,7 +1,7 @@
 """Registry-consistency rules (R3xx): no orphaned registry names.
 
 The experiment stack is organized around registries — activation
-daemons, cost metrics, the four scenario-model axes, executor backends
+daemons, cost metrics, the six scenario-model axes, executor backends
 and round engines.  A name that is registered but unreachable from the
 CLI, undocumented, or untested is a trap: it can silently rot (nothing
 exercises it) while still being selectable in a campaign grid.

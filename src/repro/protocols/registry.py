@@ -39,8 +39,8 @@ def make_agent_factory(
     :class:`~repro.groups.agents.GroupDispatchAgent` (group 0's agent
     built first); with one group it returns the bare agent.  The
     on-demand baselines serve group 0 only
-    (:func:`~repro.groups.models.validate_group_models` rejects them at
-    k > 1).
+    (:func:`~repro.experiments.scenario_models.validate_models` rejects
+    them at k > 1).
     """
     protocol = protocol.lower()
     require_des_daemon(daemon)

@@ -39,8 +39,10 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import build_network, run_scenario
 from repro.experiments.scenario_models import (
+    DEFAULT_MODELS,
     MODEL_NAMES,
     build_scenario_space,
+    model_by_name,
 )
 from repro.experiments.store import config_key
 from repro.graph.io import (
@@ -56,13 +58,7 @@ from repro.groups.metrics import (
     link_stress_stats,
     multicast_tree_edges,
 )
-from repro.groups.models import (
-    DEFAULT_GROUP_MODELS,
-    GROUP_MODEL_NAMES,
-    GroupSet,
-    GroupSpec,
-    group_model_by_name,
-)
+from repro.groups.models import GroupSet, GroupSpec
 from repro.util.rng import RngStreams
 from tests.test_des_golden import record_digest
 
@@ -187,17 +183,15 @@ class TestSingleGroupGolden:
 # ----------------------------------------------------------------------
 class TestGroupModels:
     def test_registry_names(self):
-        assert GROUP_MODEL_NAMES["group-size"] == ("fixed", "linear-ramp")
-        assert GROUP_MODEL_NAMES["group-overlap"] == (
+        assert MODEL_NAMES["group-size"] == ("fixed", "linear-ramp")
+        assert MODEL_NAMES["group-overlap"] == (
             "independent", "disjoint", "shared-core",
         )
-        assert DEFAULT_GROUP_MODELS == {
-            "group-size": "fixed",
-            "group-overlap": "independent",
-        }
+        assert DEFAULT_MODELS["group-size"] == "fixed"
+        assert DEFAULT_MODELS["group-overlap"] == "independent"
         with pytest.raises(ValueError, match="unknown group-size"):
-            group_model_by_name("group-size", "bogus")
-        assert group_model_by_name("group-overlap", "disjoint").name == (
+            model_by_name("group-size", "bogus")
+        assert model_by_name("group-overlap", "disjoint").name == (
             "disjoint"
         )
 
@@ -266,6 +260,30 @@ class TestGroupModels:
         assert extra[-1] == 4  # ramp_min_frac=0.5 of group_size=8
         assert all(2 <= s <= 8 for s in extra)
 
+    @pytest.mark.parametrize("frac", [0.0, -0.5, 1.5])
+    def test_linear_ramp_rejects_out_of_range_min_frac(self, frac):
+        with pytest.raises(ValueError, match="0 < ramp_min_frac <= 1"):
+            ScenarioConfig.quick(
+                n_nodes=40, group_size=8, group_count=3,
+                group_size_model="linear-ramp",
+                model_params={"ramp_min_frac": frac},
+            )
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.5])
+    def test_shared_core_rejects_out_of_range_core_frac(self, frac):
+        with pytest.raises(ValueError, match="0 <= core_frac <= 1"):
+            ScenarioConfig.quick(
+                n_nodes=40, group_size=8, group_count=3,
+                overlap_model="shared-core",
+                model_params={"core_frac": frac},
+            )
+
+    def test_unknown_param_error_lists_group_keys(self):
+        with pytest.raises(ValueError, match="model_params key") as err:
+            ScenarioConfig.quick(model_params={"core_fraction": 0.5})
+        assert "'core_frac'" in str(err.value)
+        assert "'ramp_min_frac'" in str(err.value)
+
     def test_groups_identical_across_backends(self):
         """Both backends realize the identical GroupSet (t = 0 parity
         extends to the group structure)."""
@@ -322,7 +340,7 @@ class TestMultiGroupRuns:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         group_count=st.integers(min_value=2, max_value=4),
-        overlap=st.sampled_from(GROUP_MODEL_NAMES["group-overlap"]),
+        overlap=st.sampled_from(MODEL_NAMES["group-overlap"]),
     )
     def test_object_and_array_engines_agree_at_k_gt_1(
         self, seed, group_count, overlap
@@ -635,9 +653,9 @@ class TestScenarioIo:
 # satellite: group_count leaves the trajectory alone
 # ----------------------------------------------------------------------
 class TestTrajectoryIgnoresGroupCount:
-    """The runner's mobility-profile memo keys on ``_PROFILE_FIELDS``,
-    which omits ``group_count``: that is sound only while no mobility
-    model reads it.  (``trace`` needs a file and replays it verbatim.)"""
+    """Extra groups draw only from their own substreams, so no mobility
+    model's trajectory depends on ``group_count``.  (``trace`` needs a
+    file and replays it verbatim.)"""
 
     @pytest.mark.parametrize(
         "mobility", [m for m in MODEL_NAMES["mobility"] if m != "trace"]

@@ -18,6 +18,7 @@ MetricSpecs, constant-density arena scaling, rotating membership, the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 
@@ -37,6 +38,7 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.runner import build_network, run_scenario
 from repro.experiments.scenario_models import (
     AXES,
+    AXIS_FIELDS,
     DEFAULT_MODELS,
     MODEL_NAMES,
     build_scenario_space,
@@ -137,7 +139,22 @@ class TestGoldenHashes:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_axes_and_model_names(self):
-        assert AXES == ("placement", "mobility", "membership", "traffic")
+        assert AXES == (
+            "placement",
+            "mobility",
+            "membership",
+            "traffic",
+            "group-size",
+            "group-overlap",
+        )
+        assert AXIS_FIELDS == {
+            "placement": "placement",
+            "mobility": "mobility",
+            "membership": "membership",
+            "traffic": "traffic",
+            "group-size": "group_size_model",
+            "group-overlap": "overlap_model",
+        }
         assert MODEL_NAMES["placement"] == ("uniform", "grid")
         assert MODEL_NAMES["mobility"] == (
             "waypoint",
@@ -152,14 +169,22 @@ class TestRegistry:
     def test_defaults_resolve_and_match_axis_fields(self):
         cfg = fast_base()
         models = resolved_models(cfg)
-        for axis in AXES:
+        for axis, field in AXIS_FIELDS.items():
             assert models[axis].name == DEFAULT_MODELS[axis]
-            assert getattr(cfg, axis) == DEFAULT_MODELS[axis]
+            assert getattr(cfg, field) == DEFAULT_MODELS[axis]
+
+    def test_defaults_are_the_config_field_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+        assert DEFAULT_MODELS == {
+            axis: defaults[field] for axis, field in AXIS_FIELDS.items()
+        }
+        assert DEFAULT_MODELS["placement"] == "uniform"
+        assert DEFAULT_MODELS["group-overlap"] == "independent"
 
     def test_unknown_models_rejected_at_construction(self):
-        for axis in AXES:
+        for axis, field in AXIS_FIELDS.items():
             with pytest.raises(ValueError, match=f"unknown {axis} model"):
-                fast_base(**{axis: "warp-drive"})
+                fast_base(**{field: "warp-drive"})
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario axis"):
@@ -175,6 +200,10 @@ class TestRegistry:
         # keys no registered model accepts are rejected.
         fast_base(mobility="gauss-markov", model_params={"gm_alpha": 0.5})
         fast_base(model_params={"gm_alpha": 0.5})  # base for a mobility grid
+        # the group axes: a base whose overlap_model is still
+        # "independent" carries core_frac for a --grid overlap_model axis
+        fast_base(model_params={"core_frac": 0.25})
+        fast_base(model_params={"ramp_min_frac": 0.25})
 
     def test_model_params_normalization(self):
         cfg = fast_base(
@@ -253,6 +282,27 @@ class TestRegistry:
         after = _mobility_profile(cfg).churn
         assert after.link_breaks > 0
         assert after.mean_degree < n - 1
+
+    def test_mobility_profile_replays_once_per_scenario(self, monkeypatch):
+        """The profile memo keys on the scenario: configs that differ only
+        in how they are run share one replay, a trajectory field forks it."""
+        from repro.experiments import runner
+
+        replays = []
+
+        def counting_build(config):
+            replays.append(config)
+            return build_scenario_space(config)
+
+        monkeypatch.setattr(runner, "build_scenario_space", counting_build)
+        monkeypatch.setattr(runner, "_PROFILE_MEMO", {})
+        base = fast_base(protocol="ss-spst", seed=3)
+        first = runner._mobility_profile(base)
+        assert runner._mobility_profile(base.replace(protocol="flooding")) is first
+        assert runner._mobility_profile(base.replace(daemon="synchronous")) is first
+        assert len(replays) == 1
+        runner._mobility_profile(base.replace(v_max=2.0))
+        assert len(replays) == 2
 
     def test_trace_node_count_mismatch_fails_at_build(self, tmp_path):
         path = tmp_path / "short.json"
@@ -660,6 +710,40 @@ class TestCliAndFigures:
         assert "#   placement: uniform\n" in out
         # per-run lines carry the non-default axis
         assert " mobility=gauss-markov" in out
+
+    def test_dry_run_flags_the_group_axes(self, capsys):
+        rc = main(
+            [
+                "--backend", "rounds", "--protocols", "ss-spst",
+                "--seeds", "1",
+                "--set", "group_count=2",
+                "--set", "overlap_model=disjoint",
+                "--set", "group_size_model=linear-ramp",
+                "--dry-run",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        (run_line,) = [
+            line for line in out.splitlines() if " ss-spst daemon=" in line
+        ]
+        assert run_line.endswith(
+            " group_size_model=linear-ramp overlap_model=disjoint"
+        )
+        assert "#   group-size: linear-ramp*\n" in out
+        assert "#   group-overlap: disjoint*\n" in out
+
+    def test_dry_run_lists_group_axes_where_consulted(self, capsys):
+        # at their defaults, the group axes are listed only when some
+        # run has extra groups for them to shape
+        main(["--protocols", "ss-spst", "--seeds", "1", "--dry-run"]
+             + self.FAST_ARGS)
+        assert "group-" not in capsys.readouterr().out
+        main(["--protocols", "ss-spst", "--seeds", "1", "--dry-run",
+              "--grid", "group_count=1,2"] + self.FAST_ARGS)
+        out = capsys.readouterr().out
+        assert "#   group-size: fixed\n" in out
+        assert "#   group-overlap: independent\n" in out
 
     def test_dry_run_default_axes_unflagged(self, capsys):
         main(["--protocols", "flooding", "--seeds", "1", "--dry-run"] + self.FAST_ARGS)
