@@ -61,24 +61,17 @@ _NAN = float("nan")
 class MetricSpec:
     """A typed, named quantity a backend can extract from its results.
 
-    ``extract`` maps a :class:`RunResult` to a float, by default the
-    attribute of the metric's name, which the result resolves in its
-    diagnostics and then its summary.  Aggregation
-    (:meth:`CampaignResult.aggregate`), tables, figures and ascii plots
-    consume these instead of reaching into ``RunSummary`` attributes, so
-    they work identically over every backend.
+    A :class:`RunResult` carries the value as the attribute of the
+    metric's name, which it resolves in its diagnostics and then its
+    summary.  Aggregation (:meth:`CampaignResult.aggregate`), tables,
+    figures and ascii plots read metrics through
+    :func:`metric_extractor` instead of reaching into ``RunSummary``
+    attributes, so they work identically over every backend.
     """
 
     name: str
     description: str
     unit: str = ""
-    extract: Callable = None  # result -> float
-
-    def __post_init__(self) -> None:
-        if self.extract is None:
-            object.__setattr__(
-                self, "extract", lambda r, _n=self.name: float(getattr(r, _n))
-            )
 
 
 # ----------------------------------------------------------------------
@@ -671,8 +664,9 @@ def metric_extractor(
 
     def extract(result) -> float:
         backend = getattr(result.config, "backend", "des")
-        spec = specs.get(backend, {}).get(metric)
-        return float(spec.extract(result)) if spec is not None else float("nan")
+        if metric not in specs.get(backend, {}):
+            return float("nan")
+        return float(getattr(result, metric))
 
     return extract
 

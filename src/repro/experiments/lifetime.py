@@ -56,8 +56,9 @@ def run_lifetime(
             f"backend={config.backend!r}, group_count={config.group_count}"
         )
     sim, network = build_network(config)
+    source = network.group_source_of(0)
     for node in network.nodes:
-        if not node.is_source:
+        if node.id != source:
             node.battery.capacity_j = battery_j
             node.battery.remaining_j = battery_j
     summary = _simulate(config, sim, network).summary(network.total_energy())

@@ -100,13 +100,10 @@ def _simulate(
     then runs the simulation and stops every clock.
     """
     hub = MetricsHub(
-        n_receivers=len(network.receivers),
+        {g.gid: len(g.receivers) for g in network.groups},
         availability_window=max(2.0, 4.0 * 1.0 / _packets_per_second(config)),
     )
     hub.set_packet_size_hint(config.packet_bytes)
-    hub.set_group_receiver_counts(
-        {g.gid: len(g.receivers) for g in network.groups}
-    )
     network.hub = hub
     network.attach_agents(
         make_agent_factory(
@@ -124,13 +121,11 @@ def _simulate(
     # churn only ever touches group 0, the membership model's group).
     models["membership"].install(network, config)
 
-    # The probed sets are read live: rotating membership changes who
-    # group 0's receivers are mid-run (a no-op for static memberships).
+    # The probed sets are the live records: rotating membership changes
+    # who group 0's receivers are mid-run (a no-op for static memberships).
     def _probe() -> None:
         for g in network.groups:
-            hub.probe_availability(
-                network.group_receivers_of(g.gid), sim.now, group=g.gid
-            )
+            hub.probe_availability(g.receivers, sim.now, group=g.gid)
 
     prober = PeriodicTimer(
         sim,

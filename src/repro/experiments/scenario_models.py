@@ -375,17 +375,18 @@ class RotatingMembership(StaticRandomMembership):
 
         period = float(self.param(config, "rotation_period"))
         rng = network.streams.get("membership")
+        group = network.groups[0]
 
         def rotate() -> None:
-            receivers = sorted(network.receivers)
+            receivers = sorted(group.receivers)
             # Only living nodes can join (battery-limited runs deplete
             # nodes); dead receivers may still rotate *out*, which is how
             # a battery-limited group replaces casualties.
-            outsiders = sorted(
+            outsiders = [
                 v
-                for v in set(range(network.n)) - network.members
-                if network.nodes[v].alive
-            )
+                for v in range(network.n)
+                if not group.has_member(v) and network.nodes[v].alive
+            ]
             if not receivers or not outsiders:
                 return
             leaver = receivers[int(rng.integers(len(receivers)))]

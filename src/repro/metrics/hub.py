@@ -34,15 +34,19 @@ class RunSummary:
 class MetricsHub:
     """Accumulates events during a run; computes a :class:`RunSummary`.
 
+    Takes each group's receiver count once (``{0: n}`` for one group).
     Wire-up: the experiment runner installs the hub on the network
     (``network.hub``); the medium reports every frame put on the air, and
     protocol agents report originations and deliveries.
     """
 
-    def __init__(self, n_receivers: int, availability_window: float = 2.0) -> None:
-        if n_receivers < 0:
-            raise ValueError("n_receivers must be non-negative")
-        self.n_receivers = n_receivers
+    def __init__(
+        self, receiver_counts: Dict[int, int], availability_window: float = 2.0
+    ) -> None:
+        if any(count < 0 for count in receiver_counts.values()):
+            raise ValueError("receiver counts must be non-negative")
+        # per-group receivers at t = 0: the expected-delivery denominators
+        self._group_receiver_counts = dict(receiver_counts)
         self.availability_window = availability_window
         self.data_originated = 0
         self.control_bytes_tx = 0
@@ -57,17 +61,8 @@ class MetricsHub:
         self._last_delivery_at: Dict[Tuple[int, NodeId], float] = {}
         self._probes = 0
         self._probe_misses = 0
-        self._group_receiver_counts: Dict[int, int] = {0: n_receivers}
         self._originated_by_group: Dict[int, int] = {}
         self._delivered_by_group: Dict[int, int] = {}
-
-    def set_group_receiver_counts(self, counts: Dict[int, int]) -> None:
-        """Declare per-group receiver counts (multi-group runs).
-
-        Drives per-group expected-delivery denominators; group 0 defaults
-        to the constructor's ``n_receivers``.
-        """
-        self._group_receiver_counts = dict(counts)
 
     # ------------------------------------------------------------------
     # Event sinks
@@ -118,20 +113,16 @@ class MetricsHub:
 
     def _expected_deliveries(self) -> int:
         """Sum over groups of originations times that group's audience."""
-        if not self._originated_by_group:
-            return self.data_originated * self.n_receivers
         return sum(
-            count * self._group_receiver_counts.get(g, self.n_receivers)
+            count * self._group_receiver_counts[g]
             for g, count in self._originated_by_group.items()
         )
 
     def group_pdrs(self) -> Dict[int, float]:
         """Per-group packet delivery ratio (0.0 when nothing was sent)."""
         out: Dict[int, float] = {}
-        for g in sorted(self._group_receiver_counts):
-            expected = self._originated_by_group.get(g, 0) * (
-                self._group_receiver_counts.get(g, self.n_receivers)
-            )
+        for g, count in sorted(self._group_receiver_counts.items()):
+            expected = self._originated_by_group.get(g, 0) * count
             delivered = self._delivered_by_group.get(g, 0)
             out[g] = delivered / expected if expected else 0.0
         return out

@@ -2,15 +2,16 @@
 
 A :class:`Network` owns the simulator, mobility model, radio model, medium
 and all :class:`Node` objects; it is the single place positions are sampled
-(cached per timestamp, vectorized).  A :class:`Node` is dumb plumbing:
-energy ledger, battery, MAC, and a pluggable :class:`ProtocolAgent` that
-implements actual behaviour.
+(cached per timestamp, vectorized) and holds the membership table, one
+:class:`MulticastGroup` record per declared group.  A :class:`Node` is dumb
+plumbing: energy ledger, battery, MAC, and a pluggable
+:class:`ProtocolAgent` that implements actual behaviour.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -80,6 +81,22 @@ class ProtocolAgent(abc.ABC):
         """
 
 
+class MulticastGroup:
+    """One multicast group's live membership: a fixed source and the
+    receiver set (source excluded) that mid-run churn edits in place."""
+
+    __slots__ = ("gid", "source", "receivers")
+
+    def __init__(self, gid: int, source: NodeId, receivers: Iterable[NodeId]) -> None:
+        self.gid = gid
+        self.source = source
+        self.receivers: Set[NodeId] = set(receivers)
+
+    def has_member(self, v: NodeId) -> bool:
+        """Whether ``v`` is the source or a receiver."""
+        return v == self.source or v in self.receivers
+
+
 class Node:
     """One mobile host: identity, energy state, MAC, protocol agent."""
 
@@ -99,8 +116,6 @@ class Node:
         self.alive = True
         self.died_at: Optional[float] = None  # when the battery ran out
         self.tx_busy_until = 0.0
-        self.is_member = False  # multicast group membership
-        self.is_source = False
 
     # ------------------------------------------------------------------
     @property
@@ -135,16 +150,16 @@ class Node:
                 self.agent.on_node_death()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        flags = "".join(
-            c
-            for c, on in (("S", self.is_source), ("M", self.is_member))
-            if on
-        )
-        return f"Node({self.id}{' ' + flags if flags else ''})"
+        return f"Node({self.id})"
 
 
 class Network:
     """The complete simulated network.
+
+    Multicast membership lives in :attr:`groups`, one
+    :class:`MulticastGroup` per declared group (group 0 included), read
+    through :meth:`is_group_member`/:meth:`is_group_source` and edited
+    mid-run only by :meth:`update_membership`.
 
     Parameters
     ----------
@@ -191,11 +206,8 @@ class Network:
         ]
         self._pos_cache_t = -1.0
         self._pos_cache: Optional[np.ndarray] = None
-        # the declared groups (repro.groups), gid order.  Group 0's
-        # membership lives on the per-node flags only; the receiver side
-        # table holds groups 1..k-1.
-        self.groups: List[GroupSpec] = []
-        self._group_receivers: Dict[int, frozenset] = {}
+        # the membership table: one record per declared group, gid order
+        self.groups: List[MulticastGroup] = []
 
     # ------------------------------------------------------------------
     @property
@@ -224,98 +236,60 @@ class Network:
         return adj
 
     # ------------------------------------------------------------------
-    def set_group(self, source: NodeId, members: Sequence[NodeId]) -> None:
-        """Declare the multicast source and receiver membership: the
-        one-group case of :meth:`set_groups`."""
-        receivers = tuple(m for m in members if m != source)
-        self.set_groups([GroupSpec(0, source, receivers)])
-
     def set_groups(self, groups: Sequence[GroupSpec]) -> None:
         """Declare k >= 1 concurrent multicast groups, group 0 first.
 
-        Group 0 goes onto the per-node ``is_member``/``is_source`` flags
-        that every single-group code path reads, and mid-run churn
-        (:meth:`update_membership`) edits those flags only.  Groups
-        1..k-1 are fixed for the run and live in a side table.
+        Each spec becomes one :class:`MulticastGroup` record of the
+        membership table; declare the groups before attaching agents,
+        which bind their group's record.
         """
         groups = list(groups)
         if not groups or groups[0].gid != 0:
             raise ValueError("set_groups needs group 0 first")
-        self.groups = groups
-        for node in self.nodes:
-            node.is_member = False
-            node.is_source = False
-        first = groups[0]
-        self.nodes[first.source].is_source = True
-        for v in first.members:
-            self.nodes[v].is_member = True
-        self._group_receivers = {
-            g.gid: frozenset(g.receivers) for g in groups[1:]
-        }
+        self.groups = [MulticastGroup(g.gid, g.source, g.receivers) for g in groups]
 
     def group_source_of(self, gid: int) -> NodeId:
         """The source node of group ``gid`` (the source never changes)."""
         return self.groups[gid].source
 
     def group_receivers_of(self, gid: int) -> frozenset:
-        """Receiver set of group ``gid`` (source excluded); group 0's is
-        read from the live flags."""
-        if gid == 0:
-            return frozenset(self.receivers)
-        return self._group_receivers[gid]
+        """Receiver set of group ``gid`` (source excluded), as of now."""
+        return frozenset(self.groups[gid].receivers)
 
     def is_group_member(self, gid: int, v: NodeId) -> bool:
         """Membership (source or receiver) of node ``v`` in group ``gid``."""
-        if gid == 0:
-            return self.nodes[v].is_member
-        return v == self.groups[gid].source or v in self._group_receivers[gid]
+        return self.groups[gid].has_member(v)
 
     def is_group_source(self, gid: int, v: NodeId) -> bool:
         """Whether node ``v`` sources group ``gid``."""
-        if gid == 0:
-            return self.nodes[v].is_source
         return v == self.groups[gid].source
 
     def update_membership(
         self, joins: Sequence[NodeId] = (), leaves: Sequence[NodeId] = ()
     ) -> None:
-        """Apply mid-run group churn (the ``rotating`` membership model).
+        """Apply mid-run churn to group 0 (the ``rotating`` membership
+        model).
 
         The source can never leave (the session is rooted there); changed
         nodes get their agent's :meth:`ProtocolAgent.on_membership_change`
         hook so membership-latched timers can react.
         """
+        group = self.groups[0]
         changed = []
         for v in leaves:
-            if self.nodes[v].is_source:
+            if v == group.source:
                 raise ValueError("the multicast source cannot leave the group")
-            if self.nodes[v].is_member:
-                self.nodes[v].is_member = False
+            if v in group.receivers:
+                group.receivers.remove(v)
                 changed.append(v)
         for v in joins:
-            if not self.nodes[v].is_member:
-                self.nodes[v].is_member = True
+            if not group.has_member(v):
+                group.receivers.add(v)
                 changed.append(v)
         for v in changed:
             agent = self.nodes[v].agent
             if agent is not None:
                 agent.on_membership_change()
-
-    @property
-    def members(self) -> Set[NodeId]:
-        return {nd.id for nd in self.nodes if nd.is_member}
-
-    @property
-    def source(self) -> NodeId:
-        for nd in self.nodes:
-            if nd.is_source:
-                return nd.id
-        raise RuntimeError("no multicast source declared")
-
-    @property
-    def receivers(self) -> Set[NodeId]:
-        """Group members excluding the source."""
-        return {nd.id for nd in self.nodes if nd.is_member and not nd.is_source}
 
     # ------------------------------------------------------------------
     def attach_agents(self, factory) -> None:

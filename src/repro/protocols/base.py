@@ -39,7 +39,7 @@ class DuplicateCache:
 class MulticastAgent(ProtocolAgent):
     """Base class for the six protocols.
 
-    Adds: group-role properties, the duplicate cache, data origination
+    Adds: group roles, the duplicate cache, data origination
     plumbing (the CBR source calls :meth:`originate_data`), and delivery
     accounting through the network's metrics hub.
     """
@@ -50,25 +50,19 @@ class MulticastAgent(ProtocolAgent):
 
     def __init__(self, node: Node, group_id: int = 0) -> None:
         super().__init__(node)
-        #: which multicast session this agent serves.  0 is the
-        #: historical single group (per-node flags); agents for groups
-        #: 1..k-1 read the network's group side tables instead.
+        #: which multicast session this agent serves, and that session's
+        #: live record in the network's membership table
         self.group_id = int(group_id)
+        self.group = node.network.groups[self.group_id]
+        #: the source of a session never changes
+        self.is_source = node.id == self.group.source
         self.dups = DuplicateCache()
         self._data_seq = 0
 
     # ------------------------------------------------------------------
     @property
     def is_member(self) -> bool:
-        if self.group_id == 0:
-            return self.node.is_member
-        return self.network.is_group_member(self.group_id, self.node.id)
-
-    @property
-    def is_source(self) -> bool:
-        if self.group_id == 0:
-            return self.node.is_source
-        return self.network.is_group_source(self.group_id, self.node.id)
+        return self.is_source or self.node.id in self.group.receivers
 
     @property
     def hub(self):

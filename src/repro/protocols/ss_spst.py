@@ -138,14 +138,6 @@ CAMPAIGN_BINDINGS = {
 }
 
 
-#: flagged_only -> the beacon keys of that radius: the radius, its top
-#: (distance, child) entries, its costliest child and the runner-up radius
-_RADIUS_KEYS = {
-    flagged: (p, f"{p}_tops", f"{p}_costliest", f"{p}2")
-    for flagged, p in ((True, "r_flag"), (False, "r_all"))
-}
-
-
 class LocalView(NodeView):
     """NodeView assembled from one node's beacon table (no global state).
 
@@ -229,13 +221,7 @@ class LocalView(NodeView):
         Exact even though beacons truncate the list: excluding a child that
         did not make the top entries cannot lower the maximum.
         """
-        key, key_tops, key_costliest, key_2 = _RADIUS_KEYS[flagged_only]
-        tops = st.get(key_tops)
-        if tops is None:  # very first beacons of a run
-            if st.get(key_costliest) in exclude:
-                return float(st.get(key_2, 0.0))
-            return float(st.get(key, 0.0))
-        for d, n in tops:
+        for d, n in st["r_flag_tops" if flagged_only else "r_all_tops"]:
             if n not in exclude:
                 return float(d)
         return 0.0
@@ -491,12 +477,9 @@ class SSSPSTAgent(MulticastAgent):
             if info.state.get("flag", False):
                 flag_pairs.append((d, info.node))
         out: Dict[str, object] = {}
-        for prefix, pairs in (("r_all", all_pairs), ("r_flag", flag_pairs)):
+        for key, pairs in (("r_all_tops", all_pairs), ("r_flag_tops", flag_pairs)):
             pairs.sort(reverse=True)
-            out[prefix] = pairs[0][0] if pairs else 0.0
-            out[f"{prefix}2"] = pairs[1][0] if len(pairs) > 1 else 0.0
-            out[f"{prefix}_costliest"] = pairs[0][1] if pairs else None
-            out[f"{prefix}_tops"] = [(d, n) for d, n in pairs[: self.TOPS]]
+            out[key] = pairs[: self.TOPS]
         flagged_children = [n for _, n in flag_pairs]
         out["sole_flag_cause"] = (
             flagged_children[0]
@@ -525,17 +508,13 @@ class SSSPSTAgent(MulticastAgent):
         price_u = st["cost"] if p_flagged_wo_me else st.get("cost_unflagged", st["cost"])
         # Parent's marginal for covering me when I am flagged.
         d = dists[p]
-        r_wo = (
-            st.get("r_flag2", 0.0)
-            if st.get("r_flag_costliest") == me
-            else st.get("r_flag", 0.0)
-        )
-        r_with = max(float(r_wo), d)
+        r_wo = LocalView._radius_from_tops(st, (me,), True)
+        r_with = max(r_wo, d)
         dists = st.get("nbr_dists") or []
         cnt_with = bisect.bisect_right(dists, r_with + 1e-12)
-        cnt_wo = bisect.bisect_right(dists, float(r_wo) + 1e-12) if r_wo > 0 else 0
+        cnt_wo = bisect.bisect_right(dists, r_wo + 1e-12) if r_wo > 0 else 0
         cost_at = lambda r, c: 0.0 if r <= 0 else self.metric.etx(r) + c * self.metric.e_rx
-        delta = cost_at(r_with, cnt_with) - cost_at(float(r_wo), cnt_wo)
+        delta = cost_at(r_with, cnt_with) - cost_at(r_wo, cnt_wo)
         return {
             "cost_flagged": float(price_f) + delta,
             "cost_unflagged": float(price_u),

@@ -113,8 +113,9 @@ def finite_batteries(monkeypatch, battery_j: float = BATTERY_J) -> list:
 
     def build_with_batteries(config):
         sim, network = build(config)
+        source = network.group_source_of(0)
         for node in network.nodes:
-            if not node.is_source:
+            if node.id != source:
                 node.battery.capacity_j = battery_j
                 node.battery.remaining_j = battery_j
         built.append(network)

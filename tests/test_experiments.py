@@ -47,15 +47,15 @@ class TestRunner:
     def test_build_network_group(self):
         cfg = ScenarioConfig.quick(group_size=10, seed=7)
         sim, net = build_network(cfg)
-        assert net.source == 0
-        assert len(net.members) == 10
-        assert len(net.receivers) == 9
+        assert net.group_source_of(0) == 0
+        assert sum(net.is_group_member(0, v) for v in range(net.n)) == 10
+        assert len(net.group_receivers_of(0)) == 9
 
     def test_same_seed_same_scenario(self):
         cfg = ScenarioConfig.quick(seed=5)
         _, net1 = build_network(cfg)
         _, net2 = build_network(cfg)
-        assert net1.members == net2.members
+        assert net1.group_receivers_of(0) == net2.group_receivers_of(0)
         assert (net1.positions() == net2.positions()).all()
 
     def test_different_protocols_share_scenario(self):
@@ -64,7 +64,7 @@ class TestRunner:
         b = ScenarioConfig.quick(seed=5, protocol="odmrp")
         _, net_a = build_network(a)
         _, net_b = build_network(b)
-        assert net_a.members == net_b.members
+        assert net_a.group_receivers_of(0) == net_b.group_receivers_of(0)
         assert (net_a.positions() == net_b.positions()).all()
 
     def test_run_scenario_end_to_end(self):

@@ -16,9 +16,9 @@ Pins the contracts the extension is accountable for:
   MAC, and the cross-group metrics (fairness, link stress, overlap) come
   out populated and sane.
 
-Plus the satellites: JSON scenario import/export round-trip, trajectories
-that do not depend on ``group_count``, and the campaign CLI end to end
-over a ``group_count`` grid (cold then warm).
+Plus the satellites: trajectories that do not depend on ``group_count``,
+and the campaign CLI end to end over a ``group_count`` grid (cold then
+warm).
 """
 
 from __future__ import annotations
@@ -45,20 +45,13 @@ from repro.experiments.scenario_models import (
     model_by_name,
 )
 from repro.experiments.store import config_key
-from repro.graph.io import (
-    SCENARIO_SCHEMA,
-    ScenarioDocument,
-    dump_scenario,
-    load_scenario,
-    loads_scenario,
-    scenario_document,
-)
 from repro.groups.metrics import (
     jain_index,
     link_stress_stats,
     multicast_tree_edges,
 )
 from repro.groups.models import GroupSet, GroupSpec
+from repro.protocols.registry import make_agent_factory
 from repro.util.rng import RngStreams
 from tests.test_des_golden import record_digest
 
@@ -589,64 +582,19 @@ class TestGroupStore:
         _, net = build_network(
             fast_base(group_count=group_count, n_nodes=20, group_size=4)
         )
-        leaver = min(net.receivers)
-        joiner = min(set(range(net.n)) - net.members)
+        net.attach_agents(make_agent_factory("ss-spst"))
+        before = {g.gid: net.group_receivers_of(g.gid) for g in net.groups}
+        leaver = min(before[0])
+        joiner = min(v for v in range(net.n) if not net.is_group_member(0, v))
         net.update_membership(joins=[joiner], leaves=[leaver])
-        assert net.group_receivers_of(0) == frozenset(net.receivers)
-        assert joiner in net.group_receivers_of(0)
-        assert leaver not in net.group_receivers_of(0)
-
-
-# ----------------------------------------------------------------------
-# satellite: JSON scenario import/export
-# ----------------------------------------------------------------------
-class TestScenarioIo:
-    def test_round_trip_exact(self, tmp_path):
-        doc = scenario_document(
-            ScenarioConfig.quick(
-                n_nodes=20, group_size=4, group_count=3, seed=17
-            ),
-            meta={"note": "fixture"},
-        )
-        path = str(tmp_path / "scenario.json")
-        dump_scenario(path, doc)
-        loaded = load_scenario(path)
-        assert loaded.n_nodes == doc.n_nodes == 20
-        np.testing.assert_array_equal(loaded.positions, doc.positions)
-        assert loaded.groups == doc.groups
-        assert loaded.arena == doc.arena
-        assert loaded.meta["note"] == "fixture"
-        assert loaded.meta["group_count"] == 3
-        # a second dump of the loaded document is byte-identical
-        path2 = str(tmp_path / "scenario2.json")
-        dump_scenario(path2, loaded)
-        with open(path) as a, open(path2) as b:
-            assert a.read() == b.read()
-
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            loads_scenario(json.dumps({"schema": 99}))
-        assert SCENARIO_SCHEMA == 1
-
-    def test_rejects_out_of_range_members(self):
-        doc = ScenarioDocument(
-            arena=(100.0, 100.0),
-            positions=np.zeros((3, 2)),
-            groups=GroupSet(
-                groups=(GroupSpec(gid=0, source=0, receivers=(1, 7)),)
-            ),
-        )
-        text = json.dumps(
-            {
-                "schema": 1,
-                "arena": [100.0, 100.0],
-                "positions": [[0, 0], [1, 1], [2, 2]],
-                "groups": [{"gid": 0, "source": 0, "receivers": [1, 7]}],
-            }
-        )
-        with pytest.raises(ValueError, match="outside"):
-            loads_scenario(text)
-        assert doc.n_nodes == 3
+        assert net.group_receivers_of(0) == before[0] - {leaver} | {joiner}
+        for gid in range(1, group_count):
+            assert net.group_receivers_of(gid) == before[gid]
+        for node in net.nodes:
+            for gid in range(group_count):
+                agent = node.agent.agent_for(gid)
+                assert agent.is_member == net.is_group_member(gid, node.id)
+                assert agent.is_source == net.is_group_source(gid, node.id)
 
 
 # ----------------------------------------------------------------------

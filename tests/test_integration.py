@@ -39,7 +39,7 @@ def test_energy_conservation_across_buckets():
     and medium-level sends match hub byte accounting."""
     cfg = ScenarioConfig.quick(protocol="ss-spst-e", seed=9, v_max=2.0, **QUICK)
     sim, net = build_network(cfg)
-    hub = MetricsHub(n_receivers=len(net.receivers))
+    hub = MetricsHub({0: len(net.group_receivers_of(0))})
     hub.set_packet_size_hint(cfg.packet_bytes)
     net.hub = hub
     net.attach_agents(make_agent_factory("ss-spst-e"))
@@ -58,7 +58,7 @@ def test_overhearing_energy_is_nonzero_for_ss_spst():
     populated: non-intended nodes pay for every overheard frame."""
     cfg = ScenarioConfig.quick(protocol="ss-spst", seed=10, v_max=2.0, **QUICK)
     sim, net = build_network(cfg)
-    hub = MetricsHub(n_receivers=len(net.receivers))
+    hub = MetricsHub({0: len(net.group_receivers_of(0))})
     net.hub = hub
     net.attach_agents(make_agent_factory("ss-spst"))
     net.start()
@@ -76,7 +76,7 @@ def test_ss_spst_e_discards_less_than_hop_variant():
     for protocol in ("ss-spst", "ss-spst-e"):
         cfg = ScenarioConfig.quick(protocol=protocol, seed=11, v_max=2.0, **QUICK)
         sim, net = build_network(cfg)
-        hub = MetricsHub(n_receivers=len(net.receivers))
+        hub = MetricsHub({0: len(net.group_receivers_of(0))})
         net.hub = hub
         net.attach_agents(make_agent_factory(protocol))
         net.start()
@@ -93,7 +93,7 @@ def test_battery_depletion_injects_faults():
     and the dead node must stop transmitting."""
     cfg = ScenarioConfig.quick(protocol="ss-spst", seed=12, v_max=2.0, **QUICK)
     sim, net = build_network(cfg)
-    hub = MetricsHub(n_receivers=len(net.receivers))
+    hub = MetricsHub({0: len(net.group_receivers_of(0))})
     net.hub = hub
     net.attach_agents(make_agent_factory("ss-spst"))
     net.start()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.metrics import EnergyAwareMetric, HopMetric
 from repro.core.state import NodeState
 from repro.energy import FirstOrderRadioModel
+from repro.groups.models import GroupSpec
 from repro.mobility import StaticPlacement
 from repro.net import MacConfig, Network
 from repro.protocols.registry import make_agent_factory
@@ -29,8 +30,9 @@ def settled_network(positions, protocol="ss-spst-e", members=None, until=10.0):
         len(positions), Arena(1000, 1000), positions=np.array(positions, dtype=float)
     )
     net = Network(sim, mob, RADIO, streams, mac_config=MacConfig())
-    net.set_group(source=0, members=members if members is not None else range(1, mob.n))
-    net.hub = MetricsHub(n_receivers=len(net.receivers))
+    receivers = tuple(members if members is not None else range(1, mob.n))
+    net.set_groups([GroupSpec(0, 0, receivers)])
+    net.hub = MetricsHub({0: len(receivers)})
     net.attach_agents(make_agent_factory(protocol))
     net.start()
     sim.run(until=until)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.energy import FirstOrderRadioModel
 from repro.energy.battery import Battery
+from repro.groups.models import GroupSpec
 from repro.mobility import StaticPlacement
 from repro.protocols.registry import PROTOCOL_NAMES
 from repro.net import (
@@ -602,10 +603,10 @@ class TestNeighborTable:
 class TestNetwork:
     def test_group_declaration(self):
         sim, net = make_network([[0, 0], [100, 0], [200, 0]])
-        net.set_group(source=0, members=[2])
-        assert net.source == 0
-        assert net.members == {0, 2}
-        assert net.receivers == {2}
+        net.set_groups([GroupSpec(0, 0, (2,))])
+        assert net.group_source_of(0) == 0
+        assert [v for v in range(net.n) if net.is_group_member(0, v)] == [0, 2]
+        assert net.group_receivers_of(0) == {2}
 
     def test_adjacency_excludes_dead(self):
         sim, net = make_network([[0, 0], [100, 0], [200, 0]])

@@ -202,7 +202,7 @@ def test_capture_effect():
 def _churn(protocol, ss_config, seed=1, **kw):
     cfg = ScenarioConfig.quick(protocol=protocol, seed=seed, **{**BASE, **kw})
     sim, network = build_network(cfg)
-    hub = MetricsHub(n_receivers=len(network.receivers))
+    hub = MetricsHub({0: len(network.group_receivers_of(0))})
     hub.set_packet_size_hint(cfg.packet_bytes)
     network.hub = hub
     network.attach_agents(make_agent_factory(protocol, ss_config=ss_config))

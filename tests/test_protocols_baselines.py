@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.energy import FirstOrderRadioModel
+from repro.groups.models import GroupSpec
 from repro.metrics.hub import MetricsHub
 from repro.mobility import StaticPlacement, TraceMobility
 from repro.net import MacConfig, Network, Packet, PacketKind
@@ -26,8 +27,9 @@ def build(positions, protocol, members=None, mobility=None):
         len(positions), ARENA, positions=np.array(positions, dtype=float)
     )
     net = Network(sim, mob, RADIO, streams, mac_config=MacConfig())
-    net.set_group(source=0, members=members if members is not None else range(1, mob.n))
-    hub = MetricsHub(n_receivers=len(net.receivers))
+    receivers = tuple(members if members is not None else range(1, mob.n))
+    net.set_groups([GroupSpec(0, 0, receivers)])
+    hub = MetricsHub({0: len(receivers)})
     net.hub = hub
     net.attach_agents(make_agent_factory(protocol))
     net.start()

@@ -36,6 +36,7 @@ from repro.core.views import CostMemo, GlobalView
 from repro.energy import FirstOrderRadioModel
 from repro.graph import Topology
 from repro.graph.sparse import SparseTopology
+from repro.groups.models import GroupSpec
 from repro.metrics.hub import MetricsHub
 from repro.mobility import StaticPlacement
 from repro.net import MacConfig, Network
@@ -156,8 +157,9 @@ def beacon_network(positions, protocol, until):
         len(positions), Arena(600, 600), positions=np.array(positions, dtype=float)
     )
     net = Network(sim, mob, RADIO, RngStreams(5), mac_config=MacConfig())
-    net.set_group(source=0, members=range(1, mob.n, 2))
-    net.hub = MetricsHub(n_receivers=len(net.receivers))
+    receivers = tuple(range(1, mob.n, 2))
+    net.set_groups([GroupSpec(0, 0, receivers)])
+    net.hub = MetricsHub({0: len(receivers)})
     net.attach_agents(make_agent_factory(protocol))
     net.start()
     sim.run(until=until)

@@ -439,8 +439,8 @@ class TestBackendParity:
         d = pairwise_distances(des_pos)
         d[d > cfg.max_range] = np.inf
         assert np.array_equal(d, topo.dist)
-        assert net.source == topo.source
-        assert sorted(net.receivers) == sorted(topo.members - {topo.source})
+        assert net.group_source_of(0) == topo.source
+        assert net.group_receivers_of(0) == topo.members - {topo.source}
 
     def test_parity_under_env_selected_mobility(self, test_mobility):
         """The CI scenario-models leg routes a non-default mobility model
@@ -476,17 +476,17 @@ class TestMembership:
             model_params={"rotation_period": 4.0},
         )
         sim, net = build_network(cfg)
-        t0 = sorted(net.receivers)
+        t0 = sorted(net.group_receivers_of(0))
         result = run_scenario(cfg)
         assert result.summary.pdr > 0.0
         # Re-drive a bare network (no agents) to observe the churn directly.
         sim, net = build_network(cfg)
         resolved_models(cfg)["membership"].install(net, cfg)
         sim.run(until=cfg.sim_time)
-        t_end = sorted(net.receivers)
+        t_end = sorted(net.group_receivers_of(0))
         assert len(t_end) == len(t0) == cfg.group_size - 1
         assert t_end != t0  # at least one rotation happened
-        assert net.source == 0 and net.nodes[0].is_member
+        assert net.group_source_of(0) == 0 and net.is_group_member(0, 0)
 
     def test_rotation_never_admits_dead_nodes(self):
         """Battery-limited runs deplete nodes; rotation must not join a
@@ -501,19 +501,19 @@ class TestMembership:
         )
         sim, net = build_network(cfg)
         for node in net.nodes:  # every non-member is dead
-            if not node.is_member:
+            if not net.is_group_member(0, node.id):
                 node.alive = False
-        members_t0 = set(net.members)
+        receivers_t0 = net.group_receivers_of(0)
         resolved_models(cfg)["membership"].install(net, cfg)
         sim.run(until=cfg.sim_time)
         # No living outsiders existed, so rotation had nobody to admit.
-        assert set(net.members) == members_t0
+        assert net.group_receivers_of(0) == receivers_t0
 
     def test_source_can_never_leave(self):
         cfg = fast_base()
         sim, net = build_network(cfg)
         with pytest.raises(ValueError, match="source"):
-            net.update_membership(leaves=[net.source])
+            net.update_membership(leaves=[net.group_source_of(0)])
 
     def test_update_membership_notifies_agents(self):
         calls = []
@@ -529,11 +529,12 @@ class TestMembership:
         sim, net = build_network(cfg)
         for node in net.nodes:
             node.agent = Probe(node)
-        outsider = sorted(set(range(net.n)) - net.members)[0]
-        leaver = sorted(net.receivers)[0]
+        outsider = min(v for v in range(net.n) if not net.is_group_member(0, v))
+        leaver = min(net.group_receivers_of(0))
         net.update_membership(joins=[outsider], leaves=[leaver])
         assert set(calls) == {outsider, leaver}
-        assert outsider in net.members and leaver not in net.members
+        assert net.is_group_member(0, outsider)
+        assert not net.is_group_member(0, leaver)
 
 
 # ----------------------------------------------------------------------

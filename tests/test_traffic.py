@@ -22,8 +22,8 @@ def build():
         3, Arena(1000, 1000), positions=np.array([[0.0, 0.0], [200.0, 0.0], [400.0, 0.0]])
     )
     net = Network(sim, mob, FirstOrderRadioModel(e_elec=1e-6), streams, mac_config=MacConfig())
-    net.set_group(source=0, members=[2])
-    net.hub = MetricsHub(n_receivers=1)
+    net.set_groups([GroupSpec(0, 0, (2,))])
+    net.hub = MetricsHub({0: 1})
     net.attach_agents(make_agent_factory("flooding"))
     net.start()
     return sim, net
@@ -37,7 +37,7 @@ def build_three_groups():
     )
     net = Network(sim, mob, FirstOrderRadioModel(e_elec=1e-6), RngStreams(3), mac_config=MacConfig())
     net.set_groups([GroupSpec(0, 0, (1,)), GroupSpec(1, 2, (3,)), GroupSpec(2, 4, (5,))])
-    net.hub = MetricsHub(n_receivers=1)
+    net.hub = MetricsHub({0: 1, 1: 1, 2: 1})
     net.attach_agents(make_agent_factory("ss-spst"))
     net.start()
     return sim, net
