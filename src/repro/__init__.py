@@ -2,7 +2,8 @@
 Hoc Networks: A Multicasting Case Study" (Mukherjee, Sridharan, Gupta —
 IPDPS 2007).
 
-Layout (see README.md / DESIGN.md):
+Layout (see README.md; ``docs/deviations.md`` lists the substitutions for
+ns-2):
 
 * :mod:`repro.core` — the paper's contribution: the four tree-cost
   metrics (hop / T / F / E), the guarded self-stabilizing rule, round

@@ -890,15 +890,12 @@ class ArrayRoundEngine(RoundEngine):
         if kind is None or not todo:
             return super()._evaluate_step(view, todo)
         if kind == "energy" and (
-            view._n_cycles > 0
-            or view.par[self.topo.source] >= 0
-            or self.metric.UNFLAGGED_SHADOW != 0.0
+            view._n_cycles > 0 or view.par[self.topo.source] >= 0
         ):
             # Parent cycles make forest prefix scans unsound (the scalar
             # walk's cycle guard is per-candidate); a parented source cuts
-            # the forest differently from the children map; a nonzero
-            # shadow price re-enables unflagged marginals the vector path
-            # drops.  All are rare/transient: evaluate this step scalar.
+            # the forest differently from the children map.  Both are
+            # rare/transient: evaluate this step scalar.
             t0 = time.perf_counter()
             out = super()._evaluate_step(view, todo)
             self.profile["scalar_s"] += time.perf_counter() - t0

@@ -77,7 +77,7 @@ class CostMetric(abc.ABC):
     #: True when a node's *path* cost depends on its own child set (only
     #: SS-SPST-E: member flags propagate up the chain), in which case the
     #: update rule must re-price candidate paths without the joining node
-    #: (see :meth:`repro.core.views.NodeView.path_cost_excluding`).
+    #: (see :meth:`repro.core.views.NodeView.path_pricer`).
     path_couples_to_children: bool = False
     #: extra beacon bytes this metric requires beyond the base beacon
     #: (SS-SPST-E "sends additional information in its beacon packet")
@@ -94,7 +94,7 @@ class CostMetric(abc.ABC):
     #: (``path_couples_to_children``) additionally seed the closure with
     #: the *subtrees* of every touched tree position, using the flag-flip
     #: reports of :meth:`repro.core.views.GlobalView.apply` — see
-    #: ``_IncrementalBase._affected``.  ``None`` = globally coupled with
+    #: ``RoundEngine._affected``.  ``None`` = globally coupled with
     #: no localization at all: every node stays dirty while the system
     #: moves (an escape hatch for custom metrics; none of the paper's
     #: four needs it).
@@ -305,14 +305,6 @@ class EnergyAwareMetric(FarthestChildMetric):
 
         return node_cost
 
-    #: weight of the shadow price charged to unflagged (pruned) joiners.
-    #: A pruned node imposes no *data* cost (the paper's semantics, and the
-    #: default).  Setting a small positive value charges free-riders a
-    #: fraction of the true marginal, which shortens the long pruned chains
-    #: they otherwise form — measured across seeds this does not improve
-    #: delivery, so it stays off; the knob exists for the ablation bench.
-    UNFLAGGED_SHADOW = 0.0
-
     def pricer(self, view: NodeView, v: NodeId) -> Pricer:
         # Price u's path in the v-detached world, with v's flag attached
         # (lighting up a pruned branch charges the whole chain), then add
@@ -322,22 +314,19 @@ class EnergyAwareMetric(FarthestChildMetric):
         radius_without = view.radius_pricer(v, True)
         dist = view.dist
         node_cost = self.view_node_cost(view)
-        shadow = self.UNFLAGGED_SHADOW
 
         def join_cost(u: NodeId, su: NodeState) -> float:
             price = path_price(u)
-            r_without = radius_without(u)
-            d = dist(v, u)
-            if d <= r_without:  # v already covered: marginal exactly zero
-                marginal = 0.0
-            else:
-                marginal = node_cost(u, d) - node_cost(u, r_without)
             if not v_flag:
                 # An unflagged child imposes no data-forwarding obligation;
                 # it either already overhears (within r) or simply isn't
                 # covered.
-                return price + shadow * marginal
-            return price + marginal
+                return price
+            r_without = radius_without(u)
+            d = dist(v, u)
+            if d <= r_without:  # v already covered: marginal exactly zero
+                return price
+            return price + (node_cost(u, d) - node_cost(u, r_without))
 
         return join_cost
 

@@ -114,20 +114,6 @@ class StabilizationResult:
         """Extract the parent assignment as a validated tree."""
         return TreeAssignment(topo, [s.parent for s in self.states])
 
-    def as_dict(self) -> dict:
-        """JSON-safe stabilization counts (no state vector / history).
-
-        The quantities the experiment layer records and aggregates; the
-        rounds backend builds its run summaries from these.
-        """
-        return {
-            "rounds": self.rounds,
-            "converged": bool(self.converged),
-            "moves": self.moves,
-            "evaluations": self.evaluations,
-            "chain_steps": self.chain_steps,
-        }
-
 
 def total_cost(states: Sequence[NodeState], cap: float) -> float:
     """Sum of per-node costs, capped (the Lemma-1 Lyapunov quantity)."""

@@ -105,10 +105,6 @@ class NodeView(abc.ABC):
         """Number of u's graph neighbors within ``radius`` of u."""
 
     @abc.abstractmethod
-    def member(self, u: NodeId) -> bool:
-        """Whether u is a multicast group member."""
-
-    @abc.abstractmethod
     def flag_excluding(self, u: NodeId, v: NodeId) -> bool:
         """u's member flag in the world where ``v`` is detached from its
         current parent (v's subtree no longer contributes flags)."""
@@ -458,9 +454,6 @@ class GlobalView(NodeView):
         if radius <= 0.0:
             return 0
         return self.topo.count_within(u, radius)
-
-    def member(self, u: NodeId) -> bool:
-        return u in self.topo.members
 
     def flags_excluding(self, v: NodeId) -> Sequence[bool]:
         """Member flags with ``v`` detached from its current parent (cached).

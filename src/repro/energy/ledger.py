@@ -59,7 +59,8 @@ class EnergyLedger:
 
     ``balances`` maps each bucket key (``"rx_data"``, ...) to its joules.
     The medium's per-frame reception loop adds to it directly, with the
-    float operations of :meth:`receive` in the same order.
+    float operations of :meth:`charge` followed, for a corrupted copy, by
+    :meth:`reclassify_rx_as_discard`.
     """
 
     __slots__ = ("balances",)
@@ -95,21 +96,6 @@ class EnergyLedger:
             key = f"rx_{traffic_class}"
             raise ValueError(f"unknown energy bucket {key!r}")
         return buckets
-
-    def receive(
-        self, buckets: Tuple[str, str], joules: float, discard: bool = False
-    ) -> None:
-        """Charge one reception to ``buckets`` (from :meth:`rx_buckets`).
-
-        The energy goes to the rx bucket; with ``discard`` (a corrupted
-        frame) it is re-filed as discard energy straight away, exactly as
-        :meth:`charge` followed by :meth:`reclassify_rx_as_discard`.
-        """
-        if joules < 0:
-            raise ValueError("cannot charge negative energy")
-        self.balances[buckets[0]] += joules
-        if discard:
-            self._refile(buckets, joules)
 
     def reclassify_rx_as_discard(self, traffic_class: str, joules: float) -> None:
         """Move energy from the rx bucket to the discard bucket.

@@ -17,7 +17,8 @@ constant for all the nodes", section 3).
 Default constants are the widely used first-order values (Heinzelman et
 al.): ``e_elec = e_rx = 50 nJ/bit``, ``eps_amp = 100 pJ/bit/m^2``,
 ``alpha = 2``.  The paper does not publish its ns-2 constants; only
-*relative* energies matter for its conclusions (see DESIGN.md section 4).
+*relative* energies matter for its conclusions (see "Substitutions for
+ns-2" in ``docs/deviations.md``).
 """
 
 from __future__ import annotations

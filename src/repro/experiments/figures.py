@@ -10,7 +10,8 @@ are the campaign's per-cell Welford means of the figure's metric.  Each
 figure also knows how to print the series the paper plots, and which
 **shape checks** must hold — the qualitative orderings and trends the
 reproduction is accountable for (absolute mJ/ms values depend on
-unpublished ns-2 constants; see DESIGN.md §4).
+unpublished ns-2 constants; see "Substitutions for ns-2" in
+``docs/deviations.md``).
 
 Shape checks are deliberately robust statements (trend endpoints, series
 means, winner identities) rather than point comparisons, because

@@ -1,7 +1,7 @@
 """Wireless network substrate: packets, medium, MAC, nodes.
 
 This replaces the ns-2 PHY/MAC/agent plumbing the paper's evaluation ran
-on.  The model (see DESIGN.md section 4 for the substitution argument):
+on.  The model (see "Substitutions for ns-2" in ``docs/deviations.md``):
 
 * **Broadcast medium with power control** — a transmission at range ``r``
   reaches every alive node within ``r`` of the sender (wireless multicast
@@ -9,7 +9,8 @@ on.  The model (see DESIGN.md section 4 for the substitution argument):
   pays reception energy whether or not the packet was meant for it
   (overhearing -> discard energy).
 * **Collisions** — receptions overlapping in time at a receiver corrupt
-  each other; half-duplex nodes cannot receive while transmitting.
+  each other unless one captures the receiver (power capture);
+  half-duplex nodes cannot receive while transmitting.
 * **CSMA MAC** — senders defer while they can hear an ongoing transmission
   and retry after a random backoff, with a transmit jitter that
   de-synchronizes flooding storms.

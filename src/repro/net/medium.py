@@ -296,7 +296,8 @@ class WirelessMedium:
         ``events_executed`` here.
 
         Each reception is filed straight into the receiver's ledger with
-        :meth:`EnergyLedger.receive`'s float operations in its order
+        the float operations of :meth:`EnergyLedger.charge` followed by
+        :meth:`EnergyLedger.reclassify_rx_as_discard`, in that order
         (``rx += j``; for a corrupted copy then ``rx -= j`` and
         ``discard += j``).  A battery is drawn only while it is finite:
         drawing from an infinite one leaves its state as it was.  A clean

@@ -16,7 +16,8 @@ the paper's comparison rests on:
 * **soft state + re-join** — a tree node that misses hellos/data for the
   timeout drops off the tree; members re-join via RREQ with backoff.
 
-Simplifications vs. the RFC draft (documented in DESIGN.md section 4):
+Simplifications vs. the RFC draft (listed under "Substitutions for ns-2"
+in ``docs/deviations.md``):
 sequence numbers are reduced to hello generation counts, there is no
 group-leader election (the source is the leader for the session lifetime,
 true in the paper's single-source scenarios), and tree pruning of
@@ -57,9 +58,9 @@ class MaodvConfig:
 class MaodvAgent(MulticastAgent):
     """One MAODV node."""
 
-    def __init__(self, node: Node, config: Optional[MaodvConfig] = None) -> None:
+    def __init__(self, node: Node) -> None:
         super().__init__(node)
-        self.config = config or MaodvConfig()
+        self.config = MaodvConfig()
         self.on_tree = self.is_source
         self.tree_refresh_t = 0.0
         self.upstream: Optional[NodeId] = None  # prev hop toward the leader

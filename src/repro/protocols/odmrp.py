@@ -61,9 +61,9 @@ class OdmrpConfig:
 class OdmrpAgent(MulticastAgent):
     """One ODMRP node."""
 
-    def __init__(self, node: Node, config: Optional[OdmrpConfig] = None) -> None:
+    def __init__(self, node: Node) -> None:
         super().__init__(node)
-        self.config = config or OdmrpConfig()
+        self.config = OdmrpConfig()
         self.upstream: Optional[NodeId] = None  # prev hop toward the source
         self.fg_until = -1.0  # forwarding-group membership expiry
         self._query_seq = 0

@@ -9,8 +9,8 @@ from repro.core.metrics import SS_PROTOCOL_METRICS, metric_by_name
 from repro.groups.agents import GroupDispatchAgent
 from repro.net.node import Node, ProtocolAgent
 from repro.protocols.flooding import FloodingAgent
-from repro.protocols.maodv import MaodvAgent, MaodvConfig
-from repro.protocols.odmrp import OdmrpAgent, OdmrpConfig
+from repro.protocols.maodv import MaodvAgent
+from repro.protocols.odmrp import OdmrpAgent
 from repro.protocols.ss_spst import SSSPSTAgent, SSSPSTConfig
 
 PROTOCOL_NAMES = tuple(SS_PROTOCOL_METRICS) + ("maodv", "odmrp", "flooding")
@@ -22,8 +22,6 @@ def make_agent_factory(
     beacon_interval: float = 2.0,
     daemon: str = "distributed",
     ss_config: Optional[SSSPSTConfig] = None,
-    maodv_config: Optional[MaodvConfig] = None,
-    odmrp_config: Optional[OdmrpConfig] = None,
 ) -> Callable[[Node], ProtocolAgent]:
     """Return a ``factory(node) -> agent`` for :meth:`Network.attach_agents`.
 
@@ -76,9 +74,9 @@ def make_agent_factory(
 
         return factory
     if protocol == "maodv":
-        return lambda node: MaodvAgent(node, maodv_config)
+        return MaodvAgent
     if protocol == "odmrp":
-        return lambda node: OdmrpAgent(node, odmrp_config)
+        return OdmrpAgent
     if protocol == "flooding":
-        return lambda node: FloodingAgent(node)
+        return FloodingAgent
     raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOL_NAMES}")

@@ -196,11 +196,6 @@ class LocalView(NodeView):
             return self.my_flag
         return bool(self.states[u].get("flag", False))
 
-    def member(self, u: NodeId) -> bool:
-        if u == self.me:
-            return self.agent.is_member
-        return bool(self.states[u].get("member", False))
-
     def flag_excluding(self, u: NodeId, v: NodeId) -> bool:
         # Detaching v from its parent never changes v's own subtree flag.
         if u == v:

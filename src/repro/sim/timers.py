@@ -56,7 +56,6 @@ class PeriodicTimer:
         self.jitter = float(jitter)
         self.rng = rng
         self.ticks = 0
-        self._event = None
         self._stopped = False
         first = self._jittered(self.interval) if start_offset is None else start_offset
         self._event = sim.schedule(max(0.0, first), self._fire)
@@ -68,8 +67,6 @@ class PeriodicTimer:
         return max(0.0, base + float(self.rng.uniform(-0.5, 0.5)) * self.jitter)
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self.ticks += 1
         self.callback()
         if not self._stopped:
@@ -78,13 +75,4 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Cancel all future ticks."""
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def reschedule(self, interval: Optional[float] = None) -> None:
-        """Change the period (takes effect from the next tick)."""
-        if interval is not None:
-            if interval <= 0:
-                raise ValueError("interval must be positive")
-            self.interval = float(interval)
+        self.sim.cancel(self._event)

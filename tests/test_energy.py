@@ -118,26 +118,6 @@ class TestEnergyLedger:
         with pytest.raises(ValueError, match="unknown energy bucket 'rx_video'"):
             EnergyLedger.rx_buckets("video")
 
-    @pytest.mark.parametrize("traffic_class", ["data", "control"])
-    @pytest.mark.parametrize("discard", [False, True])
-    def test_receive_equals_charge_then_reclassify(self, traffic_class, discard):
-        rng = np.random.default_rng(1)
-        amounts = rng.uniform(0.0, 1e-3, size=50).tolist()
-        one, two = EnergyLedger(), EnergyLedger()
-        buckets = EnergyLedger.rx_buckets(traffic_class)
-        for j in amounts:
-            one.receive(buckets, j, discard)
-            two.charge("rx", traffic_class, j)
-            if discard:
-                two.reclassify_rx_as_discard(traffic_class, j)
-        assert one.snapshot() == two.snapshot()
-
-    def test_receive_rejects_negative_energy(self):
-        ledger = EnergyLedger()
-        with pytest.raises(ValueError, match="negative"):
-            ledger.receive(EnergyLedger.rx_buckets("data"), -1.0)
-        assert ledger.total == 0.0
-
     def test_snapshot_totals(self):
         ledger = EnergyLedger()
         ledger.charge("tx", "control", 1.0)

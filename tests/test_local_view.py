@@ -63,11 +63,11 @@ class TestLocalViewBasics:
     def test_member_and_flag(self):
         sim, net = settled_network([[0, 0], [200, 0], [400, 0]], members=[2])
         view = LocalView(net.nodes[1].agent)
-        assert view.member(2) is True
+        assert view.states[2]["member"] is True
         assert view.flag_of(2) is True
         # Node 1 itself: relay flagged by its member child.
         assert view.flag_of(1) is True
-        assert view.member(1) is False
+        assert LocalView(net.nodes[0].agent).states[1]["member"] is False
 
 
 def _bits(x: float) -> str:

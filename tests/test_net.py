@@ -265,7 +265,8 @@ class TestMediumFrameCompletion:
         sim, net = make_network([[0, 0], [50, 0], [100, 0], [150, 0], [900, 0]])
         net.medium.broadcast(0, data_packet(0), tx_range=200.0)
         assert sim.pending == 1  # one completion event for three receivers
-        sim.run(max_events=1)  # max_events counts kernel callbacks
+        sim.run(until=1.0)
+        assert sim.pending == 0  # that one kernel callback credited three
         assert sim.events_executed == 3
         assert net.medium.stats.receptions_total == 3
 
@@ -283,8 +284,8 @@ class TestMediumFrameCompletion:
         sim, net = make_network([[0, 0], [100, 0], [900, 0]])
         net.nodes[1].alive = False
         net.medium.broadcast(0, data_packet(0), tx_range=150.0)
-        assert sim.pending == 0 and sim.peek() is None
-        sim.run()
+        assert sim.pending == 0
+        sim.run(until=1.0)
         assert sim.events_executed == 0
         assert net.medium.stats.frames_sent == 1
         assert net.medium.stats.receptions_total == 0

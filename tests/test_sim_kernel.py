@@ -21,13 +21,6 @@ class TestScheduling:
         sim.run()
         assert log == list(range(10))
 
-    def test_priority_breaks_ties(self, sim):
-        log = []
-        sim.schedule(1.0, log.append, "low", priority=5)
-        sim.schedule(1.0, log.append, "high", priority=-5)
-        sim.run()
-        assert log == ["high", "low"]
-
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
@@ -85,7 +78,7 @@ class TestCancellation:
         log = []
         ev = sim.schedule(1.0, log.append, "x")
         sim.schedule(2.0, log.append, "y")
-        ev.cancel()
+        sim.cancel(ev)
         sim.run()
         assert log == ["y"]
 
@@ -93,54 +86,29 @@ class TestCancellation:
         ev1 = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending == 2
-        ev1.cancel()
+        sim.cancel(ev1)
         assert sim.pending == 1
 
-    def test_cancelled_discards_counted_across_run_step_peek(self, sim):
-        """Every cancelled heap entry is counted once, whichever of
-        ``peek``, ``step`` or ``run`` pops it."""
+    def test_cancelled_discards_counted_across_runs(self, sim):
+        """Every cancelled heap entry is counted once, by the ``run``
+        that pops it; one still queued is not counted yet."""
         n, cancel = 20, (0, 1, 4, 5, 9, 13, 19)
         log = []
         events = [sim.schedule(1.0 + i, log.append, i) for i in range(n)]
         for i in cancel:
-            events[i].cancel()
-        assert sim.peek() == 3.0  # drops entries 0 and 1
-        assert sim.cancelled_discarded == 2
-        assert sim.step() and sim.step()  # runs 2, 3
-        sim.run(until=11.0)  # drops 4, 5, 9
+            sim.cancel(events[i])
+        sim.run(until=11.0)  # runs 2, 3, 6, 7, 8, 10; drops 0, 1, 4, 5, 9
+        assert log == [2, 3, 6, 7, 8, 10]
         assert sim.cancelled_discarded == 5
-        assert sim.step()  # runs 11
-        sim.run()  # drops 13 and 19
-        assert not sim.step() and sim.peek() is None
+        assert sim.pending == 7  # 11, 12, 14..18; cancelled 13, 19 still queued
+        sim.run(until=20.5)  # drops 13 and 19
+        assert sim.pending == 0
         assert sim.cancelled_discarded == len(cancel)
         assert log == [i for i in range(n) if i not in cancel]
         assert sim.events_executed == n - len(cancel)
 
 
 class TestRunControl:
-    def test_stop(self, sim):
-        log = []
-        sim.schedule(1.0, lambda: (log.append(1), sim.stop()))
-        sim.schedule(2.0, log.append, 2)
-        sim.run()
-        assert log[0] == 1 and 2 not in log
-
-    def test_step(self, sim):
-        log = []
-        sim.schedule(1.0, log.append, 1)
-        sim.schedule(2.0, log.append, 2)
-        assert sim.step() is True
-        assert log == [1]
-        assert sim.step() is True
-        assert sim.step() is False
-
-    def test_max_events(self, sim):
-        log = []
-        for i in range(10):
-            sim.schedule(float(i), log.append, i)
-        sim.run(max_events=4)
-        assert log == [0, 1, 2, 3]
-
     def test_nested_run_rejected(self, sim):
         def inner():
             sim.run()
@@ -154,8 +122,3 @@ class TestRunControl:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_executed == 7
-
-    def test_peek(self, sim):
-        assert sim.peek() is None
-        sim.schedule(3.0, lambda: None)
-        assert sim.peek() == 3.0
