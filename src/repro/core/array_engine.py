@@ -8,6 +8,15 @@ Python rule evaluation per node.  It exists for scale: the object engine
 tops out around 10^3 nodes per study, the array engine takes the daemon
 studies to 10^4–10^5 (perfbench's ``rounds-deep`` workload times it).
 
+The path is chosen per step from its size.  A hop, tx or farthest step
+with fewer than :data:`MIN_BATCH_STEP` nodes to evaluate takes the
+scalar rule and per-move applies on the same :class:`ColumnarView`
+(whose :meth:`~ColumnarView.apply` keeps the columns, and the snapshot
+dirt a metric reads, in step), because a vector pass costs more than a
+few scalar evaluations.  So serial and narrow distributed daemons run at
+about the object engine's speed, and wide steps still vectorize.
+SS-SPST-E steps take the vector path at every size.
+
 The contract is **bit-identical trajectories** with the object engine —
 states, rounds, convergence verdict, cost history, move counts and
 evaluation counts — under every daemon and both evaluation modes.  That
@@ -36,13 +45,13 @@ Two layers keep the hot path free of per-move Python
 (``docs/array_engine.md`` walks through each):
 
 * **batched move commits** — for the locally-coupled metrics (hop, tx,
-  farthest) a whole activation step's updates are compared, counted and
+  farthest) a wide activation step's updates are compared, counted and
   scattered into the columns as array operations
   (:meth:`ColumnarView.commit_batch`); the object-world children lists,
-  flag counters and cycle census become lazily-rematerialized debug
-  views.  The chain-coupled SS-SPST-E metric keeps per-move applies (its
-  dirty sets need the per-move flag-flip reports) — but those applies
-  feed the next layer;
+  flag counters and cycle census become lazily-rematerialized views,
+  rebuilt on the first scalar read after a batch.  The chain-coupled
+  SS-SPST-E metric keeps per-move applies (its dirty sets need the
+  per-move flag-flip reports) — but those applies feed the next layer;
 * **incremental snapshots** — per-step derived arrays (child top-2
   radii, link marginals, chain prices, Euler intervals) are no longer
   rebuilt from scratch: every apply reports which rows went stale and
@@ -82,6 +91,18 @@ from repro.core.rules import COST_TOL, H_MAX
 from repro.core.state import NodeState, derive_children, derive_flags
 from repro.core.views import GlobalView
 from repro.graph.topology import Topology
+
+#: the metrics whose rule reads only a bounded neighbourhood: their steps
+#: commit as one batch (SS-SPST-E commits per move)
+_LOCAL_KINDS = ("hop", "tx", "farthest")
+
+#: the fewest nodes a hop, tx or farthest activation step needs to take
+#: the vector path.  Below it the vector path's fixed cost per step (pair
+#: gather, fold, batched commit, closure) exceeds what the scalar rule
+#: spends on the step's nodes.  Chosen from a ``daemon_k`` sweep at
+#: n = 600 and n = 4000 (``docs/array_engine.md`` §7): the break-even
+#: step lies near 40 nodes for hop, 20 for tx and under 16 for farthest.
+MIN_BATCH_STEP = 24
 
 
 def _excl_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -219,7 +240,9 @@ class ColumnarView(GlobalView):
     price subtrees (``_price_roots``) went stale, plus a forest version
     (``_forest_ver``) for the Euler intervals.  The engine consumes and
     resets these on each snapshot build; events it cannot localize
-    (cycles, flag re-derivation) set ``_snap_full`` instead.
+    (cycles, flag re-derivation) set ``_snap_full`` instead.  Only the
+    farthest and energy snapshots read the parent-edge columns and the
+    dirt: with ``track_edges`` off (hop and tx) mutations skip both.
     """
 
     def __init__(
@@ -228,10 +251,12 @@ class ColumnarView(GlobalView):
         states: Sequence[NodeState],
         csr: EdgeCsr,
         metric: CostMetric,
+        track_edges: bool,
     ) -> None:
         super().__init__(topo, states)
         self.csr = csr
         self._col_metric = metric
+        self.track_edges = track_edges
         n = topo.n
         self.par = np.full(n, -1, dtype=np.int64)
         self.costa = np.empty(n, dtype=np.float64)
@@ -245,7 +270,8 @@ class ColumnarView(GlobalView):
             self.hopa[v] = s.hop
             if s.parent is not None:
                 self.par[v] = s.parent
-                self._set_parent_edge(v, s.parent)
+                if track_edges:
+                    self._set_parent_edge(v, s.parent)
         self.version = 0
         self._forest_ver = 0
         self._snap_reset()
@@ -355,6 +381,8 @@ class ColumnarView(GlobalView):
         self.costa[v] = new_state.cost
         self.hopa[v] = new_state.hop
         self.par[v] = -1 if p_new is None else p_new
+        if not self.track_edges:
+            return out
         if p_new is not None and p_old != p_new:
             self._set_parent_edge(v, p_new)
         # Snapshot dirt.  The all-children top-2 rows (``at``) depend
@@ -394,7 +422,6 @@ class ColumnarView(GlobalView):
         po: np.ndarray,
         pn: np.ndarray,
         new_states: Sequence[NodeState],
-        track_edges: bool,
     ) -> None:
         """Scatter a whole activation step's applied updates at once.
 
@@ -403,8 +430,7 @@ class ColumnarView(GlobalView):
         locally-coupled metrics: the object mirrors are invalidated (and
         lazily rebuilt on the next scalar-path read) instead of walked,
         and parent-edge columns are refreshed by one batched CSR lookup.
-        ``track_edges`` gates the edge/top-2 bookkeeping nobody reads in
-        hop/tx runs.  Bumps ``version`` exactly once.
+        Bumps ``version`` exactly once.
         """
         states = self.states
         for v, s in zip(va.tolist(), new_states):
@@ -421,7 +447,7 @@ class ColumnarView(GlobalView):
             mv = va[moved]
             mp = pn[moved]
             att = mp >= 0
-            if track_edges and att.any():
+            if self.track_edges and att.any():
                 slots = self.csr.edge_slots(mv[att], mp[att])
                 hit = slots >= 0
                 sl = np.where(hit, slots, 0)
@@ -431,7 +457,7 @@ class ColumnarView(GlobalView):
                 self.pe_etx_raw[mv[att]] = e
                 self.pdist_edge[mv[att]] = np.where(hit, d, 0.0)
                 self.pe_etx_edge[mv[att]] = np.where(hit, e, 0.0)
-            if track_edges:
+            if self.track_edges:
                 old_p = po[moved]
                 self._at_dirty.update(old_p[old_p >= 0].tolist())
                 self._at_dirty.update(mp[att].tolist())
@@ -696,16 +722,19 @@ class ArrayRoundEngine(RoundEngine):
 
     Same constructor, entry points and trajectory semantics as
     :class:`RoundEngine`; only the per-step evaluation and commit paths
-    differ.  Best paired with snapshot daemons (``synchronous``,
-    ``distributed`` with a large ``k``): one snapshot's derived arrays
-    serve the whole step.  Serial daemons re-derive per single-node step
-    and are usually better served by the object engine — see the
-    README's engine-selection notes.
+    differ.  Wide steps (``synchronous``, ``distributed`` with a large
+    ``k``) take the vector path, where one snapshot's derived arrays
+    serve the whole step.  Hop, tx and farthest steps smaller than
+    :data:`MIN_BATCH_STEP` take the inherited scalar path, so serial
+    daemons run at about the object engine's speed; SS-SPST-E steps
+    vectorize at every size.
 
     :attr:`profile` accumulates per-stage wall-clock counters
     (``commit_s`` / ``snapshot_s`` / ``evaluate_s`` / ``fold_s`` /
     ``scalar_s``), step/snapshot tallies and ``fold_fallback_rows``
-    across runs until :meth:`reset_profile`.
+    across runs until :meth:`reset_profile`.  ``batch_steps`` counts the
+    steps the vector path evaluated, ``scalar_steps`` the non-empty
+    steps the scalar rule evaluated.
     """
 
     def __init__(
@@ -760,7 +789,10 @@ class ArrayRoundEngine(RoundEngine):
 
     # ------------------------------------------------------------------
     def _make_view(self, states: Sequence[NodeState]) -> ColumnarView:
-        return ColumnarView(self.topo, states, self.csr, self.metric)
+        return ColumnarView(
+            self.topo, states, self.csr, self.metric,
+            self._kind in ("farthest", "energy"),
+        )
 
     # ------------------------------------------------------------------
     # Commit path
@@ -778,11 +810,7 @@ class ArrayRoundEngine(RoundEngine):
     ) -> int:
         t0 = time.perf_counter()
         try:
-            if (
-                todo
-                and self._kind in ("hop", "tx", "farthest")
-                and isinstance(view, ColumnarView)
-            ):
+            if self._batch_step(todo) and isinstance(view, ColumnarView):
                 return self._commit_batch(
                     view, step_idx, todo, news, dirty, next_dirty, pos
                 )
@@ -844,7 +872,6 @@ class ArrayRoundEngine(RoundEngine):
             po[idx],
             pn[idx],
             [news[i] for i in idx.tolist()],
-            self._kind == "farthest",
         )
         if dirty is not None:
             mvd = po[idx] != pn[idx]
@@ -886,22 +913,29 @@ class ArrayRoundEngine(RoundEngine):
     # Evaluation path
     # ------------------------------------------------------------------
     def _evaluate_step(self, view: GlobalView, todo: Sequence[int]) -> List[NodeState]:
-        kind = self._kind
-        if kind is None or not todo:
-            return super()._evaluate_step(view, todo)
-        if kind == "energy" and (
-            view._n_cycles > 0 or view.par[self.topo.source] >= 0
+        if self._batch_step(todo) or (
+            self._kind == "energy" and self._prices_scan(view)
         ):
-            # Parent cycles make forest prefix scans unsound (the scalar
-            # walk's cycle guard is per-candidate); a parented source cuts
-            # the forest differently from the children map.  Both are
-            # rare/transient: evaluate this step scalar.
-            t0 = time.perf_counter()
-            out = super()._evaluate_step(view, todo)
-            self.profile["scalar_s"] += time.perf_counter() - t0
-            self.profile["scalar_steps"] += 1
-            return out
-        return self._evaluate_batch(view, todo, kind)
+            return self._evaluate_batch(view, todo, self._kind)
+        t0 = time.perf_counter()
+        out = super()._evaluate_step(view, todo)
+        self.profile["scalar_s"] += time.perf_counter() - t0
+        self.profile["scalar_steps"] += 1
+        return out
+
+    def _batch_step(self, todo: Sequence[int]) -> bool:
+        """Whether a step of a locally-coupled metric is large enough
+        for the vector path; smaller ones take the scalar rule."""
+        return len(todo) >= MIN_BATCH_STEP and self._kind in _LOCAL_KINDS
+
+    def _prices_scan(self, view: GlobalView) -> bool:
+        """Whether SS-SPST-E's forest prefix scan prices this state.
+
+        Parent cycles make the scan unsound (the scalar walk's cycle
+        guard is per-candidate); a parented source cuts the forest
+        differently from the children map.  Both are rare and transient:
+        such steps take the scalar rule."""
+        return view._n_cycles == 0 and view.par[self.topo.source] < 0
 
     # ------------------------------------------------------------------
     # Snapshots

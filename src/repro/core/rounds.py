@@ -335,6 +335,8 @@ class RoundEngine:
                         continue
                     dirty.discard(v)
                 todo.append(v)
+            if not todo:
+                continue  # every scheduled node of the step is clean
             olds = [view.states[v] for v in todo]
             news = self._evaluate_step(view, todo)
             n_evals += len(todo)

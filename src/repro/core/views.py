@@ -446,7 +446,10 @@ class GlobalView(NodeView):
     ) -> Callable[[NodeId], float]:
         # In flagged-only (SS-SPST-E) evaluations the world is "v detached",
         # so sibling flags that depended on v's subtree are recomputed.
-        flags = self.flags_excluding(v) if flagged_only else self._flags
+        # Every tree child counts otherwise, and no flag is read: deriving
+        # them would cost an O(n) walk after every apply that touches a
+        # parent cycle.
+        flags = self.flags_excluding(v) if flagged_only else ()
         radius_excluding, exclude = self._radius_excluding, (v,)
         return lambda u: radius_excluding(u, exclude, flags, flagged_only)
 

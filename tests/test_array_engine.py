@@ -31,6 +31,7 @@ from repro.core import (
     is_legitimate,
     metric_by_name,
 )
+from repro.core import array_engine
 from repro.core.array_engine import _fold, _fold_sequential
 from repro.core.examples import EXAMPLE_RADIO
 from repro.core.metrics import METRIC_NAMES
@@ -72,6 +73,23 @@ def pair(topo, metric, daemon, incremental, seed=9, **daemon_options):
     return obj, arr
 
 
+#: ``MIN_BATCH_STEP`` values the parity cases run at: the shipped one,
+#: under which the small steps of the locally-coupled metrics take the
+#: scalar rule, and 1, which sends every such step through the vector
+#: fold, commit and near-tie fallback
+BATCH_FLOORS = (array_engine.MIN_BATCH_STEP, 1)
+
+
+def array_runs(metric_name, run):
+    """``run()``'s results at each of :data:`BATCH_FLOORS` (SS-SPST-E
+    takes the vector path at every step size: one run)."""
+    floors = BATCH_FLOORS[:1] if metric_name == "energy" else BATCH_FLOORS
+    for floor in floors:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(array_engine, "MIN_BATCH_STEP", floor)
+            yield run()
+
+
 def assert_same_trajectory(a, b):
     assert a.states == b.states  # exact, not approx: bit-identical
     assert a.rounds == b.rounds
@@ -97,11 +115,16 @@ def test_array_engine_bit_identical_any_daemon(daemon, incremental, metric_name,
     topo = random_connected_topology(seed)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
-    obj, arr = pair(topo, m, daemon, incremental)
-    assert_same_trajectory(
-        obj.run(list(init), max_rounds=MAX_ROUNDS),
-        arr.run(list(init), max_rounds=MAX_ROUNDS),
+    want = pair(topo, m, daemon, incremental)[0].run(
+        list(init), max_rounds=MAX_ROUNDS
     )
+    for got in array_runs(
+        metric_name,
+        lambda: pair(topo, m, daemon, incremental)[1].run(
+            list(init), max_rounds=MAX_ROUNDS
+        ),
+    ):
+        assert_same_trajectory(want, got)
 
 
 @settings(**SETTINGS)
@@ -134,29 +157,46 @@ def test_array_engine_bit_identical_warm_start(daemon, metric_name, seed):
             faults.append((v, ns))
     if not faults:
         return
-    obj, arr = pair(topo, m, daemon, True)
-    assert_same_trajectory(
-        obj.run_perturbed(list(settled.states), faults, max_rounds=MAX_ROUNDS),
-        arr.run_perturbed(list(settled.states), faults, max_rounds=MAX_ROUNDS),
+    want = pair(topo, m, daemon, True)[0].run_perturbed(
+        list(settled.states), faults, max_rounds=MAX_ROUNDS
     )
+    for got in array_runs(
+        metric_name,
+        lambda: pair(topo, m, daemon, True)[1].run_perturbed(
+            list(settled.states), faults, max_rounds=MAX_ROUNDS
+        ),
+    ):
+        assert_same_trajectory(want, got)
 
 
 @pytest.mark.parametrize(
-    "metric_name,n,daemon,k,max_rounds",
-    [pytest.param(m, 400, "distributed", 40, 400, id=m) for m in METRIC_NAMES]
-    + [pytest.param("tx", 2000, "synchronous", None, 600, id="tx-synchronous-2000")],
+    "metric_name,n,daemon,k,max_rounds,floor",
+    [pytest.param(m, 400, "distributed", 40, 400, None, id=m) for m in METRIC_NAMES]
+    + [
+        pytest.param(m, 400, "distributed", 40, 400, 1, id=f"{m}-vector")
+        for m in ("hop", "tx", "farthest")
+    ]
+    + [
+        pytest.param(
+            "tx", 2000, "synchronous", None, 600, None, id="tx-synchronous-2000"
+        )
+    ],
 )
 def test_array_engine_bit_identical_at_moderate_scale(
-    metric_name, n, daemon, k, max_rounds
+    metric_name, n, daemon, k, max_rounds, floor, monkeypatch
 ):
     """A few hundred nodes under a wide distributed daemon: large enough
     for the batched commits and incremental snapshot patching to engage
     (the small random topologies above mostly rebuild snapshots in
-    full), still checked against the object engine.  The n = 2000
-    synchronous tx case is the deep-scale headline schedule (one n-node
-    batch per round) at a size the object engine still runs in seconds.
-    The deployment side grows with sqrt(n), so the mean degree (~20)
-    does not depend on n."""
+    full), still checked against the object engine.  Its steps of up to
+    40 nodes mix both sides of ``MIN_BATCH_STEP``; the ``-vector`` cases
+    set it to 1, so every step vectorizes.  The n = 2000 synchronous tx
+    case is the deep-scale headline schedule (one n-node batch per
+    round) at a size the object engine still runs in seconds.  The
+    deployment side grows with sqrt(n), so the mean degree (~20) does
+    not depend on n."""
+    if floor is not None:
+        monkeypatch.setattr(array_engine, "MIN_BATCH_STEP", floor)
     sp = SparseTopology.random_geometric(
         n, side=30.0 * n ** 0.5, radius=80.0, seed=2
     )
@@ -282,7 +322,7 @@ class TestColumnarView:
         topo = random_connected_topology(seed, n_min=8, n_max=12)
         m = metric_by_name(metric_name, EXAMPLE_RADIO)
         csr = EdgeCsr(topo, m)
-        return topo, m, ColumnarView(topo, fresh_states(topo, m), csr, m)
+        return topo, m, ColumnarView(topo, fresh_states(topo, m), csr, m, True)
 
     def test_noop_apply_does_not_bump_version(self):
         """Satellite regression: re-applying a node's current state is a
