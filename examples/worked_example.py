@@ -11,10 +11,11 @@ Usage::
     python examples/worked_example.py
 """
 
-from repro.core import RoundEngine, fresh_states, metric_by_name
-from repro.core.examples import EXAMPLE_RADIO, figure1_topology
-from repro.core.metrics import METRIC_NAMES, PROTOCOL_LABELS, EnergyAwareMetric
-from repro.experiments.paper_examples import format_examples_report
+from repro.core.examples import figure1_topology
+from repro.experiments.paper_examples import (
+    format_examples_report,
+    run_figure1_examples,
+)
 
 
 def render_tree(parents, members) -> str:
@@ -41,21 +42,15 @@ def main() -> None:
     print("Topology: 10 nodes, 13 edges (Figure 1 reconstruction)")
     print(f"group members (*): {sorted(topo.members)}\n")
 
-    e_metric = EnergyAwareMetric(EXAMPLE_RADIO)
-    for name in METRIC_NAMES:
-        metric = metric_by_name(name, EXAMPLE_RADIO)
-        res = RoundEngine(topo, metric, daemon="synchronous").run(
-            fresh_states(topo, metric)
-        )
-        tree = res.tree(topo)
-        print(f"--- {PROTOCOL_LABELS[name]} "
-              f"(stabilized in {res.rounds} rounds)")
-        print(render_tree([s.parent for s in res.states], topo.members))
-        print(f"    E-metric tree cost : {e_metric.tree_cost(topo, tree)*1e9:8.1f} nJ/bit")
-        print(f"    discard component  : {e_metric.tree_discard_cost(topo, tree)*1e9:8.1f} nJ/bit")
-        print(f"    forwarding nodes   : {sorted(tree.forwarding_nodes())}\n")
+    outcomes = run_figure1_examples()
+    for oc in outcomes.values():
+        print(f"--- {oc.label} (stabilized in {oc.rounds} rounds)")
+        print(render_tree(oc.parents, topo.members))
+        print(f"    E-metric tree cost : {oc.e_cost:8.1f} nJ/bit")
+        print(f"    discard component  : {oc.e_discard:8.1f} nJ/bit")
+        print(f"    forwarding nodes   : {oc.forwarding}\n")
 
-    print(format_examples_report())
+    print(format_examples_report(outcomes))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ _LAZY_EXPORTS = {
     "CiSummary": "stats",
     "mean_ci": "stats",
     "dominates": "stats",
-    "metric_spec_table": "report",
     "shape_report": "report",
 }
 

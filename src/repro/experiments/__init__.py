@@ -42,7 +42,6 @@ _LAZY_EXPORTS = {
     # backends
     "BACKEND_NAMES": "backends",
     "ExperimentBackend": "backends",
-    "MetricSpec": "backends",
     "RunResult": "backends",
     "backend_by_name": "backends",
     "metric_extractor": "backends",

@@ -14,10 +14,9 @@ engine (:mod:`repro.experiments.campaign`): it knows how to
 * ``record_from`` / ``result_from_record`` — the one run-record codec,
   shared by both backends: each declares its summary dataclass and its
   table of diagnostic defaults, and every run comes back as one
-  :class:`RunResult`, and
-* ``metrics()`` — declare a typed :class:`MetricSpec` registry, which
-  replaces the stringly ``RunSummary``-attribute pulls so aggregation,
-  tables and figures are backend-agnostic.
+  :class:`RunResult`; the record's summary fields and diagnostics are
+  also the backend's :attr:`~ExperimentBackend.metric_names`, the names
+  aggregation, tables and figures read through :func:`metric_extractor`.
 
 Backends are selected by the ``backend`` field of ``ScenarioConfig``
 (default ``"des"``, hash-neutral so every pre-existing cache entry keeps
@@ -52,26 +51,6 @@ from repro.experiments.store import (
 )
 
 _NAN = float("nan")
-
-
-# ----------------------------------------------------------------------
-# Metric specs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MetricSpec:
-    """A typed, named quantity a backend can extract from its results.
-
-    A :class:`RunResult` carries the value as the attribute of the
-    metric's name, which it resolves in its diagnostics and then its
-    summary.  Aggregation (:meth:`CampaignResult.aggregate`), tables,
-    figures and ascii plots read metrics through
-    :func:`metric_extractor` instead of reaching into ``RunSummary``
-    attributes, so they work identically over every backend.
-    """
-
-    name: str
-    description: str
-    unit: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -136,12 +115,14 @@ class ExperimentBackend(abc.ABC):
 
     @abc.abstractmethod
     def run(self, config: ScenarioConfig) -> RunResult:
-        """Execute one run; every name :meth:`metrics` declares must
+        """Execute one run; every name of :attr:`metric_names` must
         resolve as an attribute of the result."""
 
-    @abc.abstractmethod
-    def metrics(self) -> Dict[str, MetricSpec]:
-        """The typed metric registry of this backend."""
+    @functools.cached_property
+    def metric_names(self) -> Tuple[str, ...]:
+        """Every metric a run of this backend reports, in record order:
+        the summary's fields, then the diagnostics."""
+        return (*self._summary_zeros, *self.DIAGNOSTICS)
 
     # ------------------------------------------------------------------
     # The run-record codec
@@ -285,79 +266,6 @@ class DesBackend(ExperimentBackend):
         from repro.experiments.runner import run_scenario
 
         return run_scenario(config)
-
-    def metrics(self) -> Dict[str, MetricSpec]:
-        specs = [
-            MetricSpec("pdr", "packet delivery ratio (delivered / originated)"),
-            MetricSpec(
-                "energy_per_packet_mj",
-                "network energy per data packet delivered",
-                "mJ",
-            ),
-            MetricSpec("avg_delay_ms", "mean first-copy delivery delay", "ms"),
-            MetricSpec(
-                "control_overhead",
-                "control bytes transmitted per data byte delivered",
-            ),
-            MetricSpec(
-                "unavailability",
-                "fraction of probe windows a receiver had no delivery",
-            ),
-            MetricSpec("data_originated", "data packets injected at the source"),
-            MetricSpec("data_delivered", "first-copy deliveries summed over receivers"),
-            MetricSpec("total_energy_j", "total network energy drained", "J"),
-            MetricSpec("control_bytes_tx", "control bytes put on the air", "B"),
-            MetricSpec("data_bytes_tx", "data bytes put on the air", "B"),
-            MetricSpec("duplicates_suppressed", "duplicate deliveries discarded"),
-            MetricSpec("parent_changes", "SS-SPST family parent switches (churn)"),
-            MetricSpec(
-                "events_executed", "DES events executed (one per frame reception)"
-            ),
-            MetricSpec("frames_sent", "MAC frames transmitted"),
-            MetricSpec(
-                "frames_collided",
-                "receptions lost to collision, half duplex or random loss "
-                "(one per receiver)",
-            ),
-            MetricSpec(
-                "link_breaks_per_s",
-                "link breaks per second of the mobility scenario "
-                "(the fault rate self-stabilization absorbs)",
-                "1/s",
-            ),
-            MetricSpec(
-                "link_events_per_s",
-                "all link births + breaks per second of the mobility scenario",
-                "1/s",
-            ),
-            MetricSpec(
-                "mean_degree",
-                "time-averaged unit-disk neighbor count of the scenario",
-            ),
-            MetricSpec(
-                "partition_fraction",
-                "fraction of sampled instants the topology was disconnected "
-                "(a structural ceiling on PDR)",
-            ),
-            MetricSpec(
-                "fairness_jain",
-                "Jain fairness index over per-group PDRs (1.0 = equal service)",
-            ),
-            MetricSpec("group_pdr_min", "PDR of the worst-served group"),
-            MetricSpec(
-                "link_stress_mean",
-                "mean per-edge usage count across the k final group trees",
-            ),
-            MetricSpec(
-                "link_stress_max",
-                "hottest edge's usage count across the k final group trees",
-            ),
-            MetricSpec(
-                "tree_overlap_ratio",
-                "1 - union/total of group-tree edges (0 = edge-disjoint trees)",
-            ),
-        ]
-        return {s.name: s for s in specs}
 
 
 # ----------------------------------------------------------------------
@@ -584,43 +492,6 @@ class RoundsBackend(ExperimentBackend):
         )
         return RunResult(config, summary)
 
-    def metrics(self) -> Dict[str, MetricSpec]:
-        specs = [
-            MetricSpec("rounds", "rounds with >= 1 move until the fixpoint"),
-            MetricSpec("evaluations", "rule evaluations spent stabilizing"),
-            MetricSpec("moves", "individual state changes applied"),
-            MetricSpec("chain_steps", "ancestor steps of SS-SPST-E chain pricing"),
-            MetricSpec("converged", "reached a fixpoint within max_rounds (0/1)"),
-            MetricSpec("connected", "sampled topology was connected (0/1)"),
-            MetricSpec("total_cost", "capped Lyapunov total of the final state"),
-            MetricSpec("recovery_rounds", "rounds to absorb one transient fault"),
-            MetricSpec(
-                "recovery_evaluations", "evaluations to absorb one transient fault"
-            ),
-            MetricSpec("recovery_moves", "moves to absorb one transient fault"),
-            MetricSpec(
-                "recovery_chain_steps", "chain steps to absorb one transient fault"
-            ),
-            MetricSpec(
-                "fairness_jain",
-                "Jain fairness index over per-group tree costs "
-                "(1.0 = equal resource footprint)",
-            ),
-            MetricSpec(
-                "link_stress_mean",
-                "mean per-edge usage count across the k settled group trees",
-            ),
-            MetricSpec(
-                "link_stress_max",
-                "hottest edge's usage count across the k settled group trees",
-            ),
-            MetricSpec(
-                "tree_overlap_ratio",
-                "1 - union/total of group-tree edges (0 = edge-disjoint trees)",
-            ),
-        ]
-        return {s.name: s for s in specs}
-
 
 # ----------------------------------------------------------------------
 # Registry
@@ -654,17 +525,17 @@ def metric_extractor(
     CI aggregation filters), so mixed-backend campaigns can still print
     one table.
     """
-    specs = {b: backend_by_name(b).metrics() for b in set(backend_names)}
-    if not any(metric in m for m in specs.values()):
-        available = sorted(set().union(*specs.values())) if specs else []
+    names = {b: backend_by_name(b).metric_names for b in set(backend_names)}
+    defined = {b for b, metrics in names.items() if metric in metrics}
+    if not defined:
+        available = sorted(set().union(*names.values()))
         raise ValueError(
             f"unknown metric {metric!r} for backend(s) "
-            f"{sorted(specs)}; choose from {available}"
+            f"{sorted(names)}; choose from {available}"
         )
 
     def extract(result) -> float:
-        backend = getattr(result.config, "backend", "des")
-        if metric not in specs.get(backend, {}):
+        if getattr(result.config, "backend", "des") not in defined:
             return float("nan")
         return float(getattr(result, metric))
 

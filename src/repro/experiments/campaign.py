@@ -17,9 +17,9 @@ operations guide):
 * **aggregation** (:mod:`repro.experiments.aggregation`) — every run,
   executed or loaded, lands in its slot of a :class:`CampaignResult`,
   the one place that computes per-cell mean ± Student-t CI (Welford)
-  and renders the table that ``submit``, ``results`` and ``status``
-  print.  :func:`run_campaign` and the read-only
-  :func:`collect_campaign` load a store through one loop.
+  and renders the table that ``submit`` and ``results`` print.
+  :func:`run_campaign` and the read-only :func:`collect_campaign` load
+  a store through one loop.
 
 Each run executes on the config's **experiment backend**
 (:mod:`repro.experiments.backends`): ``des`` — the packet-level
@@ -27,14 +27,14 @@ simulator — or ``rounds`` — the round-model stabilization engine, orders
 of magnitude faster per run.  ``backend`` is an ordinary config field,
 so it sweeps like any grid axis.
 
-Command line (``submit``/``status``/``results``/``migrate`` verbs; an
-argv without a verb is an alias of ``submit``)::
+Command line (``submit``/``results``/``migrate`` verbs; an argv
+without a verb is an alias of ``submit``)::
 
     PYTHONPATH=src python -m repro.experiments.campaign \
         --protocols ss-spst,ss-spst-e --grid v_max=1,5,10 \
         --seeds 1,2,3 --workers 4 --store campaign.sqlite
 
-    PYTHONPATH=src python -m repro.experiments.campaign status \
+    PYTHONPATH=src python -m repro.experiments.campaign results \
         --figure figd02 --store campaign.sqlite
 
 Distributed campaigns: ``--shard I/K`` executes only a deterministic
@@ -450,8 +450,8 @@ def collect_campaign(spec: CampaignSpec, store) -> CampaignResult:
     """Assemble a campaign from a store without executing anything.
 
     The read-only counterpart of :func:`run_campaign` (the ``results``
-    and ``status`` verbs), through the same store loop: every stored
-    run lands in its slot, missing runs count as ``skipped``.
+    verb), through the same store loop: every stored run lands in its
+    slot, missing runs count as ``skipped``.
     """
     t0 = time.perf_counter()
     campaign = CampaignResult(spec)
@@ -526,8 +526,8 @@ def _parse_grid(specs: List[str]) -> Dict[str, Tuple]:
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     """The campaign-shape flags shared by ``submit`` and every
-    subcommand (``submit``/``status``/``results`` must name the same
-    campaign to talk about the same runs)."""
+    subcommand (``submit`` and ``results`` must name the same campaign
+    to talk about the same runs)."""
     what = parser.add_argument_group("what to run")
     what.add_argument(
         "--figure",
@@ -816,17 +816,6 @@ def _metrics_from_args(args, spec: CampaignSpec) -> List[str]:
 # ----------------------------------------------------------------------
 # Service subcommands
 # ----------------------------------------------------------------------
-def _build_view_parser(verb: str, description: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=f"python -m repro.experiments.campaign {verb}",
-        description=description,
-    )
-    _add_spec_args(parser)
-    _add_store_arg(parser)
-    _add_metrics_arg(parser)
-    return parser
-
-
 def _require_store(args) -> str:
     if not args.store:
         raise SystemExit("this subcommand needs --store")
@@ -843,44 +832,17 @@ def _checked_spec(args) -> Tuple[CampaignSpec, List[ScenarioConfig]]:
         raise SystemExit(str(exc)) from None
 
 
-def _collect_from_args(args):
-    """``(spec, metrics, campaign)`` of a read-only verb.  The store is
-    probed, never created: when it does not exist, that is printed and
-    ``campaign`` is None."""
-    spec, _ = _checked_spec(args)
-    metrics = _metrics_from_args(args, spec)
-    store = probe_store(_require_store(args))
-    if store is None:
-        print(f"# campaign {spec.name}: 0/{spec.size()} runs (store absent)")
-        return spec, metrics, None
-    with store:
-        return spec, metrics, collect_campaign(spec, store)
-
-
-def _main_status(argv: Sequence[str]) -> int:
-    parser = _build_view_parser(
-        "status",
-        "Progress of a campaign in its store: per-cell mean/CI over "
-        "whatever has landed so far.  Read-only; safe while campaigns "
-        "are writing.",
-    )
-    spec, metrics, campaign = _collect_from_args(parser.parse_args(argv))
-    if campaign is None:
-        return 0
-    print(
-        f"# campaign {spec.name}: {campaign.done}/{spec.size()} runs complete"
-        f"{' [complete]' if campaign.done == spec.size() else ''}"
-    )
-    print(campaign.format_table(metrics))
-    return 0
-
-
 def _main_results(argv: Sequence[str]) -> int:
-    parser = _build_view_parser(
-        "results",
-        "Assemble a campaign's aggregate table from its store without "
-        "executing anything (missing runs are reported, not run).",
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.campaign results",
+        description="A campaign's aggregate table from its store, over "
+        "whatever runs have landed so far, without executing anything "
+        "(missing runs are reported, not run).  Read-only; safe while "
+        "campaigns are writing.",
     )
+    _add_spec_args(parser)
+    _add_store_arg(parser)
+    _add_metrics_arg(parser)
     parser.add_argument(
         "--json-out",
         default=None,
@@ -888,12 +850,19 @@ def _main_results(argv: Sequence[str]) -> int:
         help="write the machine-readable campaign record to PATH",
     )
     args = parser.parse_args(argv)
-    spec, metrics, campaign = _collect_from_args(args)
-    if campaign is None:
+    spec, _ = _checked_spec(args)
+    metrics = _metrics_from_args(args, spec)
+    # probed, never created: an absent store is reported, not made
+    store = probe_store(_require_store(args))
+    if store is None:
+        print(f"# campaign {spec.name}: 0/{spec.size()} runs (store absent)")
         return 0
+    with store:
+        campaign = collect_campaign(spec, store)
     print(
-        f"# campaign {spec.name}: {spec.size()} runs "
+        f"# campaign {spec.name}: {campaign.done}/{spec.size()} runs complete "
         f"(stored={campaign.cache_hits} missing={campaign.skipped})"
+        f"{' [complete]' if campaign.done == spec.size() else ''}"
     )
     print(campaign.format_table(metrics))
     if args.json_out:
@@ -1080,7 +1049,6 @@ def _write_json_record(
 #: verb -> handler; an argv without a verb is an alias of ``submit``
 VERBS: Dict[str, Callable[[Sequence[str]], int]] = {
     "submit": _main_submit,
-    "status": _main_status,
     "results": _main_results,
     "migrate": _main_migrate,
 }

@@ -151,8 +151,8 @@ def _increasing_ends(series: List[float], slack: float = 0.02) -> bool:
 class FigureDef:
     """A reproducible figure.
 
-    ``metric`` names a quantity in the backend's typed
-    :class:`~repro.experiments.backends.MetricSpec` registry.
+    ``metric`` names one of the backend's
+    :attr:`~repro.experiments.backends.ExperimentBackend.metric_names`.
     ``extra_grid`` adds secondary campaign axes beyond the plotted
     ``x_name`` — e.g. figd02's activation-daemon axis.  :meth:`run`
     executes the whole grid and plots ``x_name`` with every extra axis
@@ -679,7 +679,7 @@ def _build_figures() -> Dict[str, FigureDef]:
     # model (random waypoint); this figure varies the *model* while the
     # speed envelope stays fixed, pairing delivery (the plotted PDR) with
     # stabilization cost (parent churn, checked per cell) and
-    # the measured fault process (link_breaks_per_s is a DES MetricSpec).
+    # the measured fault process (link_breaks_per_s is a DES diagnostic).
     figs["figm01"] = FigureDef(
         fig_id="figm01",
         title="Packet Delivery Ratio and Stabilization Cost vs. Mobility "

@@ -89,10 +89,11 @@ def optimality_gap() -> Dict[str, float]:
     }
 
 
-def format_examples_report() -> str:
-    """One printable report covering Examples 1-5."""
+def format_examples_report(outcomes: Dict[str, ExampleOutcome]) -> str:
+    """One printable report covering Examples 1-5, given the Figure-1
+    stabilizations of :func:`run_figure1_examples`."""
     lines = ["# Worked example (Figures 1-6) — round model"]
-    for name, oc in run_figure1_examples().items():
+    for oc in outcomes.values():
         lines.append(
             f"{oc.label:11s} rounds={oc.rounds} converged={oc.converged} "
             f"E-cost={oc.e_cost:8.1f} nJ/bit discard={oc.e_discard:6.1f} "

@@ -29,9 +29,7 @@ _LAZY_EXPORTS = {
     "load_trace_file": "trace",
     "LinkChurnStats": "analysis",
     "MobilityProfile": "analysis",
-    "link_churn": "analysis",
     "mobility_profile": "analysis",
-    "partition_fraction": "analysis",
 }
 
 __getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

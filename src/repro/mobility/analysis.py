@@ -38,22 +38,15 @@ class LinkChurnStats:
         return (self.link_breaks + self.link_births) / self.duration if self.duration else 0.0
 
 
-def link_churn(
-    mobility: MobilityModel,
-    max_range: float,
-    duration: float,
-    dt: float = 1.0,
-    t0: float = 0.0,
-) -> LinkChurnStats:
-    """Sample the adjacency every ``dt`` and count link transitions."""
-    return mobility_profile(mobility, max_range, duration, dt=dt, t0=t0).churn
-
-
 @dataclass(frozen=True)
 class MobilityProfile:
-    """One-pass combination of :func:`link_churn` and
-    :func:`partition_fraction` over the same sample grid (the per-run
-    fault-process diagnostics the DES backend reports)."""
+    """Link churn and partitioning over one sample grid (the per-run
+    fault-process diagnostics the DES backend reports).
+
+    ``partition_fraction`` is the fraction of samples where the unit-disk
+    graph is disconnected: a structural ceiling on any protocol's PDR,
+    since packets cannot cross a partition regardless of routing.
+    """
 
     churn: LinkChurnStats
     partition_fraction: float
@@ -66,7 +59,8 @@ def mobility_profile(
     dt: float = 1.0,
     t0: float = 0.0,
 ) -> MobilityProfile:
-    """Sample adjacency once and derive churn *and* partition statistics.
+    """Sample the adjacency every ``dt`` and derive churn (link
+    transitions) *and* partition statistics in one pass.
 
     Mobility models advance lazily and reject backwards queries, so
     computing churn and partitioning separately would need two model
@@ -114,20 +108,3 @@ def _connected(adj: np.ndarray) -> bool:
         frontier = adj[frontier].any(axis=0) & ~seen
         seen |= frontier
     return bool(seen.all())
-
-
-def partition_fraction(
-    mobility: MobilityModel,
-    max_range: float,
-    duration: float,
-    dt: float = 1.0,
-    t0: float = 0.0,
-) -> float:
-    """Fraction of samples where the unit-disk graph is disconnected.
-
-    A structural ceiling on any protocol's PDR: packets cannot cross a
-    partition regardless of routing.
-    """
-    return mobility_profile(
-        mobility, max_range, duration, dt=dt, t0=t0
-    ).partition_fraction

@@ -24,7 +24,6 @@ from repro.net.mac import CsmaMac, MacConfig
 from repro.net.medium import WirelessMedium
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.util.geometry import pairwise_distances
 from repro.util.ids import NodeId
 from repro.util.rng import RngStreams
 
@@ -221,19 +220,6 @@ class Network:
             self._pos_cache = self.mobility.positions(now).copy()
             self._pos_cache_t = now
         return self._pos_cache
-
-    def distance_matrix(self) -> np.ndarray:
-        """Pairwise distances at the current instant."""
-        return pairwise_distances(self.positions())
-
-    def adjacency(self, radius: Optional[float] = None) -> np.ndarray:
-        """Boolean connectivity at max power (or a given radius)."""
-        r = self.radio.max_range if radius is None else radius
-        d = self.distance_matrix()
-        adj = (d <= r) & (d > 0.0)
-        alive = np.array([nd.alive for nd in self.nodes])
-        adj &= alive[:, None] & alive[None, :]
-        return adj
 
     # ------------------------------------------------------------------
     def set_groups(self, groups: Sequence[GroupSpec]) -> None:

@@ -37,7 +37,7 @@ class DuplicateCache:
 
 
 class MulticastAgent(ProtocolAgent):
-    """Base class for the six protocols.
+    """Base class for the protocol agents (one per name in ``PROTOCOL_NAMES``).
 
     Adds: group roles, the duplicate cache, data origination
     plumbing (the CBR source calls :meth:`originate_data`), and delivery

@@ -37,6 +37,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.core.daemons import DES_DAEMON_NAMES
 from repro.core.metrics import CostMetric
 from repro.core.rules import COST_TOL, compute_update_local
 from repro.core.state import NodeState
@@ -102,20 +103,17 @@ class SSSPSTConfig:
     hold_down_intervals: float = 3.0
     activation: str = "distributed"
 
-    #: beacon disciplines with a DES realization (adversarial-max-cost is
-    #: round-model only: a packet-level adversary would need omniscient
-    #: zero-latency control of every clock)
-    ACTIVATIONS = ("distributed", "randomized", "synchronous", "central", "weakly-fair")
-
     def __post_init__(self) -> None:
         if self.beacon_interval <= 0 or self.miss_factor <= 1:
             raise ValueError("invalid SS-SPST configuration")
         if self.switch_threshold < 0 or self.hold_down_intervals < 0:
             raise ValueError("switch_threshold/hold_down must be non-negative")
-        if self.activation not in self.ACTIVATIONS:
+        # the beacon disciplines with a DES realization (the adversarial
+        # daemon is round-model only)
+        if self.activation not in DES_DAEMON_NAMES:
             raise ValueError(
                 f"unknown activation {self.activation!r}; choose from "
-                f"{self.ACTIVATIONS}"
+                f"{DES_DAEMON_NAMES}"
             )
 
 

@@ -16,7 +16,6 @@ _LAZY_EXPORTS = {
     "Arena": "geometry",
     "distance": "geometry",
     "pairwise_distances": "geometry",
-    "neighbors_within": "geometry",
     "clamp_point": "geometry",
     "RngStreams": "rng",
     "derive_seed": "rng",

@@ -77,16 +77,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return d
 
 
-def neighbors_within(points: np.ndarray, radius: float) -> np.ndarray:
-    """Boolean ``(n, n)`` adjacency: True where ``0 < dist <= radius``."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    d = pairwise_distances(points)
-    adj = d <= radius
-    np.fill_diagonal(adj, False)
-    return adj
-
-
 def clamp_point(point: np.ndarray, arena: Arena) -> np.ndarray:
     """Clamp a point into the arena (used defensively by mobility models)."""
     p = np.asarray(point, dtype=float).copy()

@@ -1,6 +1,6 @@
 """Tests for the pluggable experiment backends.
 
-Covers the backend protocol itself (registry, validation, metric specs),
+Covers the backend protocol itself (registry, validation, metric names),
 the contract the redesign is accountable for — rounds-backend results
 bit-identical to a direct :class:`RoundEngine` invocation for every
 registered daemon — plus cache-record compatibility across schema eras
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.report import metric_spec_table
 from repro.analysis.stats import mean_ci
 from repro.core.convergence import engine_for
 from repro.core.daemons import DAEMON_NAMES, DES_DAEMON_NAMES
@@ -71,18 +70,21 @@ class TestRegistry:
             ScenarioConfig.quick(backend="ns2")
 
     def test_metric_specs_are_extractable(self):
-        """Every declared MetricSpec names a real-valued attribute of its
-        backend's results (golden smoke over one run per backend)."""
+        """Every metric name of a backend is a real-valued attribute of
+        its results, and the names are the record's summary keys then
+        its diagnostics keys (golden smoke over one run per backend)."""
         des_result = backend_by_name("des").run(des_base(protocol="flooding"))
         rounds_result = backend_by_name("rounds").run(rounds_base())
         for backend, result in (("des", des_result), ("rounds", rounds_result)):
-            for name in backend_by_name(backend).metrics():
+            impl = backend_by_name(backend)
+            for name in impl.metric_names:
                 value = getattr(result, name)
                 assert isinstance(value, numbers.Real), (backend, name)
-
-    def test_metric_spec_table_renders(self):
-        assert "pdr" in metric_spec_table("des")
-        assert "recovery_rounds" in metric_spec_table("rounds")
+            record = impl.record_from(result)
+            assert impl.metric_names == (
+                *record["summary"],
+                *record["diagnostics"],
+            ), backend
 
     def test_default_metrics_per_backend(self):
         assert default_metrics(("des",)) == ("pdr", "energy_per_packet_mj")

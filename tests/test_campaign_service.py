@@ -11,7 +11,7 @@ Pins the contracts of the campaign service's upper layers
 * runs landing through ``update`` in any arrival order aggregate
   bit-for-bit like a serial run (hypothesis property), and ``mean_ci``
   *is* the Welford fold;
-* the ``submit`` / ``status`` / ``results`` / ``migrate`` CLI
+* the ``submit`` / ``results`` / ``migrate`` CLI
   subcommands and the functions behind them (``run_campaign``,
   ``collect_campaign``, ``migrate_json_dir``) drive the same layers end
   to end.
@@ -115,7 +115,7 @@ class CancelAfter(PoolScheduler):
 class TestCancelResume:
     def test_cancel_persists_partials_then_resume_converges(self, tmp_path):
         """The acceptance scenario: a pool figd02-style campaign on a
-        SQLite store is cancelled mid-flight; ``status`` shows per-cell
+        SQLite store is cancelled mid-flight; ``results`` shows per-cell
         aggregates of the partial store; re-invoking converges to the
         same table as an uninterrupted reference run."""
         spec = deep_spec()
@@ -228,7 +228,7 @@ class TestStreamingAggregation:
 # The service verbs as plain calls over one open store
 # ----------------------------------------------------------------------
 class TestCampaignService:
-    """The submit/status/results/migrate verbs as direct calls of
+    """The submit/results/migrate verbs as direct calls of
     ``run_campaign`` / ``collect_campaign`` / ``migrate_json_dir``."""
 
     def test_submit_status_results_roundtrip(self, store_spec):
@@ -294,23 +294,24 @@ class TestCli:
         assert "# campaign cli-svc: 4 runs (executed=4" in out
 
     def test_status_subcommand_streams_partials(self, tmp_path, capsys):
+        """Progress status: ``results`` over a half-landed store."""
         store = str(tmp_path / "records")
-        # half the campaign (one shard) has landed; status must say so
+        # half the campaign (one shard) has landed; results must say so
         spec = rounds_spec(name="cli-svc")
         partial = run_campaign(spec, store=store, shard=(0, 2))
         capsys.readouterr()
-        assert main(["status"] + SPEC_ARGS + ["--store", store]) == 0
+        assert main(["results"] + SPEC_ARGS + ["--store", store]) == 0
         out = capsys.readouterr().out
         assert f"{partial.executed}/4 runs complete" in out
         assert "[complete]" not in out
 
     def test_status_on_absent_store(self, tmp_path, capsys):
         absent = str(tmp_path / "never-created")
-        assert main(["status"] + SPEC_ARGS + ["--store", absent]) == 0
+        assert main(["results"] + SPEC_ARGS + ["--store", absent]) == 0
         assert "(store absent)" in capsys.readouterr().out
-        assert not os.path.exists(absent)  # status never creates stores
+        assert not os.path.exists(absent)  # results never creates stores
 
-    @pytest.mark.parametrize("verb", ["status", "results"])
+    @pytest.mark.parametrize("verb", ["results"])
     @pytest.mark.parametrize("name", ["absent-dir", "absent.sqlite"])
     def test_read_only_verbs_never_create_a_store(
         self, verb, name, tmp_path, capsys
@@ -321,11 +322,11 @@ class TestCli:
         assert not os.path.exists(absent)
 
     def test_read_only_verbs_print_the_submit_table(self, tmp_path, capsys):
-        """One renderer: on a complete campaign ``submit``, ``results``
-        and ``status`` print the same table under their own headers."""
+        """One renderer: on a complete campaign ``submit`` and
+        ``results`` print the same table under their own headers."""
         store = str(tmp_path / "records")
         tables = []
-        for verb in ("submit", "submit", "results", "status"):
+        for verb in ("submit", "submit", "results"):
             quiet = ["--quiet"] if verb == "submit" else []
             assert main([verb] + SPEC_ARGS + ["--store", store] + quiet) == 0
             lines = capsys.readouterr().out.splitlines()
@@ -333,11 +334,12 @@ class TestCli:
                 i for i, line in enumerate(lines) if line.startswith("# ")
             )
             tables.append(lines[header + 1 :])
-            if verb == "status":
+            if verb == "results":
                 assert lines[header] == (
-                    "# campaign cli-svc: 4/4 runs complete [complete]"
+                    "# campaign cli-svc: 4/4 runs complete "
+                    "(stored=4 missing=0) [complete]"
                 )
-        assert tables[0] == tables[1] == tables[2] == tables[3]
+        assert tables[0] == tables[1] == tables[2]
         assert len(tables[0]) == 3  # column header + one row per cell
 
     def test_partial_status_lists_every_cell(self, tmp_path, capsys):
@@ -345,7 +347,7 @@ class TestCli:
         spec = rounds_spec(name="cli-svc", seeds=(1, 2))
         run_campaign(spec, store=store, scheduler=CancelAfter(1))
         capsys.readouterr()
-        assert main(["status"] + SPEC_ARGS + ["--store", store]) == 0
+        assert main(["results"] + SPEC_ARGS + ["--store", store]) == 0
         out = capsys.readouterr().out
         assert "1/4 runs complete" in out
         rows = out.splitlines()[2:]
@@ -362,7 +364,7 @@ class TestCli:
         assert "seeds lists 1 more than once" in str(exc.value.code)
         assert not os.path.exists(store)
 
-    @pytest.mark.parametrize("verb", ["submit", "status", "results"])
+    @pytest.mark.parametrize("verb", ["submit", "results"])
     def test_invalid_configs_exit_cleanly_on_an_existing_store(
         self, verb, tmp_path
     ):
@@ -449,7 +451,7 @@ class TestCli:
         executed, skipped = map(int, match.groups())
         assert executed + skipped == 4  # own share run, the rest left
 
-    @pytest.mark.parametrize("verb", ["submit", "status", "results"])
+    @pytest.mark.parametrize("verb", ["submit", "results"])
     def test_unknown_metric_exits_before_running(self, verb, tmp_path):
         """An unknown --metrics name is a clean exit listing the
         backend's metrics, before any run executes or any store opens."""

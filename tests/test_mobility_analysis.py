@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mobility import RandomWaypoint, StaticPlacement, TraceMobility
-from repro.mobility.analysis import (
-    LinkChurnStats,
-    _connected,
-    link_churn,
-    partition_fraction,
-)
+from repro.mobility.analysis import _connected, mobility_profile
 from repro.util.geometry import Arena
 
 ARENA = Arena(500.0, 500.0)
@@ -18,14 +13,18 @@ ARENA = Arena(500.0, 500.0)
 class TestLinkChurn:
     def test_static_network_has_no_churn(self, rng):
         mob = StaticPlacement(20, ARENA, rng=rng)
-        stats = link_churn(mob, max_range=200.0, duration=30.0, dt=1.0)
+        stats = mobility_profile(
+            mob, max_range=200.0, duration=30.0, dt=1.0
+        ).churn
         assert stats.link_breaks == 0
         assert stats.link_births == 0
         assert stats.break_rate == 0.0
 
     def test_mobile_network_churns(self, rng):
         mob = RandomWaypoint(20, ARENA, v_min=5.0, v_max=20.0, rng=rng)
-        stats = link_churn(mob, max_range=150.0, duration=60.0, dt=1.0)
+        stats = mobility_profile(
+            mob, max_range=150.0, duration=60.0, dt=1.0
+        ).churn
         assert stats.link_breaks > 0
         assert stats.link_births > 0
 
@@ -37,7 +36,9 @@ class TestLinkChurn:
                 25, ARENA, v_min=1.0, v_max=vmax, rng=np.random.default_rng(5)
             )
             rates.append(
-                link_churn(mob, max_range=150.0, duration=120.0, dt=1.0).break_rate
+                mobility_profile(
+                    mob, max_range=150.0, duration=120.0, dt=1.0
+                ).churn.break_rate
             )
         assert rates[1] > rates[0] * 1.5
 
@@ -48,29 +49,36 @@ class TestLinkChurn:
             [(0.0, 150.0, 100.0), (5.0, 150.0, 100.0), (10.0, 480.0, 480.0)],
         ]
         mob = TraceMobility(ARENA, traces)
-        stats = link_churn(mob, max_range=100.0, duration=15.0, dt=1.0)
+        stats = mobility_profile(
+            mob, max_range=100.0, duration=15.0, dt=1.0
+        ).churn
         assert stats.link_breaks == 1
         assert stats.link_births == 0
 
     def test_validation(self, rng):
         mob = StaticPlacement(5, ARENA, rng=rng)
         with pytest.raises(ValueError):
-            link_churn(mob, 100.0, duration=0.0)
+            mobility_profile(mob, 100.0, duration=0.0)
 
     def test_mean_degree_sane(self, rng):
         mob = StaticPlacement(30, ARENA, rng=rng)
-        stats = link_churn(mob, max_range=250.0, duration=5.0, dt=1.0)
+        stats = mobility_profile(
+            mob, max_range=250.0, duration=5.0, dt=1.0
+        ).churn
         assert 0.0 < stats.mean_degree < 29.0
 
 
 class TestPartitionFraction:
     def test_connected_clique_never_partitions(self, rng):
         mob = StaticPlacement(10, Arena(100.0, 100.0), rng=rng)
-        assert partition_fraction(mob, max_range=200.0, duration=10.0) == 0.0
+        profile = mobility_profile(mob, max_range=200.0, duration=10.0)
+        assert profile.partition_fraction == 0.0
 
     def test_sparse_network_partitions(self, rng):
         mob = StaticPlacement(4, ARENA, rng=rng)
-        frac = partition_fraction(mob, max_range=30.0, duration=5.0)
+        frac = mobility_profile(
+            mob, max_range=30.0, duration=5.0
+        ).partition_fraction
         assert frac == 1.0  # 4 nodes, 30 m range in 500 m arena: no chance
 
 

@@ -609,14 +609,6 @@ class TestNetwork:
         assert [v for v in range(net.n) if net.is_group_member(0, v)] == [0, 2]
         assert net.group_receivers_of(0) == {2}
 
-    def test_adjacency_excludes_dead(self):
-        sim, net = make_network([[0, 0], [100, 0], [200, 0]])
-        adj = net.adjacency()
-        assert adj[0, 1] and adj[1, 2]
-        net.nodes[1].alive = False
-        adj2 = net.adjacency()
-        assert not adj2[0, 1] and not adj2[1, 2]
-
     def test_total_energy_sums_nodes(self):
         sim, net = make_network([[0, 0], [100, 0]])
         net.medium.broadcast(0, data_packet(0), tx_range=150.0)

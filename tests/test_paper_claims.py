@@ -32,7 +32,7 @@ from repro.graph import (
     exhaustive_min_energy_tree,
 )
 from repro.metrics.hub import MetricsHub
-from repro.mobility import RandomWaypoint, link_churn
+from repro.mobility import RandomWaypoint, mobility_profile
 from repro.protocols.registry import make_agent_factory
 from repro.protocols.ss_spst import SSSPSTConfig
 from repro.traffic.cbr import CbrSource
@@ -263,7 +263,9 @@ def test_fault_rate_drives_unavailability():
         mob = RandomWaypoint(
             50, arena, v_min=1.0, v_max=v, rng=np.random.default_rng(17)
         )
-        stats = link_churn(mob, max_range=250.0, duration=120.0, dt=1.0)
+        stats = mobility_profile(
+            mob, max_range=250.0, duration=120.0, dt=1.0
+        ).churn
         fault_rates.append(stats.break_rate)
         cfg = ScenarioConfig.quick(protocol="ss-spst-e", v_max=v, seed=1, sim_time=90.0)
         unav.append(run_scenario(cfg).summary.unavailability)

@@ -12,7 +12,7 @@ Pins the three contracts the redesign is accountable for:
   build through :func:`build_scenario_space`.
 
 Plus the satellite surfaces: the ``daemon_k`` knob, the mobility-churn
-MetricSpecs, constant-density arena scaling, rotating membership, the
+metric names, constant-density arena scaling, rotating membership, the
 ``--model-param`` / ``--dry-run`` CLI and figm01.
 """
 
@@ -615,14 +615,14 @@ class TestSatelliteKnobs:
         assert static.link_events_per_s == 0.0
 
     def test_churn_metric_specs_registered_and_extractable(self):
-        specs = backend_by_name("des").metrics()
+        names = backend_by_name("des").metric_names
         for name in (
             "link_breaks_per_s",
             "link_events_per_s",
             "mean_degree",
             "partition_fraction",
         ):
-            assert name in specs
+            assert name in names
         result = run_scenario(fast_base(protocol="flooding"))
         extract = metric_extractor("link_breaks_per_s", ("des",))
         assert extract(result) == result.link_breaks_per_s

@@ -683,7 +683,7 @@ class TestPlanOnce:
 
         monkeypatch.setattr(ScenarioConfig, "__post_init__", recorded)
         capsys.readouterr()
-        assert main(["status", *argv]) == 0
+        assert main(["results", *argv]) == 0
         assert "4/4 runs complete" in capsys.readouterr().out
         assert [sum(c == cfg for c in constructed) for cfg in planned] == [
             1

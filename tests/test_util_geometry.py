@@ -10,7 +10,6 @@ from repro.util.geometry import (
     Arena,
     clamp_point,
     distance,
-    neighbors_within,
     pairwise_distances,
     unit_vector,
 )
@@ -68,17 +67,6 @@ class TestDistances:
     def test_pairwise_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((3, 3)))
-
-    def test_neighbors_within(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-        adj = neighbors_within(pts, 2.0)
-        assert adj[0, 1] and adj[1, 0]
-        assert not adj[0, 2] and not adj[2, 0]
-        assert not adj.diagonal().any()
-
-    def test_neighbors_within_requires_positive_radius(self):
-        with pytest.raises(ValueError):
-            neighbors_within(np.zeros((2, 2)), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
