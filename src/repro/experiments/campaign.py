@@ -27,8 +27,8 @@ simulator — or ``rounds`` — the round-model stabilization engine, orders
 of magnitude faster per run.  ``backend`` is an ordinary config field,
 so it sweeps like any grid axis.
 
-Command line (``submit``/``results``/``migrate`` verbs; an argv
-without a verb is an alias of ``submit``)::
+Command line (``submit``/``results``/``migrate`` verbs; an argv that
+opens with a flag is an alias of ``submit``)::
 
     PYTHONPATH=src python -m repro.experiments.campaign \
         --protocols ss-spst,ss-spst-e --grid v_max=1,5,10 \
@@ -1046,7 +1046,8 @@ def _write_json_record(
         json.dump(record, fh, indent=2, sort_keys=True)
 
 
-#: verb -> handler; an argv without a verb is an alias of ``submit``
+#: verb -> handler; an argv that opens with a flag (or is empty) is an
+#: alias of ``submit``, and any other first word must name a verb
 VERBS: Dict[str, Callable[[Sequence[str]], int]] = {
     "submit": _main_submit,
     "results": _main_results,
@@ -1056,7 +1057,11 @@ VERBS: Dict[str, Callable[[Sequence[str]], int]] = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    verb = argv.pop(0) if argv and argv[0] in VERBS else "submit"
+    verb = "submit" if not argv or argv[0].startswith("-") else argv.pop(0)
+    if verb not in VERBS:
+        raise SystemExit(
+            f"unknown command {verb!r}; choose from {', '.join(VERBS)}"
+        )
     return VERBS[verb](argv)
 
 

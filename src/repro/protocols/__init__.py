@@ -27,9 +27,7 @@ _LAZY_EXPORTS = {
     "SSSPSTAgent": "ss_spst",
     "SSSPSTConfig": "ss_spst",
     "MaodvAgent": "maodv",
-    "MaodvConfig": "maodv",
     "OdmrpAgent": "odmrp",
-    "OdmrpConfig": "odmrp",
     "FloodingAgent": "flooding",
     "PROTOCOL_NAMES": "registry",
     "make_agent_factory": "registry",

@@ -26,7 +26,6 @@ departed members is by timeout rather than explicit MACT-prune.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.net.node import Node
@@ -40,19 +39,14 @@ RREP_BYTES = 20
 MACT_BYTES = 16
 HELLO_BYTES = 20
 
-
-@dataclass(frozen=True)
-class MaodvConfig:
-    """MAODV tuning."""
-
-    hello_interval: float = 5.0
-    tree_timeout: float = 12.0
-    rreq_retry_interval: float = 3.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.hello_interval <= 0 or self.tree_timeout <= self.hello_interval:
-            raise ValueError("invalid MAODV configuration")
+#: seconds between the group leader's GROUP-HELLO floods
+HELLO_INTERVAL = 5.0
+#: seconds a tree node keeps tree state without a hello or data refresh
+TREE_TIMEOUT = 12.0
+#: seconds between a member's checks whether it must re-join
+RREQ_RETRY_INTERVAL = 3.0
+#: uniform jitter on the hello and re-join clocks
+JITTER = 0.5
 
 
 class MaodvAgent(MulticastAgent):
@@ -60,7 +54,6 @@ class MaodvAgent(MulticastAgent):
 
     def __init__(self, node: Node) -> None:
         super().__init__(node)
-        self.config = MaodvConfig()
         self.on_tree = self.is_source
         self.tree_refresh_t = 0.0
         self.upstream: Optional[NodeId] = None  # prev hop toward the leader
@@ -80,9 +73,9 @@ class MaodvAgent(MulticastAgent):
             self._timers.append(
                 PeriodicTimer(
                     self.sim,
-                    self.config.hello_interval,
+                    HELLO_INTERVAL,
                     self._flood_hello,
-                    jitter=self.config.jitter,
+                    jitter=JITTER,
                     rng=rng,
                     start_offset=float(rng.uniform(0.0, 0.5)),
                 )
@@ -94,9 +87,9 @@ class MaodvAgent(MulticastAgent):
         rng = self.network.streams.derive("maodv", self.node.id)
         self._member_timer = PeriodicTimer(
             self.sim,
-            self.config.rreq_retry_interval,
+            RREQ_RETRY_INTERVAL,
             self._maybe_rejoin,
-            jitter=self.config.jitter,
+            jitter=JITTER,
             rng=rng,
             start_offset=float(rng.uniform(0.0, 1.0)),
         )
@@ -131,7 +124,7 @@ class MaodvAgent(MulticastAgent):
         if self.is_source:
             return True
         return self.on_tree and (
-            self.sim.now - self.tree_refresh_t <= self.config.tree_timeout
+            self.sim.now - self.tree_refresh_t <= TREE_TIMEOUT
         )
 
     def _flood_hello(self) -> None:
@@ -258,7 +251,7 @@ class MaodvAgent(MulticastAgent):
         # downstream child; we become a tree router and pass the MACT
         # upstream so the *whole* branch is refreshed up to the source
         # (stopping early would let ancestor branch state expire).
-        self.downstream[packet.src] = self.sim.now + self.config.tree_timeout
+        self.downstream[packet.src] = self.sim.now + TREE_TIMEOUT
         self.on_tree = True
         self.tree_refresh_t = self.sim.now
         if not self.is_source and self.upstream is not None:

@@ -15,7 +15,6 @@ Mesh-based baseline with the architectural traits the paper leans on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.net.node import Node
@@ -28,34 +27,22 @@ JOIN_QUERY_HEADER_BYTES = 24
 JOIN_REPLY_BYTES = 20
 
 
-@dataclass(frozen=True)
-class OdmrpConfig:
-    """ODMRP tuning (defaults follow the original paper's 3 s refresh).
-
-    In real ODMRP the periodic JOIN-QUERY is *piggybacked on a data
-    packet* and flooded by every node in the network — that network-wide
-    data-sized flood, repeated every refresh interval, is where ODMRP's
-    control overhead comes from (and why Figure 13 shows it highest and
-    "similar to flooding" as membership grows).  ``piggyback_bytes``
-    models the data payload carried by each query.
-    """
-
-    query_interval: float = 3.0
-    fg_timeout_factor: float = 3.0  # forwarding-group soft state lifetime
-    jitter: float = 0.4
-    piggyback_bytes: int = 512
-
-    def __post_init__(self) -> None:
-        if self.query_interval <= 0 or self.fg_timeout_factor < 1:
-            raise ValueError("invalid ODMRP configuration")
-
-    @property
-    def query_bytes(self) -> int:
-        return JOIN_QUERY_HEADER_BYTES + self.piggyback_bytes
-
-    @property
-    def fg_timeout(self) -> float:
-        return self.fg_timeout_factor * self.query_interval
+#: seconds between the source's JOIN-QUERY floods (the original paper's
+#: 3 s refresh)
+QUERY_INTERVAL = 3.0
+#: forwarding-group soft-state lifetime, in query intervals
+FG_TIMEOUT_FACTOR = 3.0
+FG_TIMEOUT = FG_TIMEOUT_FACTOR * QUERY_INTERVAL
+#: uniform jitter on the query clock
+JITTER = 0.4
+#: In real ODMRP the periodic JOIN-QUERY is *piggybacked on a data
+#: packet* and flooded by every node in the network: that network-wide
+#: data-sized flood, repeated every refresh interval, is where ODMRP's
+#: control overhead comes from (and why Figure 13 shows it highest and
+#: "similar to flooding" as membership grows).  This is the data payload
+#: each query carries.
+PIGGYBACK_BYTES = 512
+QUERY_BYTES = JOIN_QUERY_HEADER_BYTES + PIGGYBACK_BYTES
 
 
 class OdmrpAgent(MulticastAgent):
@@ -63,7 +50,6 @@ class OdmrpAgent(MulticastAgent):
 
     def __init__(self, node: Node) -> None:
         super().__init__(node)
-        self.config = OdmrpConfig()
         self.upstream: Optional[NodeId] = None  # prev hop toward the source
         self.fg_until = -1.0  # forwarding-group membership expiry
         self._query_seq = 0
@@ -76,9 +62,9 @@ class OdmrpAgent(MulticastAgent):
             rng = self.network.streams.derive("odmrp", self.node.id)
             self._timer = PeriodicTimer(
                 self.sim,
-                self.config.query_interval,
+                QUERY_INTERVAL,
                 self._flood_query,
-                jitter=self.config.jitter,
+                jitter=JITTER,
                 rng=rng,
                 start_offset=float(rng.uniform(0.0, 0.3)),
             )
@@ -99,7 +85,7 @@ class OdmrpAgent(MulticastAgent):
         self.control_frames["join_query"] += 1
         self.send_control(
             PacketKind.JOIN_QUERY,
-            self.config.query_bytes,
+            QUERY_BYTES,
             {"source": self.node.id},
             seq=self._query_seq,
         )
@@ -140,7 +126,7 @@ class OdmrpAgent(MulticastAgent):
         if self.is_source:
             return True  # reply reached the source; mesh branch complete
         # Join the forwarding group and propagate upstream.
-        self.fg_until = self.sim.now + self.config.fg_timeout
+        self.fg_until = self.sim.now + FG_TIMEOUT
         if self.upstream is not None:
             self.control_frames["join_reply"] += 1
             self.send_control(

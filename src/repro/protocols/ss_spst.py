@@ -51,6 +51,14 @@ from repro.util.ids import NodeId
 
 #: base beacon size in bytes (position, ids, state variables)
 BASE_BEACON_BYTES = 28
+#: uniform jitter on each beacon tick of the randomized disciplines
+#: (de-synchronization)
+BEACON_JITTER = 0.25
+#: neighbor expiry timeout as a multiple of the beacon interval
+MISS_FACTOR = 2.5
+#: fractional margin added to data transmission radii to survive child
+#: movement within a beacon interval
+RANGE_MARGIN = 0.10
 
 
 @dataclass(frozen=True)
@@ -59,13 +67,6 @@ class SSSPSTConfig:
 
     beacon_interval:
         Seconds between beacons (the paper's headline knob; default 2 s).
-    beacon_jitter:
-        Uniform jitter applied to each beacon tick (de-synchronization).
-    miss_factor:
-        Neighbor expiry timeout as a multiple of the beacon interval.
-    range_margin:
-        Fractional margin added to data transmission radii to survive
-        child movement within a beacon interval.
     switch_threshold:
         Route-flap damping: an alternative parent must beat the incumbent
         by this relative cost margin (beacon state is up to one interval
@@ -82,7 +83,7 @@ class SSSPSTConfig:
         counterpart of :mod:`repro.core.daemons`):
 
         * ``"distributed"`` / ``"randomized"`` — independent clocks with
-          random phase plus ``beacon_jitter`` (the classic MANET setting
+          random phase plus :data:`BEACON_JITTER` (the classic MANET setting
           and the historical default; both names map to the identical
           discipline, since independent jittered clocks *are* a random
           activation order);
@@ -96,15 +97,12 @@ class SSSPSTConfig:
     """
 
     beacon_interval: float = 2.0
-    beacon_jitter: float = 0.25
-    miss_factor: float = 2.5
-    range_margin: float = 0.10
     switch_threshold: float = 0.10
     hold_down_intervals: float = 3.0
     activation: str = "distributed"
 
     def __post_init__(self) -> None:
-        if self.beacon_interval <= 0 or self.miss_factor <= 1:
+        if self.beacon_interval <= 0:
             raise ValueError("invalid SS-SPST configuration")
         if self.switch_threshold < 0 or self.hold_down_intervals < 0:
             raise ValueError("switch_threshold/hold_down must be non-negative")
@@ -127,9 +125,6 @@ class SSSPSTConfig:
 #: behavior without ever forking the config-hash cache key.
 CAMPAIGN_BINDINGS = {
     "beacon_interval": "config:beacon_interval",
-    "beacon_jitter": "fixed",
-    "miss_factor": "fixed",
-    "range_margin": "fixed",
     "switch_threshold": "derived:protocol",
     "hold_down_intervals": "derived:protocol",
     "activation": "config:daemon",
@@ -302,7 +297,7 @@ class SSSPSTAgent(MulticastAgent):
         self.config = config or SSSPSTConfig()
         self.n_nodes = n_nodes if n_nodes is not None else node.network.n
         self.table = NeighborTable(
-            timeout=self.config.miss_factor * self.config.beacon_interval
+            timeout=MISS_FACTOR * self.config.beacon_interval
         )
         self.oc_max = self._oc_max()
         self.h_max = self.n_nodes
@@ -344,7 +339,7 @@ class SSSPSTAgent(MulticastAgent):
         activation = self.config.activation
         if activation in ("distributed", "randomized"):
             # Historical default, draw-for-draw: random phase + jitter.
-            jitter = self.config.beacon_jitter
+            jitter = BEACON_JITTER
             offset = float(stream.uniform(0.0, interval))
         elif activation == "weakly-fair":
             jitter = 0.5 * interval
@@ -594,7 +589,7 @@ class SSSPSTAgent(MulticastAgent):
             radius = max(radius, infos[nid].distance_from(pos))
         if radius <= 0.0:
             return 0.0
-        return min(radius * (1.0 + self.config.range_margin), self.max_range)
+        return min(radius * (1.0 + RANGE_MARGIN), self.max_range)
 
     def _send_fresh_data(self, packet: Packet) -> None:
         radius = self._data_radius()

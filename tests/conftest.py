@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,8 @@ from repro.energy.radio import FirstOrderRadioModel
 from repro.sim.kernel import Simulator
 from repro.util.geometry import Arena
 from repro.util.rng import RngStreams
+
+from helpers import default_hidden
 
 
 @pytest.fixture
@@ -46,64 +46,35 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)
 
 
-@pytest.fixture
-def test_daemon() -> str:
-    """Default activation daemon for daemon-generic tests.
-
-    CI matrixes the tier-1 job over ``REPRO_TEST_DAEMON={central,
-    randomized}`` so both disciplines stay exercised by default-path
-    tests; any registry name works locally.
-    """
-    return os.environ.get("REPRO_TEST_DAEMON", "central")
+@pytest.fixture(params=default_hidden(("central", "randomized")))
+def test_daemon(request) -> str:
+    """Activation daemon for daemon-generic tests: each runs under the
+    central and the randomized daemon."""
+    return request.param
 
 
-@pytest.fixture
-def test_backend() -> str:
-    """Default experiment backend for backend-generic tests.
-
-    The CI rounds leg sets ``REPRO_TEST_BACKEND=rounds`` so the campaign
-    CLI smoke exercises the round-model executor end to end; the default
-    keeps the historical DES path.
-    """
-    return os.environ.get("REPRO_TEST_BACKEND", "des")
+@pytest.fixture(params=default_hidden(("des", "rounds")))
+def test_backend(request) -> str:
+    """Experiment backend for backend-generic tests: the packet-level
+    simulator and the round-model executor."""
+    return request.param
 
 
-@pytest.fixture
-def test_engine() -> str:
-    """Default round-engine implementation for engine-generic tests.
-
-    CI adds a ``REPRO_TEST_ENGINE=array`` tier-1 matrix entry so the
-    vectorized columnar engine runs the same default-path tests as the
-    scalar reference (their trajectories are bit-identical by contract,
-    so the tests themselves need no engine awareness); the default keeps
-    the object engine.
-    """
-    return os.environ.get("REPRO_TEST_ENGINE", "object")
-
-
-@pytest.fixture
-def test_store(tmp_path) -> str:
-    """A fresh result-store spec for store-generic tests.
-
-    The CI store leg sets ``REPRO_TEST_STORE=sqlite`` so the campaign /
-    backend / scenario-model tests persist through the SQLite columnar
-    store; the default is a JSON record dir (one ``<config_key>.json``
-    file per run).  Both resolve through
-    :func:`repro.experiments.store.open_store`.
-    """
-    if os.environ.get("REPRO_TEST_STORE", "json") == "sqlite":
+@pytest.fixture(params=["json", "sqlite"])
+def test_store(request, tmp_path) -> str:
+    """A fresh result-store spec for store-generic tests, once per store
+    backend: a JSON record dir (one ``<config_key>.json`` file per run)
+    and the SQLite columnar store.  Both resolve through
+    :func:`repro.experiments.store.open_store`."""
+    if request.param == "sqlite":
         return f"sqlite:{tmp_path / 'results.sqlite'}"
-    return str(tmp_path / "result-cache")
+    return str(tmp_path / "records")
 
 
-@pytest.fixture
-def test_mobility() -> str:
-    """Default mobility model for scenario-generic tests.
-
-    The CI scenario-models leg sets ``REPRO_TEST_MOBILITY=gauss-markov``
-    so a non-default mobility model runs through the full runner /
-    backend / campaign stack on every push; the default keeps the
-    paper's random-waypoint path.  ``trace`` is not a valid value here
-    (it needs a scenario file).
-    """
-    return os.environ.get("REPRO_TEST_MOBILITY", "waypoint")
+@pytest.fixture(params=default_hidden(("waypoint", "gauss-markov")))
+def test_mobility(request) -> str:
+    """Mobility model for scenario-generic tests: the paper's random
+    waypoint and Gauss-Markov, each through the full runner / backend /
+    campaign stack.  ``trace`` is not a value here (it needs a scenario
+    file)."""
+    return request.param

@@ -39,25 +39,18 @@ from repro.core.rules import COST_TOL
 from repro.energy.radio import FirstOrderRadioModel
 from repro.graph import SparseTopology, Topology
 
+from helpers import assert_same_trajectory, random_connected_topology
+
 SETTINGS = dict(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+#: the largest random topology these tests draw
+N_MAX = 12
+
 MAX_ROUNDS = 150
-
-
-def random_connected_topology(seed, n_min=5, n_max=12):
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        n = int(rng.integers(n_min, n_max + 1))
-        pos = rng.random((n, 2)) * 400.0
-        members = [int(x) for x in rng.choice(n, size=max(2, n // 3), replace=False)]
-        topo = Topology.from_positions(pos, 250.0, source=0, members=members)
-        if topo.is_connected():
-            return topo
-    pytest.skip("could not sample a connected topology")
 
 
 def pair(topo, metric, daemon, incremental, seed=9, **daemon_options):
@@ -90,17 +83,6 @@ def array_runs(metric_name, run):
             yield run()
 
 
-def assert_same_trajectory(a, b):
-    assert a.states == b.states  # exact, not approx: bit-identical
-    assert a.rounds == b.rounds
-    assert a.converged == b.converged
-    assert a.cost_history == b.cost_history
-    assert a.moves == b.moves
-    # evaluations too: the batched evaluator must examine exactly the
-    # nodes the object engine's incremental dirty-set logic examines
-    assert a.evaluations == b.evaluations
-
-
 # ----------------------------------------------------------------------
 # The tentpole contract: the object engine is the bit-identity oracle
 # ----------------------------------------------------------------------
@@ -112,7 +94,7 @@ def test_array_engine_bit_identical_any_daemon(daemon, incremental, metric_name,
     """Every daemon x every metric x both modes, from arbitrary
     illegitimate states (parent cycles, garbage costs): the array engine
     replays the object engine exactly."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
     want = pair(topo, m, daemon, incremental)[0].run(
@@ -124,7 +106,7 @@ def test_array_engine_bit_identical_any_daemon(daemon, incremental, metric_name,
             list(init), max_rounds=MAX_ROUNDS
         ),
     ):
-        assert_same_trajectory(want, got)
+        assert_same_trajectory(want, got, evaluations=True)
 
 
 @settings(**SETTINGS)
@@ -133,7 +115,7 @@ def test_array_engine_bit_identical_any_daemon(daemon, incremental, metric_name,
 def test_array_engine_bit_identical_warm_start(daemon, metric_name, seed):
     """run_perturbed parity: settle with the object engine, corrupt a few
     nodes, and let both engines absorb the same faults."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     settled = RoundEngine(
         topo, m, daemon=daemon, incremental=True, rng=np.random.default_rng(9)
@@ -166,7 +148,7 @@ def test_array_engine_bit_identical_warm_start(daemon, metric_name, seed):
             list(settled.states), faults, max_rounds=MAX_ROUNDS
         ),
     ):
-        assert_same_trajectory(want, got)
+        assert_same_trajectory(want, got, evaluations=True)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +186,9 @@ def test_array_engine_bit_identical_at_moderate_scale(
     options = {} if k is None else {"k": k}
     obj, arr = pair(sp, m, daemon, True, seed=4, **options)
     res = arr.run(fresh_states(sp, m), max_rounds=max_rounds)
-    assert_same_trajectory(obj.run(fresh_states(sp, m), max_rounds=max_rounds), res)
+    assert_same_trajectory(
+        obj.run(fresh_states(sp, m), max_rounds=max_rounds), res, evaluations=True
+    )
     if metric_name in ("farthest", "energy"):
         assert arr.profile["snapshots_incremental"] > 0
     # the sequential fallback re-folds a subset of the evaluated rows
@@ -371,7 +355,7 @@ class TestScalarFallback:
             rng=np.random.default_rng(9),
         )
         arr = arr_eng.run(list(init), max_rounds=MAX_ROUNDS)
-        assert_same_trajectory(obj, arr)
+        assert_same_trajectory(obj, arr, evaluations=True)
         return arr_eng
 
     def test_parent_cycle_start(self):
@@ -417,7 +401,7 @@ class TestScalarFallback:
 @pytest.mark.parametrize("engine", ["object", "array"])
 @pytest.mark.parametrize("daemon", ["synchronous", "central", "randomized"])
 def test_rescaling_invariant_tree_and_verdict(daemon, engine, metric_name, scale, seed):
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     r1 = EXAMPLE_RADIO
     r2 = FirstOrderRadioModel(
         e_elec=r1.e_elec * scale,
@@ -495,7 +479,7 @@ class TestSparseTopology:
             got = engine_for(
                 sp, m, "central", incremental=True, engine=engine
             ).run(list(init), max_rounds=MAX_ROUNDS)
-            assert_same_trajectory(ref, got)
+            assert_same_trajectory(ref, got, evaluations=True)
 
     def test_random_geometric_is_valid(self):
         sp = SparseTopology.random_geometric(
@@ -585,7 +569,7 @@ class TestTopologyKnob:
 # ----------------------------------------------------------------------
 class TestEngineSelection:
     def test_names(self):
-        topo = random_connected_topology(1)
+        topo = random_connected_topology(1, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         assert isinstance(
             engine_for(topo, m, "central", engine="array"), ArrayRoundEngine
@@ -594,13 +578,13 @@ class TestEngineSelection:
         assert type(obj) is RoundEngine
 
     def test_unknown_engine_rejected(self):
-        topo = random_connected_topology(1)
+        topo = random_connected_topology(1, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         with pytest.raises(ValueError, match="unknown engine"):
             engine_for(topo, m, "central", engine="bogus")
 
     def test_engine_selection_requires_daemon_name(self):
-        topo = random_connected_topology(1)
+        topo = random_connected_topology(1, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         inst = RoundEngine(topo, m, daemon="central")
         with pytest.raises(ValueError, match="daemon given by name"):

@@ -481,8 +481,8 @@ class TestCliBackend:
 
 
 class TestBackendSmoke:
-    """The CI leg's entry point: one tiny campaign on the env-selected
-    backend (``REPRO_TEST_BACKEND``, default des)."""
+    """One tiny campaign through the CLI on each backend, then its warm
+    re-run."""
 
     def test_campaign_cli_smoke(self, test_backend, tmp_path, capsys):
         if test_backend == "rounds":

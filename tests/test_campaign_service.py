@@ -67,13 +67,6 @@ def deep_spec() -> CampaignSpec:
     )
 
 
-@pytest.fixture(params=["json", "sqlite"])
-def store_spec(request, tmp_path) -> str:
-    if request.param == "sqlite":
-        return f"sqlite:{tmp_path / 'results.sqlite'}"
-    return str(tmp_path / "records")
-
-
 # ----------------------------------------------------------------------
 # Scheduler interchangeability
 # ----------------------------------------------------------------------
@@ -152,12 +145,12 @@ class TestCancelResume:
             reference.format_table(("rounds", "moves"))
         )
 
-    def test_serial_cancel_is_graceful_too(self, store_spec):
+    def test_serial_cancel_is_graceful_too(self, test_store):
         spec = rounds_spec()
-        result = run_campaign(spec, store=store_spec, scheduler=CancelAfter(1))
+        result = run_campaign(spec, store=test_store, scheduler=CancelAfter(1))
         assert result.cancelled
         assert result.executed == 1
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             assert store.run_count() == 1  # the delivered run is durable
 
 
@@ -231,9 +224,9 @@ class TestCampaignService:
     """The submit/results/migrate verbs as direct calls of
     ``run_campaign`` / ``collect_campaign`` / ``migrate_json_dir``."""
 
-    def test_submit_status_results_roundtrip(self, store_spec):
+    def test_submit_status_results_roundtrip(self, test_store):
         spec = rounds_spec()
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             submitted = run_campaign(
                 spec, store=store, scheduler=PoolScheduler(1)
             )
@@ -450,6 +443,18 @@ class TestCli:
         assert match is not None, out
         executed, skipped = map(int, match.groups())
         assert executed + skipped == 4  # own share run, the rest left
+
+    @pytest.mark.parametrize("word", ["status", "sumbit"])
+    def test_an_unknown_verb_exits_naming_the_verbs(self, word, tmp_path):
+        """A first word that names no verb is a one-line exit listing the
+        verbs, not ``submit``'s usage; nothing runs and no store opens."""
+        store = str(tmp_path / "records")
+        with pytest.raises(SystemExit) as exc:
+            main([word, "--store", store])
+        assert exc.value.code == (
+            f"unknown command {word!r}; choose from submit, results, migrate"
+        )
+        assert not os.path.exists(store)
 
     @pytest.mark.parametrize("verb", ["submit", "results"])
     def test_unknown_metric_exits_before_running(self, verb, tmp_path):

@@ -30,34 +30,19 @@ from repro.core.metrics import METRIC_NAMES
 from repro.core.views import _count_parent_cycles
 from repro.graph import Topology
 
+from helpers import assert_same_trajectory, random_connected_topology
+
 SETTINGS = dict(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+#: the largest random topology these tests draw
+N_MAX = 14
+
 #: enough for any trajectory on these graph sizes, converged or cyclic
 MAX_ROUNDS = 120
-
-
-def random_connected_topology(seed, n_min=5, n_max=14):
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        n = int(rng.integers(n_min, n_max + 1))
-        pos = rng.random((n, 2)) * 400.0
-        members = [int(x) for x in rng.choice(n, size=max(2, n // 3), replace=False)]
-        topo = Topology.from_positions(pos, 250.0, source=0, members=members)
-        if topo.is_connected():
-            return topo
-    pytest.skip("could not sample a connected topology")
-
-
-def assert_same_trajectory(a, b):
-    assert a.states == b.states  # exact, not approx: bit-identical
-    assert a.rounds == b.rounds
-    assert a.converged == b.converged
-    assert a.cost_history == b.cost_history
-    assert a.moves == b.moves
 
 
 #: daemons whose full and incremental engines are compared
@@ -69,7 +54,7 @@ DAEMONS = ("synchronous", "central")
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 def test_incremental_matches_baseline_from_arbitrary_state(metric_name, seed):
     """Arbitrary initial states: cycles, garbage costs, dangling parents."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
     for daemon in DAEMONS:
@@ -87,7 +72,7 @@ def test_incremental_matches_baseline_from_arbitrary_state(metric_name, seed):
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 def test_incremental_matches_baseline_from_fresh_state(metric_name, seed):
     """The canonical start: root correct, everyone else disconnected."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = fresh_states(topo, m)
     for daemon in DAEMONS:
@@ -118,7 +103,7 @@ def test_incremental_view_apply_matches_rederivation(seed):
     """GlobalView.apply must keep children, flags, the flagged-children
     counters and the cycle count exactly equal to a from-scratch
     derivation after an arbitrary edit sequence."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("energy", EXAMPLE_RADIO)
     rng = np.random.default_rng(seed + 7)
     states = arbitrary_states(topo, m, rng)
@@ -256,7 +241,7 @@ class TestApplyHardening:
     ``ValueError: list.remove(x)`` from deep inside."""
 
     def test_externally_mutated_parent_raises_clear_error(self):
-        topo = random_connected_topology(11)
+        topo = random_connected_topology(11, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         res = RoundEngine(topo, m, daemon="central", incremental=True).run(
             fresh_states(topo, m)
@@ -274,7 +259,7 @@ class TestApplyHardening:
             view.apply(v, NodeState(parent=None, cost=1.0, hop=2))
 
     def test_consistent_apply_still_works(self):
-        topo = random_connected_topology(11)
+        topo = random_connected_topology(11, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         res = RoundEngine(topo, m, daemon="central", incremental=True).run(
             fresh_states(topo, m)
@@ -299,7 +284,7 @@ def test_run_perturbed_matches_baseline(metric_name, seed):
     approx-equal states), but the synchronous daemon silently rewrites
     every node every round, so sub-tolerance float drift on clean nodes
     could make an exact-equality comparison flake for the sync pair."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     settled = RoundEngine(topo, m, daemon="central", incremental=True).run(
         fresh_states(topo, m), max_rounds=MAX_ROUNDS
@@ -370,7 +355,7 @@ class TestDirtySetActuallyShrinks:
     def test_fixpoint_reruns_do_nothing(self):
         # hop: guaranteed convergent (the F metric can limit-cycle under
         # fixed-order daemons — a documented instability, not a target).
-        topo = random_connected_topology(3)
+        topo = random_connected_topology(3, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         res = RoundEngine(topo, m, daemon="central", incremental=True).run(
             fresh_states(topo, m)

@@ -7,7 +7,6 @@ Lemmas 1-3 in the suite.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,31 +22,23 @@ from repro.core import (
 from repro.core.examples import EXAMPLE_RADIO
 from repro.graph import Topology
 
+from helpers import random_connected_topology
+
 SETTINGS = dict(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-
-def random_connected_topology(seed, n_min=5, n_max=18):
-    """Random geometric graph, resampled until connected."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(50):
-        n = int(rng.integers(n_min, n_max + 1))
-        pos = rng.random((n, 2)) * 400.0
-        members = [int(x) for x in rng.choice(n, size=max(2, n // 3), replace=False)]
-        topo = Topology.from_positions(pos, 250.0, source=0, members=members)
-        if topo.is_connected():
-            return topo
-    pytest.skip("could not sample a connected topology")
+#: the largest random topology these tests draw
+N_MAX = 18
 
 
 @settings(**SETTINGS)
 @given(seed=st.integers(0, 100_000))
 def test_hop_converges_from_arbitrary_state(seed):
     """Lemma 1 for SS-SPST under both daemons, arbitrary initial states."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("hop", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
     for daemon in ("synchronous", "central"):
@@ -61,7 +52,7 @@ def test_hop_converges_from_arbitrary_state(seed):
 @settings(**SETTINGS)
 @given(seed=st.integers(0, 100_000))
 def test_tx_converges_from_arbitrary_state(seed):
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("tx", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 2))
     res = RoundEngine(topo, m, daemon="central").run(init)
@@ -75,7 +66,7 @@ def test_energy_converges_under_randomized_daemon(seed):
     """Lemma 1 for SS-SPST-E.  Fixed-order daemons admit rare limit cycles
     (a faithful echo of the instability the paper reports for the F
     metric); the randomized daemon — matching jittered beacons — converges."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("energy", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 3))
     res = RoundEngine(
@@ -91,7 +82,7 @@ def test_energy_converges_under_randomized_daemon(seed):
 @given(seed=st.integers(0, 100_000))
 def test_loop_freedom_at_fixpoint(seed):
     """Lemma 3: no cycles, hops bounded, for every metric that converged."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     for name in ("hop", "tx", "energy"):
         m = metric_by_name(name, EXAMPLE_RADIO)
         res = RoundEngine(
@@ -107,7 +98,7 @@ def test_loop_freedom_at_fixpoint(seed):
 @given(seed=st.integers(0, 100_000))
 def test_closure_at_fixpoint(seed):
     """Lemma 2: legitimate states are fixpoints of further rounds."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("energy", EXAMPLE_RADIO)
     res = RoundEngine(
         topo, m, daemon="randomized", rng=np.random.default_rng(seed)
@@ -122,7 +113,7 @@ def test_closure_at_fixpoint(seed):
 @given(seed=st.integers(0, 100_000))
 def test_hop_tree_is_bfs_optimal(seed):
     """The hop fixpoint gives every node its BFS-minimal depth."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("hop", EXAMPLE_RADIO)
     res = RoundEngine(topo, m, daemon="central").run(fresh_states(topo, m))
     assert res.converged
@@ -137,7 +128,7 @@ def test_fault_recovery_after_edge_removal(seed):
     """Adaptivity: stabilize, delete a random tree edge (a 'fault'), and
     re-stabilize on the shrunken topology.  The system must converge to a
     legitimate state of the *new* topology (the MANET adaptation story)."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("hop", EXAMPLE_RADIO)
     res = RoundEngine(topo, m, daemon="central").run(fresh_states(topo, m))
     assert res.converged
@@ -166,7 +157,7 @@ def test_metric_scale_invariance(seed, scale):
     (per-bit units are arbitrary)."""
     from repro.energy.radio import FirstOrderRadioModel
 
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     r1 = EXAMPLE_RADIO
     r2 = FirstOrderRadioModel(
         e_elec=r1.e_elec * scale,

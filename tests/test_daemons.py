@@ -8,11 +8,12 @@ daemon-specific semantics: quiescence certification for the partial
 limit cycles the randomized daemon escapes, registry behavior, and
 the evaluations-accounting fix (the converged-check pass is not work).
 
-``REPRO_TEST_DAEMON`` (see ``conftest.py``) selects the daemon for the
-generic single-daemon tests; CI matrixes it over {central, randomized}.
+Every test that builds through :func:`engine` runs on each round-engine
+implementation (``engine_name``; the object engine's cases keep their
+plain ids), and the generic single-daemon tests run under the central
+and the randomized daemon (the ``test_daemon`` fixture in
+``conftest.py``).
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core import (
     DAEMON_NAMES,
     DES_DAEMON_NAMES,
+    ENGINE_NAMES,
     NodeState,
     RoundEngine,
     arbitrary_states,
@@ -36,7 +38,8 @@ from repro.core import (
 from repro.core.daemons import Daemon
 from repro.core.examples import EXAMPLE_RADIO
 from repro.core.metrics import METRIC_NAMES
-from repro.graph import Topology
+
+from helpers import assert_same_trajectory, default_hidden, random_connected_topology
 
 SETTINGS = dict(
     max_examples=15,
@@ -47,38 +50,25 @@ SETTINGS = dict(
 MAX_ROUNDS = 150
 
 
-def random_connected_topology(seed, n_min=5, n_max=12):
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        n = int(rng.integers(n_min, n_max + 1))
-        pos = rng.random((n, 2)) * 400.0
-        members = [int(x) for x in rng.choice(n, size=max(2, n // 3), replace=False)]
-        topo = Topology.from_positions(pos, 250.0, source=0, members=members)
-        if topo.is_connected():
-            return topo
-    pytest.skip("could not sample a connected topology")
+#: the largest random topology these tests draw
+N_MAX = 12
+
+#: parametrizes a test over every round-engine implementation
+ENGINES = pytest.mark.parametrize("engine_name", default_hidden(ENGINE_NAMES))
 
 
-def engine(topo, metric, daemon, incremental, seed=0):
-    # Engine-generic on the REPRO_TEST_ENGINE axis: the array engine is
-    # bit-identical to the object engine by contract, so every assertion
-    # in this module must hold unchanged under either implementation.
+def engine(topo, metric, daemon, incremental, engine_name, seed=0):
+    # The array engine is bit-identical to the object engine by contract,
+    # so every assertion in this module must hold unchanged under either
+    # implementation.
     return engine_for(
         topo,
         metric,
         daemon,
         incremental=incremental,
-        engine=os.environ.get("REPRO_TEST_ENGINE", "object"),
+        engine=engine_name,
         rng=np.random.default_rng(seed),
     )
-
-
-def assert_same_trajectory(a, b):
-    assert a.states == b.states  # exact, not approx: bit-identical
-    assert a.rounds == b.rounds
-    assert a.converged == b.converged
-    assert a.cost_history == b.cost_history
-    assert a.moves == b.moves
 
 
 # ----------------------------------------------------------------------
@@ -86,29 +76,37 @@ def assert_same_trajectory(a, b):
 # ----------------------------------------------------------------------
 @settings(**SETTINGS)
 @given(seed=st.integers(0, 100_000))
+@ENGINES
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 @pytest.mark.parametrize("daemon", DAEMON_NAMES)
-def test_full_and_incremental_bit_identical_any_daemon(daemon, metric_name, seed):
+def test_full_and_incremental_bit_identical_any_daemon(
+    daemon, metric_name, engine_name, seed
+):
     """Every daemon x every metric, from arbitrary illegitimate states:
     the incremental engine replays the full engine exactly (states,
     rounds, cost history, moves)."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
-    full = engine(topo, m, daemon, False, seed=9).run(list(init), max_rounds=MAX_ROUNDS)
-    inc = engine(topo, m, daemon, True, seed=9).run(list(init), max_rounds=MAX_ROUNDS)
+    full = engine(topo, m, daemon, False, engine_name, seed=9).run(
+        list(init), max_rounds=MAX_ROUNDS
+    )
+    inc = engine(topo, m, daemon, True, engine_name, seed=9).run(
+        list(init), max_rounds=MAX_ROUNDS
+    )
     assert_same_trajectory(full, inc)
 
 
 @settings(**SETTINGS)
 @given(seed=st.integers(0, 100_000))
+@ENGINES
 @pytest.mark.parametrize("daemon", DAEMON_NAMES)
-def test_run_perturbed_matches_full_run_any_daemon(daemon, seed):
+def test_run_perturbed_matches_full_run_any_daemon(daemon, engine_name, seed):
     """Warm-start fault recovery is daemon-generic: run_perturbed from a
     settled vector equals a full-mode run on the perturbed vector."""
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("energy", EXAMPLE_RADIO)
-    settled = engine(topo, m, daemon, True, seed=5).run(
+    settled = engine(topo, m, daemon, True, engine_name, seed=5).run(
         fresh_states(topo, m), max_rounds=MAX_ROUNDS
     )
     if not settled.converged:  # adversarial may legitimately stall
@@ -131,23 +129,24 @@ def test_run_perturbed_matches_full_run_any_daemon(daemon, seed):
             applied.append((v, ns))
     if not applied:
         return
-    full = engine(topo, m, daemon, False, seed=11).run(
+    full = engine(topo, m, daemon, False, engine_name, seed=11).run(
         list(perturbed), max_rounds=MAX_ROUNDS
     )
-    inc = engine(topo, m, daemon, True, seed=11).run_perturbed(
+    inc = engine(topo, m, daemon, True, engine_name, seed=11).run_perturbed(
         list(settled.states), applied, max_rounds=MAX_ROUNDS
     )
     assert_same_trajectory(full, inc)
 
 
+@ENGINES
 @pytest.mark.parametrize("metric_name", ["hop", "tx"])
 @pytest.mark.parametrize("daemon", DAEMON_NAMES)
-def test_every_daemon_converges_for_potential_metrics(daemon, metric_name):
+def test_every_daemon_converges_for_potential_metrics(daemon, metric_name, engine_name):
     """hop/tx are exact potentials: every daemon — including the greedy
     adversary — must reach the legitimate fixpoint."""
-    topo = random_connected_topology(42)
+    topo = random_connected_topology(42, n_max=N_MAX)
     m = metric_by_name(metric_name, EXAMPLE_RADIO)
-    res = engine(topo, m, daemon, True, seed=1).run(
+    res = engine(topo, m, daemon, True, engine_name, seed=1).run(
         fresh_states(topo, m), max_rounds=400
     )
     assert res.converged
@@ -159,27 +158,28 @@ def test_every_daemon_converges_for_potential_metrics(daemon, metric_name):
 # randomized daemon converges (the schedule-dependence the paper's F/E
 # instability discussion is about)
 # ----------------------------------------------------------------------
-def test_adversarial_stalls_where_randomized_converges():
+@ENGINES
+def test_adversarial_stalls_where_randomized_converges(engine_name):
     # The F metric keeps the paper's advertised-cost pricing and hence its
     # documented best-response cycles; E's exact marginal chain pricing
     # (see docs/convergence.md) removed every adversarial stall we could
     # find for it, so the schedule-dependence regression is pinned on F.
     seed = 3  # found by search; stable because everything is seeded
-    topo = random_connected_topology(seed)
+    topo = random_connected_topology(seed, n_max=N_MAX)
     m = metric_by_name("farthest", EXAMPLE_RADIO)
     init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
     adv = RoundEngine(topo, m, daemon="adversarial-max-cost").run(
         list(init), max_rounds=150
     )
     assert not adv.converged  # greedy max-cost scheduling enters a limit cycle
-    rand = engine(topo, m, "randomized", False, seed=0).run(
+    rand = engine(topo, m, "randomized", False, engine_name, seed=0).run(
         list(init), max_rounds=300
     )
     assert rand.converged
     assert is_legitimate(topo, m, rand.states)
     # The cycle is a scheduling artifact, not a broken state: the stalled
     # trajectory still stabilizes once handed to a randomized schedule.
-    recovered = engine(topo, m, "randomized", False, seed=1).run(
+    recovered = engine(topo, m, "randomized", False, engine_name, seed=1).run(
         list(adv.states), max_rounds=300
     )
     assert recovered.converged
@@ -194,7 +194,7 @@ class TestWeaklyFair:
         fixpoint: with delay D the engine demands D consecutive quiet
         rounds, so the result is never 'converged' while enabled nodes
         exist."""
-        topo = random_connected_topology(3)
+        topo = random_connected_topology(3, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         # p = 0 schedules nothing except forced (starvation-bound) picks:
         # every node still runs every `delay` rounds, so this converges.
@@ -217,15 +217,16 @@ class TestWeaklyFair:
 
 
 class TestDistributed:
-    def test_chunk_size_one_is_serial(self):
+    @ENGINES
+    def test_chunk_size_one_is_serial(self, engine_name):
         """k=1 distributed == randomized serial (same rng, same schedule)."""
-        topo = random_connected_topology(11)
+        topo = random_connected_topology(11, n_max=N_MAX)
         m = metric_by_name("energy", EXAMPLE_RADIO)
         init = arbitrary_states(topo, m, np.random.default_rng(2))
         k1 = RoundEngine(
             topo, m, daemon="distributed", rng=np.random.default_rng(5), k=1
         ).run(list(init), max_rounds=MAX_ROUNDS)
-        rand = engine(topo, m, "randomized", False, seed=5).run(
+        rand = engine(topo, m, "randomized", False, engine_name, seed=5).run(
             list(init), max_rounds=MAX_ROUNDS
         )
         assert_same_trajectory(k1, rand)
@@ -236,11 +237,11 @@ class TestDistributed:
 
 
 # ----------------------------------------------------------------------
-# Generic engine behavior under the CI-matrixed daemon
+# Generic engine behavior under the central and the randomized daemon
 # ----------------------------------------------------------------------
-class TestEnvDaemon:
-    def test_lemma1_and_2_under_env_daemon(self, test_daemon):
-        topo = random_connected_topology(17)
+class TestDaemonGeneric:
+    def test_lemma1_and_2_hold(self, test_daemon):
+        topo = random_connected_topology(17, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         report = check_convergence(topo, m, test_daemon, fresh_states(topo, m))
         assert report.holds, report.detail
@@ -250,11 +251,14 @@ class TestEnvDaemon:
         closure = check_closure(topo, m, test_daemon, res.states)
         assert closure.holds, closure.detail
 
-    def test_deterministic_given_seed(self, test_daemon):
-        topo = random_connected_topology(23)
+    @ENGINES
+    def test_deterministic_given_seed(self, test_daemon, engine_name):
+        topo = random_connected_topology(23, n_max=N_MAX)
         m = metric_by_name("energy", EXAMPLE_RADIO)
         runs = [
-            engine(topo, m, test_daemon, inc, seed=13).run(fresh_states(topo, m))
+            engine(topo, m, test_daemon, inc, engine_name, seed=13).run(
+                fresh_states(topo, m)
+            )
             for inc in (False, False, True)
         ]
         assert runs[0].states == runs[1].states
@@ -265,39 +269,50 @@ class TestEnvDaemon:
 # Evaluations accounting (the converged-check pass is not work)
 # ----------------------------------------------------------------------
 class TestEvaluationsAccounting:
-    def test_fixpoint_rerun_costs_zero_evaluations(self):
+    @ENGINES
+    def test_fixpoint_rerun_costs_zero_evaluations(self, engine_name):
         """Re-running a settled vector does zero stabilization work under
         both modes — the certifying pass is no longer billed, which is
         what used to make baselines and incrementals disagree by exactly
         n on the final round."""
-        topo = random_connected_topology(29)
+        topo = random_connected_topology(29, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        settled = engine(topo, m, "central", True).run(fresh_states(topo, m))
+        settled = engine(topo, m, "central", True, engine_name).run(
+            fresh_states(topo, m)
+        )
         assert settled.converged
         for incremental in (False, True):
-            again = engine(topo, m, "central", incremental).run(list(settled.states))
+            again = engine(topo, m, "central", incremental, engine_name).run(
+                list(settled.states)
+            )
             assert again.converged and again.rounds == 0
             assert again.evaluations == 0
         # Warm-started with no effective faults the incremental engine
         # short-circuits the check pass entirely; the diagnostic agrees.
-        warm = engine(topo, m, "central", True).run_perturbed(
+        warm = engine(topo, m, "central", True, engine_name).run_perturbed(
             list(settled.states), []
         )
         assert warm.converged and warm.evaluations == 0
 
-    def test_full_mode_counts_n_per_counted_round(self):
-        topo = random_connected_topology(31)
+    @ENGINES
+    def test_full_mode_counts_n_per_counted_round(self, engine_name):
+        topo = random_connected_topology(31, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
-        res = engine(topo, m, "central", False).run(fresh_states(topo, m))
+        res = engine(topo, m, "central", False, engine_name).run(fresh_states(topo, m))
         assert res.converged
         assert res.evaluations == res.rounds * topo.n
 
-    def test_incremental_never_out_evaluates_full(self):
-        topo = random_connected_topology(37)
+    @ENGINES
+    def test_incremental_never_out_evaluates_full(self, engine_name):
+        topo = random_connected_topology(37, n_max=N_MAX)
         m = metric_by_name("energy", EXAMPLE_RADIO)
         init = fresh_states(topo, m)
-        full = engine(topo, m, "central", False).run(list(init), max_rounds=MAX_ROUNDS)
-        inc = engine(topo, m, "central", True).run(list(init), max_rounds=MAX_ROUNDS)
+        full = engine(topo, m, "central", False, engine_name).run(
+            list(init), max_rounds=MAX_ROUNDS
+        )
+        inc = engine(topo, m, "central", True, engine_name).run(
+            list(init), max_rounds=MAX_ROUNDS
+        )
         assert_same_trajectory(full, inc)
         assert inc.evaluations <= full.evaluations
 
@@ -325,7 +340,7 @@ class TestRegistryAndShims:
             daemon_by_name("central", k=3)
 
     def test_engine_accepts_instance_and_name(self):
-        topo = random_connected_topology(41)
+        topo = random_connected_topology(41, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         by_name = RoundEngine(topo, m, daemon="central").run(fresh_states(topo, m))
         by_inst = RoundEngine(topo, m, daemon=daemon_by_name("central")).run(
@@ -344,7 +359,7 @@ class TestRegistryAndShims:
                 for v in reversed(range(ctx.n)):
                     yield (v,)
 
-        topo = random_connected_topology(43)
+        topo = random_connected_topology(43, n_max=N_MAX)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         full = RoundEngine(topo, m, daemon=ReverseCentral()).run(fresh_states(topo, m))
         inc = RoundEngine(topo, m, daemon=ReverseCentral(), incremental=True).run(

@@ -11,8 +11,7 @@
 * Section 7's causal chain: speed -> fault rate -> unavailability.
 
 Each test is seconds to tens of seconds; the whole file runs in about
-a minute on two cores.  None of it reads the ``REPRO_TEST_*``
-matrix variables.
+a minute on two cores.
 """
 
 import numpy as np

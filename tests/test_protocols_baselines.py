@@ -8,9 +8,8 @@ from repro.groups.models import GroupSpec
 from repro.metrics.hub import MetricsHub
 from repro.mobility import StaticPlacement, TraceMobility
 from repro.net import MacConfig, Network, Packet, PacketKind
+from repro.protocols import odmrp
 from repro.protocols.base import DuplicateCache
-from repro.protocols.maodv import MaodvAgent, MaodvConfig
-from repro.protocols.odmrp import OdmrpAgent, OdmrpConfig
 from repro.protocols.registry import PROTOCOL_NAMES, make_agent_factory
 from repro.sim import Simulator
 from repro.util.geometry import Arena
@@ -114,10 +113,6 @@ class TestMaodv:
         # Relay gone: no path exists, tree state must have expired.
         assert not net.nodes[2].agent.tree_fresh
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MaodvConfig(hello_interval=5.0, tree_timeout=4.0)
-
 
 class TestOdmrp:
     def test_forwarding_group_forms(self):
@@ -150,16 +145,11 @@ class TestOdmrp:
         assert agent1.in_forwarding_group
         # Stop the query refresh; FG membership must lapse.
         net.nodes[0].agent.stop()
-        sim.run(until=10.0 + agent1.config.fg_timeout + 4.0)
+        sim.run(until=10.0 + odmrp.FG_TIMEOUT + 4.0)
         assert not agent1.in_forwarding_group
 
     def test_queries_piggyback_data_size(self):
-        cfg = OdmrpConfig(piggyback_bytes=512)
-        assert cfg.query_bytes > 512
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OdmrpConfig(query_interval=0.0)
+        assert odmrp.QUERY_BYTES > odmrp.PIGGYBACK_BYTES == 512
 
 
 class TestCrossProtocolInvariants:

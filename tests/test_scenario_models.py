@@ -442,9 +442,9 @@ class TestBackendParity:
         assert net.group_source_of(0) == topo.source
         assert net.group_receivers_of(0) == topo.members - {topo.source}
 
-    def test_parity_under_env_selected_mobility(self, test_mobility):
-        """The CI scenario-models leg routes a non-default mobility model
-        through the same parity contract."""
+    def test_quick_config_t0_topology_parity(self, test_mobility):
+        """The parity contract on the quick base config, per mobility
+        model."""
         cfg = ScenarioConfig.quick(
             n_nodes=20, group_size=6, sim_time=12.0, mobility=test_mobility
         )
@@ -826,8 +826,8 @@ class TestCliAndFigures:
             assert isinstance(holds, bool), desc
 
 
-class TestRunnerUnderEnvMobility:
-    def test_runner_smoke_with_fixture_mobility(self, test_mobility):
+class TestRunnerMobilitySmoke:
+    def test_run_records_its_mobility_model(self, test_mobility):
         cfg = fast_base(protocol="ss-spst-e", mobility=test_mobility)
         result = run_scenario(cfg)
         assert 0.0 <= result.summary.pdr <= 1.0

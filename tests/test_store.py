@@ -78,14 +78,6 @@ def rounds_spec(name="store-test", seeds=(1, 2), **kw) -> CampaignSpec:
     )
 
 
-@pytest.fixture(params=["json", "sqlite"])
-def store_spec(request, tmp_path) -> str:
-    """One spec string per store backend, both over a fresh tmp dir."""
-    if request.param == "sqlite":
-        return f"sqlite:{tmp_path / 'results.sqlite'}"
-    return str(tmp_path / "records")
-
-
 def _record_for(config: ScenarioConfig) -> dict:
     return _execute(config)
 
@@ -287,14 +279,14 @@ class TestOldSideData:
         with open(os.path.join(claims, f"{claimed_key}.claim"), "w") as fh:
             json.dump({"worker": "host-1-w0", "since_s": time.time()}, fh)
 
-    def test_store_with_side_data_keeps_working(self, store_spec):
+    def test_store_with_side_data_keeps_working(self, test_store):
         spec = rounds_spec()
-        cold = run_campaign(spec, store=store_spec)
+        cold = run_campaign(spec, store=test_store)
         assert cold.executed == spec.size()
         configs = spec.configs()
-        self._add_side_data(store_spec, config_key(configs[0]))
+        self._add_side_data(test_store, config_key(configs[0]))
 
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             assert store.run_count() == spec.size()
             assert sorted(store.keys()) == sorted(map(config_key, configs))
             records = [store.load(cfg) for cfg in configs]
@@ -313,27 +305,27 @@ class TestOldSideData:
 # Campaign parity across stores
 # ----------------------------------------------------------------------
 class TestCampaignParity:
-    def test_cold_then_warm(self, store_spec):
+    def test_cold_then_warm(self, test_store):
         spec = rounds_spec()
-        cold = run_campaign(spec, store=store_spec)
+        cold = run_campaign(spec, store=test_store)
         assert cold.executed == spec.size()
-        warm = run_campaign(spec, store=store_spec)
+        warm = run_campaign(spec, store=test_store)
         assert (warm.executed, warm.cache_hits) == (0, spec.size())
         for a, b in zip(cold.results, warm.results):
             assert a.summary == b.summary
 
-    def test_shard_split_reassembles(self, store_spec):
+    def test_shard_split_reassembles(self, test_store):
         spec = rounds_spec()
-        n0 = run_campaign(spec, store=store_spec, shard=(0, 2))
-        n1 = run_campaign(spec, store=store_spec, shard=(1, 2))
+        n0 = run_campaign(spec, store=test_store, shard=(0, 2))
+        n1 = run_campaign(spec, store=test_store, shard=(1, 2))
         assert n0.executed + n1.executed == spec.size()
-        final = run_campaign(spec, store=store_spec)
+        final = run_campaign(spec, store=test_store)
         assert (final.executed, final.cache_hits) == (0, spec.size())
 
-    def test_collect_campaign_never_executes(self, store_spec):
+    def test_collect_campaign_never_executes(self, test_store):
         spec = rounds_spec()
-        run_campaign(spec, store=store_spec, shard=(0, 2))
-        partial = collect_campaign(spec, store_spec)
+        run_campaign(spec, store=test_store, shard=(0, 2))
+        partial = collect_campaign(spec, test_store)
         assert partial.executed == 0
         assert 0 < partial.cache_hits < spec.size()
         assert partial.skipped == spec.size() - partial.cache_hits
@@ -552,7 +544,7 @@ def _count_calls(monkeypatch, owner, name: str):
 
 class TestWarmReadPath:
     def test_one_config_and_no_asdict_per_stored_run(
-        self, store_spec, monkeypatch
+        self, test_store, monkeypatch
     ):
         """A warm campaign builds each config at most once per spec (its
         plan) and never deep-copies one: the record check and the
@@ -574,22 +566,22 @@ class TestWarmReadPath:
 
         spec, fresh = warm_guard_spec(), warm_guard_spec()
         assert fresh == spec and fresh is not spec
-        cold = run_campaign(spec, store=store_spec)
+        cold = run_campaign(spec, store=test_store)
         assert cold.executed == spec.size()
 
         built = _count_calls(monkeypatch, ScenarioConfig, "__post_init__")
         copied = _count_calls(monkeypatch, dataclasses, "asdict")
         hashed = _count_calls(monkeypatch, store_module, "config_key")
-        warm = run_campaign(spec, store=store_spec)
+        warm = run_campaign(spec, store=test_store)
         assert (warm.executed, warm.cache_hits) == (0, spec.size())
         assert (built(), copied(), hashed()) == (0, 0, spec.size())
-        collected = collect_campaign(spec, store_spec)
+        collected = collect_campaign(spec, test_store)
         assert collected.cache_hits == spec.size()
         assert (built(), copied(), hashed()) == (0, 0, 2 * spec.size())
 
-        rewarmed = run_campaign(fresh, store=store_spec)
+        rewarmed = run_campaign(fresh, store=test_store)
         assert rewarmed.cache_hits == fresh.size()
-        recollected = collect_campaign(fresh, store_spec)
+        recollected = collect_campaign(fresh, test_store)
         assert recollected.cache_hits == fresh.size()
         assert (built(), copied(), hashed()) == (
             fresh.size(), 0, 4 * spec.size()
@@ -603,16 +595,16 @@ class TestWarmReadPath:
                 assert a.summary == b.summary
 
     def test_cold_campaign_hashes_each_config_once(
-        self, store_spec, monkeypatch
+        self, test_store, monkeypatch
     ):
         import repro.experiments.store as store_module
 
         spec = rounds_spec()
         hashed = _count_calls(monkeypatch, store_module, "config_key")
-        cold = run_campaign(spec, store=store_spec)
+        cold = run_campaign(spec, store=test_store)
         assert cold.executed == spec.size()
         assert hashed() == spec.size()
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             assert sorted(store.keys()) == sorted(
                 config_key(cfg) for cfg in spec.configs()
             )
@@ -798,15 +790,15 @@ class TestConcurrentAccess:
             )
         return spec, executed
 
-    def test_racing_shards(self, store_spec):
+    def test_racing_shards(self, test_store):
         """Two shards writing one store concurrently: no lost records,
         no doubled records, aggregates identical to a serial run."""
-        spec, executed = self._race(store_spec, [(0, 2), (1, 2)])
+        spec, executed = self._race(test_store, [(0, 2), (1, 2)])
         assert sum(executed) == spec.size()
 
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             assert store.run_count() == spec.size()  # none lost or doubled
-        assembled = collect_campaign(spec, store_spec)
+        assembled = collect_campaign(spec, test_store)
         assert assembled.skipped == 0
 
         serial = run_campaign(rounds_spec(seeds=(1, 2, 3)))
@@ -831,14 +823,14 @@ class TestConcurrentAccess:
         with open_store(f"sqlite:{path}") as store:
             assert store.run_count() == workers * 40
 
-    def test_racing_full_overlap(self, store_spec):
+    def test_racing_full_overlap(self, test_store):
         """Worst case: two unsharded invocations of the whole campaign.
         Work is duplicated (both execute), records are not (idempotent
         keyed writes collapse the duplicates)."""
-        spec, _ = self._race(store_spec, [None, None])
-        with open_store(store_spec) as store:
+        spec, _ = self._race(test_store, [None, None])
+        with open_store(test_store) as store:
             assert store.run_count() == spec.size()
-        assembled = collect_campaign(spec, store_spec)
+        assembled = collect_campaign(spec, test_store)
         assert assembled.skipped == 0
         serial = run_campaign(rounds_spec(seeds=(1, 2, 3)))
         assert assembled.aggregate("rounds") == serial.aggregate("rounds")
